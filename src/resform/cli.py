@@ -17,9 +17,8 @@ from .errors import OddCharacteristic, PolySyntaxError, ResformError
 from .gfield import gf_create
 from .homog import BinaryForm, fermat_formulas, verify_homog_char2
 from .milnor import milnor_algebra
-from .mpoly import MultiPoly, parse_poly
-from .residue import arf_invariant, disc_square_class, gram_matrix
-from .wittring import gr_create, teichmuller
+from .mpoly import parse_poly
+from .residue import arf_invariant, disc_square_class, gram_matrix, witt_lift
 
 
 def _build_field(args):
@@ -44,11 +43,6 @@ def _parse_over(args, field, text=None):
     return parse_poly(text, field, names, constants=constants)
 
 
-def _witt_lift(f: MultiPoly, ring) -> MultiPoly:
-    terms = {e: teichmuller(ring, c) for e, c in f.terms.items()}
-    return MultiPoly(ring, f.n_vars, terms)
-
-
 def _cmd_milnor(args):
     field = _build_field(args)
     f = _parse_over(args, field)
@@ -61,11 +55,7 @@ def _cmd_milnor(args):
 def _cmd_gram(args):
     field = _build_field(args)
     f = _parse_over(args, field)
-    if field.p == 2:
-        ring = gr_create(field)
-        G = gram_matrix(_witt_lift(f, ring), args.scale)
-    else:
-        G = gram_matrix(f, args.scale)
+    G = gram_matrix(witt_lift(f) if field.p == 2 else f, args.scale)
     out = {"input": f.render(_var_list(args)), "field": field.to_json()}
     out.update(G.to_json())
     out["det"] = repr(G.det)
@@ -75,11 +65,7 @@ def _cmd_gram(args):
 def _cmd_disc(args):
     field = _build_field(args)
     f = _parse_over(args, field)
-    if field.p == 2:
-        ring = gr_create(field)
-        G = gram_matrix(_witt_lift(f, ring), args.scale)
-    else:
-        G = gram_matrix(f, args.scale)
+    G = gram_matrix(witt_lift(f) if field.p == 2 else f, args.scale)
     cls = disc_square_class(G)
     return 0, {
         "input": f.render(_var_list(args)),
@@ -152,7 +138,6 @@ def _cmd_corpus(args):
     ok = all(r.ok for r in results)
     payload = {
         "seed": args.seed,
-        "convention": args.convention,
         "ok": ok,
         "results": [r.to_json() for r in results],
     }
@@ -230,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = register("corpus", _cmd_corpus, "run the example and acceptance suites")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--convention", choices=("calibrated", "literal"),
-                    default="calibrated")
 
     return parser
 

@@ -21,7 +21,7 @@ from .epsilon import (
     eps_wildquad_char2,
     verify_identity,
 )
-from .errors import NotFlat, NotIsolated, SingularForm
+from .errors import CheckFailed, NotFlat, NotIsolated, SingularForm
 from .gfield import CycloInt, gauss_sum, gf_create, legendre, trace_bit, wp_class
 from .homog import (
     BinaryForm,
@@ -85,7 +85,7 @@ def _timed(name: str, fn) -> CheckResult:
 
 def _expect(cond: bool, msg: str):
     if not cond:
-        raise AssertionError(msg)
+        raise CheckFailed(msg)
 
 
 def _rand_unit(rng, field):
@@ -137,7 +137,7 @@ def _ex_witt_classes():
     except Exception as exc:
         _expect(type(exc).__name__ == "RamifiedClass", "unit 3 is ramified")
     else:
-        raise AssertionError("unit 3 should be ramified")
+        raise CheckFailed("unit 3 should be ramified")
     return "square classes of 1, 5, 7 and Arf readings"
 
 
@@ -154,7 +154,7 @@ def _ex_milnor_basics():
     except NotIsolated:
         pass
     else:
-        raise AssertionError("x^2*y has a non-isolated singular locus")
+        raise CheckFailed("x^2*y has a non-isolated singular locus")
     return "milnor numbers 2, 2, 4 and a non-isolated rejection"
 
 

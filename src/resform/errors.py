@@ -101,3 +101,7 @@ class SingularForm(ResformError):
 
 class NonIntegral(ResformError):
     """An exponent or exact division that must be integral failed to be."""
+
+
+class CheckFailed(ResformError):
+    """A shipped example or acceptance check did not hold."""

@@ -45,15 +45,6 @@ def _poly_mod(num, den, p):
     return num[:dn]
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def _is_irreducible(h, p) -> bool:
     """Trial-division test for a monic polynomial over Z/p.
 
@@ -311,10 +302,6 @@ def gf_create(p: int, m: int, modulus=None) -> Field:
     return field
 
 
-def gf_from_json(data: dict) -> Field:
-    return gf_create(data["p"], data["m"], data["modulus"])
-
-
 def gf_trace(a: FieldElem) -> FieldElem:
     """Absolute trace down to the prime subfield."""
     acc = a
@@ -356,7 +343,7 @@ def wp_class(a: FieldElem):
     for y in field.elements():
         if y * y - y == a:
             return (0, y)
-    raise AssertionError("trace zero but no Artin-Schreier preimage")
+    raise ReducibleModulus("trace zero but no Artin-Schreier preimage")
 
 
 class CycloInt:

@@ -9,6 +9,8 @@ the sign of Frobenius on its zero locus.
 
 from __future__ import annotations
 
+import math
+
 from .errors import NonIntegral, OddCharacteristic, SingularForm
 from .gfield import Field
 from .linalg import det_bareiss, det_ring
@@ -105,7 +107,7 @@ def generic_divided_disc(d: int) -> MultiPoly:
     """Divided discriminant of the generic degree-d form, over Z[c_0..c_d].
 
     The Sylvester resultant of the two partials is divisible by d^(d-2);
-    the exact quotient is primitive, which we assert rather than assume.
+    the exact quotient is primitive, which we check rather than assume.
     """
     cached = _GENERIC_DISC.get(d)
     if cached is not None:
@@ -117,19 +119,10 @@ def generic_divided_disc(d: int) -> MultiPoly:
     g, h = _partials_dehomog(cs, d)
     res = sylvester_resultant(g, h, d - 1, d - 1)
     disc = poly_exact_div(res, MultiPoly.const(ZZ, d + 1, d ** max(d - 2, 0)))
-    content = 0
-    for c in disc.terms.values():
-        content = _gcd(content, c)
-    assert content == 1, f"divided discriminant for d={d} is imprimitive"
+    if math.gcd(*disc.terms.values()) != 1:
+        raise NonIntegral(f"divided discriminant for d={d} is imprimitive")
     _GENERIC_DISC[d] = disc
     return disc
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def divided_disc_binary(F: BinaryForm):

@@ -8,7 +8,7 @@ bound 3*D0 works because (J + (2))^3 lies in J + (8) = J.
 
 from __future__ import annotations
 
-from .errors import DegenerateFiber, NotFlat, NotIsolated, RingMismatch
+from .errors import DegenerateFiber, NotFlat, NotIsolated, OddProduct, RingMismatch
 from .linalg import rref_ring
 from .mpoly import MultiPoly, partials
 from . import unipoly
@@ -62,42 +62,41 @@ def _relation_rows(grads, upto: int, col_index, ring, n_vars: int):
     return rows
 
 
-def degree_bound(f: MultiPoly, cap: int = DEGREE_CAP) -> int:
-    """Smallest D0 with every degree-D0 monomial in J + m^{D0+1}.
+def _eliminate(grads, ring, n_vars: int, upto: int):
+    """Reduced relation matrix on the monomials of degree <= upto.
+
+    Columns run from the highest degree down; returns (columns, reduced
+    rows, pivot columns, stuck column or None).
+    """
+    cols = sorted(monomials_upto(n_vars, upto), key=mono_key, reverse=True)
+    col_index = {e: j for j, e in enumerate(cols)}
+    rows = _relation_rows(grads, upto, col_index, ring, n_vars)
+    return (cols, *rref_ring(ring, rows))
+
+
+def _scan(f: MultiPoly, cap: int):
+    """Smallest D0 with every degree-D0 monomial in J + m^{D0+1}, over a field.
 
     By graded Nakayama this certifies m^{D0} inside the Jacobian ideal of
-    the complete local ring at the origin.
+    the complete local ring at the origin.  The certifying elimination also
+    presents the algebra: its degree-D0 columns come first, each a pivot
+    whose row is that monomial alone, so the remaining rows restricted to
+    degree < D0 are the unique reduced echelon form of the relations there.
+    Returns (D0, columns, rows, pivots) of that presentation.
     """
-    ring = f.ring
-    if not _is_field(ring):
-        ring = ring.field
-        f = f.map_coeffs(lambda c: c.reduce(), ring)
     if f.total_degree() < 1:
         raise NotIsolated("constant polynomial has no isolated singularity")
     grads = partials(f)
     if all(g.is_zero() for g in grads):
         raise NotIsolated("all partial derivatives vanish identically")
-    n = f.n_vars
     for d0 in range(1, cap + 1):
-        cols = sorted(monomials_upto(n, d0), key=mono_key, reverse=True)
-        col_index = {e: j for j, e in enumerate(cols)}
-        rows = _relation_rows(grads, d0, col_index, ring, n)
-        red, pivots, _ = rref_ring(ring, rows)
-        pivot_row = {c: k for k, c in enumerate(pivots)}
-        ok = True
-        for e in cols:
-            if sum(e) != d0:
-                continue
-            j = col_index[e]
-            k = pivot_row.get(j)
-            if k is None:
-                ok = False
-                break
-            if any(not x.is_zero() for jj, x in enumerate(red[k]) if jj != j):
-                ok = False
-                break
-        if ok:
-            return d0
+        cols, red, pivots, _ = _eliminate(grads, f.ring, f.n_vars, d0)
+        top = sum(1 for e in cols if sum(e) == d0)
+        if pivots[:top] == list(range(top)) and all(
+            x.is_zero() for row in red[:top] for x in row[top:]
+        ):
+            rows = [row[top:] for row in red[top:len(pivots)]]
+            return d0, cols[top:], rows, [c - top for c in pivots[top:]]
     raise NotIsolated(f"Jacobian ideal is not monomial-cofinite below degree {cap}")
 
 
@@ -142,30 +141,43 @@ class MilnorAlgebra:
         return f"MilnorAlgebra(mu={self.mu}, D={self.D}, over {self.ring!r})"
 
 
+# Most recently used last.  The bound holds every algebra that the
+# consumers of one polynomial share, and it is a bound rather than a clear
+# so that a call costs the same however many polynomials came before it.
+_ALGEBRAS: dict = {}
+_ALGEBRAS_MAX = 256
+
+
 def milnor_algebra(f: MultiPoly, ring=None, cap: int = DEGREE_CAP) -> MilnorAlgebra:
-    """Quotient by the Jacobian ideal, presented below the truncation degree."""
+    """Quotient by the Jacobian ideal, presented below the truncation degree.
+
+    Computed once per polynomial and cap; every consumer shares the result.
+    """
     if ring is not None and ring != f.ring:
         raise RingMismatch("polynomial is not over the requested ring")
     ring = f.ring
-    if _is_field(ring):
-        D = degree_bound(f, cap)
-    else:
-        D = 3 * degree_bound(f, cap)
     n = f.n_vars
-    cols = sorted(monomials_upto(n, D - 1), key=mono_key, reverse=True)
-    col_index = {e: j for j, e in enumerate(cols)}
-    rows = _relation_rows(partials(f), D - 1, col_index, ring, n)
-    red, pivots, stuck = rref_ring(ring, rows)
-    if stuck is not None:
-        raise NotFlat(
-            f"monomial {cols[stuck]} carries a non-unit relation; quotient is not free"
-        )
+    key = (ring, n, frozenset(f.terms.items()), cap)
+    alg = _ALGEBRAS.pop(key, None)
+    if alg is not None:
+        _ALGEBRAS[key] = alg
+        return alg
+    if _is_field(ring):
+        D, cols, red, pivots = _scan(f, cap)
+    else:
+        reduced = f.map_coeffs(lambda c: c.reduce(), ring.field)
+        D = 3 * milnor_algebra(reduced, cap=cap).D
+        cols, red, pivots, stuck = _eliminate(partials(f), ring, n, D - 1)
+        if stuck is not None:
+            raise NotFlat(
+                f"monomial {cols[stuck]} carries a non-unit relation; quotient is not free"
+            )
     pivot_set = set(pivots)
     basis = sorted((cols[j] for j in range(len(cols)) if j not in pivot_set),
                    key=mono_key)
     char = ring.p if _is_field(ring) else 2
     if char == 2 and n % 2 == 1 and len(basis) % 2 == 1:
-        raise AssertionError(
+        raise OddProduct(
             f"parity violated: odd mu={len(basis)} with odd n_vars={n} in characteristic 2"
         )
     basis_index = {e: i for i, e in enumerate(basis)}
@@ -175,9 +187,13 @@ def milnor_algebra(f: MultiPoly, ring=None, cap: int = DEGREE_CAP) -> MilnorAlge
         nf[cols[c]] = {
             basis_index[cols[j]]: -row[j]
             for j in range(len(cols))
-            if j != c and j not in pivot_set and not row[j].is_zero()
+            if j not in pivot_set and not row[j].is_zero()
         }
-    return MilnorAlgebra(ring, n, D, basis, nf)
+    alg = MilnorAlgebra(ring, n, D, basis, nf)
+    if len(_ALGEBRAS) >= _ALGEBRAS_MAX:
+        del _ALGEBRAS[next(iter(_ALGEBRAS))]
+    _ALGEBRAS[key] = alg
+    return alg
 
 
 def _render_uni(field, cs) -> str:

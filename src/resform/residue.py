@@ -19,7 +19,7 @@ from .errors import (
     SingularBezoutian,
 )
 from .gfield import legendre
-from .linalg import det_ring, solve_ring
+from .linalg import _is_unit, det_ring, solve_ring
 from .milnor import milnor_algebra, mono_key
 from .mpoly import MultiPoly, divided_difference, partials
 from .unipoly import QuotientField
@@ -100,12 +100,6 @@ class GramForm:
         return f"GramForm(mu={self.mu}, scale={self.scale!r}, over {self.ring!r})"
 
 
-def _is_unit(x) -> bool:
-    if hasattr(x, "is_unit"):
-        return x.is_unit()
-    return not x.is_zero()
-
-
 def _poly_det(mat):
     n = len(mat)
     if n == 1:
@@ -122,41 +116,8 @@ def _poly_det(mat):
     return acc
 
 
-class _Engine:
-    __slots__ = ("algebra", "bez", "lam", "_gram_dt")
-
-    def __init__(self, algebra, bez, lam):
-        self.algebra = algebra
-        self.bez = bez
-        self.lam = lam
-        self._gram_dt = None
-
-    def gram_dt(self):
-        if self._gram_dt is None:
-            alg = self.algebra
-            mu = alg.mu
-            zero = alg.ring.zero
-            G = [[zero] * mu for _ in range(mu)]
-            for i in range(mu):
-                for j in range(i, mu):
-                    e = tuple(a + b for a, b in zip(alg.basis[i], alg.basis[j]))
-                    s = zero
-                    for k, c in alg.nf_monomial(e).items():
-                        s = s + self.lam[k] * c
-                    G[i][j] = s
-                    G[j][i] = s
-            self._gram_dt = G
-        return self._gram_dt
-
-
-_ENGINE_CACHE: dict = {}
-
-
-def _engine(f: MultiPoly, reverse: bool = False) -> _Engine:
-    key = (f.ring, f.n_vars, frozenset(f.terms.items()), reverse)
-    eng = _ENGINE_CACHE.get(key)
-    if eng is not None:
-        return eng
+def _residue_data(f: MultiPoly, reverse: bool = False):
+    """(Milnor algebra, Bezoutian matrix, residue functional) of f."""
     alg = milnor_algebra(f)
     n = f.n_vars
     grads = partials(f)
@@ -178,49 +139,47 @@ def _engine(f: MultiPoly, reverse: bool = False) -> _Engine:
             for j, cy in ny.items():
                 C[i][j] = C[i][j] + cc * cy
     if mu == 0:
-        lam = []
-    else:
-        rhs = [zero] * mu
-        one_at = alg.basis_index.get((0,) * n)
-        if one_at is None:
-            raise SingularBezoutian("the unit monomial is not a standard monomial")
-        rhs[one_at] = f.ring(1)
-        ct = [[C[j][i] for j in range(mu)] for i in range(mu)]
-        lam = solve_ring(f.ring, ct, rhs)
-        if lam is None:
-            raise SingularBezoutian("bezoutian matrix is not invertible")
-    eng = _Engine(alg, C, lam)
-    if len(_ENGINE_CACHE) > 4096:
-        _ENGINE_CACHE.clear()
-    _ENGINE_CACHE[key] = eng
-    return eng
+        return alg, C, []
+    rhs = [zero] * mu
+    one_at = alg.basis_index.get((0,) * n)
+    if one_at is None:
+        raise SingularBezoutian("the unit monomial is not a standard monomial")
+    rhs[one_at] = f.ring(1)
+    ct = [[C[j][i] for j in range(mu)] for i in range(mu)]
+    lam = solve_ring(f.ring, ct, rhs)
+    if lam is None:
+        raise SingularBezoutian("bezoutian matrix is not invertible")
+    return alg, C, lam
 
 
 def bezoutian(f: MultiPoly, reverse: bool = False):
     """Matrix of the Bezoutian class in A tensor A over the basis pairs."""
-    return _engine(f, reverse).bez
+    return _residue_data(f, reverse)[1]
 
 
 def residue_functional(f: MultiPoly, reverse: bool = False):
     """Coefficients of the residue functional over the monomial basis."""
-    return _engine(f, reverse).lam
-
-
-def milnor_of(f: MultiPoly):
-    """The engine's cached Milnor algebra for f."""
-    return _engine(f).algebra
+    return _residue_data(f, reverse)[2]
 
 
 def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     """Gram matrix of the pairing for the differential scale*dt."""
-    eng = _engine(f)
+    alg, _, lam = _residue_data(f)
     ring = f.ring
     alpha = ring(scale)
     if not _is_unit(alpha):
         raise NonUnitScale(f"scale {alpha!r} is not a unit")
     factor = alpha ** f.n_vars
-    G = [[factor * x for x in row] for row in eng.gram_dt()]
-    return GramForm(ring, f.n_vars, list(eng.algebra.basis), G, alpha)
+    mu = alg.mu
+    G = [[ring.zero] * mu for _ in range(mu)]
+    for i in range(mu):
+        for j in range(i, mu):
+            e = tuple(a + b for a, b in zip(alg.basis[i], alg.basis[j]))
+            s = ring.zero
+            for k, c in alg.nf_monomial(e).items():
+                s = s + lam[k] * c
+            G[i][j] = G[j][i] = factor * s
+    return GramForm(ring, f.n_vars, list(alg.basis), G, alpha)
 
 
 def disc_square_class(G: GramForm, N: int = 0):
@@ -321,6 +280,12 @@ def global_univariate_value(field, lam, fprime, poly):
     return acc
 
 
+def witt_lift(f: MultiPoly) -> MultiPoly:
+    """Teichmueller lift of a characteristic-2 polynomial to W_3 coefficients."""
+    ring = gr_create(f.ring)
+    return MultiPoly(ring, f.n_vars, {e: teichmuller(ring, c) for e, c in f.terms.items()})
+
+
 def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None) -> ArfClass:
     """Arf class of an isolated characteristic-2 singularity at the origin.
 
@@ -331,9 +296,8 @@ def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None) -> A
     field = f.ring
     if not hasattr(field, "p") or field.p != 2:
         raise OddCharacteristic("Arf invariants are for characteristic 2")
-    ring = gr_create(field)
-    terms = {e: teichmuller(ring, c) for e, c in f.terms.items()}
-    f_w = MultiPoly(ring, f.n_vars, terms)
+    f_w = witt_lift(f)
+    ring = f_w.ring
     if lift_perturbation is not None:
         g = lift_perturbation
         if g.ring != ring:

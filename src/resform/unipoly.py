@@ -114,13 +114,6 @@ def deriv_p(a):
     return trim([field(i) * a[i] for i in range(1, len(a))])
 
 
-def eval_p(a, x):
-    acc = x.field.zero
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def pow_mod(base, e: int, mod):
     field = mod[0].field
     res = [field.one]

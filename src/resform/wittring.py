@@ -6,7 +6,13 @@ mod 2 is coefficient-wise and lands in the same basis.
 
 from __future__ import annotations
 
-from .errors import NonUnit, OddCharacteristic, RamifiedClass, RingMismatch
+from .errors import (
+    NonUnit,
+    OddCharacteristic,
+    RamifiedClass,
+    ReducibleModulus,
+    RingMismatch,
+)
 from .gfield import Field, FieldElem, gf_create, trace_bit
 
 _RING_CACHE: dict = {}
@@ -232,7 +238,8 @@ def teichmuller(ring: GaloisRing, a: FieldElem) -> GaloisRingElem:
         if w == z:
             break
         z = w
-    assert _frob_q(ring, z) == z, "Teichmuller iteration did not converge"
+    if _frob_q(ring, z) != z:
+        raise ReducibleModulus("Teichmuller iteration did not converge")
     return z
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from resform import cli, corpus
 
 
@@ -162,3 +164,37 @@ def test_corpus_command_reports_failures(capsys, monkeypatch):
     assert "FAIL" in out
     assert "RuntimeError: deliberate" in out
     assert out.strip().splitlines()[-1].startswith("overall: FAIL")
+
+
+def test_corpus_payload_has_no_convention(capsys, monkeypatch):
+    monkeypatch.setattr(corpus, "EXAMPLES", [("tiny", lambda: "ok")])
+    monkeypatch.setattr(corpus, "ACCEPTANCE", [])
+    code, payload = run_json(capsys, "corpus")
+    assert code == 0
+    assert set(payload) == {"seed", "ok", "results"}
+
+
+def test_corpus_rejects_convention():
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["corpus", "--convention", "literal"])
+    assert exc.value.code == 2
+
+
+def test_corpus_check_failure_names_its_class(capsys, monkeypatch):
+    monkeypatch.setattr(corpus, "EXAMPLES",
+                        [("false", lambda: corpus._expect(False, "deliberate"))])
+    monkeypatch.setattr(corpus, "ACCEPTANCE", [])
+    code, out = run(capsys, "corpus")
+    assert code == 1
+    assert "CheckFailed: deliberate" in out
+
+
+def test_extension_generator_is_written_g(capsys):
+    code, payload = run_json(capsys, "verify", "--p", "3", "--m", "2",
+                             "--vars", "x,y", "--poly", "g*x^2+y^2")
+    assert code == 0
+    assert payload["input"] == "g*x^2 + y^2"
+    code, payload = run_json(capsys, "verify", "--p", "3", "--m", "2",
+                             "--vars", "x,y", "--poly", "w*x^2+y^2")
+    assert code == 2
+    assert payload["error"] == "UnknownVariable"

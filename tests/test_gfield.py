@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from resform import gfield
 from resform.errors import EvenCharacteristic, ReducibleModulus, UnsupportedPrime
 from resform.gfield import (
     CycloInt,
@@ -125,3 +126,11 @@ def test_gauss_sum_twist_scaling():
         for _ in range(4):
             c = 1 + rng.randrange(p - 1)
             assert gauss_sum(field, c) == legendre(field(c)) * gauss_sum(field)
+
+
+def test_missing_artin_schreier_preimage_is_reported(monkeypatch):
+    """A trace-0 element without a preimage raises instead of asserting."""
+    f4 = gf_create(2, 2)
+    monkeypatch.setattr(gfield, "trace_bit", lambda a: 0)
+    with pytest.raises(ReducibleModulus):
+        wp_class(f4.gen())

@@ -1,6 +1,7 @@
 import pytest
 
-from resform.errors import OddCharacteristic, SingularForm
+from resform import homog, linalg
+from resform.errors import NonIntegral, OddCharacteristic, SingularForm
 from resform.gfield import gf_create
 from resform.homog import (
     BinaryForm,
@@ -168,3 +169,12 @@ def test_verify_homog_char2_guards():
         verify_homog_char2(BinaryForm(f2, 2, [1, 1, 1]))
     with pytest.raises(OddCharacteristic):
         verify_homog_char2(BinaryForm(gf_create(3, 1), 3, [1, 1, 1, 1]))
+
+
+def test_imprimitive_divided_discriminant_is_reported(monkeypatch):
+    """The content check survives python -O as a structured error."""
+    real = linalg.poly_exact_div
+    monkeypatch.setattr(homog, "_GENERIC_DISC", {})
+    monkeypatch.setattr(linalg, "poly_exact_div", lambda num, den: real(num, den).scale(2))
+    with pytest.raises(NonIntegral):
+        generic_divided_disc(3)

@@ -1,15 +1,21 @@
+import json
+
 import pytest
 
-from resform.errors import NotIsolated
+from resform import cli, milnor
+from resform.epsilon import calibrate, verify_identity
+from resform.errors import NotIsolated, OddProduct
 from resform.gfield import gf_create
+from resform.linalg import rref_ring
 from resform.milnor import (
-    degree_bound,
+    _relation_rows,
     family_milnor_profile,
     milnor_algebra,
     mono_key,
     monomials_upto,
 )
-from resform.mpoly import MultiPoly, parse_poly
+from resform.mpoly import MultiPoly, parse_poly, partials
+from resform.residue import arf_invariant
 from resform.wittring import gr_create
 
 
@@ -39,10 +45,10 @@ def test_fermat_cubic_basis_and_products():
 
 def test_degree_bound_values():
     f7 = gf_create(7, 1)
-    assert degree_bound(parse_poly("x^2", f7, ["x"])) == 1
+    assert milnor_algebra(parse_poly("x^2", f7, ["x"])).D == 1
     # xy survives in degree 2, so the bound for the fermat cubic is 3
-    assert degree_bound(parse_poly("x^3+y^3", f7, ["x", "y"])) == 3
-    assert degree_bound(parse_poly("x^4", f7, ["x"])) == 3
+    assert milnor_algebra(parse_poly("x^3+y^3", f7, ["x", "y"])).D == 3
+    assert milnor_algebra(parse_poly("x^4", f7, ["x"])).D == 3
 
 
 def test_non_isolated_raises():
@@ -109,3 +115,118 @@ def test_family_profile_reports_conjugate_points():
     degrees = sorted(p["degree"] for p in entry["points"])
     assert entry["total"] == 2
     assert degrees in ([1, 1], [2])
+
+
+def _d_minus_one_presentation(f, D):
+    """Basis and normal forms from a fresh elimination at degree D - 1."""
+    ring, n = f.ring, f.n_vars
+    cols = sorted(monomials_upto(n, D - 1), key=mono_key, reverse=True)
+    col_index = {e: j for j, e in enumerate(cols)}
+    red, pivots, _ = rref_ring(ring, _relation_rows(partials(f), D - 1, col_index, ring, n))
+    pivot_set = set(pivots)
+    basis = sorted((cols[j] for j in range(len(cols)) if j not in pivot_set), key=mono_key)
+    index = {e: i for i, e in enumerate(basis)}
+    nf = {e: {index[e]: ring(1)} for e in basis}
+    for k, c in enumerate(pivots):
+        nf[cols[c]] = {index[cols[j]]: -red[k][j] for j in range(len(cols))
+                       if j not in pivot_set and not red[k][j].is_zero()}
+    return basis, nf
+
+
+@pytest.mark.parametrize("p, m, names, text", [
+    (7, 1, "x,y", "x^3+y^3"),
+    (5, 1, "x,y", "x^4+y^2+x*y"),
+    (7, 1, "x,y,z", "x^3+y^3+z^3+3*x*y*z"),
+    (3, 1, "x,y", "x^2*y+y^4+x^4"),
+    (3, 2, "x,y", "x^4+g*y^2+x*y^2"),
+    (5, 2, "x,y", "x^3+g*y^4+x*y"),
+    (2, 11, "x,y", "x^3+g*y^3+x*y^2"),
+    (2, 11, "u", "u^2+g*u^5"),
+])
+def test_scan_presentation_matches_a_fresh_elimination_below_D(p, m, names, text):
+    """The presentation read off the certifying scan equals the D-1 elimination."""
+    field = gf_create(p, m)
+    vars_ = names.split(",")
+    constants = {field.gen_symbol: field.gen()} if m > 1 else None
+    f = parse_poly(text, field, vars_, constants=constants)
+    alg = milnor_algebra(f)
+    basis, nf = _d_minus_one_presentation(f, alg.D)
+    assert alg.basis == basis
+    for e in monomials_upto(f.n_vars, alg.D - 1):
+        assert alg.nf_monomial(e) == nf[e], e
+
+
+def test_a_lower_cap_still_rejects_after_success():
+    f7 = gf_create(7, 1)
+    f = parse_poly("x^3+y^3", f7, ["x", "y"])
+    assert milnor_algebra(f).D == 3
+    with pytest.raises(NotIsolated):
+        milnor_algebra(f, cap=2)
+    assert milnor_algebra(f, cap=3).D == 3
+
+
+def _count_eliminations(monkeypatch):
+    """Record the ring of every elimination milnor runs, on an empty cache."""
+    seen = []
+
+    def counting(ring, rows):
+        seen.append(ring)
+        return rref_ring(ring, rows)
+
+    monkeypatch.setattr(milnor, "rref_ring", counting)
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    return seen
+
+
+def test_verify_runs_only_the_scan(monkeypatch):
+    calibrate()
+    seen = _count_eliminations(monkeypatch)
+    f7 = gf_create(7, 1)
+    report = verify_identity(parse_poly("x^3+y^3", f7, ["x", "y"]))
+    assert report["mu"] == 4
+    # D0 = 3: one elimination per candidate degree, none after the scan
+    assert len(seen) == 3
+
+
+def test_repeated_arf_scans_the_residue_field_once(monkeypatch):
+    seen = _count_eliminations(monkeypatch)
+    field = gf_create(2, 2)
+    f = parse_poly("u^2+u^5", field, ["u"])
+    first = arf_invariant(f)
+    scans = sum(1 for r in seen if r == field)
+    assert scans == milnor_algebra(f).D
+    assert len(seen) == scans + 1
+    perturbations = ["u^3", "u^4", "u^3+u^4"]
+    for text in perturbations:
+        assert arf_invariant(f, lift_perturbation=parse_poly(text, field, ["u"])) == first
+    assert arf_invariant(f) == first
+    assert sum(1 for r in seen if r == field) == scans
+    # one elimination at 3*D0 - 1 per distinct Witt lift
+    assert len(seen) == scans + 1 + len(perturbations)
+
+
+def test_algebra_cache_drops_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    monkeypatch.setattr(milnor, "_ALGEBRAS_MAX", 3)
+    f7 = gf_create(7, 1)
+    a, b, c, d = (parse_poly(f"{k}*x^3", f7, ["x"]) for k in range(1, 5))
+    alg_a, alg_b = milnor_algebra(a), milnor_algebra(b)
+    milnor_algebra(c)
+    assert milnor_algebra(a) is alg_a
+    milnor_algebra(d)
+    assert len(milnor._ALGEBRAS) == 3
+    assert milnor_algebra(a) is alg_a
+    assert milnor_algebra(b) is not alg_b
+
+
+def test_parity_violation_is_a_structured_error(monkeypatch, capsys):
+    """A broken parity reaches the CLI as OddProduct with exit code 2."""
+    field = gf_create(2, 1)
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    # pretend the Jacobian ideal is (u): mu = 1 with one variable
+    monkeypatch.setattr(milnor, "partials", lambda f: [MultiPoly.var(field, 1, 0)])
+    with pytest.raises(OddProduct):
+        milnor_algebra(parse_poly("u^3", field, ["u"]))
+    code = cli.main(["milnor", "--p", "2", "--vars", "u", "--poly", "u^3", "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "OddProduct"

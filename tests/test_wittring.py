@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from resform.errors import NonUnit, RamifiedClass
+from resform import wittring
+from resform.errors import NonUnit, RamifiedClass, ReducibleModulus
 from resform.gfield import gf_create, trace_bit
 from resform.wittring import (
     ArfClass,
@@ -107,3 +108,12 @@ def test_sign_parity_moves_between_classes():
         arf_from_unit(ring(5), 1)
     with pytest.raises(RamifiedClass):
         arf_from_unit(ring(7), 0)
+
+
+def test_teichmuller_non_convergence_is_reported(monkeypatch):
+    """The fixed-point check survives python -O as a structured error."""
+    field = gf_create(2, 2)
+    ring = gr_create(field)
+    monkeypatch.setattr(wittring, "_frob_q", lambda ring, z: z + ring(4))
+    with pytest.raises(ReducibleModulus):
+        teichmuller(ring, field.gen())
