@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+from . import unipoly
 from .errors import (
     EvenCharacteristic,
     FieldMismatch,
@@ -45,36 +46,57 @@ def _poly_mod(num, den, p):
     return num[:dn]
 
 
-def _is_irreducible(h, p) -> bool:
-    """Trial-division test for a monic polynomial over Z/p.
+def _irreducible_mod_p(h, p) -> bool:
+    """Whether the monic h over Z/p is irreducible.
 
-    Desk-scale degrees only: a root check, then division by every monic
-    polynomial of degree up to deg(h)//2.
+    A linear h needs no test, which lets the prime field be built without
+    one; every other degree goes through unipoly.is_irreducible.
     """
-    m = len(h) - 1
-    if m <= 0:
-        return False
-    if m == 1:
+    if len(h) == 2:
         return True
-    for r in range(p):
-        acc = 0
-        for c in reversed(h):
-            acc = (acc * r + c) % p
-        if acc == 0:
-            return False
-    for d in range(2, m // 2 + 1):
-        for k in range(p ** d):
-            cand = _digits(k, p, d) + [1]
-            if not any(_poly_mod(h, cand, p)):
-                return False
-    return True
+    prime = gf_create(p, 1)
+    return unipoly.is_irreducible(prime, [prime(c) for c in h])
+
+
+def reduction_rows(modulus, b: int) -> list:
+    """Digits mod b of x^m, ..., x^(2m-2) modulo the monic modulus of degree m.
+
+    These rows present (Z/b)[x]/(h): for F_{p^m} with b = p and for the
+    Galois ring W_3(F_{2^m}) with b = 8.
+    """
+    m = len(modulus) - 1
+    rows = []
+    cur = [(-c) % b for c in modulus[:m]]
+    for _ in range(m - 1):
+        rows.append(tuple(cur))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [(c + top * r) % b for c, r in zip(cur, rows[0])]
+    return rows
+
+
+def mul_digits(a, c, xpow, b: int) -> list:
+    """Product in (Z/b)[x]/(h): convolve the digits, fold x^m.. back through xpow."""
+    m = len(a)
+    conv = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, cj in enumerate(c):
+                conv[i + j] = (conv[i + j] + ai * cj) % b
+    out = conv[:m]
+    for k in range(m - 1):
+        t = conv[m + k]
+        if t:
+            out = [(o + t * r) % b for o, r in zip(out, xpow[k])]
+    return out
 
 
 def _default_modulus(p: int, m: int) -> tuple:
     """First monic irreducible of degree m in base-p counting order."""
     for k in range(p ** m):
         cand = _digits(k, p, m) + [1]
-        if _is_irreducible(cand, p):
+        if _irreducible_mod_p(cand, p):
             return tuple(cand)
     raise ReducibleModulus(f"no irreducible of degree {m} over F_{p}")
 
@@ -124,7 +146,8 @@ class FieldElem:
         o = self._check(other)
         if o is NotImplemented:
             return o
-        return FieldElem(self.field, self.field._mul(self.coeffs, o.coeffs))
+        f = self.field
+        return FieldElem(f, mul_digits(self.coeffs, o.coeffs, f._xpow, f.p))
 
     __rmul__ = __mul__
 
@@ -210,40 +233,16 @@ class Field:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
-            if not _is_irreducible(list(modulus), p):
+            if not _irreducible_mod_p(modulus, p):
                 raise ReducibleModulus(f"{list(modulus)} is reducible over F_{p}")
         self.p = p
         self.m = m
         self.q = p ** m
         self.modulus = modulus
         self.gen_symbol = gen_symbol
-        # reductions of x^(m+k) for k = 0..m-2, used by _mul
-        self._xpow = []
-        cur = [(-c) % p for c in modulus[:m]]
-        for _ in range(m - 1):
-            self._xpow.append(tuple(cur))
-            cur = [0] + cur
-            top = cur[m]
-            cur = cur[:m]
-            if top:
-                cur = [(c + top * r) % p for c, r in zip(cur, self._xpow[0])]
+        self._xpow = reduction_rows(modulus, p)
         self.zero = FieldElem(self, [0] * m)
         self.one = FieldElem(self, [1] + [0] * (m - 1))
-
-    def _mul(self, a, b):
-        p, m = self.p, self.m
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        out = conv[:m]
-        for k in range(m - 1):
-            c = conv[m + k]
-            if c:
-                red = self._xpow[k]
-                out = [(o + c * r) % p for o, r in zip(out, red)]
-        return out
 
     def __call__(self, value) -> FieldElem:
         if isinstance(value, FieldElem):

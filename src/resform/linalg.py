@@ -1,8 +1,11 @@
 """Linear algebra over the coefficient rings.
 
-Small rings (at most 1024 elements) get dense numpy lookup tables so row
-reduction runs as vectorized gathers on integer codes.  Larger rings fall
-back to plain element arithmetic; the matrices there are tiny in practice.
+Every coefficient ring is (Z/b)[x]/(h) with h monic of degree m: a finite
+field F_{p^m} = F_p[x]/(h) has b = p, and the length-3 Witt ring
+W_3(F_{2^m}) = Z/8[x]/(h) has b = 8.  The kernel stores an element as its m
+digits mod b and a matrix as a (rows, cols, m) integer array.  A product
+convolves the digits and folds x^m..x^{2m-2} back through the ring's
+reduction rows, so one elimination serves every such ring at any size.
 
 Row reduction only ever uses unit pivots.  Over a field that loses nothing.
 Over the truncated Witt ring a column whose remaining entries are nonzero
@@ -18,193 +21,136 @@ import numpy as np
 from .errors import NonUnit
 from .mpoly import MultiPoly
 
-_TABLE_LIMIT = 1024
-
 _CODED_CACHE: dict = {}
 
 
-def _ring_base(ring):
-    """(digit base, digit count, reduction rows for x^m..x^{2m-2})."""
-    if hasattr(ring, "p"):
-        return ring.p, ring.m, ring._xpow
-    return 8, ring.field.m, ring._xpow
-
-
 class CodedOps:
-    """Lookup tables for one ring, indexed by integer element codes."""
+    """Digit-plane arithmetic and elimination for one ring (Z/b)[x]/(h).
 
-    __slots__ = ("ring", "size", "base", "ADD", "MUL", "NEG", "INV", "UNIT")
+    Digits are int32: a product sums m terms below b^2 before it is reduced.
+    """
+
+    __slots__ = ("ring", "size", "base", "residue", "_elem", "_S", "_inv")
 
     def __init__(self, ring):
-        b, m, xpow = _ring_base(ring)
-        n = b ** m
-        self.ring = ring
-        self.size = n
-        self.base = b
-        powv = b ** np.arange(m, dtype=np.int64)
-        codes = np.arange(n, dtype=np.int64)
-        C = (codes[:, None] // powv[None, :]) % b
-
-        self.ADD = (((C[:, None, :] + C[None, :, :]) % b) @ powv).astype(np.int32)
-        self.NEG = (((b - C) % b) @ powv).astype(np.int32)
-
-        red = np.zeros((2 * m - 1, m), dtype=np.int64)
-        for s in range(m):
-            red[s, s] = 1
-        for s in range(m, 2 * m - 1):
-            red[s, :] = xpow[s - m]
-        conv = np.zeros((n, n, 2 * m - 1), dtype=np.int64)
-        for a in range(m):
-            for c in range(m):
-                conv[:, :, a + c] += C[:, None, a] * C[None, :, c]
-        self.MUL = (((conv.reshape(n * n, 2 * m - 1) @ red) % b) @ powv).reshape(
-            n, n
-        ).astype(np.int32)
-
         if hasattr(ring, "p"):
-            self.UNIT = codes != 0
-            self.INV = np.where(self.UNIT, self._pow_vec(codes, n - 2), 0).astype(
-                np.int32
-            )
+            b, residue = ring.p, ring.p
         else:
-            self.UNIT = (C % 2).any(axis=1)
-            q = 2 ** m
-            w = self._pow_vec(codes, q - 2)
-            two = 2  # code of the constant 2 in base 8
-            for _ in range(2):
-                w = self.MUL[w, self.ADD[two, self.NEG[self.MUL[codes, w]]]]
-            self.INV = np.where(self.UNIT, w, 0).astype(np.int32)
-
-    def _pow_vec(self, base, e):
-        res = np.ones(self.size, dtype=np.int64)
-        cur = base.copy()
-        while e:
-            if e & 1:
-                res = self.MUL[res, cur]
-            cur = self.MUL[cur, cur]
-            e >>= 1
-        return res
+            b, residue = 8, 2
+        m = ring.m
+        self.ring = ring
+        self.size = b ** m
+        self.base = b
+        # an entry is a unit when its digits mod the residue characteristic
+        # are not all zero
+        self.residue = residue
+        self._elem = type(ring.one)
+        # digits of x^0..x^(2m-2), the top m-1 from the ring's reduction rows
+        red = np.vstack([np.eye(m, dtype=np.int32),
+                         np.array(ring._xpow, dtype=np.int32).reshape(-1, m)])
+        # _S[i, j] holds the digits of x^(i+j)
+        self._S = red[np.add.outer(np.arange(m), np.arange(m))]
+        self._inv: dict = {}
 
     def encode_matrix(self, rows):
-        enc = self.ring.encode
-        return np.array([[enc(x) for x in row] for row in rows], dtype=np.int32)
+        return np.array([[x.coeffs for x in row] for row in rows], dtype=np.int32)
 
     def decode_row(self, row):
-        dec = self.ring.decode
-        return [dec(int(c)) for c in row]
+        ring, elem = self.ring, self._elem
+        return [elem(ring, c) for c in row.tolist()]
+
+    def _reduce(self, X):
+        """X mod b in place, by floor division, which numpy does fast for a scalar."""
+        X -= (X // self.base) * self.base
+        return X
+
+    def _units(self, X):
+        return (X % self.residue).any(axis=-1)
+
+    def _row_times(self, row):
+        """(m, cols*m) matrix U with F @ U the products F[r] * row[c], unreduced."""
+        return np.einsum("cj,ijk->ick", row, self._S).reshape(len(self._S), -1)
+
+    def _inverse_times(self, d):
+        """Multiplication matrix of the inverse of the unit with digits d:
+        v @ M is the digit vector of v / d.  Memoised per ring."""
+        key = d.tobytes()
+        M = self._inv.get(key)
+        if M is None:
+            inv = self._elem(self.ring, d.tolist()).inverse()
+            M = self._inv[key] = self._row_times(np.array([inv.coeffs], dtype=np.int32))
+        return M
+
+    def _pivot(self, A, prow, r, col, first):
+        """Move row r to prow, scale it to 1 at col, and clear col from the
+        other rows from index first on, touching only the rows with a
+        nonzero entry in col."""
+        if r != prow:
+            A[[prow, r]] = A[[r, prow]]
+        P = A[prow]
+        P[:] = self._reduce(P @ self._inverse_times(P[col]))
+        below = A[first:]
+        nz = below[:, col].any(axis=1)
+        if prow >= first:
+            nz[prow - first] = False
+        rows = np.flatnonzero(nz)
+        if rows.size:
+            # over a field the pivot row is zero left of col; over the Witt
+            # ring skipped columns there may hold non-units
+            lo = col if self.residue == self.base else 0
+            U = np.einsum("ri,in->rn", below[rows, col], self._row_times(P[lo:]))
+            U = U.reshape(rows.size, -1, P.shape[1])
+            below[rows, lo:] = self._reduce(below[rows, lo:] - U)
 
     def rref(self, A):
-        """Reduce in place logically; returns (matrix, pivot cols, stuck col).
+        """Reduce a copy; returns (matrix, pivot cols, stuck col).
 
         Columns without a unit entry are skipped; over a local ring their
         non-unit residue ends up in the leftover rows, and a nonzero
         leftover row is what certifies a non-free quotient.
         """
-        A = A.astype(np.int32, copy=True)
-        nrows, ncols = A.shape
+        A = A.copy()
+        nrows, ncols, _ = A.shape
         pivots = []
         prow = 0
         for col in range(ncols):
             if prow == nrows:
                 break
-            sub = A[prow:, col]
-            units = np.nonzero(self.UNIT[sub])[0]
+            units = np.flatnonzero(self._units(A[prow:, col]))
             if units.size == 0:
                 continue
-            r = prow + int(units[0])
-            if r != prow:
-                A[[prow, r]] = A[[r, prow]]
-            A[prow] = self.MUL[A[prow], self.INV[A[prow, col]]]
-            factors = self.NEG[A[:, col]]
-            factors[prow] = 0
-            A = self.ADD[A, self.MUL[factors[:, None], A[prow][None, :]]]
+            self._pivot(A, prow, prow + int(units[0]), col, 0)
             pivots.append(col)
             prow += 1
         stuck = None
         if prow < nrows:
-            leftover = np.nonzero((A[prow:] != 0).any(axis=0))[0]
+            leftover = np.flatnonzero(A[prow:].any(axis=(0, 2)))
             if leftover.size:
                 stuck = int(leftover[0])
         return A, pivots, stuck
 
     def det(self, A):
-        """Determinant code, or None when only non-unit pivots remain."""
-        A = A.astype(np.int32, copy=True)
-        n = A.shape[0]
-        detc = self.ring.encode(self.ring(1))
-        flip = False
-        for k in range(n):
-            sub = A[k:, k]
-            units = np.nonzero(self.UNIT[sub])[0]
+        """Determinant, or None when a column keeps only non-unit entries."""
+        A = A.copy()
+        det = self.ring.one
+        for k in range(A.shape[0]):
+            units = np.flatnonzero(self._units(A[k:, k]))
             if units.size == 0:
-                if (sub != 0).any():
-                    return None
-                return 0
+                return None if A[k:, k].any() else self.ring.zero
             r = k + int(units[0])
+            det = det * self._elem(self.ring, A[r, k].tolist())
             if r != k:
-                A[[k, r]] = A[[r, k]]
-                flip = not flip
-            piv = int(A[k, k])
-            detc = int(self.MUL[detc, piv])
-            if k + 1 < n:
-                fac = self.MUL[A[k + 1:, k], self.INV[piv]]
-                A[k + 1:] = self.ADD[A[k + 1:], self.MUL[self.NEG[fac][:, None], A[k][None, :]]]
-        if flip:
-            detc = int(self.NEG[detc])
-        return detc
+                det = -det
+            self._pivot(A, k, r, k, k + 1)
+        return det
 
 
 def coded(ring):
-    """Table set for the ring, or None when tables are unavailable."""
-    if ring in _CODED_CACHE:
-        return _CODED_CACHE[ring]
-    if hasattr(ring, "_xpow") and (hasattr(ring, "p") or hasattr(ring, "field")):
-        b, m, _ = _ring_base(ring)
-        ops = CodedOps(ring) if b ** m <= _TABLE_LIMIT else None
-    else:
-        ops = None
-    _CODED_CACHE[ring] = ops
+    """The kernel of a field or Galois ring, built once per ring."""
+    ops = _CODED_CACHE.get(ring)
+    if ops is None:
+        ops = _CODED_CACHE[ring] = CodedOps(ring)
     return ops
-
-
-def _is_unit(x) -> bool:
-    if hasattr(x, "is_unit"):
-        return x.is_unit()
-    return not x.is_zero()
-
-
-def _rref_obj(ring, rows):
-    A = [list(row) for row in rows]
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        if prow == nrows:
-            break
-        sel = None
-        for r in range(prow, nrows):
-            if _is_unit(A[r][col]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        A[prow], A[sel] = A[sel], A[prow]
-        inv = A[prow][col].inverse()
-        A[prow] = [inv * x for x in A[prow]]
-        for r in range(nrows):
-            if r == prow or A[r][col].is_zero():
-                continue
-            c = A[r][col]
-            A[r] = [x - c * y for x, y in zip(A[r], A[prow])]
-        pivots.append(col)
-        prow += 1
-    stuck = None
-    for col in range(ncols):
-        if any(not A[r][col].is_zero() for r in range(prow, nrows)):
-            stuck = col
-            break
-    return A, pivots, stuck
 
 
 def rref_ring(ring, rows):
@@ -215,8 +161,6 @@ def rref_ring(ring, rows):
     if not rows:
         return [], [], None
     ops = coded(ring)
-    if ops is None:
-        return _rref_obj(ring, rows)
     A, pivots, stuck = ops.rref(ops.encode_matrix(rows))
     return [ops.decode_row(r) for r in A], pivots, stuck
 
@@ -224,40 +168,12 @@ def rref_ring(ring, rows):
 def det_ring(ring, mat):
     """Determinant by elimination.  Over the Witt ring a non-unit
     determinant cannot be pinned down with unit pivots, so raise."""
-    n = len(mat)
-    if n == 0:
+    if not mat:
         return ring(1)
     ops = coded(ring)
-    if ops is not None:
-        code = ops.det(ops.encode_matrix(mat))
-        if code is None:
-            raise NonUnit("determinant is divisible by 2")
-        return ring.decode(int(code))
-    A = [list(row) for row in mat]
-    det = ring(1)
-    for k in range(n):
-        sel = None
-        dirty = False
-        for r in range(k, n):
-            if _is_unit(A[r][k]):
-                sel = r
-                break
-            if not A[r][k].is_zero():
-                dirty = True
-        if sel is None:
-            if dirty:
-                raise NonUnit("determinant is divisible by 2")
-            return ring(0)
-        if sel != k:
-            A[k], A[sel] = A[sel], A[k]
-            det = -det
-        det = det * A[k][k]
-        inv = A[k][k].inverse()
-        for r in range(k + 1, n):
-            if A[r][k].is_zero():
-                continue
-            c = A[r][k] * inv
-            A[r] = [x - c * y for x, y in zip(A[r], A[k])]
+    det = ops.det(ops.encode_matrix(mat))
+    if det is None:
+        raise NonUnit("determinant is divisible by 2")
     return det
 
 

@@ -83,13 +83,23 @@ def _scan(f: MultiPoly, cap: int):
     whose row is that monomial alone, so the remaining rows restricted to
     degree < D0 are the unique reduced echelon form of the relations there.
     Returns (D0, columns, rows, pivots) of that presentation.
+
+    The search stops at the product of the partials' degrees: for an
+    isolated singularity D0 <= mu, and mu is at most that product by the
+    refined Bezout theorem.
     """
     if f.total_degree() < 1:
         raise NotIsolated("constant polynomial has no isolated singularity")
     grads = partials(f)
-    if all(g.is_zero() for g in grads):
-        raise NotIsolated("all partial derivatives vanish identically")
-    for d0 in range(1, cap + 1):
+    if any(g.is_zero() for g in grads):
+        raise NotIsolated(
+            "a partial derivative vanishes identically, so the Jacobian ideal "
+            "has fewer generators than variables"
+        )
+    bezout = 1
+    for g in grads:
+        bezout *= max(g.total_degree(), 1)
+    for d0 in range(1, min(cap, bezout) + 1):
         cols, red, pivots, _ = _eliminate(grads, f.ring, f.n_vars, d0)
         top = sum(1 for e in cols if sum(e) == d0)
         if pivots[:top] == list(range(top)) and all(
@@ -97,6 +107,11 @@ def _scan(f: MultiPoly, cap: int):
         ):
             rows = [row[top:] for row in red[top:len(pivots)]]
             return d0, cols[top:], rows, [c - top for c in pivots[top:]]
+    if bezout < cap:
+        raise NotIsolated(
+            f"Jacobian ideal is not monomial-cofinite below degree {bezout}, "
+            "the Bezout bound on the Milnor number"
+        )
     raise NotIsolated(f"Jacobian ideal is not monomial-cofinite below degree {cap}")
 
 

@@ -19,7 +19,7 @@ from .errors import (
     SingularBezoutian,
 )
 from .gfield import legendre
-from .linalg import _is_unit, det_ring, solve_ring
+from .linalg import det_ring, solve_ring
 from .milnor import milnor_algebra, mono_key
 from .mpoly import MultiPoly, divided_difference, partials
 from .unipoly import QuotientField
@@ -30,6 +30,12 @@ from .wittring import (
     square_class_normalize,
     teichmuller,
 )
+
+
+def _is_unit(x) -> bool:
+    if hasattr(x, "is_unit"):
+        return x.is_unit()
+    return not x.is_zero()
 
 
 class SquareClass:
@@ -229,18 +235,26 @@ def pushforward_disc(ext: QuotientField, form=None, disc=None, rank=None):
 
     Either a full Gram matrix over the extension or its discriminant plus a
     rank may be supplied.  The answer is disc(ext)^rank times the norm of
-    the discriminant upstairs.
+    the discriminant upstairs.  For a full matrix B that norm is the
+    determinant over the base of B's restriction of scalars, whose entry at
+    row (i, a), column (j, c) is the theta^c coefficient of theta^a * B_ij.
     """
     base = ext.base
     if base.p == 2:
         raise EvenCharacteristic("pushforward discriminants need odd characteristic")
     if form is not None:
         rank = len(form)
-        disc = det_ring(ext, form) if rank else ext.one
-    if disc is None or rank is None:
+        r = ext.degree
+        powers = [ext.gen() ** a for a in range(r)]
+        scalars = [[(powers[a] * form[i][j]).coeffs[c]
+                    for j in range(rank) for c in range(r)]
+                   for i in range(rank) for a in range(r)]
+        norm = det_ring(base, scalars)
+    elif disc is None or rank is None:
         raise ValueError("need either a form or a discriminant with a rank")
+    else:
+        norm = ext.norm(ext(disc))
     d_ext = extension_disc(ext)
-    norm = ext.norm(ext(disc))
     value = d_ext.rep ** rank * norm
     return SquareClass(base, value)
 

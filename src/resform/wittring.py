@@ -13,7 +13,7 @@ from .errors import (
     ReducibleModulus,
     RingMismatch,
 )
-from .gfield import Field, FieldElem, gf_create, trace_bit
+from .gfield import Field, FieldElem, mul_digits, reduction_rows, trace_bit
 
 _RING_CACHE: dict = {}
 
@@ -60,7 +60,8 @@ class GaloisRingElem:
         o = self._check(other)
         if o is NotImplemented:
             return o
-        return GaloisRingElem(self.ring, self.ring._mul(self.coeffs, o.coeffs))
+        r = self.ring
+        return GaloisRingElem(r, mul_digits(self.coeffs, o.coeffs, r._xpow, 8))
 
     __rmul__ = __mul__
 
@@ -143,32 +144,9 @@ class GaloisRing:
         self.m = field.m
         self.modulus = tuple(c % 2 for c in field.modulus)
         m = self.m
-        self._xpow = []
-        cur = [(-c) % 8 for c in self.modulus[:m]]
-        for _ in range(m - 1):
-            self._xpow.append(tuple(cur))
-            cur = [0] + cur
-            top = cur[m]
-            cur = cur[:m]
-            if top:
-                cur = [(c + top * r) % 8 for c, r in zip(cur, self._xpow[0])]
+        self._xpow = reduction_rows(self.modulus, 8)
         self.zero = GaloisRingElem(self, [0] * m)
         self.one = GaloisRingElem(self, [1] + [0] * (m - 1))
-
-    def _mul(self, a, b):
-        m = self.m
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] = (conv[i + j] + ai * bj) % 8
-        out = conv[:m]
-        for k in range(m - 1):
-            c = conv[m + k]
-            if c:
-                red = self._xpow[k]
-                out = [(o + c * r) % 8 for o, r in zip(out, red)]
-        return out
 
     def __call__(self, value) -> GaloisRingElem:
         if isinstance(value, GaloisRingElem):
@@ -196,19 +174,6 @@ class GaloisRing:
                 coeffs.append(kk % 8)
                 kk //= 8
             yield GaloisRingElem(self, coeffs)
-
-    def encode(self, a: GaloisRingElem) -> int:
-        code = 0
-        for c in reversed(a.coeffs):
-            code = code * 8 + c
-        return code
-
-    def decode(self, code: int) -> GaloisRingElem:
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(code % 8)
-            code //= 8
-        return GaloisRingElem(self, coeffs)
 
     def __eq__(self, other):
         return isinstance(other, GaloisRing) and self.field == other.field

@@ -52,6 +52,32 @@ def test_bad_constructions():
         gf_create(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
 
 
+def _has_factor_by_trial_division(h, p) -> bool:
+    """Whether a monic h over Z/p has a monic divisor of degree 1..deg(h)//2."""
+    m = len(h) - 1
+    for d in range(1, m // 2 + 1):
+        for k in range(p ** d):
+            cand = gfield._digits(k, p, d) + [1]
+            if not any(gfield._poly_mod(list(h), cand, p)):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p, m", [(2, 4), (2, 6), (3, 3), (5, 2)])
+def test_irreducibility_test_matches_trial_division(p, m):
+    for k in range(p ** m):
+        h = gfield._digits(k, p, m) + [1]
+        assert gfield._irreducible_mod_p(h, p) == (not _has_factor_by_trial_division(h, p)), h
+
+
+def test_default_moduli_are_pinned():
+    """Every run sees the same presentation: the first irreducible in base-p order."""
+    assert gfield._default_modulus(2, 10) == (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)
+    assert gfield._default_modulus(2, 11) == (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+    assert gfield._default_modulus(3, 6) == (2, 1, 0, 0, 0, 0, 1)
+    assert gfield._default_modulus(11, 3) == (4, 1, 0, 1)
+
+
 def test_trace_surjects_onto_prime_field():
     for p, m in ((2, 3), (3, 2), (5, 2)):
         field = gf_create(p, m)

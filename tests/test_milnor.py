@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -57,6 +58,20 @@ def test_non_isolated_raises():
         milnor_algebra(parse_poly("x^2*y", f7, ["x", "y"]), cap=8)
     with pytest.raises(NotIsolated):
         milnor_algebra(MultiPoly.const(f7, 1, f7(3)), cap=4)
+
+
+@pytest.mark.parametrize("p, text", [
+    (7, "x^3+y^3+z^3+x*y*z"),  # a singular member of the Hesse pencil: 2^3 = 1 mod 7
+    (3, "x^2*y+z^2"),
+    (5, "x^2+y^2"),  # the partial in z vanishes
+])
+def test_non_isolated_cones_are_rejected_quickly(p, text):
+    """The scan stops at the Bezout bound on mu instead of climbing to the cap."""
+    f = parse_poly(text, gf_create(p, 1), ["x", "y", "z"])
+    start = time.perf_counter()
+    with pytest.raises(NotIsolated):
+        milnor_algebra(f)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_nf_is_idempotent_on_basis():
