@@ -15,6 +15,7 @@ from .errors import (
     CalibrationAmbiguous,
     CalibrationImpossible,
     CatalogMiss,
+    CheckFailed,
     EvenCharacteristic,
     FieldMismatch,
     OddCharacteristic,
@@ -144,7 +145,7 @@ def _check_twist_law(field, c: int):
         return
     expect = legendre(field(c)) * gauss_sum(field)
     if gauss_sum(field, c) != expect:
-        raise ArithmeticError("twisted Gauss sum does not match its scaling law")
+        raise CheckFailed("twisted Gauss sum does not match its scaling law")
     _TWIST_CHECKED.add((field, c))
 
 

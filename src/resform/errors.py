@@ -104,4 +104,5 @@ class NonIntegral(ResformError):
 
 
 class CheckFailed(ResformError):
-    """A shipped example or acceptance check did not hold."""
+    """A shipped example, an acceptance check or an identity the engine
+    confirms as it runs (such as the Gauss sum twist law) did not hold."""

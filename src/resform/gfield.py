@@ -4,6 +4,10 @@ Fields are realized as F_p[x]/(h) with h monic irreducible, coefficients
 stored little-endian.  When no modulus is supplied the lexicographically
 smallest irreducible polynomial of the right degree is used, so every run
 of the engine sees the same field presentation.
+
+The element arithmetic is that of (Z/b)[x]/(h) for any b (`DigitElem`,
+`DigitRing`); a field is the case b = p, and the Witt ring W_3(F_{2^m}) in
+wittring.py is the case b = 8.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from .errors import (
     FieldMismatch,
     OddCharacteristic,
     ReducibleModulus,
+    RingMismatch,
     UnsupportedPrime,
     ZeroCoefficient,
 )
@@ -33,16 +38,16 @@ def _digits(k: int, p: int, width: int) -> list:
     return out
 
 
-def _poly_mod(num, den, p):
-    """Remainder of num modulo a monic den, over Z/p, little-endian."""
-    num = [c % p for c in num]
+def _poly_mod(num, den, b):
+    """Remainder of num modulo a monic den, over Z/b, little-endian."""
+    num = [c % b for c in num]
     dn = len(den) - 1
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if c:
             base = i - dn
             for j in range(dn + 1):
-                num[base + j] = (num[base + j] - c * den[j]) % p
+                num[base + j] = (num[base + j] - c * den[j]) % b
     return num[:dn]
 
 
@@ -101,43 +106,47 @@ def _default_modulus(p: int, m: int) -> tuple:
     raise ReducibleModulus(f"no irreducible of degree {m} over F_{p}")
 
 
-class FieldElem:
-    """Element of a Field, an immutable coefficient tuple."""
+class DigitElem:
+    """Element of a DigitRing: an immutable tuple of m digits mod ring.b.
 
-    __slots__ = ("field", "coeffs")
+    The arithmetic is the same for every b; digits reach the constructor
+    already reduced, and only the ring's coercion reduces arbitrary input.
+    """
 
-    def __init__(self, field: "Field", coeffs):
-        self.field = field
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: "DigitRing", coeffs):
+        self.ring = ring
         self.coeffs = tuple(coeffs)
 
-    def _check(self, other) -> "FieldElem":
-        if isinstance(other, FieldElem):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatch("elements of different fields")
+    def _check(self, other):
+        if isinstance(other, DigitElem):
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise _mismatch(self.ring, other.ring)
             return other
         if isinstance(other, int):
-            return self.field(other)
+            return self.ring(other)
         return NotImplemented
 
     def __add__(self, other):
         o = self._check(other)
         if o is NotImplemented:
             return o
-        p = self.field.p
-        return FieldElem(self.field, [(a + b) % p for a, b in zip(self.coeffs, o.coeffs)])
+        b = self.ring.b
+        return type(self)(self.ring, [(x + y) % b for x, y in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElem(self.field, [(-a) % p for a in self.coeffs])
+        b = self.ring.b
+        return type(self)(self.ring, [(-x) % b for x in self.coeffs])
 
     def __sub__(self, other):
         o = self._check(other)
         if o is NotImplemented:
             return o
-        p = self.field.p
-        return FieldElem(self.field, [(a - b) % p for a, b in zip(self.coeffs, o.coeffs)])
+        b = self.ring.b
+        return type(self)(self.ring, [(x - y) % b for x, y in zip(self.coeffs, o.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -146,8 +155,8 @@ class FieldElem:
         o = self._check(other)
         if o is NotImplemented:
             return o
-        f = self.field
-        return FieldElem(f, mul_digits(self.coeffs, o.coeffs, f._xpow, f.p))
+        r = self.ring
+        return type(self)(r, mul_digits(self.coeffs, o.coeffs, r._xpow, r.b))
 
     __rmul__ = __mul__
 
@@ -165,7 +174,7 @@ class FieldElem:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
+        result = self.ring.one
         base = self
         while e:
             if e & 1:
@@ -174,39 +183,30 @@ class FieldElem:
             e >>= 1
         return result
 
-    def inverse(self) -> "FieldElem":
-        if not any(self.coeffs):
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.field.q - 2)
-
-    def frobenius(self) -> "FieldElem":
-        return self ** self.field.p
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def constant_value(self) -> int:
-        """The value in Z/p, valid only for prime-subfield elements."""
-        if any(self.coeffs[1:]):
-            raise ValueError(f"{self!r} is not in the prime subfield")
-        return self.coeffs[0]
+    def is_unit(self) -> bool:
+        """Whether the digits mod the residue characteristic are not all zero."""
+        r = self.ring.residue
+        return any(c % r for c in self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self == self.field(other)
+            return self == self.ring(other)
         return (
-            isinstance(other, FieldElem)
-            and self.field == other.field
+            isinstance(other, DigitElem)
+            and self.ring == other.ring
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.m, self.coeffs))
+        return hash((self.ring.b, self.ring.m, self.coeffs))
 
     def __repr__(self):
-        g = self.field.gen_symbol
+        g = self.ring.gen_symbol
         parts = []
-        for i in range(self.field.m - 1, -1, -1):
+        for i in range(self.ring.m - 1, -1, -1):
             c = self.coeffs[i]
             if c == 0:
                 continue
@@ -219,8 +219,89 @@ class FieldElem:
         return " + ".join(parts) if parts else "0"
 
 
-class Field:
+class DigitRing:
+    """(Z/b)[x]/(h) with h monic of degree m, elements stored as m digits mod b.
+
+    A unit is an element whose digits mod `residue` are not all zero:
+    F_{p^m} has b = residue = p, W_3(F_{2^m}) has b = 8 and residue 2.
+    Subclasses name their element class in `_elem`.
+    """
+
+    _elem = DigitElem
+
+    def __init__(self, b: int, residue: int, modulus, gen_symbol: str):
+        m = len(modulus) - 1
+        self.b = b
+        self.residue = residue
+        self.m = m
+        self.modulus = modulus
+        self.gen_symbol = gen_symbol
+        self._xpow = reduction_rows(modulus, b)
+        self.zero = self._elem(self, [0] * m)
+        self.one = self._elem(self, [1] + [0] * (m - 1))
+
+    def __call__(self, value):
+        """Coerce an element, an int, or a digit list (reduced mod b and,
+        when longer than m, mod h)."""
+        if isinstance(value, DigitElem):
+            return value if value.ring == self else self._foreign(value)
+        if isinstance(value, int):
+            return self._elem(self, [value % self.b] + [0] * (self.m - 1))
+        coeffs = [c % self.b for c in value]
+        if len(coeffs) > self.m:
+            coeffs = _poly_mod(coeffs, list(self.modulus), self.b)
+        coeffs += [0] * (self.m - len(coeffs))
+        return self._elem(self, coeffs)
+
+    def _foreign(self, value: DigitElem) -> DigitElem:
+        """Coerce an element of another ring; none coerces by default."""
+        raise _mismatch(self, value.ring)
+
+    def elements(self) -> Iterator[DigitElem]:
+        for k in range(self.b ** self.m):
+            yield self._elem(self, _digits(k, self.b, self.m))
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.b == other.b
+            and self.modulus == other.modulus
+        )
+
+    def __hash__(self):
+        return hash((self.b, self.m, self.modulus))
+
+
+def _mismatch(ring: DigitRing, other: DigitRing) -> RingMismatch:
+    if isinstance(ring, Field) and isinstance(other, Field):
+        return FieldMismatch("elements of different fields")
+    return RingMismatch(f"elements of {ring!r} and {other!r}")
+
+
+class FieldElem(DigitElem):
+    """Element of a Field."""
+
+    __slots__ = ()
+
+    def inverse(self) -> "FieldElem":
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inverse of zero")
+        return self ** (self.ring.q - 2)
+
+    def frobenius(self) -> "FieldElem":
+        return self ** self.ring.p
+
+    def constant_value(self) -> int:
+        """The value in Z/p, valid only for prime-subfield elements."""
+        if any(self.coeffs[1:]):
+            raise ValueError(f"{self!r} is not in the prime subfield")
+        return self.coeffs[0]
+
+
+class Field(DigitRing):
     """F_{p^m} with fixed monic irreducible modulus (little-endian)."""
+
+    _elem = FieldElem
 
     def __init__(self, p: int, m: int, modulus=None, gen_symbol: str = "g"):
         if p not in SUPPORTED_PRIMES:
@@ -236,33 +317,12 @@ class Field:
             if not _irreducible_mod_p(modulus, p):
                 raise ReducibleModulus(f"{list(modulus)} is reducible over F_{p}")
         self.p = p
-        self.m = m
         self.q = p ** m
-        self.modulus = modulus
-        self.gen_symbol = gen_symbol
-        self._xpow = reduction_rows(modulus, p)
-        self.zero = FieldElem(self, [0] * m)
-        self.one = FieldElem(self, [1] + [0] * (m - 1))
-
-    def __call__(self, value) -> FieldElem:
-        if isinstance(value, FieldElem):
-            if value.field != self:
-                raise FieldMismatch("element of a different field")
-            return value
-        if isinstance(value, int):
-            return FieldElem(self, [value % self.p] + [0] * (self.m - 1))
-        coeffs = [c % self.p for c in value]
-        if len(coeffs) > self.m:
-            coeffs = _poly_mod(coeffs, list(self.modulus), self.p)
-        coeffs += [0] * (self.m - len(coeffs))
-        return FieldElem(self, coeffs)
+        super().__init__(p, p, modulus, gen_symbol)
 
     def gen(self) -> FieldElem:
-        return self([0, 1] if self.m > 1 else [0])
-
-    def elements(self) -> Iterator[FieldElem]:
-        for k in range(self.q):
-            yield FieldElem(self, _digits(k, self.p, self.m))
+        """The class of x modulo the field's modulus."""
+        return self([0, 1])
 
     def encode(self, a: FieldElem) -> int:
         code = 0
@@ -275,17 +335,6 @@ class Field:
 
     def to_json(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -305,7 +354,7 @@ def gf_trace(a: FieldElem) -> FieldElem:
     """Absolute trace down to the prime subfield."""
     acc = a
     cur = a
-    for _ in range(a.field.m - 1):
+    for _ in range(a.ring.m - 1):
         cur = cur.frobenius()
         acc = acc + cur
     return acc
@@ -317,7 +366,7 @@ def trace_bit(a: FieldElem) -> int:
 
 def legendre(a: FieldElem) -> int:
     """Quadratic character of F_q, q odd: +1, -1, or 0."""
-    field = a.field
+    field = a.ring
     if field.p == 2:
         raise EvenCharacteristic("no quadratic character in characteristic 2")
     if a.is_zero():
@@ -333,7 +382,7 @@ def wp_class(a: FieldElem):
     Returns (trace bit, y) with y*y - y = a when the class is trivial,
     otherwise (1, None).
     """
-    field = a.field
+    field = a.ring
     if field.p != 2:
         raise OddCharacteristic("wp_class needs characteristic 2")
     tb = trace_bit(a)
@@ -424,11 +473,6 @@ class CycloInt:
             base = base * base
             e >>= 1
         return result
-
-    def as_int(self) -> int:
-        if any(self.coeffs[1:]):
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -66,7 +66,7 @@ def sylvester_resultant(g, h, m: int, n: int):
         g = [MultiPoly.const(probe.ring, probe.n_vars, x) if isinstance(x, int) else x for x in g]
         h = [MultiPoly.const(probe.ring, probe.n_vars, x) if isinstance(x, int) else x for x in h]
     else:
-        field = probe.field
+        field = probe.ring
         zero = field(0)
         g = [field(x) if isinstance(x, int) else x for x in g]
         h = [field(x) if isinstance(x, int) else x for x in h]
@@ -79,7 +79,7 @@ def sylvester_resultant(g, h, m: int, n: int):
     rows = [[zero] * i + gh + [zero] * (n - 1 - i) for i in range(n)]
     rows += [[zero] * i + hh + [zero] * (m - 1 - i) for i in range(m)]
     if probe is not None and not isinstance(probe, MultiPoly):
-        return det_ring(probe.field, rows)
+        return det_ring(probe.ring, rows)
     return det_bareiss(rows)
 
 

@@ -1,11 +1,12 @@
 """Linear algebra over the coefficient rings.
 
-Every coefficient ring is (Z/b)[x]/(h) with h monic of degree m: a finite
-field F_{p^m} = F_p[x]/(h) has b = p, and the length-3 Witt ring
-W_3(F_{2^m}) = Z/8[x]/(h) has b = 8.  The kernel stores an element as its m
-digits mod b and a matrix as a (rows, cols, m) integer array.  A product
-convolves the digits and folds x^m..x^{2m-2} back through the ring's
-reduction rows, so one elimination serves every such ring at any size.
+Every coefficient ring is a gfield.DigitRing, (Z/b)[x]/(h) with h monic of
+degree m: a finite field F_{p^m} = F_p[x]/(h) has b = p, and the length-3
+Witt ring W_3(F_{2^m}) = Z/8[x]/(h) has b = 8.  The kernel reads b, the
+residue characteristic and the reduction rows off the ring, stores an
+element as its m digits mod b and a matrix as a (rows, cols, m) integer
+array.  A product convolves the digits and folds x^m..x^{2m-2} back through
+the reduction rows, so one elimination serves every such ring at any size.
 
 Row reduction only ever uses unit pivots.  Over a field that loses nothing.
 Over the truncated Witt ring a column whose remaining entries are nonzero
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonUnit
+from .errors import NonIntegral, NonUnit
 from .mpoly import MultiPoly
 
 _CODED_CACHE: dict = {}
@@ -33,17 +34,13 @@ class CodedOps:
     __slots__ = ("ring", "size", "base", "residue", "_elem", "_S", "_inv")
 
     def __init__(self, ring):
-        if hasattr(ring, "p"):
-            b, residue = ring.p, ring.p
-        else:
-            b, residue = 8, 2
         m = ring.m
         self.ring = ring
-        self.size = b ** m
-        self.base = b
+        self.size = ring.b ** m
+        self.base = ring.b
         # an entry is a unit when its digits mod the residue characteristic
         # are not all zero
-        self.residue = residue
+        self.residue = ring.residue
         self._elem = type(ring.one)
         # digits of x^0..x^(2m-2), the top m-1 from the ring's reduction rows
         red = np.vstack([np.eye(m, dtype=np.int32),
@@ -191,7 +188,7 @@ def _exact_div(a, b):
     if isinstance(a, int):
         q, r = divmod(a, b)
         if r:
-            raise ArithmeticError("non-exact integer division in elimination")
+            raise NonIntegral("non-exact integer division in elimination")
         return q
     return poly_exact_div(a, b)
 
@@ -208,7 +205,7 @@ def poly_exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
         ne, nc = max(cur.items(), key=lambda t: (sum(t[0]), t[0]))
         qe = tuple(a - b for a, b in zip(ne, de))
         if any(k < 0 for k in qe) or nc % dc:
-            raise ArithmeticError("non-exact polynomial division")
+            raise NonIntegral("non-exact polynomial division")
         qc = nc // dc
         out[qe] = out.get(qe, 0) + qc
         for te, tc in den.terms.items():

@@ -35,10 +35,6 @@ def monomials_upto(n_vars: int, max_deg: int):
     return list(gen(n_vars, max_deg))
 
 
-def _is_field(ring) -> bool:
-    return hasattr(ring, "p")
-
-
 def _relation_rows(grads, upto: int, col_index, ring, n_vars: int):
     """Truncations of monomial multiples of the partials, as dense rows."""
     zero = ring.zero
@@ -136,18 +132,6 @@ class MilnorAlgebra:
             return {}
         return self._nf[e]
 
-    def nf_poly(self, f: MultiPoly) -> dict:
-        out: dict = {}
-        for e, c in f.terms.items():
-            for i, t in self.nf_monomial(e).items():
-                v = out.get(i)
-                v = c * t if v is None else v + c * t
-                if v.is_zero():
-                    out.pop(i, None)
-                else:
-                    out[i] = v
-        return out
-
     def to_json(self) -> dict:
         return {"mu": self.mu, "basis": [list(e) for e in self.basis],
                 "D": self.D}
@@ -177,7 +161,7 @@ def milnor_algebra(f: MultiPoly, ring=None, cap: int = DEGREE_CAP) -> MilnorAlge
     if alg is not None:
         _ALGEBRAS[key] = alg
         return alg
-    if _is_field(ring):
+    if ring.b == ring.residue:  # a field; over W_3 the scan runs mod 2
         D, cols, red, pivots = _scan(f, cap)
     else:
         reduced = f.map_coeffs(lambda c: c.reduce(), ring.field)
@@ -190,8 +174,7 @@ def milnor_algebra(f: MultiPoly, ring=None, cap: int = DEGREE_CAP) -> MilnorAlge
     pivot_set = set(pivots)
     basis = sorted((cols[j] for j in range(len(cols)) if j not in pivot_set),
                    key=mono_key)
-    char = ring.p if _is_field(ring) else 2
-    if char == 2 and n % 2 == 1 and len(basis) % 2 == 1:
+    if ring.residue == 2 and n % 2 == 1 and len(basis) % 2 == 1:
         raise OddProduct(
             f"parity violated: odd mu={len(basis)} with odd n_vars={n} in characteristic 2"
         )

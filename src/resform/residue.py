@@ -32,12 +32,6 @@ from .wittring import (
 )
 
 
-def _is_unit(x) -> bool:
-    if hasattr(x, "is_unit"):
-        return x.is_unit()
-    return not x.is_zero()
-
-
 class SquareClass:
     """Square class of a unit in an odd-characteristic finite field."""
 
@@ -84,7 +78,7 @@ class GramForm:
                 if matrix[i][j] != matrix[j][i]:
                     raise SingularBezoutian("gram matrix is not symmetric")
         det = det_ring(ring, matrix) if mu else ring(1)
-        if not _is_unit(det):
+        if not det.is_unit():
             raise NonUnit("gram determinant is not a unit")
         self.ring = ring
         self.n_vars = n_vars
@@ -173,7 +167,7 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     alg, _, lam = _residue_data(f)
     ring = f.ring
     alpha = ring(scale)
-    if not _is_unit(alpha):
+    if not alpha.is_unit():
         raise NonUnitScale(f"scale {alpha!r} is not a unit")
     factor = alpha ** f.n_vars
     mu = alg.mu

@@ -27,7 +27,7 @@ def add_p(a, b):
     n = max(len(a), len(b))
     if n == 0:
         return []
-    field = (a or b)[0].field
+    field = (a or b)[0].ring
     z = field.zero
     out = [(a[i] if i < len(a) else z) + (b[i] if i < len(b) else z) for i in range(n)]
     return trim(out)
@@ -44,7 +44,7 @@ def sub_p(a, b):
 def mul_p(a, b):
     if not a or not b:
         return []
-    field = a[0].field
+    field = a[0].ring
     out = [field.zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca.is_zero():
@@ -63,7 +63,7 @@ def divmod_p(a, b):
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     inv = b[-1].inverse()
-    q = [b[0].field.zero] * max(0, len(a) - len(b) + 1)
+    q = [b[0].ring.zero] * max(0, len(a) - len(b) + 1)
     for k in range(len(a) - len(b), -1, -1):
         c = a[k + len(b) - 1] * inv
         if c.is_zero():
@@ -110,12 +110,12 @@ def ext_gcd_p(field, a, b):
 def deriv_p(a):
     if len(a) <= 1:
         return []
-    field = a[0].field
+    field = a[0].ring
     return trim([field(i) * a[i] for i in range(1, len(a))])
 
 
 def pow_mod(base, e: int, mod):
-    field = mod[0].field
+    field = mod[0].ring
     res = [field.one]
     cur = mod_p(base, mod)
     while e:
@@ -183,7 +183,7 @@ def edf(field, f, d: int, rng=None):
 
 def _pth_root(c):
     """p-th root in a finite field (Frobenius is bijective)."""
-    k = c.field
+    k = c.ring
     return c ** (k.p ** (k.m - 1)) if k.m > 1 else c
 
 

@@ -1,89 +1,31 @@
 """Length-3 Witt vectors over F_{2^m}, realized as Galois rings Z/8[x]/(h).
 
 h is the coefficient-wise {0,1} lift of the field modulus, so reduction
-mod 2 is coefficient-wise and lands in the same basis.
+mod 2 is coefficient-wise and lands in the same basis.  The ring is the
+case b = 8 of gfield.DigitRing, so its elements share the field's
+arithmetic; a GaloisRingElem adds only the Hensel inverse and the
+reduction mod 2.
 """
 
 from __future__ import annotations
 
 from .errors import (
+    NonIntegral,
     NonUnit,
     OddCharacteristic,
     RamifiedClass,
     ReducibleModulus,
     RingMismatch,
 )
-from .gfield import Field, FieldElem, mul_digits, reduction_rows, trace_bit
+from .gfield import DigitElem, DigitRing, Field, FieldElem, trace_bit
 
 _RING_CACHE: dict = {}
 
 
-class GaloisRingElem:
-    """Element of a GaloisRing, an immutable tuple of Z/8 coefficients."""
+class GaloisRingElem(DigitElem):
+    """Element of a GaloisRing: digits mod 8."""
 
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: "GaloisRing", coeffs):
-        self.ring = ring
-        self.coeffs = tuple(c % 8 for c in coeffs)
-
-    def _check(self, other):
-        if isinstance(other, GaloisRingElem):
-            if other.ring != self.ring:
-                raise RingMismatch("elements of different Galois rings")
-            return other
-        if isinstance(other, int):
-            return self.ring(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return GaloisRingElem(self.ring, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaloisRingElem(self.ring, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return GaloisRingElem(self.ring, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        r = self.ring
-        return GaloisRingElem(r, mul_digits(self.coeffs, o.coeffs, r._xpow, 8))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_unit(self) -> bool:
-        return not self.reduce().is_zero()
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+    __slots__ = ()
 
     def inverse(self) -> "GaloisRingElem":
         """Invert a unit by lifting the residue-field inverse (two Hensel steps)."""
@@ -96,90 +38,30 @@ class GaloisRingElem:
             v = v * (two - self * v)
         return v
 
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
     def reduce(self) -> FieldElem:
         """Reduction modulo 2 into the residue field."""
         return FieldElem(self.ring.field, [c % 2 for c in self.coeffs])
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self == self.ring(other)
-        return (
-            isinstance(other, GaloisRingElem)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
 
-    def __hash__(self):
-        return hash((self.ring.field.m, self.coeffs))
-
-    def __repr__(self):
-        g = self.ring.field.gen_symbol
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(g if c == 1 else f"{c}*{g}")
-            else:
-                parts.append(f"{g}^{i}" if c == 1 else f"{c}*{g}^{i}")
-        return " + ".join(parts) if parts else "0"
-
-
-class GaloisRing:
+class GaloisRing(DigitRing):
     """W_3(F_{2^m}) = Z/8[x]/(h) with h the {0,1}-lift of the field modulus."""
+
+    _elem = GaloisRingElem
 
     def __init__(self, field: Field):
         if field.p != 2:
             raise OddCharacteristic("Witt coefficients are built over characteristic 2")
         self.field = field
-        self.m = field.m
-        self.modulus = tuple(c % 2 for c in field.modulus)
-        m = self.m
-        self._xpow = reduction_rows(self.modulus, 8)
-        self.zero = GaloisRingElem(self, [0] * m)
-        self.one = GaloisRingElem(self, [1] + [0] * (m - 1))
-
-    def __call__(self, value) -> GaloisRingElem:
-        if isinstance(value, GaloisRingElem):
-            if value.ring != self:
-                raise RingMismatch("element of a different ring")
-            return value
-        if isinstance(value, FieldElem):
-            return self.lift(value)
-        if isinstance(value, int):
-            return GaloisRingElem(self, [value] + [0] * (self.m - 1))
-        return GaloisRingElem(self, list(value) + [0] * (self.m - len(list(value))))
+        super().__init__(8, 2, tuple(c % 2 for c in field.modulus), field.gen_symbol)
 
     def lift(self, a: FieldElem) -> GaloisRingElem:
         """The coefficient-wise {0,1} lift (not multiplicative in general)."""
-        if a.field != self.field:
+        if a.ring != self.field:
             raise RingMismatch("element of a different residue field")
         return GaloisRingElem(self, a.coeffs)
 
-    def elements(self):
-        m = self.m
-        for k in range(8 ** m):
-            coeffs = []
-            kk = k
-            for _ in range(m):
-                coeffs.append(kk % 8)
-                kk //= 8
-            yield GaloisRingElem(self, coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, GaloisRing) and self.field == other.field
-
-    def __hash__(self):
-        return hash(("W3", self.field))
+    # an element of the residue field coerces by its {0,1} lift
+    _foreign = lift
 
     def __repr__(self):
         return f"W3(GF({self.field.q}))"
@@ -261,7 +143,7 @@ class WittSquareClass:
 
 def _half(coeffs):
     if any(c % 2 for c in coeffs):
-        raise ArithmeticError("element is not divisible by 2")
+        raise NonIntegral("element is not divisible by 2")
     return [c // 2 for c in coeffs]
 
 
@@ -298,7 +180,7 @@ class ArfClass:
         if isinstance(other, ArfClass):
             return self.field == other.field and self.trace_bit == other.trace_bit
         if isinstance(other, FieldElem):
-            return self.field == other.field and self.trace_bit == trace_bit(other)
+            return self.field == other.ring and self.trace_bit == trace_bit(other)
         if isinstance(other, int):
             return self.trace_bit == other % 2
         return NotImplemented

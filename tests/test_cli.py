@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from resform import cli, corpus
+from resform import cli, corpus, epsilon
 
 
 def run(capsys, *argv):
@@ -198,3 +198,16 @@ def test_extension_generator_is_written_g(capsys):
                              "--vars", "x,y", "--poly", "w*x^2+y^2")
     assert code == 2
     assert payload["error"] == "UnknownVariable"
+
+
+def test_a_broken_twist_law_is_a_structured_error(capsys, monkeypatch):
+    """The twist-law self-check ends in CheckFailed (exit 2), not a traceback."""
+    real = epsilon.gauss_sum
+    monkeypatch.setattr(epsilon, "gauss_sum",
+                        lambda field, twist=1: real(field, twist) + (twist != 1))
+    monkeypatch.setattr(epsilon, "_TWIST_CHECKED", set())
+    code, payload = run_json(capsys, "verify", "--p", "5", "--vars", "x,y,z",
+                             "--poly", "x^2+2*y^2+z^2")
+    assert code == 2
+    assert payload["error"] == "CheckFailed"
+    assert "twisted Gauss sum" in payload["message"]

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from resform import gfield
-from resform.errors import EvenCharacteristic, ReducibleModulus, UnsupportedPrime
+from resform.errors import (
+    EvenCharacteristic,
+    FieldMismatch,
+    ReducibleModulus,
+    RingMismatch,
+    UnsupportedPrime,
+)
 from resform.gfield import (
     CycloInt,
     gauss_sum,
@@ -13,6 +19,7 @@ from resform.gfield import (
     trace_bit,
     wp_class,
 )
+from resform.wittring import gr_create
 
 
 def test_prime_field_arithmetic():
@@ -34,6 +41,13 @@ def test_extension_field_structure():
     assert len(units) == 8
     for x in units:
         assert x * x.inverse() == f9(1)
+
+
+def test_gen_is_the_class_of_x():
+    assert gf_create(3, 1).gen() == 0  # default modulus x
+    assert gf_create(3, 1, (1, 1)).gen() == 2  # x = -1 mod x + 1
+    f9 = gf_create(3, 2)
+    assert f9.gen().coeffs == (0, 1)
 
 
 def test_int_coercion_both_sides():
@@ -160,3 +174,76 @@ def test_missing_artin_schreier_preimage_is_reported(monkeypatch):
     monkeypatch.setattr(gfield, "trace_bit", lambda a: 0)
     with pytest.raises(ReducibleModulus):
         wp_class(f4.gen())
+
+
+def _ref_mul(a, c, h, b):
+    """Digits of a*c in (Z/b)[x]/(h): integer convolution, folded through the
+    monic h, then reduced mod b."""
+    m = len(h) - 1
+    conv = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(c):
+            conv[i + j] += x * y
+    for k in range(len(conv) - 1, m - 1, -1):
+        t = conv[k]
+        for j in range(m + 1):
+            conv[k - m + j] -= t * h[j]
+    return [v % b for v in conv[:m]]
+
+
+DIGIT_RINGS = {
+    "F_7": (lambda: gf_create(7, 1), 7, 6),
+    "F_9": (lambda: gf_create(3, 2), 3, 8),
+    "F_16": (lambda: gf_create(2, 4), 2, 15),
+    "W3(F_2)": (lambda: gr_create(gf_create(2, 1)), 8, 8 - 4),
+    "W3(F_4)": (lambda: gr_create(gf_create(2, 2)), 8, 8 ** 2 - 4 ** 2),
+    "W3(F_16)": (lambda: gr_create(gf_create(2, 4)), 8, 8 ** 4 - 4 ** 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGIT_RINGS))
+def test_digit_arithmetic_matches_the_integer_reference(name):
+    make, b, n_units = DIGIT_RINGS[name]
+    ring = make()
+    h, m = list(ring.modulus), ring.m
+    elems = list(ring.elements())
+    assert len(elems) == b ** m
+    units = [x for x in elems if x.is_unit()]
+    assert len(units) == n_units
+    for u in units:
+        assert u * u.inverse() == 1
+    rng = random.Random(name)
+    for _ in range(60):
+        a, c = rng.choice(elems), rng.choice(elems)
+        assert list((a + c).coeffs) == [(x + y) % b for x, y in zip(a.coeffs, c.coeffs)]
+        assert list((a - c).coeffs) == [(x - y) % b for x, y in zip(a.coeffs, c.coeffs)]
+        assert list((a * c).coeffs) == _ref_mul(a.coeffs, c.coeffs, h, b)
+        # the unreduced integer convolution coerces to the product
+        conv = [sum(a.coeffs[i] * c.coeffs[k - i] for i in range(m) if k - i in range(m))
+                for k in range(2 * m - 1)]
+        assert ring(conv) == a * c
+        e = rng.randrange(6)
+        power = [1] + [0] * (m - 1)
+        for _ in range(e):
+            power = _ref_mul(power, a.coeffs, h, b)
+        assert list((a ** e).coeffs) == power
+        # equal elements reached by different routes hash equal
+        same = (a + c) - c
+        padded = ring(list(a.coeffs) + [0, 0])
+        assert same == a == padded == a * 1
+        assert hash(same) == hash(a) == hash(padded) == hash(a * 1)
+
+
+def test_mixing_rings_raises_a_mismatch():
+    f16 = gf_create(2, 4)
+    w16 = gr_create(f16)
+    a, w = f16.gen(), w16(3)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        for x, y in ((a, w), (w, a)):
+            with pytest.raises(RingMismatch) as err:
+                op(x, y)
+            assert type(err.value) is RingMismatch
+    with pytest.raises(FieldMismatch):
+        gf_create(3, 2).gen() + gf_create(3, 1)(1)
+    with pytest.raises(FieldMismatch):
+        gf_create(3, 1)(gf_create(3, 2).gen())

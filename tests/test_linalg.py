@@ -6,9 +6,10 @@ import tracemalloc
 import pytest
 
 from resform import linalg
-from resform.errors import NonUnit
+from resform.errors import NonIntegral, NonUnit
 from resform.gfield import gf_create
-from resform.linalg import det_ring, rref_ring, solve_ring
+from resform.linalg import det_ring, poly_exact_div, rref_ring, solve_ring
+from resform.mpoly import ZZ, MultiPoly
 from resform.residue import extension_disc, pushforward_disc
 from resform.unipoly import QuotientField, irreducible_poly
 from resform.wittring import gr_create
@@ -183,3 +184,15 @@ def test_kernel_setup_is_small(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, (ring, peak)
+
+
+def test_non_exact_divisions_raise_non_integral():
+    with pytest.raises(NonIntegral):
+        linalg._exact_div(7, 2)
+    x = MultiPoly.var(ZZ, 2, 0)
+    y = MultiPoly.var(ZZ, 2, 1)
+    assert poly_exact_div(x * x * 6 + x * y * 3, x * 3) == x * 2 + y
+    with pytest.raises(NonIntegral):
+        poly_exact_div(x * x + y, x)
+    with pytest.raises(NonIntegral):
+        poly_exact_div(x * 3, x * 2)

@@ -1,4 +1,5 @@
-"""No invariant check in the package may vanish under python -O."""
+"""No invariant check in the package may vanish under python -O, and none
+may escape the CLI as a bare ArithmeticError."""
 
 import ast
 import pathlib
@@ -13,8 +14,8 @@ def _stripped_checks(path):
             yield node.lineno, "assert statement"
         elif isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
-                yield node.lineno, "raise AssertionError"
+            if isinstance(exc, ast.Name) and exc.id in ("AssertionError", "ArithmeticError"):
+                yield node.lineno, f"raise {exc.id}"
 
 
 def test_package_has_no_assert_or_assertion_error():
@@ -26,5 +27,7 @@ def test_package_has_no_assert_or_assertion_error():
 
 def test_the_scan_sees_both_forms(tmp_path):
     sample = tmp_path / "sample.py"
-    sample.write_text("assert x\nraise AssertionError('no')\nraise AssertionError\n")
-    assert [line for line, _ in _stripped_checks(sample)] == [1, 2, 3]
+    sample.write_text("assert x\nraise AssertionError('no')\nraise AssertionError\n"
+                      "raise ArithmeticError('no')\nraise ArithmeticError\n"
+                      "raise ZeroDivisionError('fine')\n")
+    assert [line for line, _ in _stripped_checks(sample)] == [1, 2, 3, 4, 5]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from resform import wittring
-from resform.errors import NonUnit, RamifiedClass, ReducibleModulus
+from resform.errors import NonIntegral, NonUnit, RamifiedClass, ReducibleModulus
 from resform.gfield import gf_create, trace_bit
 from resform.wittring import (
     ArfClass,
@@ -22,6 +22,15 @@ def test_ring_arithmetic_mod8():
     assert (-ring(1)) == ring(7)
     with pytest.raises(NonUnit):
         ring(2).inverse()
+
+
+def test_coercion_reduces_long_digit_lists_and_negative_ints():
+    ring = gr_create(gf_create(2, 2))
+    g = ring([0, 1])
+    assert ring([0, 0, 1]) == g ** 2 == ring([7, 7])
+    assert ring([0, 0, 0, 1]) == g ** 3
+    assert ring(-9) == ring(7)
+    assert ring([-1, 9]) == ring([7, 1])
 
 
 def test_units_and_reduction():
@@ -117,3 +126,9 @@ def test_teichmuller_non_convergence_is_reported(monkeypatch):
     monkeypatch.setattr(wittring, "_frob_q", lambda ring, z: z + ring(4))
     with pytest.raises(ReducibleModulus):
         teichmuller(ring, field.gen())
+
+
+def test_halving_an_odd_digit_raises_non_integral():
+    assert wittring._half([2, 6, 0]) == [1, 3, 0]
+    with pytest.raises(NonIntegral):
+        wittring._half([2, 3])
