@@ -22,7 +22,7 @@ from .errors import (
     RingMismatch,
     ZeroCoefficient,
 )
-from .gfield import CycloInt, gauss_sum, gf_create, legendre, trace_bit
+from .gfield import CycloInt, Field, gauss_sum, gf_create, legendre, trace_bit
 from .milnor import milnor_algebra
 from .mpoly import MultiPoly
 from .residue import arf_invariant, gram_matrix
@@ -258,7 +258,7 @@ def arithmetic_side(f: MultiPoly, twist: int = 1):
     is not in the explicit catalog; no attempt is made to diagonalize.
     """
     field = f.ring
-    if not hasattr(field, "p") or not hasattr(field, "q"):
+    if not isinstance(field, Field):
         raise RingMismatch("arithmetic side needs a finite field")
     acc = None
     for bp in _blocks(f):

@@ -13,8 +13,8 @@ import math
 
 from .errors import NonIntegral, OddCharacteristic, SingularForm
 from .gfield import Field
-from .linalg import det_bareiss, det_ring
-from .mpoly import MultiPoly
+from .linalg import det_expand, det_ring
+from .mpoly import ZZ, MultiPoly, _czero
 from .residue import arf_invariant
 from .unipoly import ddf, degree, monic_p, trim
 
@@ -30,7 +30,7 @@ class BinaryForm:
             raise ValueError(f"degree-{d} form needs {d + 1} coefficients")
         if ring is not None:
             coeffs = [ring(c) for c in coeffs]
-        if all(_is_zero(c) for c in coeffs):
+        if all(_czero(c) for c in coeffs):
             raise ValueError("the zero form has no degree")
         self.ring = ring
         self.d = d
@@ -38,15 +38,11 @@ class BinaryForm:
 
     def as_poly(self) -> MultiPoly:
         d = self.d
-        terms = {(d - i, i): c for i, c in enumerate(self.coeffs) if not _is_zero(c)}
+        terms = {(d - i, i): c for i, c in enumerate(self.coeffs) if not _czero(c)}
         return MultiPoly(self.ring, 2, terms)
 
     def __repr__(self):
         return f"BinaryForm(d={self.d}, {self.coeffs!r})"
-
-
-def _is_zero(c) -> bool:
-    return c == 0 if isinstance(c, int) else c.is_zero()
 
 
 def sylvester_resultant(g, h, m: int, n: int):
@@ -80,7 +76,7 @@ def sylvester_resultant(g, h, m: int, n: int):
     rows += [[zero] * i + hh + [zero] * (m - 1 - i) for i in range(m)]
     if probe is not None and not isinstance(probe, MultiPoly):
         return det_ring(probe.ring, rows)
-    return det_bareiss(rows)
+    return det_expand(rows)
 
 
 def a_exponent(n: int, d: int) -> int:
@@ -112,13 +108,13 @@ def generic_divided_disc(d: int) -> MultiPoly:
     cached = _GENERIC_DISC.get(d)
     if cached is not None:
         return cached
-    from .linalg import poly_exact_div
-    from .mpoly import ZZ
-
     cs = [MultiPoly.var(ZZ, d + 1, i) for i in range(d + 1)]
     g, h = _partials_dehomog(cs, d)
     res = sylvester_resultant(g, h, d - 1, d - 1)
-    disc = poly_exact_div(res, MultiPoly.const(ZZ, d + 1, d ** max(d - 2, 0)))
+    power = d ** max(d - 2, 0)
+    if any(c % power for c in res.terms.values()):
+        raise NonIntegral(f"generic resultant for d={d} is not divisible by {power}")
+    disc = MultiPoly(ZZ, d + 1, {e: c // power for e, c in res.terms.items()})
     if math.gcd(*disc.terms.values()) != 1:
         raise NonIntegral(f"divided discriminant for d={d} is imprimitive")
     _GENERIC_DISC[d] = disc
@@ -214,8 +210,6 @@ def verify_homog_char2(F: BinaryForm) -> dict:
     d = F.d
     if d % 2 == 0 or d < 3:
         raise ValueError("degree must be odd and at least 3")
-    if divided_disc_binary(F).is_zero():
-        raise SingularForm("form has a repeated root")
     sgn = frobenius_sign_binary(F)
     eps = (-1) ** ((d * d - 1) // 8) if field.m % 2 else 1
     arf = arf_invariant(F.as_poly())

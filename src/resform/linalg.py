@@ -13,14 +13,18 @@ Over the truncated Witt ring a column whose remaining entries are nonzero
 but all divisible by 2 cannot be cleared that way; we report the column and
 let the caller decide what that means (for Milnor algebras it means the
 quotient is not free, for determinants it means the result is not a unit).
+
+Matrices whose entries are integers or polynomials (the Bezoutian, the
+Sylvester matrices over Z[c_0..c_d]) have one determinant, det_expand, a
+memoised minor expansion that never divides.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonIntegral, NonUnit
-from .mpoly import MultiPoly
+from .errors import NonUnit
+from .mpoly import _czero
 
 _CODED_CACHE: dict = {}
 
@@ -177,75 +181,49 @@ def det_ring(ring, mat):
 def solve_ring(ring, mat, rhs):
     """Solve mat * x = rhs; None when the matrix is not invertible."""
     n = len(mat)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    rows, pivots, stuck = rref_ring(ring, aug)
+    if n == 0:
+        return []
+    ops = coded(ring)
+    aug = ops.encode_matrix([list(row) + [rhs[i]] for i, row in enumerate(mat)])
+    A, pivots, stuck = ops.rref(aug)
     if stuck is not None or len(pivots) != n or any(p >= n for p in pivots):
         return None
-    return [rows[i][n] for i in range(n)]
+    return ops.decode_row(A[:n, n])
 
 
-def _exact_div(a, b):
-    if isinstance(a, int):
-        q, r = divmod(a, b)
-        if r:
-            raise NonIntegral("non-exact integer division in elimination")
-        return q
-    return poly_exact_div(a, b)
+def det_expand(mat):
+    """Determinant of a square matrix of integers or polynomials, without
+    division, so it holds over Z, a field or W_3 alike.
 
-
-def poly_exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
-    """Exact division of integer multivariate polynomials."""
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    d_terms = den.sorted_terms()
-    de, dc = d_terms[0]
-    out = {}
-    cur = dict(num.terms)
-    while cur:
-        ne, nc = max(cur.items(), key=lambda t: (sum(t[0]), t[0]))
-        qe = tuple(a - b for a, b in zip(ne, de))
-        if any(k < 0 for k in qe) or nc % dc:
-            raise NonIntegral("non-exact polynomial division")
-        qc = nc // dc
-        out[qe] = out.get(qe, 0) + qc
-        for te, tc in den.terms.items():
-            ke = tuple(a + b for a, b in zip(qe, te))
-            v = cur.get(ke, 0) - qc * tc
-            if v:
-                cur[ke] = v
-            else:
-                cur.pop(ke, None)
-    return MultiPoly(num.ring, num.n_vars, out)
-
-
-def det_bareiss(mat):
-    """Fraction-free determinant for integer or integer-polynomial entries."""
+    Expands along the rows top-down and memoises each minor on its column
+    tuple (the row is implied by the tuple's length).  Zero entries are
+    skipped and a zero minor is absent, so a dense n x n matrix costs
+    n*2^(n-1) products and a diagonal one n.
+    """
     n = len(mat)
     if n == 0:
         return 1
-    M = [list(row) for row in mat]
+    memo: dict = {}
 
-    def _zero(x):
-        return x == 0 if isinstance(x, int) else x.is_zero()
+    def minor(cols):
+        row = mat[n - len(cols)]
+        if len(cols) == 1:
+            return None if _czero(row[cols[0]]) else row[cols[0]]
+        if cols in memo:
+            return memo[cols]
+        acc = None
+        for i, j in enumerate(cols):
+            if _czero(row[j]):
+                continue
+            sub = minor(cols[:i] + cols[i + 1:])
+            if sub is None:
+                continue
+            term = row[j] * sub if i % 2 == 0 else -(row[j] * sub)
+            acc = term if acc is None else acc + term
+        if acc is not None and _czero(acc):
+            acc = None
+        memo[cols] = acc
+        return acc
 
-    sign = 1
-    denom = 1 if isinstance(M[0][0], int) else MultiPoly.const(
-        M[0][0].ring, M[0][0].n_vars, 1
-    )
-    one = denom
-    for k in range(n - 1):
-        if _zero(M[k][k]):
-            sel = next((r for r in range(k + 1, n) if not _zero(M[r][k])), None)
-            if sel is None:
-                return 0 if isinstance(one, int) else MultiPoly.zero(
-                    one.ring, one.n_vars
-                )
-            M[k], M[sel] = M[sel], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = _exact_div(M[k][k] * M[i][j] - M[i][k] * M[k][j], denom)
-            M[i][k] = 0 if isinstance(one, int) else one.scale(0)
-        denom = M[k][k]
-    d = M[n - 1][n - 1]
-    return -d if sign < 0 else d
+    det = minor(tuple(range(n)))
+    return mat[0][0] * 0 if det is None else det

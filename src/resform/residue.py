@@ -18,8 +18,8 @@ from .errors import (
     RingMismatch,
     SingularBezoutian,
 )
-from .gfield import legendre
-from .linalg import det_ring, solve_ring
+from .gfield import Field, legendre
+from .linalg import det_expand, det_ring, solve_ring
 from .milnor import milnor_algebra, mono_key
 from .mpoly import MultiPoly, divided_difference, partials
 from .unipoly import QuotientField
@@ -100,22 +100,6 @@ class GramForm:
         return f"GramForm(mu={self.mu}, scale={self.scale!r}, over {self.ring!r})"
 
 
-def _poly_det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    ring = mat[0][0].ring
-    acc = MultiPoly.zero(ring, mat[0][0].n_vars)
-    for j in range(n):
-        piv = mat[0][j]
-        if piv.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = piv * _poly_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
 def _residue_data(f: MultiPoly, reverse: bool = False):
     """(Milnor algebra, Bezoutian matrix, residue functional) of f."""
     alg = milnor_algebra(f)
@@ -125,7 +109,7 @@ def _residue_data(f: MultiPoly, reverse: bool = False):
         [divided_difference(grads[i], j, reverse=reverse) for j in range(n)]
         for i in range(n)
     ]
-    delta = _poly_det(dd)
+    delta = det_expand(dd)
     mu = alg.mu
     zero = f.ring.zero
     C = [[zero] * mu for _ in range(mu)]
@@ -186,7 +170,7 @@ def disc_square_class(G: GramForm, N: int = 0):
     """Square class of (-1)^N times the Gram determinant."""
     ring = G.ring
     val = G.det if N % 2 == 0 else -G.det
-    if hasattr(ring, "p"):
+    if isinstance(ring, Field):
         if ring.p == 2:
             raise EvenCharacteristic(
                 "characteristic-2 discriminants live over the Witt lift"
@@ -302,7 +286,7 @@ def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None) -> A
     depend on that choice, which the test suite exercises directly.
     """
     field = f.ring
-    if not hasattr(field, "p") or field.p != 2:
+    if not isinstance(field, Field) or field.p != 2:
         raise OddCharacteristic("Arf invariants are for characteristic 2")
     f_w = witt_lift(f)
     ring = f_w.ring

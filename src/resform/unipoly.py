@@ -377,16 +377,6 @@ class QuotientField:
         e = (self.size - 1) // (q - 1)
         return (a ** e).constant_value() if not a.is_zero() else self.base.zero
 
-    def legendre(self, a: QFElem) -> int:
-        if self.base.p == 2:
-            from .errors import EvenCharacteristic
-
-            raise EvenCharacteristic("square classes need odd characteristic")
-        if a.is_zero():
-            return 0
-        s = a ** ((self.size - 1) // 2)
-        return 1 if s == self.one else -1
-
     def eval_base_poly(self, cs, a: QFElem) -> QFElem:
         """Evaluate a base-field polynomial (dense list) at a."""
         acc = self.zero

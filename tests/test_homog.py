@@ -1,6 +1,6 @@
 import pytest
 
-from resform import homog, linalg
+from resform import homog
 from resform.errors import NonIntegral, OddCharacteristic, SingularForm
 from resform.gfield import gf_create
 from resform.homog import (
@@ -173,8 +173,39 @@ def test_verify_homog_char2_guards():
 
 def test_imprimitive_divided_discriminant_is_reported(monkeypatch):
     """The content check survives python -O as a structured error."""
-    real = linalg.poly_exact_div
+    real = homog.det_expand
     monkeypatch.setattr(homog, "_GENERIC_DISC", {})
-    monkeypatch.setattr(linalg, "poly_exact_div", lambda num, den: real(num, den).scale(2))
-    with pytest.raises(NonIntegral):
+    monkeypatch.setattr(homog, "det_expand", lambda rows: real(rows).scale(2))
+    with pytest.raises(NonIntegral, match="imprimitive"):
         generic_divided_disc(3)
+
+
+def test_indivisible_generic_resultant_is_reported(monkeypatch):
+    """A resultant that d^(d-2) does not divide is a structured error."""
+    real = homog.det_expand
+    monkeypatch.setattr(homog, "_GENERIC_DISC", {})
+    monkeypatch.setattr(homog, "det_expand", lambda rows: real(rows) + 1)
+    with pytest.raises(NonIntegral, match="not divisible by 3"):
+        generic_divided_disc(3)
+
+
+def test_generic_divided_disc_term_counts():
+    assert [len(generic_divided_disc(d).terms) for d in range(2, 7)] == [2, 5, 16, 59, 246]
+
+
+def test_verify_homog_char2_takes_one_sylvester_determinant(monkeypatch):
+    calls = []
+    real = homog.det_ring
+
+    def counting(ring, mat):
+        calls.append(len(mat))
+        return real(ring, mat)
+
+    monkeypatch.setattr(homog, "det_ring", counting)
+    f4 = gf_create(2, 2)
+    assert verify_homog_char2(BinaryForm(f4, 3, [1, 0, 1, 1]))["verdict"] == "PASS"
+    assert calls == [4]
+    calls.clear()
+    with pytest.raises(SingularForm, match="^form has a repeated root$"):
+        verify_homog_char2(BinaryForm(f4, 3, [1, 0, 0, 0]))
+    assert calls == [4]

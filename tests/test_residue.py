@@ -1,12 +1,20 @@
 import random
+import re
 
 import pytest
 
-from resform.errors import EvenCharacteristic, NonUnitScale, RingMismatch
+from resform.epsilon import arithmetic_side
+from resform.errors import (
+    EvenCharacteristic,
+    NonUnitScale,
+    OddCharacteristic,
+    RingMismatch,
+)
 from resform.gfield import gf_create, legendre
 from resform.linalg import det_ring
 from resform.mpoly import MultiPoly, parse_poly
 from resform.residue import (
+    GramForm,
     SquareClass,
     arf_invariant,
     bezoutian,
@@ -18,9 +26,10 @@ from resform.residue import (
     pushforward_disc,
     residue_functional,
     tensor_gram,
+    witt_lift,
 )
 from resform.unipoly import QuotientField, deriv_p, irreducible_poly
-from resform.wittring import gr_create, square_class_normalize
+from resform.wittring import ArfClass, WittSquareClass, gr_create, square_class_normalize
 
 
 def test_cusp_frozen_matrices():
@@ -187,3 +196,34 @@ def test_pushforward_two_entry_points_agree():
     assert pushforward_disc(ext, form=[[d]]) == pushforward_disc(ext, disc=d, rank=1)
     with pytest.raises(ValueError):
         pushforward_disc(ext, disc=d)
+
+
+_NOT_CHAR2 = (OddCharacteristic, "Arf invariants are for characteristic 2")
+# per ring, what disc_square_class, arf_invariant and arithmetic_side give:
+# the type they return or the (error, message) they raise
+RING_KINDS = [
+    ("F_3", "x^2+y^2", [SquareClass, _NOT_CHAR2, tuple]),
+    ("F_4", "x^2+x*y+y^2",
+     [(EvenCharacteristic, "characteristic-2 discriminants live over the Witt lift"),
+      ArfClass, tuple]),
+    ("W3(F_4)", "x^2+x*y+y^2",
+     [WittSquareClass, _NOT_CHAR2, (RingMismatch, "arithmetic side needs a finite field")]),
+]
+
+
+@pytest.mark.parametrize("name, poly, want", RING_KINDS, ids=[c[0] for c in RING_KINDS])
+def test_ring_kind_decides_each_route(name, poly, want):
+    field = gf_create(3, 1) if name == "F_3" else gf_create(2, 2)
+    f = parse_poly(poly, field, ["x", "y"])
+    if name.startswith("W3"):
+        f = witt_lift(f)
+    ring = f.ring
+    unit_form = GramForm(ring, 1, [(0,)], [[ring(1)]], ring(1))
+    calls = [lambda: disc_square_class(unit_form), lambda: arf_invariant(f),
+             lambda: arithmetic_side(f)]
+    for call, expect in zip(calls, want):
+        if isinstance(expect, tuple):
+            with pytest.raises(expect[0], match=f"^{re.escape(expect[1])}$"):
+                call()
+        else:
+            assert type(call()) is expect
