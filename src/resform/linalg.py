@@ -7,6 +7,9 @@ residue characteristic and the reduction rows off the ring, stores an
 element as its m digits mod b and a matrix as a (rows, cols, m) integer
 array.  A product convolves the digits and folds x^m..x^{2m-2} back through
 the reduction rows, so one elimination serves every such ring at any size.
+Callers that build their matrix as digits (the Milnor relation matrices)
+call CodedOps.rref on it directly; det_ring and solve_ring take element
+matrices and go through encode_matrix and decode_row.
 
 Row reduction only ever uses unit pivots.  Over a field that loses nothing.
 Over the truncated Witt ring a column whose remaining entries are nonzero
@@ -152,18 +155,6 @@ def coded(ring):
     if ops is None:
         ops = _CODED_CACHE[ring] = CodedOps(ring)
     return ops
-
-
-def rref_ring(ring, rows):
-    """Unit-pivot reduced row echelon form.
-
-    Returns (rows as elements, pivot column list, stuck column or None).
-    """
-    if not rows:
-        return [], [], None
-    ops = coded(ring)
-    A, pivots, stuck = ops.rref(ops.encode_matrix(rows))
-    return [ops.decode_row(r) for r in A], pivots, stuck
 
 
 def det_ring(ring, mat):

@@ -4,12 +4,19 @@ The local algebra R[[x]]/(Jacobian ideal) is presented by elimination on
 monomials below a truncation degree D.  Over a field D is the smallest D0
 with m^{D0} contained in the Jacobian ideal; over the length-3 Witt ring the
 bound 3*D0 works because (J + (2))^3 lies in J + (8) = J.
+
+The relation matrix stays in the elimination kernel's digit form from build
+to normal forms: it is written as a (rows, cols, m) integer array, reduced
+there, certified there, and only the nonzero normal-form coefficients
+become ring elements.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DegenerateFiber, NotFlat, NotIsolated, OddProduct, RingMismatch
-from .linalg import rref_ring
+from .linalg import coded
 from .mpoly import MultiPoly, partials
 from . import unipoly
 
@@ -35,39 +42,26 @@ def monomials_upto(n_vars: int, max_deg: int):
     return list(gen(n_vars, max_deg))
 
 
-def _relation_rows(grads, upto: int, col_index, ring, n_vars: int):
-    """Truncations of monomial multiples of the partials, as dense rows."""
-    zero = ring.zero
-    ncols = len(col_index)
-    rows = []
-    for g in grads:
-        if g.is_zero():
-            continue
-        low = g.low_degree()
-        for alpha in monomials_upto(n_vars, upto - low):
-            row = [zero] * ncols
-            hit = False
-            for e, c in g.terms.items():
-                shifted = tuple(a + b for a, b in zip(e, alpha))
-                if sum(shifted) <= upto:
-                    j = col_index[shifted]
-                    row[j] = row[j] + c
-                    hit = True
-            if hit:
-                rows.append(row)
-    return rows
-
-
 def _eliminate(grads, ring, n_vars: int, upto: int):
     """Reduced relation matrix on the monomials of degree <= upto.
 
-    Columns run from the highest degree down; returns (columns, reduced
-    rows, pivot columns, stuck column or None).
+    Each row is a monomial multiple of a partial truncated above upto,
+    written as digits straight into the kernel's array; the partial's
+    lowest term always survives the truncation.  Columns run from the
+    highest degree down; returns (columns, reduced digit array, pivot
+    columns, stuck column or None).
     """
     cols = sorted(monomials_upto(n_vars, upto), key=mono_key, reverse=True)
     col_index = {e: j for j, e in enumerate(cols)}
-    rows = _relation_rows(grads, upto, col_index, ring, n_vars)
-    return (cols, *rref_ring(ring, rows))
+    shifts = [(g, alpha) for g in grads
+              for alpha in monomials_upto(n_vars, upto - g.low_degree())]
+    A = np.zeros((len(shifts), len(cols), ring.m), dtype=np.int32)
+    for r, (g, alpha) in enumerate(shifts):
+        for e, c in g.terms.items():
+            shifted = tuple(a + b for a, b in zip(e, alpha))
+            if sum(shifted) <= upto:
+                A[r, col_index[shifted]] = c.coeffs
+    return (cols, *coded(ring).rref(A))
 
 
 def _scan(f: MultiPoly, cap: int):
@@ -78,7 +72,7 @@ def _scan(f: MultiPoly, cap: int):
     presents the algebra: its degree-D0 columns come first, each a pivot
     whose row is that monomial alone, so the remaining rows restricted to
     degree < D0 are the unique reduced echelon form of the relations there.
-    Returns (D0, columns, rows, pivots) of that presentation.
+    Returns (D0, columns, reduced digit rows, pivots) of that presentation.
 
     The search stops at the product of the partials' degrees: for an
     isolated singularity D0 <= mu, and mu is at most that product by the
@@ -98,11 +92,8 @@ def _scan(f: MultiPoly, cap: int):
     for d0 in range(1, min(cap, bezout) + 1):
         cols, red, pivots, _ = _eliminate(grads, f.ring, f.n_vars, d0)
         top = sum(1 for e in cols if sum(e) == d0)
-        if pivots[:top] == list(range(top)) and all(
-            x.is_zero() for row in red[:top] for x in row[top:]
-        ):
-            rows = [row[top:] for row in red[top:len(pivots)]]
-            return d0, cols[top:], rows, [c - top for c in pivots[top:]]
+        if pivots[:top] == list(range(top)) and not red[:top, top:].any():
+            return d0, cols[top:], red[top:, top:], [c - top for c in pivots[top:]]
     if bezout < cap:
         raise NotIsolated(
             f"Jacobian ideal is not monomial-cofinite below degree {bezout}, "
@@ -172,21 +163,20 @@ def milnor_algebra(f: MultiPoly, ring=None, cap: int = DEGREE_CAP) -> MilnorAlge
                 f"monomial {cols[stuck]} carries a non-unit relation; quotient is not free"
             )
     pivot_set = set(pivots)
-    basis = sorted((cols[j] for j in range(len(cols)) if j not in pivot_set),
-                   key=mono_key)
+    free = [j for j in range(len(cols)) if j not in pivot_set]
+    basis = sorted((cols[j] for j in free), key=mono_key)
     if ring.residue == 2 and n % 2 == 1 and len(basis) % 2 == 1:
         raise OddProduct(
             f"parity violated: odd mu={len(basis)} with odd n_vars={n} in characteristic 2"
         )
     basis_index = {e: i for i, e in enumerate(basis)}
     nf: dict = {e: {basis_index[e]: ring(1)} for e in basis}
-    for k, c in enumerate(pivots):
-        row = red[k]
-        nf[cols[c]] = {
-            basis_index[cols[j]]: -row[j]
-            for j in range(len(cols))
-            if j not in pivot_set and not row[j].is_zero()
-        }
+    free_index = [basis_index[cols[j]] for j in free]
+    # a pivot row reads e = -sum(row[j] * basis[j]) over the free columns
+    neg = -red[:len(pivots)][:, free] % ring.b
+    for c, row in zip(pivots, neg):
+        nf[cols[c]] = {free_index[j]: ring(row[j].tolist())
+                       for j in np.flatnonzero(row.any(axis=1))}
     alg = MilnorAlgebra(ring, n, D, basis, nf)
     if len(_ALGEBRAS) >= _ALGEBRAS_MAX:
         del _ALGEBRAS[next(iter(_ALGEBRAS))]

@@ -10,7 +10,7 @@ import pytest
 from resform import linalg
 from resform.errors import NonUnit
 from resform.gfield import gf_create
-from resform.linalg import det_expand, det_ring, rref_ring, solve_ring
+from resform.linalg import coded, det_expand, det_ring, solve_ring
 from resform.mpoly import ZZ, MultiPoly
 from resform.residue import extension_disc, gram_matrix, pushforward_disc
 from resform.unipoly import QuotientField, irreducible_poly
@@ -71,6 +71,12 @@ def ref_det(ring, mat):
     return det
 
 
+def _kernel_rref(ring, mat):
+    ops = coded(ring)
+    A, pivots, stuck = ops.rref(ops.encode_matrix(mat))
+    return [ops.decode_row(row) for row in A], pivots, stuck
+
+
 def _kernel_det(ring, mat):
     try:
         return det_ring(ring, mat)
@@ -115,12 +121,12 @@ RINGS = [
 @pytest.mark.parametrize("name, make", RINGS, ids=[name for name, _ in RINGS])
 def test_kernel_matches_reference(name, make):
     ring = make()
-    witt = not hasattr(ring, "p")
+    witt = ring.b != ring.residue
     rng = random.Random(f"linalg/{name}")
     stuck_seen = set()
     for nrows, ncols in ((1, 3), (4, 6), (6, 5), (7, 9)):
         for mat in _random_matrices(rng, ring, witt, nrows, ncols):
-            got = rref_ring(ring, mat)
+            got = _kernel_rref(ring, mat)
             assert got == ref_rref(mat)
             stuck_seen.add(got[2] is None)
     for n in (1, 3, 5, 6):

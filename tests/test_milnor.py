@@ -2,14 +2,13 @@ import json
 import time
 
 import pytest
+from test_linalg import ref_rref
 
-from resform import cli, milnor
+from resform import cli, linalg, milnor
 from resform.epsilon import calibrate, verify_identity
-from resform.errors import NotIsolated, OddProduct
-from resform.gfield import gf_create
-from resform.linalg import rref_ring
+from resform.errors import NotFlat, NotIsolated, OddProduct
+from resform.gfield import DigitElem, gf_create
 from resform.milnor import (
-    _relation_rows,
     family_milnor_profile,
     milnor_algebra,
     mono_key,
@@ -132,12 +131,28 @@ def test_family_profile_reports_conjugate_points():
     assert degrees in ([1, 1], [2])
 
 
+def _object_relation_rows(grads, upto, col_index, ring, n_vars):
+    """Truncated monomial multiples of the partials as rows of elements."""
+    rows = []
+    for g in grads:
+        for alpha in monomials_upto(n_vars, upto - g.low_degree()):
+            row = [ring.zero] * len(col_index)
+            for e, c in g.terms.items():
+                shifted = tuple(a + b for a, b in zip(e, alpha))
+                if sum(shifted) <= upto:
+                    row[col_index[shifted]] = c
+            rows.append(row)
+    return rows
+
+
 def _d_minus_one_presentation(f, D):
-    """Basis and normal forms from a fresh elimination at degree D - 1."""
+    """Basis and normal forms from a fresh plain-Python elimination at
+    degree D - 1, on element objects and without the digit kernel."""
     ring, n = f.ring, f.n_vars
     cols = sorted(monomials_upto(n, D - 1), key=mono_key, reverse=True)
     col_index = {e: j for j, e in enumerate(cols)}
-    red, pivots, _ = rref_ring(ring, _relation_rows(partials(f), D - 1, col_index, ring, n))
+    rows = _object_relation_rows(partials(f), D - 1, col_index, ring, n)
+    red, pivots, _ = ref_rref(rows) if rows else ([], [], None)
     pivot_set = set(pivots)
     basis = sorted((cols[j] for j in range(len(cols)) if j not in pivot_set), key=mono_key)
     index = {e: i for i, e in enumerate(basis)}
@@ -183,12 +198,13 @@ def test_a_lower_cap_still_rejects_after_success():
 def _count_eliminations(monkeypatch):
     """Record the ring of every elimination milnor runs, on an empty cache."""
     seen = []
+    eliminate = milnor._eliminate
 
-    def counting(ring, rows):
+    def counting(grads, ring, n_vars, upto):
         seen.append(ring)
-        return rref_ring(ring, rows)
+        return eliminate(grads, ring, n_vars, upto)
 
-    monkeypatch.setattr(milnor, "rref_ring", counting)
+    monkeypatch.setattr(milnor, "_eliminate", counting)
     monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     return seen
 
@@ -245,3 +261,72 @@ def test_parity_violation_is_a_structured_error(monkeypatch, capsys):
     code = cli.main(["milnor", "--p", "2", "--vars", "u", "--poly", "u^3", "--json"])
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"] == "OddProduct"
+
+
+def _lift(field, text, names):
+    """text over W_3(field), each coefficient lifted digit by digit."""
+    ring = gr_create(field)
+    f = parse_poly(text, field, names, constants={field.gen_symbol: field.gen()})
+    return MultiPoly(ring, f.n_vars, {e: ring(c) for e, c in f.terms.items()})
+
+
+def _nf_size(alg):
+    return sum(len(alg.nf_monomial(e)) for e in monomials_upto(alg.n_vars, alg.D - 1))
+
+
+def test_macaulay_cells_never_become_objects_on_the_way_in_or_out(monkeypatch):
+    """The relation matrix is built and read as digits: the kernel's element
+    encoder and decoder never run, over a field or over W_3."""
+    def refuse(self, rows):
+        raise AssertionError("a Macaulay matrix went through element objects")
+
+    monkeypatch.setattr(linalg.CodedOps, "encode_matrix", refuse)
+    monkeypatch.setattr(linalg.CodedOps, "decode_row", refuse)
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    f13 = gf_create(13, 1)
+    alg = milnor_algebra(parse_poly("x^4+y^3+x^2*y", f13, ["x", "y"]))
+    assert _nf_size(alg) > alg.mu
+    alg = milnor_algebra(_lift(gf_create(2, 2), "x^3+g*y^3+x*y^2", ["x", "y"]))
+    assert _nf_size(alg) > alg.mu
+
+
+def test_only_the_normal_form_coefficients_are_built_as_elements(monkeypatch):
+    """The sextic's scan touches about 620k cells; the elements built are
+    its normal-form coefficients plus a few constants."""
+    f = parse_poly("x^6+y^6+z^6", gf_create(13, 1), ["x", "y", "z"])
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    built = [0]
+    init = DigitElem.__init__
+
+    def counting(self, ring, coeffs):
+        built[0] += 1
+        init(self, ring, coeffs)
+
+    monkeypatch.setattr(DigitElem, "__init__", counting)
+    alg = milnor_algebra(f)
+    monkeypatch.setattr(DigitElem, "__init__", init)
+    assert alg.mu == 125
+    assert built[0] <= _nf_size(alg) + 32
+
+
+def test_a_relation_without_a_unit_pivot_is_not_flat(monkeypatch):
+    """Over F_2 the ideal is (x, y); its lift (2x, 2y) has no unit pivot, so
+    the quotient over W_3 is not free."""
+    field = gf_create(2, 1)
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    monkeypatch.setattr(milnor, "partials", lambda f: [
+        MultiPoly.var(f.ring, 2, i).scale(1 if f.ring == field else 2) for i in range(2)
+    ])
+    with pytest.raises(NotFlat) as err:
+        milnor_algebra(_lift(field, "x*y", ["x", "y"]))
+    assert str(err.value) == "monomial (0, 2) carries a non-unit relation; quotient is not free"
+
+
+def test_a_non_isolated_three_variable_cone_is_rejected_in_bounded_time():
+    """x^5*y + z^5 is singular along the y-axis and its Bezout bound is 100,
+    so the scan runs all the way to the cap of 24."""
+    f = parse_poly("x^5*y+z^5", gf_create(7, 1), ["x", "y", "z"])
+    start = time.perf_counter()
+    with pytest.raises(NotIsolated):
+        milnor_algebra(f)
+    assert time.perf_counter() - start < 10.0
