@@ -106,7 +106,7 @@ def _cmd_epsilon(args):
 def _cmd_verify(args):
     field = _build_field(args)
     f = _parse_over(args, field)
-    report = verify_identity(f, options={"convention": args.convention})
+    report = verify_identity(f, convention=args.convention)
     report["input"] = f.render(_var_list(args))
     return (1 if report["verdict"] == "FAIL" else 0), report
 
@@ -160,13 +160,12 @@ def _emit(payload: dict, as_json: bool):
         print(f"{k}: {v}")
 
 
-def _add_field_args(sp, poly=True):
+def _add_field_args(sp):
     sp.add_argument("--p", type=int, required=True, help="characteristic")
     sp.add_argument("--m", type=int, default=1, help="extension degree")
     sp.add_argument("--modulus", help="field modulus, little-endian comma list")
-    if poly:
-        sp.add_argument("--vars", help="comma separated variable names")
-        sp.add_argument("--poly", help="polynomial in the given variables")
+    sp.add_argument("--vars", help="comma separated variable names")
+    sp.add_argument("--poly", help="polynomial in the given variables")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,8 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         code, payload = args.handler(args)
     except (ResformError, ValueError) as exc:

@@ -12,7 +12,7 @@ wittring.py is the case b = 8.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import unipoly
 from .errors import (

@@ -9,7 +9,10 @@ array.  A product convolves the digits and folds x^m..x^{2m-2} back through
 the reduction rows, so one elimination serves every such ring at any size.
 Callers that build their matrix as digits (the Milnor relation matrices)
 call CodedOps.rref on it directly; det_ring and solve_ring take element
-matrices and go through encode_matrix and decode_row.
+matrices and go through encode_matrix and decode_row.  solve_ring takes
+its right-hand side as n x k rows, so one elimination of [M | B] gives the
+whole n x k solution (the residue engine inverts the Bezoutian matrix this
+way, with B a multiple of the identity).
 
 Row reduction only ever uses unit pivots.  Over a field that loses nothing.
 Over the truncated Witt ring a column whose remaining entries are nonzero
@@ -170,16 +173,17 @@ def det_ring(ring, mat):
 
 
 def solve_ring(ring, mat, rhs):
-    """Solve mat * x = rhs; None when the matrix is not invertible."""
+    """Solve mat * X = rhs for an n x k rhs given as rows; returns X as rows,
+    or None when the matrix is not invertible."""
     n = len(mat)
     if n == 0:
         return []
     ops = coded(ring)
-    aug = ops.encode_matrix([list(row) + [rhs[i]] for i, row in enumerate(mat)])
+    aug = ops.encode_matrix([list(row) + list(b) for row, b in zip(mat, rhs)])
     A, pivots, stuck = ops.rref(aug)
     if stuck is not None or len(pivots) != n or any(p >= n for p in pivots):
         return None
-    return ops.decode_row(A[:n, n])
+    return [ops.decode_row(row) for row in A[:n, n:]]
 
 
 def det_expand(mat):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateFiber, NotFlat, NotIsolated, OddProduct, RingMismatch
+from .errors import DegenerateFiber, NotFlat, NotIsolated, OddProduct
 from .linalg import coded
 from .mpoly import MultiPoly, partials
 from . import unipoly
@@ -138,13 +138,11 @@ _ALGEBRAS: dict = {}
 _ALGEBRAS_MAX = 256
 
 
-def milnor_algebra(f: MultiPoly, ring=None, cap: int = DEGREE_CAP) -> MilnorAlgebra:
+def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     """Quotient by the Jacobian ideal, presented below the truncation degree.
 
     Computed once per polynomial and cap; every consumer shares the result.
     """
-    if ring is not None and ring != f.ring:
-        raise RingMismatch("polynomial is not over the requested ring")
     ring = f.ring
     n = f.n_vars
     key = (ring, n, frozenset(f.terms.items()), cap)

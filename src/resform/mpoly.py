@@ -184,20 +184,6 @@ class MultiPoly:
             acc = acc + t
         return acc
 
-    def substitute(self, polys) -> "MultiPoly":
-        """Plug polynomials in for the variables."""
-        if len(polys) != self.n_vars:
-            raise ValueError("wrong number of substitutions")
-        n = polys[0].n_vars if polys else self.n_vars
-        acc = MultiPoly.zero(self.ring, n)
-        for e, c in self.terms.items():
-            t = MultiPoly.const(self.ring, n, c)
-            for q, k in zip(polys, e):
-                if k:
-                    t = t * q ** k
-            acc = acc + t
-        return acc
-
     def embed(self, n_total: int, offset: int = 0) -> "MultiPoly":
         """View in a larger variable list, shifting indices by offset."""
         terms = {}
@@ -243,18 +229,12 @@ def partials(f: MultiPoly):
     return [f.derivative(i) for i in range(f.n_vars)]
 
 
-def hessian(f: MultiPoly):
-    grads = partials(f)
-    return [[g.derivative(j) for j in range(f.n_vars)] for g in grads]
-
-
-def divided_difference(g: MultiPoly, j: int, reverse: bool = False) -> MultiPoly:
+def divided_difference(g: MultiPoly, j: int) -> MultiPoly:
     """The j-th divided difference of g, a polynomial in doubled variables.
 
     Variables 0..n-1 stay x_0..x_{n-1}; indices n..2n-1 hold y_0..y_{n-1}.
-    In the standard convention variables before j are already moved to y;
-    reverse=True moves the variables after j instead.  Either family
-    telescopes to g(y) - g(x).
+    Variables before j are already moved to y, so the family telescopes to
+    g(y) - g(x).
     """
     n = g.n_vars
     if not 0 <= j < n:
@@ -268,9 +248,7 @@ def divided_difference(g: MultiPoly, j: int, reverse: bool = False) -> MultiPoly
         for i, ki in enumerate(e):
             if i == j:
                 continue
-            before = i < j
-            at_y = before if not reverse else not before
-            base[n + i if at_y else i] = ki
+            base[n + i if i < j else i] = ki
         for s in range(k):
             ne = list(base)
             ne[j] = k - 1 - s

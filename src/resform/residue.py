@@ -1,9 +1,12 @@
 """The residue pairing engine.
 
-From the Bezoutian of the partials we recover the residue functional, the
-Gram matrix of the induced symmetric pairing on the Milnor algebra, its
-discriminant square class, tensor and trace-pushforward laws, and the Arf
-invariant of characteristic-2 singularities via the length-3 Witt lift.
+The Bezoutian of the partials is the element of A tensor A dual to the
+residue pairing on the Milnor algebra A (Scheja-Storch), so the Gram matrix
+of the pairing is the inverse of the Bezoutian matrix, found by one solve,
+and the residue functional is its row at the unit monomial.  From the Gram
+matrix come its discriminant square class, tensor and trace-pushforward
+laws, and the Arf invariant of characteristic-2 singularities via the
+length-3 Witt lift.
 """
 
 from __future__ import annotations
@@ -100,15 +103,12 @@ class GramForm:
         return f"GramForm(mu={self.mu}, scale={self.scale!r}, over {self.ring!r})"
 
 
-def _residue_data(f: MultiPoly, reverse: bool = False):
-    """(Milnor algebra, Bezoutian matrix, residue functional) of f."""
+def _residue_data(f: MultiPoly):
+    """(Milnor algebra, Bezoutian matrix) of f."""
     alg = milnor_algebra(f)
     n = f.n_vars
     grads = partials(f)
-    dd = [
-        [divided_difference(grads[i], j, reverse=reverse) for j in range(n)]
-        for i in range(n)
-    ]
+    dd = [[divided_difference(grads[i], j) for j in range(n)] for i in range(n)]
     delta = det_expand(dd)
     mu = alg.mu
     zero = f.ring.zero
@@ -122,47 +122,44 @@ def _residue_data(f: MultiPoly, reverse: bool = False):
             cc = c * cx
             for j, cy in ny.items():
                 C[i][j] = C[i][j] + cc * cy
-    if mu == 0:
-        return alg, C, []
-    rhs = [zero] * mu
-    one_at = alg.basis_index.get((0,) * n)
-    if one_at is None:
+    if mu and (0,) * n not in alg.basis_index:
         raise SingularBezoutian("the unit monomial is not a standard monomial")
-    rhs[one_at] = f.ring(1)
-    ct = [[C[j][i] for j in range(mu)] for i in range(mu)]
-    lam = solve_ring(f.ring, ct, rhs)
-    if lam is None:
+    return alg, C
+
+
+def _pairing(ring, C, factor):
+    """factor times the inverse of the Bezoutian matrix C."""
+    mu = len(C)
+    eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
+    X = solve_ring(ring, C, eye)
+    if X is None:
         raise SingularBezoutian("bezoutian matrix is not invertible")
-    return alg, C, lam
+    return X
 
 
-def bezoutian(f: MultiPoly, reverse: bool = False):
+def bezoutian(f: MultiPoly):
     """Matrix of the Bezoutian class in A tensor A over the basis pairs."""
-    return _residue_data(f, reverse)[1]
+    return _residue_data(f)[1]
 
 
-def residue_functional(f: MultiPoly, reverse: bool = False):
-    """Coefficients of the residue functional over the monomial basis."""
-    return _residue_data(f, reverse)[2]
+def residue_functional(f: MultiPoly):
+    """Coefficients of the residue functional over the monomial basis: the
+    row of the pairing at the unit monomial."""
+    alg, C = _residue_data(f)
+    if alg.mu == 0:
+        return []
+    return _pairing(f.ring, C, f.ring(1))[alg.basis_index[(0,) * f.n_vars]]
 
 
 def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
-    """Gram matrix of the pairing for the differential scale*dt."""
-    alg, _, lam = _residue_data(f)
+    """Gram matrix of the pairing for the differential scale*dt: alpha^n
+    times the inverse of the Bezoutian matrix, alpha = scale."""
+    alg, C = _residue_data(f)
     ring = f.ring
     alpha = ring(scale)
     if not alpha.is_unit():
         raise NonUnitScale(f"scale {alpha!r} is not a unit")
-    factor = alpha ** f.n_vars
-    mu = alg.mu
-    G = [[ring.zero] * mu for _ in range(mu)]
-    for i in range(mu):
-        for j in range(i, mu):
-            e = tuple(a + b for a, b in zip(alg.basis[i], alg.basis[j]))
-            s = ring.zero
-            for k, c in alg.nf_monomial(e).items():
-                s = s + lam[k] * c
-            G[i][j] = G[j][i] = factor * s
+    G = _pairing(ring, C, alpha ** f.n_vars)
     return GramForm(ring, f.n_vars, list(alg.basis), G, alpha)
 
 
@@ -254,11 +251,11 @@ def global_univariate_functional(field, f):
         [c[i + j + 1] if i + j + 1 < len(c) else field.zero for j in range(mu)]
         for i in range(mu)
     ]
-    rhs = [field.zero] * mu
-    rhs[0] = field.one
-    lam = solve_ring(field, C, rhs)
-    if lam is None:
+    e0 = [[field.one if i == 0 else field.zero] for i in range(mu)]
+    X = solve_ring(field, C, e0)
+    if X is None:
         raise SingularBezoutian("bezoutian of the derivative is singular")
+    lam = [row[0] for row in X]
     return lam, c
 
 

@@ -78,16 +78,12 @@ def gr_create(field: Field) -> GaloisRing:
 def teichmuller(ring: GaloisRing, a: FieldElem) -> GaloisRingElem:
     """Multiplicative lift: the unique fixed point of z -> z^(2^m) above a."""
     z = ring.lift(a)
-    for _ in range(3):
-        w = z
-        for _ in range(ring.m):
-            w = w * w
+    for _ in range(4):
+        w = _frob_q(ring, z)
         if w == z:
-            break
+            return z
         z = w
-    if _frob_q(ring, z) != z:
-        raise ReducibleModulus("Teichmuller iteration did not converge")
-    return z
+    raise ReducibleModulus("Teichmuller iteration did not converge")
 
 
 def _frob_q(ring: GaloisRing, z: GaloisRingElem) -> GaloisRingElem:

@@ -147,19 +147,25 @@ def test_det_outcomes_over_the_witt_ring():
 
 
 def test_solve_matches_reference_rows():
+    """One column and the identity as right-hand sides, solved as rows."""
     field = gf_create(2, 11)
     rng = random.Random(11)
-    for _ in range(5):
-        mat = [[field.decode(rng.randrange(field.q)) for _ in range(4)] for _ in range(4)]
-        rhs = [field.decode(rng.randrange(field.q)) for _ in range(4)]
-        got = solve_ring(field, mat, rhs)
-        ref = ref_rref([row + [b] for row, b in zip(mat, rhs)])
-        if ref[1] == [0, 1, 2, 3]:
-            assert got == [row[4] for row in ref[0]]
-            assert all(sum((a * x for a, x in zip(row, got)), field.zero) == b
-                       for row, b in zip(mat, rhs))
-        else:
-            assert got is None
+    eye = [[field(int(i == j)) for j in range(4)] for i in range(4)]
+    mats = [[[field.decode(rng.randrange(field.q)) for _ in range(4)] for _ in range(4)]
+            for _ in range(5)]
+    mats.append(mats[0][:3] + [mats[0][0]])  # a repeated row: not invertible
+    for mat in mats:
+        column = [[field.decode(rng.randrange(field.q))] for _ in range(4)]
+        for rhs in (column, eye):
+            got = solve_ring(field, mat, rhs)
+            ref = ref_rref([row + b for row, b in zip(mat, rhs)])
+            if ref[1] == [0, 1, 2, 3]:
+                assert got == [row[4:] for row in ref[0]]
+                k = len(rhs[0])
+                assert all(sum((a * x[c] for a, x in zip(row, got)), field.zero) == b[c]
+                           for row, b in zip(mat, rhs) for c in range(k))
+            else:
+                assert got is None
 
 
 @pytest.mark.parametrize("p, m, r", [(3, 1, 2), (5, 1, 3), (3, 2, 2), (7, 1, 2)])

@@ -2,16 +2,20 @@ import random
 import re
 
 import pytest
+from test_linalg import ref_det, ref_rref
 
+from resform import residue
 from resform.epsilon import arithmetic_side
 from resform.errors import (
     EvenCharacteristic,
     NonUnitScale,
     OddCharacteristic,
     RingMismatch,
+    SingularBezoutian,
 )
 from resform.gfield import gf_create, legendre
 from resform.linalg import det_ring
+from resform.milnor import milnor_algebra
 from resform.mpoly import MultiPoly, parse_poly
 from resform.residue import (
     GramForm,
@@ -227,3 +231,91 @@ def test_ring_kind_decides_each_route(name, poly, want):
                 call()
         else:
             assert type(call()) is expect
+
+
+def _reference_gram(f, scale):
+    """The pairing by the route that reads it off the functional: solve
+    C^T lam = e_1 with the plain-Python eliminator, then take
+    alpha^n * lam(b_i * b_j) from the multiplication table."""
+    alg = milnor_algebra(f)
+    ring, mu = f.ring, alg.mu
+    C = bezoutian(f)
+    one_at = alg.basis_index[(0,) * f.n_vars]
+    rows = [[C[j][i] for j in range(mu)] + [ring(int(i == one_at))] for i in range(mu)]
+    reduced, pivots, _ = ref_rref(rows)
+    assert pivots == list(range(mu))
+    lam = [row[mu] for row in reduced]
+    factor = ring(scale) ** f.n_vars
+    G = []
+    for bi in alg.basis:
+        row = []
+        for bj in alg.basis:
+            prod = tuple(a + b for a, b in zip(bi, bj))
+            s = ring.zero
+            for k, c in alg.nf_monomial(prod).items():
+                s = s + lam[k] * c
+            row.append(factor * s)
+        G.append(row)
+    return lam, G
+
+
+def _seeded_isolated(rng, field, n):
+    """A diagonal principal part plus terms of higher weighted degree."""
+    p = field.p
+    ds = [rng.choice([d for d in (2, 3, 4) if d % p]) for _ in range(n)]
+    terms = {}
+    for i, d in enumerate(ds):
+        terms[tuple(d if k == i else 0 for k in range(n))] = field.decode(
+            rng.randrange(1, field.q))
+    for _ in range(rng.randrange(3)):
+        e = tuple(rng.randrange(max(ds) + 1) for _ in range(n))
+        if sum(k / d for k, d in zip(e, ds)) > 1 and sum(e) <= max(ds) + 1:
+            terms[e] = field.decode(rng.randrange(field.q))
+    return MultiPoly(field, n, {e: c for e, c in terms.items() if not c.is_zero()})
+
+
+def test_gram_is_the_pairing_read_off_the_functional():
+    """The inverse of the Bezoutian matrix against the functional route, over
+    F_p, F_{p^m} and W_3 lifts, for unit scales other than 1 too."""
+    rng = random.Random(7)
+    fields = [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (2, 1), (2, 2), (2, 3)]
+    seen = set()
+    checked = 0
+    for _ in range(50):
+        p, m = rng.choice(fields)
+        f = _seeded_isolated(rng, gf_create(p, m), rng.randrange(1, 4))
+        if p == 2:
+            f = witt_lift(f)
+        ring = f.ring
+        if f.n_vars * milnor_algebra(f).mu % 2 and p == 2:
+            continue
+        scale = rng.choice([1, 2, 3, 5]) if p > 2 else rng.choice([1, 3, 5, 7])
+        if not ring(scale).is_unit():
+            scale = 1
+        lam, ref = _reference_gram(f, scale)
+        G = gram_matrix(f, scale)
+        assert G.matrix == ref
+        assert G.det == ref_det(ring, ref)
+        assert residue_functional(f) == lam
+        seen.add((p, m, scale != 1))
+        checked += 1
+    assert checked >= 40
+    assert {(3, 2, True), (2, 2, True), (7, 1, True)} <= seen
+
+
+def test_a_non_symmetric_bezoutian_is_refused(monkeypatch):
+    """The inverse of a non-symmetric Bezoutian matrix is not symmetric."""
+    f7 = gf_create(7, 1)
+    f = parse_poly("x^3+y^3", f7, ["x", "y"])
+    real = residue._residue_data
+
+    def skewed(f):
+        alg, C = real(f)
+        C = [list(row) for row in C]
+        C[0][1] = C[0][1] + f7(1)
+        assert C[0][1] != C[1][0]
+        return alg, C
+
+    monkeypatch.setattr(residue, "_residue_data", skewed)
+    with pytest.raises(SingularBezoutian, match="^gram matrix is not symmetric$"):
+        gram_matrix(f, 1)

@@ -4,7 +4,7 @@ import pytest
 
 from resform import wittring
 from resform.errors import NonIntegral, NonUnit, RamifiedClass, ReducibleModulus
-from resform.gfield import gf_create, trace_bit
+from resform.gfield import DigitElem, gf_create, trace_bit
 from resform.wittring import (
     ArfClass,
     arf_from_unit,
@@ -126,6 +126,25 @@ def test_teichmuller_non_convergence_is_reported(monkeypatch):
     monkeypatch.setattr(wittring, "_frob_q", lambda ring, z: z + ring(4))
     with pytest.raises(ReducibleModulus):
         teichmuller(ring, field.gen())
+
+
+def test_a_fixed_lift_costs_one_frobenius(monkeypatch):
+    """A lift that is already fixed is squared m times, once round."""
+    calls = []
+    real = DigitElem.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(DigitElem, "__mul__", counting)
+    for m in (1, 3, 4):
+        field = gf_create(2, m)
+        ring = gr_create(field)
+        for a in (field.zero, field.one):
+            calls.clear()
+            assert teichmuller(ring, a) == ring.lift(a)
+            assert len(calls) == m
 
 
 def test_halving_an_odd_digit_raises_non_integral():
