@@ -6,13 +6,8 @@ checks the resulting epsilon identity against a catalog of quadratic local
 factors.  Everything is exact integer or finite-ring arithmetic.
 """
 
-from .epsilon import (
-    EpsilonValue,
-    arithmetic_side,
-    calibrate,
-    geometric_side,
-    verify_identity,
-)
+from .catalog import EpsilonValue, arithmetic_side
+from .epsilon import calibrate, geometric_side, verify_identity
 from .gfield import CycloInt, Field, FieldElem, gauss_sum, gf_create, legendre
 from .homog import BinaryForm, fermat_formulas, verify_homog_char2
 from .milnor import MilnorAlgebra, family_milnor_profile, milnor_algebra

@@ -12,7 +12,8 @@ import json
 import sys
 
 from .corpus import DEFAULT_SEED, run_corpus
-from .epsilon import arithmetic_side, verify_identity
+from .catalog import arithmetic_side
+from .epsilon import verify_identity
 from .errors import OddCharacteristic, PolySyntaxError, ResformError
 from .gfield import gf_create
 from .homog import BinaryForm, fermat_formulas, verify_homog_char2
@@ -125,6 +126,8 @@ def _cmd_homog2(args):
     f = _parse_over(args, field)
     if f.n_vars != 2:
         raise PolySyntaxError("a binary form needs exactly two variables")
+    if not f.terms:
+        raise PolySyntaxError("the zero form has no degree")
     d = max(sum(e) for e in f.terms)
     if any(sum(e) != d for e in f.terms):
         raise PolySyntaxError("the form is not homogeneous")

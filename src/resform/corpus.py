@@ -13,14 +13,8 @@ import time
 from itertools import product
 
 from . import unipoly
-from .epsilon import (
-    EpsilonValue,
-    calibrate,
-    eps_ordquad_char2,
-    eps_quad_odd,
-    eps_wildquad_char2,
-    verify_identity,
-)
+from .catalog import EpsilonValue, eps_ordquad_char2, eps_quad_odd, eps_wildquad_char2
+from .epsilon import calibrate, verify_identity
 from .errors import CheckFailed, NotFlat, NotIsolated, SingularForm
 from .gfield import CycloInt, gauss_sum, gf_create, legendre, trace_bit, wp_class
 from .homog import (

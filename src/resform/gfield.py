@@ -303,7 +303,7 @@ class Field(DigitRing):
 
     _elem = FieldElem
 
-    def __init__(self, p: int, m: int, modulus=None, gen_symbol: str = "g"):
+    def __init__(self, p: int, m: int, modulus=None):
         if p not in SUPPORTED_PRIMES:
             raise UnsupportedPrime(f"characteristic {p} not supported")
         if m < 1:
@@ -318,7 +318,7 @@ class Field(DigitRing):
                 raise ReducibleModulus(f"{list(modulus)} is reducible over F_{p}")
         self.p = p
         self.q = p ** m
-        super().__init__(p, p, modulus, gen_symbol)
+        super().__init__(p, p, modulus, "g")
 
     def gen(self) -> FieldElem:
         """The class of x modulo the field's modulus."""

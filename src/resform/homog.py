@@ -83,6 +83,8 @@ def a_exponent(n: int, d: int) -> int:
     """The exponent ((d-1)^(n+2) - (-1)^(n+2)) / d; always an integer."""
     if n < -1:
         raise ValueError("n must be at least -1")
+    if d < 1:
+        raise ValueError("degree must be at least 1")
     num = (d - 1) ** (n + 2) - (-1) ** (n + 2)
     if num % d:
         raise NonIntegral(f"a({n}, {d}) is not integral")

@@ -260,6 +260,7 @@ def divided_difference(g: MultiPoly, j: int) -> MultiPoly:
 
 
 _TOKEN_OPS = set("+-*^()")
+MAX_NESTING = 100  # levels of parentheses; each costs the descent four frames
 
 
 def _tokenize(text: str):
@@ -299,6 +300,7 @@ class _Parser:
         self.ring = ring
         self.var_names = list(var_names)
         self.constants = constants or {}
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -359,10 +361,14 @@ class _Parser:
                 return MultiPoly.const(self.ring, n, self.ring(self.constants[val]))
             raise UnknownVariable(f"unknown name {val!r}")
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PolySyntaxError(f"parentheses nested deeper than {MAX_NESTING}")
             node = self.expr()
             kind, val = self.take()
             if (kind, val) != ("op", ")"):
                 raise PolySyntaxError("expected closing parenthesis")
+            self.depth -= 1
             return node
         raise PolySyntaxError(f"unexpected token {val!r}")
 

@@ -163,17 +163,16 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     return GramForm(ring, f.n_vars, list(alg.basis), G, alpha)
 
 
-def disc_square_class(G: GramForm, N: int = 0):
-    """Square class of (-1)^N times the Gram determinant."""
+def disc_square_class(G: GramForm):
+    """Square class of the Gram determinant."""
     ring = G.ring
-    val = G.det if N % 2 == 0 else -G.det
     if isinstance(ring, Field):
         if ring.p == 2:
             raise EvenCharacteristic(
                 "characteristic-2 discriminants live over the Witt lift"
             )
-        return SquareClass(ring, val)
-    return square_class_normalize(val)
+        return SquareClass(ring, G.det)
+    return square_class_normalize(G.det)
 
 
 def tensor_gram(G1: GramForm, G2: GramForm) -> GramForm:
@@ -205,33 +204,22 @@ def extension_disc(ext: QuotientField) -> "SquareClass":
     return SquareClass(base, det_ring(base, T))
 
 
-def pushforward_disc(ext: QuotientField, form=None, disc=None, rank=None):
-    """Discriminant over the base of a form pushed down along the trace.
-
-    Either a full Gram matrix over the extension or its discriminant plus a
-    rank may be supplied.  The answer is disc(ext)^rank times the norm of
-    the discriminant upstairs.  For a full matrix B that norm is the
-    determinant over the base of B's restriction of scalars, whose entry at
-    row (i, a), column (j, c) is the theta^c coefficient of theta^a * B_ij.
-    """
+def pushforward_disc(ext: QuotientField, form):
+    """Discriminant over the base of a Gram matrix B over the extension,
+    pushed down along the trace: disc(ext)^rank times the norm of det(B),
+    which is the determinant over the base of B's restriction of scalars,
+    whose entry at row (i, a), column (j, c) is the theta^c coefficient of
+    theta^a * B_ij."""
     base = ext.base
     if base.p == 2:
         raise EvenCharacteristic("pushforward discriminants need odd characteristic")
-    if form is not None:
-        rank = len(form)
-        r = ext.degree
-        powers = [ext.gen() ** a for a in range(r)]
-        scalars = [[(powers[a] * form[i][j]).coeffs[c]
-                    for j in range(rank) for c in range(r)]
-                   for i in range(rank) for a in range(r)]
-        norm = det_ring(base, scalars)
-    elif disc is None or rank is None:
-        raise ValueError("need either a form or a discriminant with a rank")
-    else:
-        norm = ext.norm(ext(disc))
-    d_ext = extension_disc(ext)
-    value = d_ext.rep ** rank * norm
-    return SquareClass(base, value)
+    rank = len(form)
+    r = ext.degree
+    powers = [ext.gen() ** a for a in range(r)]
+    scalars = [[(powers[a] * form[i][j]).coeffs[c]
+                for j in range(rank) for c in range(r)]
+               for i in range(rank) for a in range(r)]
+    return SquareClass(base, extension_disc(ext).rep ** rank * det_ring(base, scalars))
 
 
 def global_univariate_functional(field, f):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from resform import cli, corpus, epsilon
+from resform import catalog, cli, corpus
 
 
 def run(capsys, *argv):
@@ -202,12 +202,44 @@ def test_extension_generator_is_written_g(capsys):
 
 def test_a_broken_twist_law_is_a_structured_error(capsys, monkeypatch):
     """The twist-law self-check ends in CheckFailed (exit 2), not a traceback."""
-    real = epsilon.gauss_sum
-    monkeypatch.setattr(epsilon, "gauss_sum",
+    real = catalog.gauss_sum
+    monkeypatch.setattr(catalog, "gauss_sum",
                         lambda field, twist=1: real(field, twist) + (twist != 1))
-    monkeypatch.setattr(epsilon, "_TWIST_CHECKED", set())
+    monkeypatch.setattr(catalog, "_TWIST_CHECKED", set())
     code, payload = run_json(capsys, "verify", "--p", "5", "--vars", "x,y,z",
                              "--poly", "x^2+2*y^2+z^2")
     assert code == 2
     assert payload["error"] == "CheckFailed"
     assert "twisted Gauss sum" in payload["message"]
+
+
+def _nested(depth):
+    return "(" * depth + "x^2" + ")" * depth
+
+
+def test_parenthesis_depth_is_bounded(capsys):
+    code, payload = run_json(capsys, "verify", "--p", "3", "--vars", "x",
+                             "--poly", _nested(300))
+    assert code == 2
+    assert payload["error"] == "PolySyntaxError"
+    assert "nested deeper than" in payload["message"]
+    code, payload = run_json(capsys, "verify", "--p", "3", "--vars", "x",
+                             "--poly", _nested(100))
+    assert code == 0
+    assert payload["input"] == "x^2"
+
+
+def test_fermat_rejects_degree_below_one(capsys):
+    for d in ("0", "-2"):
+        code, payload = run_json(capsys, "fermat", "--d", d, "--n", "0", "--a", "1,1")
+        assert code == 2
+        assert payload == {"error": "ValueError", "message": "degree must be at least 1"}
+    code, payload = run_json(capsys, "fermat", "--d", "1", "--n", "0", "--a", "1,1")
+    assert code == 0
+    assert payload["mu"] == 0
+
+
+def test_homog2_zero_form(capsys):
+    code, payload = run_json(capsys, "homog2", "--p", "2", "--poly", "0*T0+0*T1")
+    assert code == 2
+    assert payload == {"error": "PolySyntaxError", "message": "the zero form has no degree"}

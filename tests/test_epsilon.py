@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,23 +8,24 @@ from resform.errors import (
     CatalogMiss,
     EvenCharacteristic,
     FieldMismatch,
+    NotIsolated,
     OddCharacteristic,
     ZeroCoefficient,
 )
-from resform.epsilon import (
+from resform.catalog import (
     EpsilonValue,
     arithmetic_side,
-    calibrate,
+    _mu_univariate_char2,
     dimtot_from_mu,
     eps_convolve,
     eps_ordquad_char2,
     eps_quad_odd,
     eps_wildquad_char2,
-    geometric_side,
-    verify_identity,
 )
-from resform.gfield import CycloInt, gf_create, legendre
-from resform.mpoly import parse_poly
+from resform.epsilon import calibrate, geometric_side, verify_identity
+from resform.gfield import SUPPORTED_PRIMES, CycloInt, gf_create, legendre
+from resform.milnor import milnor_algebra
+from resform.mpoly import MultiPoly, parse_poly
 
 
 def test_tau_square_absorption():
@@ -54,6 +56,14 @@ def test_group_laws_random():
                 assert a * b == b * a
                 for c in vals:
                     assert (a * b) * c == a * (b * c)
+
+
+def test_tau_square_sign_is_the_character_of_minus_one():
+    """tau^2 = (-1 | F_q) * q, read from q mod 4 instead of a power of -1."""
+    for p in SUPPORTED_PRIMES[1:]:
+        for m in range(1, 5):
+            field = gf_create(p, m)
+            assert EpsilonValue(field, 1, 2, 0) == EpsilonValue(field, legendre(field(-1)), 0, 1)
 
 
 def test_char2_refuses_tau():
@@ -123,7 +133,7 @@ def test_catalog_char2_entries():
     with pytest.raises(OddCharacteristic):
         eps_wildquad_char2(gf_create(3, 1))
     with pytest.raises(ZeroCoefficient):
-        eps_wildquad_char2(f2, twist=2)
+        arithmetic_side(parse_poly("x^2+x^3", f2, ["x"]), twist=2)
 
 
 def test_convolution_inverts_mixed_powers():
@@ -220,3 +230,37 @@ def test_dimtot_sign_convention():
     assert dimtot_from_mu(1, 2) == 2
     assert dimtot_from_mu(2, 3) == -3
     assert dimtot_from_mu(3, 4) == 4
+
+
+def _milnor_number(f):
+    """mu from the Milnor engine, or the message it rejects f with."""
+    try:
+        return milnor_algebra(f).mu
+    except NotIsolated as exc:
+        return str(exc)
+
+
+def test_univariate_char2_mu_matches_milnor_algebra():
+    """The catalog reads a char-2 block's mu off its derivative; the Milnor
+    engine is the reference.  Every exponent set in 1..9 is covered, over
+    F_2 and, with seeded unit coefficients, over F_4."""
+    rng = random.Random(3)
+    for m in (1, 2):
+        field = gf_create(2, m)
+        units = [field(list(d)) for d in itertools.product(range(2), repeat=m) if any(d)]
+        for mask in range(1, 2 ** 9):
+            terms = {(k,): rng.choice(units) for k in range(1, 10) if mask >> (k - 1) & 1}
+            f = MultiPoly(field, 1, terms)
+            try:
+                got = _mu_univariate_char2(f)
+            except NotIsolated as exc:
+                got = str(exc)
+            assert got == _milnor_number(f), f.render()
+
+
+def test_char2_block_without_odd_exponent_is_not_isolated():
+    f4 = gf_create(2, 2)
+    with pytest.raises(NotIsolated, match="a partial derivative vanishes identically"):
+        arithmetic_side(parse_poly("x^2+x^4", f4, ["x"]))
+    with pytest.raises(CatalogMiss):
+        arithmetic_side(parse_poly("x^2+x^5", f4, ["x"]))

@@ -5,7 +5,7 @@ import pytest
 from test_linalg import ref_det, ref_rref
 
 from resform import residue
-from resform.epsilon import arithmetic_side
+from resform.catalog import arithmetic_side
 from resform.errors import (
     EvenCharacteristic,
     NonUnitScale,
@@ -13,7 +13,7 @@ from resform.errors import (
     RingMismatch,
     SingularBezoutian,
 )
-from resform.gfield import gf_create, legendre
+from resform.gfield import gf_create
 from resform.linalg import det_ring
 from resform.milnor import milnor_algebra
 from resform.mpoly import MultiPoly, parse_poly
@@ -74,14 +74,6 @@ def test_smooth_point_has_empty_form():
     assert G.mu == 0
     assert G.matrix == []
     assert disc_square_class(G).is_trivial()
-
-
-def test_disc_sign_shift():
-    f3 = gf_create(3, 1)
-    G = gram_matrix(parse_poly("x^2+y^2", f3, ["x", "y"]), 1)
-    plus = disc_square_class(G, 0)
-    minus = disc_square_class(G, 1)
-    assert plus.sign * minus.sign == legendre(f3(-1))
 
 
 def test_char2_field_disc_refuses():
@@ -190,16 +182,6 @@ def test_pushforward_formula_vs_direct():
                for i in range(2) for a in range(r)]
         direct = SquareClass(base, det_ring(base, big))
         assert pushforward_disc(ext, form=B) == direct
-
-
-def test_pushforward_two_entry_points_agree():
-    f5 = gf_create(5, 1)
-    ext = QuotientField(f5, irreducible_poly(f5, 2, random.Random(9)))
-    d = ext.gen() ** 3
-    assert not d.is_zero()
-    assert pushforward_disc(ext, form=[[d]]) == pushforward_disc(ext, disc=d, rank=1)
-    with pytest.raises(ValueError):
-        pushforward_disc(ext, disc=d)
 
 
 _NOT_CHAR2 = (OddCharacteristic, "Arf invariants are for characteristic 2")
