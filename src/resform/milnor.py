@@ -5,6 +5,15 @@ monomials below a truncation degree D.  Over a field D is the smallest D0
 with m^{D0} contained in the Jacobian ideal; over the length-3 Witt ring the
 bound 3*D0 works because (J + (2))^3 lies in J + (8) = J.
 
+The search for D0 starts at a proven lower bound.  When the initial forms
+of the partials, of orders k_i, span every monomial of degree
+s = 1 + sum(k_i - 1), they are a regular sequence, J's initial ideal is
+theirs and D0 = s (Valla; Fulton, Intersection Theory, Cor. 12.4), so the
+scan starts there; otherwise, or when s is at most min k_i + 1, it starts
+at min k_i, since J lies in m^{min k_i}.  A cone whose partials are
+homogeneous and fail that test is not isolated, and is rejected without a
+scan.
+
 The relation matrix stays in the elimination kernel's digit form from build
 to normal forms: it is written as a (rows, cols, m) integer array, reduced
 there, certified there, and only the nonzero normal-form coefficients
@@ -42,19 +51,25 @@ def monomials_upto(n_vars: int, max_deg: int):
     return list(gen(n_vars, max_deg))
 
 
-def _eliminate(grads, ring, n_vars: int, upto: int):
-    """Reduced relation matrix on the monomials of degree <= upto.
+def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
+    """Reduced relation matrix on the monomials of degree lo..upto.
 
-    Each row is a monomial multiple of a partial truncated above upto,
-    written as digits straight into the kernel's array; the partial's
-    lowest term always survives the truncation.  Columns run from the
-    highest degree down; returns (columns, reduced digit array, pivot
-    columns, stuck column or None).
+    Each row is x^alpha * g for a partial g of order k and
+    lo - k <= |alpha| <= upto - k, so its terms start in degree lo or above;
+    it is truncated above upto, where its lowest term always survives, and
+    written as digits straight into the kernel's array.  With lo = upto the
+    rows are the degree-upto multiples of the partials' initial forms.
+    Columns run from the highest degree down; returns (columns, reduced
+    digit array, pivot columns, stuck column or None).
     """
-    cols = sorted(monomials_upto(n_vars, upto), key=mono_key, reverse=True)
+    cols = sorted((e for e in monomials_upto(n_vars, upto) if sum(e) >= lo),
+                  key=mono_key, reverse=True)
     col_index = {e: j for j, e in enumerate(cols)}
-    shifts = [(g, alpha) for g in grads
-              for alpha in monomials_upto(n_vars, upto - g.low_degree())]
+    shifts = []
+    for g in grads:
+        k = g.low_degree()
+        shifts += [(g, alpha) for alpha in monomials_upto(n_vars, upto - k)
+                   if sum(alpha) >= lo - k]
     A = np.zeros((len(shifts), len(cols), ring.m), dtype=np.int32)
     for r, (g, alpha) in enumerate(shifts):
         for e, c in g.terms.items():
@@ -74,6 +89,27 @@ def _scan(f: MultiPoly, cap: int):
     degree < D0 are the unique reduced echelon form of the relations there.
     Returns (D0, columns, reduced digit rows, pivots) of that presentation.
 
+    The search starts at a lower bound.  Let k_i be the order of the i-th
+    partial and s = 1 + sum(k_i - 1).  When every k_i >= 1 and
+    s >= min k_i + 2, one elimination in degree s alone tests whether the
+    initial forms of the partials reach every degree-s monomial.  If they
+    do, they cut out only the origin, so they are a regular sequence and
+    generate the initial ideal of J (Valla; equivalently mu = prod k_i,
+    Fulton, Intersection Theory, Cor. 12.4).  The quotient then has the Hilbert
+    function of a complete intersection, nonzero in degree s - 1 and zero
+    in degree s, so m^{s-1} is not in J and m^s is: D0 = s, and the scan
+    starts there.  Otherwise it starts at max(1, min k_i), which is a lower
+    bound because J lies in m^{min k_i}.  The certificate is still checked
+    at the start, so a wrong start could only skip a smaller D0, never
+    certify a wrong one.  A constant partial (k_i = 0, a smooth point)
+    makes J the unit ideal; s means nothing there and the scan starts at 1.
+    At s = min k_i + 1 the test would at best replace the one elimination
+    at min k_i, and it has more pivots than that one, so it is skipped.
+
+    If the test fails and every partial is homogeneous, J is its own
+    initial ideal and misses a degree-s monomial, so it is not m-primary:
+    f is not isolated, every degree would fail, and the scan is skipped.
+
     The search stops at the product of the partials' degrees: for an
     isolated singularity D0 <= mu, and mu is at most that product by the
     refined Bezout theorem.
@@ -89,7 +125,16 @@ def _scan(f: MultiPoly, cap: int):
     bezout = 1
     for g in grads:
         bezout *= max(g.total_degree(), 1)
-    for d0 in range(1, min(cap, bezout) + 1):
+    orders = [g.low_degree() for g in grads]
+    start = max(1, min(orders))
+    s = 1 + sum(k - 1 for k in orders)
+    if min(orders) >= 1 and s > start + 1:
+        cols, _, pivots, _ = _eliminate(grads, f.ring, f.n_vars, s, lo=s)
+        if len(pivots) == len(cols):
+            start = s
+        elif all(g.total_degree() == k for g, k in zip(grads, orders)):
+            start = cap + 1  # a cone that is not isolated: no degree certifies
+    for d0 in range(start, min(cap, bezout) + 1):
         cols, red, pivots, _ = _eliminate(grads, f.ring, f.n_vars, d0)
         top = sum(1 for e in cols if sum(e) == d0)
         if pivots[:top] == list(range(top)) and not red[:top, top:].any():

@@ -132,6 +132,16 @@ def test_error_records(capsys):
         assert payload["message"]
 
 
+def test_milnor_rejects_a_non_isolated_four_variable_cone(capsys):
+    """The homogeneous partials of x^5*y+z^5+w^5 fail the initial-form test,
+    so the cone ends at once with the cap's message."""
+    code, payload = run_json(capsys, "milnor", "--p", "7", "--vars", "x,y,z,w",
+                             "--poly", "x^5*y+z^5+w^5")
+    assert code == 2
+    assert payload == {"error": "NotIsolated", "message":
+                       "Jacobian ideal is not monomial-cofinite below degree 24"}
+
+
 def test_plain_output_is_flat_key_values(capsys):
     code, out = run(capsys, "fermat", "--d", "3", "--n", "0", "--a", "1,1")
     assert code == 0

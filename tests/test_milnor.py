@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -200,9 +201,9 @@ def _count_eliminations(monkeypatch):
     seen = []
     eliminate = milnor._eliminate
 
-    def counting(grads, ring, n_vars, upto):
+    def counting(grads, ring, n_vars, upto, lo=0):
         seen.append(ring)
-        return eliminate(grads, ring, n_vars, upto)
+        return eliminate(grads, ring, n_vars, upto, lo)
 
     monkeypatch.setattr(milnor, "_eliminate", counting)
     monkeypatch.setattr(milnor, "_ALGEBRAS", {})
@@ -215,8 +216,9 @@ def test_verify_runs_only_the_scan(monkeypatch):
     f7 = gf_create(7, 1)
     report = verify_identity(parse_poly("x^3+y^3", f7, ["x", "y"]))
     assert report["mu"] == 4
-    # D0 = 3: one elimination per candidate degree, none after the scan
-    assert len(seen) == 3
+    # the scan starts at the partials' order 2: one failed degree and the
+    # certificate at D0 = 3, none after the scan
+    assert len(seen) == 2
 
 
 def test_repeated_arf_scans_the_residue_field_once(monkeypatch):
@@ -225,7 +227,9 @@ def test_repeated_arf_scans_the_residue_field_once(monkeypatch):
     f = parse_poly("u^2+u^5", field, ["u"])
     first = arf_invariant(f)
     scans = sum(1 for r in seen if r == field)
-    assert scans == milnor_algebra(f).D
+    # one variable: the scan starts at the derivative's order u^4, D0 = 4
+    assert milnor_algebra(f).D == 4
+    assert scans == 1
     assert len(seen) == scans + 1
     perturbations = ["u^3", "u^4", "u^3+u^4"]
     for text in perturbations:
@@ -330,3 +334,91 @@ def test_a_non_isolated_three_variable_cone_is_rejected_in_bounded_time():
     with pytest.raises(NotIsolated):
         milnor_algebra(f)
     assert time.perf_counter() - start < 10.0
+
+
+def test_a_non_isolated_four_variable_cone_is_rejected_in_bounded_time():
+    """x^5*y + z^5 + w^5 has homogeneous partials whose initial forms miss a
+    degree-15 monomial, so it is not isolated and no scan runs."""
+    f = parse_poly("x^5*y+z^5+w^5", gf_create(7, 1), ["x", "y", "z", "w"])
+    start = time.perf_counter()
+    with pytest.raises(NotIsolated) as err:
+        milnor_algebra(f)
+    assert time.perf_counter() - start < 2.0
+    assert str(err.value) == "Jacobian ideal is not monomial-cofinite below degree 24"
+
+
+@pytest.mark.parametrize("names, text", [
+    ("x", "x"),
+    ("x,y", "x+y^2"),
+    ("x,y,z", "x+y+z"),
+    ("x,y,z", "x*y+z"),
+    # a constant partial next to partials of order 5: s = 8 means nothing here
+    ("x,y,z", "x+y^3*z^3"),
+])
+def test_smooth_points_have_D_one_and_mu_zero(names, text):
+    alg = milnor_algebra(parse_poly(text, gf_create(7, 1), names.split(",")))
+    assert (alg.D, alg.mu) == (1, 0)
+
+
+@pytest.mark.parametrize("p, m, names, text, D, mu", [
+    (7, 1, "x,y", "x^2*y+y^4", 4, 5),
+    (2, 2, "x,y", "x^3+x*y^3+y^5", 5, 7),
+    (7, 1, "x,y,z", "x^3+y^3+z^3+x*y*z+z^4", 5, 11),
+])
+def test_initial_forms_off_a_regular_sequence_start_at_the_least_order(p, m, names, text, D, mu):
+    """The initial forms miss a degree-s monomial, so D0 > s; the scan starts
+    at the least order of a partial and still finds the least D0."""
+    f = parse_poly(text, gf_create(p, m), names.split(","))
+    alg = milnor_algebra(f)
+    assert (alg.D, alg.mu) == (D, mu)
+    assert alg.basis == _d_minus_one_presentation(f, D)[0]
+
+
+def test_a_derivative_of_order_past_the_cap_keeps_the_cap_message():
+    """x^27 over F_2 has D0 = s = 26, past the cap of 24."""
+    with pytest.raises(NotIsolated) as err:
+        milnor_algebra(parse_poly("x^27", gf_create(2, 1), ["x"]))
+    assert str(err.value) == "Jacobian ideal is not monomial-cofinite below degree 24"
+
+
+def _random_poly(rng, field, n):
+    """A few terms of degree 2..5, most variables with a pure power whose
+    derivative does not vanish, so that many draws are isolated."""
+    monos = [e for e in monomials_upto(n, 5) if sum(e) >= 2]
+    degrees = [d for d in range(2, 6) if d % field.p]
+    powers = [tuple(rng.choice(degrees) if j == i else 0 for j in range(n))
+              for i in range(n) if rng.random() < 0.7]
+    terms = {}
+    for e in powers + rng.sample(monos, rng.randint(1, 3)):
+        c = field([rng.randrange(field.p) for _ in range(field.m)])
+        if not c.is_zero():
+            terms[e] = c
+    return MultiPoly(field, n, terms)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1), (3, 2)])
+def test_the_scan_finds_the_least_degree(p, m):
+    """Wherever the scan starts, the certificate fails one degree below the
+    D it returns, and the presentation is the fresh D-1 elimination's."""
+    field = gf_create(p, m)
+    rng = random.Random(1000 * p + m)
+    isolated = at_s = 0
+    for _ in range(60):
+        f = _random_poly(rng, field, rng.randint(1, 3))
+        try:
+            alg = milnor_algebra(f, cap=10)
+        except NotIsolated:
+            continue
+        isolated += 1
+        orders = [g.low_degree() for g in partials(f)]
+        s = 1 + sum(k - 1 for k in orders)
+        at_s += min(orders) >= 1 and s >= min(orders) + 2 and alg.D == s
+        if alg.D > 1:
+            cols, red, pivots, _ = milnor._eliminate(partials(f), field, f.n_vars, alg.D - 1)
+            top = sum(1 for e in cols if sum(e) == alg.D - 1)
+            assert pivots[:top] != list(range(top)) or red[:top, top:].any(), f
+        basis, nf = _d_minus_one_presentation(f, alg.D)
+        assert alg.basis == basis, f
+        for e in monomials_upto(f.n_vars, alg.D - 1):
+            assert alg.nf_monomial(e) == nf[e], (f, e)
+    assert isolated >= 10 and at_s >= 1
