@@ -509,6 +509,7 @@ def _cyclo_reduce(p: int, coeffs):
 
 
 _GAUSS_CACHE: dict = {}
+_SQUARE_TRACES: dict = {}  # N_t = #{a : Tr(a^2) = t}, shared by every twist
 
 
 def gauss_sum(field: Field, twist: int = 1) -> CycloInt:
@@ -526,14 +527,15 @@ def gauss_sum(field: Field, twist: int = 1) -> CycloInt:
     cached = _GAUSS_CACHE.get(key)
     if cached is not None:
         return cached
-    counts = [0] * p
-    for a in field.elements():
-        t = gf_trace(a * a).constant_value()
-        counts[(twist * t) % p] += 1
+    squares = _SQUARE_TRACES.get(field)
+    if squares is None:
+        squares = _SQUARE_TRACES[field] = [0] * p
+        for a in field.elements():
+            squares[gf_trace(a * a).constant_value()] += 1
     total = CycloInt(p, [0])
-    for t, n in enumerate(counts):
+    for t, n in enumerate(squares):
         if n:
-            total = total + n * CycloInt.zeta_pow(p, t)
+            total = total + n * CycloInt.zeta_pow(p, twist * t)
     tau = -total
     _GAUSS_CACHE[key] = tau
     return tau

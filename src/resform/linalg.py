@@ -8,11 +8,11 @@ element as its m digits mod b and a matrix as a (rows, cols, m) integer
 array.  A product convolves the digits and folds x^m..x^{2m-2} back through
 the reduction rows, so one elimination serves every such ring at any size.
 Callers that build their matrix as digits (the Milnor relation matrices)
-call CodedOps.rref on it directly; det_ring and solve_ring take element
-matrices and go through encode_matrix and decode_row.  solve_ring takes
-its right-hand side as n x k rows, so one elimination of [M | B] gives the
-whole n x k solution (the residue engine inverts the Bezoutian matrix this
-way, with B a multiple of the identity).
+call CodedOps.rref on it directly; det_ring and solve_ring encode element
+matrices and read determinants off rref's pivots, so rref is the one
+elimination loop.  solve_ring takes its right-hand side as n x k rows: one
+elimination of [M | B] gives the whole solution and det M (the residue
+engine inverts the Bezoutian matrix this way, with B a multiple of I).
 
 Row reduction only ever uses unit pivots.  Over a field that loses nothing.
 Over the truncated Witt ring a column whose remaining entries are nonzero
@@ -26,6 +26,8 @@ memoised minor expansion that never divides.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -88,37 +90,45 @@ class CodedOps:
             M = self._inv[key] = self._row_times(np.array([inv.coeffs], dtype=np.int32))
         return M
 
-    def _pivot(self, A, prow, r, col, first):
+    def inverse(self, x):
+        """Inverse of a unit: row 0 of its memoised multiplication matrix."""
+        M = self._inverse_times(np.array(x.coeffs, dtype=np.int32))
+        return self._elem(self.ring, M[0].tolist())
+
+    def product(self, values):
+        """Product of digit lists, such as rref's pivot values, as an element."""
+        return math.prod((self._elem(self.ring, v) for v in values), start=self.ring.one)
+
+    def _pivot(self, A, prow, r, col):
         """Move row r to prow, scale it to 1 at col, and clear col from the
-        other rows from index first on, touching only the rows with a
-        nonzero entry in col."""
+        other rows, touching only the rows with a nonzero entry in col."""
         if r != prow:
             A[[prow, r]] = A[[r, prow]]
         P = A[prow]
         P[:] = self._reduce(P @ self._inverse_times(P[col]))
-        below = A[first:]
-        nz = below[:, col].any(axis=1)
-        if prow >= first:
-            nz[prow - first] = False
+        nz = A[:, col].any(axis=1)
+        nz[prow] = False
         rows = np.flatnonzero(nz)
         if rows.size:
             # over a field the pivot row is zero left of col; over the Witt
             # ring skipped columns there may hold non-units
             lo = col if self.residue == self.base else 0
-            U = np.einsum("ri,in->rn", below[rows, col], self._row_times(P[lo:]))
+            U = np.einsum("ri,in->rn", A[rows, col], self._row_times(P[lo:]))
             U = U.reshape(rows.size, -1, P.shape[1])
-            below[rows, lo:] = self._reduce(below[rows, lo:] - U)
+            A[rows, lo:] = self._reduce(A[rows, lo:] - U)
 
     def rref(self, A):
-        """Reduce a copy; returns (matrix, pivot cols, stuck col).
+        """Reduce a copy; returns (matrix, pivot cols, stuck col, pivot values).
 
         Columns without a unit entry are skipped; over a local ring their
         non-unit residue ends up in the leftover rows, and a nonzero
-        leftover row is what certifies a non-free quotient.
+        leftover row is what certifies a non-free quotient.  The pivot
+        values are digit lists, negated after a row swap, so their product
+        is the determinant of the pivot block.
         """
         A = A.copy()
         nrows, ncols, _ = A.shape
-        pivots = []
+        pivots, values = [], []
         prow = 0
         for col in range(ncols):
             if prow == nrows:
@@ -126,30 +136,14 @@ class CodedOps:
             units = np.flatnonzero(self._units(A[prow:, col]))
             if units.size == 0:
                 continue
-            self._pivot(A, prow, prow + int(units[0]), col, 0)
+            r = prow + int(units[0])
+            values.append((A[r, col] if r == prow else -A[r, col] % self.base).tolist())
+            self._pivot(A, prow, r, col)
             pivots.append(col)
             prow += 1
-        stuck = None
-        if prow < nrows:
-            leftover = np.flatnonzero(A[prow:].any(axis=(0, 2)))
-            if leftover.size:
-                stuck = int(leftover[0])
-        return A, pivots, stuck
-
-    def det(self, A):
-        """Determinant, or None when a column keeps only non-unit entries."""
-        A = A.copy()
-        det = self.ring.one
-        for k in range(A.shape[0]):
-            units = np.flatnonzero(self._units(A[k:, k]))
-            if units.size == 0:
-                return None if A[k:, k].any() else self.ring.zero
-            r = k + int(units[0])
-            det = det * self._elem(self.ring, A[r, k].tolist())
-            if r != k:
-                det = -det
-            self._pivot(A, k, r, k, k + 1)
-        return det
+        leftover = np.flatnonzero(A[prow:].any(axis=(0, 2)))
+        stuck = int(leftover[0]) if leftover.size else None
+        return A, pivots, stuck, values
 
 
 def coded(ring):
@@ -161,29 +155,33 @@ def coded(ring):
 
 
 def det_ring(ring, mat):
-    """Determinant by elimination.  Over the Witt ring a non-unit
-    determinant cannot be pinned down with unit pivots, so raise."""
+    """Determinant, the product of rref's pivot values.  Rows from the first
+    non-pivot column k on are only combined among themselves after step k,
+    so their column-k entries are all zero (det 0) or hold a non-unit: raise."""
     if not mat:
         return ring(1)
     ops = coded(ring)
-    det = ops.det(ops.encode_matrix(mat))
-    if det is None:
+    A, pivots, _, values = ops.rref(ops.encode_matrix(mat))
+    k = next((j for j, c in enumerate(pivots) if j != c), len(pivots))
+    if k == len(mat):
+        return ops.product(values)
+    if A[k:, k].any():
         raise NonUnit("determinant is divisible by 2")
-    return det
+    return ring.zero
 
 
 def solve_ring(ring, mat, rhs):
-    """Solve mat * X = rhs for an n x k rhs given as rows; returns X as rows,
-    or None when the matrix is not invertible."""
+    """Solve mat * X = rhs for an n x k rhs given as rows; returns (X as
+    rows, det(mat)), or (None, None) when the matrix is not invertible."""
     n = len(mat)
     if n == 0:
-        return []
+        return [], ring.one
     ops = coded(ring)
     aug = ops.encode_matrix([list(row) + list(b) for row, b in zip(mat, rhs)])
-    A, pivots, stuck = ops.rref(aug)
-    if stuck is not None or len(pivots) != n or any(p >= n for p in pivots):
-        return None
-    return [ops.decode_row(row) for row in A[:n, n:]]
+    A, pivots, _, values = ops.rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None, None
+    return [ops.decode_row(row) for row in A[:n, n:]], ops.product(values)
 
 
 def det_expand(mat):

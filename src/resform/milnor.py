@@ -76,7 +76,7 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
             shifted = tuple(a + b for a, b in zip(e, alpha))
             if sum(shifted) <= upto:
                 A[r, col_index[shifted]] = c.coeffs
-    return (cols, *coded(ring).rref(A))
+    return (cols, *coded(ring).rref(A)[:3])
 
 
 def _scan(f: MultiPoly, cap: int):

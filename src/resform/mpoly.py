@@ -375,6 +375,9 @@ class _Parser:
 
 def parse_poly(text: str, ring, var_names, constants=None) -> MultiPoly:
     """Parse an expression with +, -, *, ^, parentheses, ints, and names."""
+    repeated = [v for i, v in enumerate(var_names) if v in var_names[:i]]
+    if repeated:
+        raise PolySyntaxError(f"variable {repeated[0]} is declared more than once")
     tokens = _tokenize(text)
     if not tokens:
         raise PolySyntaxError("empty expression")

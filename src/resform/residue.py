@@ -3,10 +3,10 @@
 The Bezoutian of the partials is the element of A tensor A dual to the
 residue pairing on the Milnor algebra A (Scheja-Storch), so the Gram matrix
 of the pairing is the inverse of the Bezoutian matrix, found by one solve,
-and the residue functional is its row at the unit monomial.  From the Gram
-matrix come its discriminant square class, tensor and trace-pushforward
-laws, and the Arf invariant of characteristic-2 singularities via the
-length-3 Witt lift.
+and the residue functional is its row at the unit monomial.  The solve also
+gives det C, and det G = alpha^(n*mu) / det C.  From the Gram matrix come
+its discriminant square class, tensor and trace-pushforward laws, and the
+Arf invariant of characteristic-2 singularities via the length-3 Witt lift.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     SingularBezoutian,
 )
 from .gfield import Field, legendre
-from .linalg import det_expand, det_ring, solve_ring
+from .linalg import coded, det_expand, det_ring, solve_ring
 from .milnor import milnor_algebra, mono_key
 from .mpoly import MultiPoly, divided_difference, partials
 from .unipoly import QuotientField
@@ -74,13 +74,12 @@ class GramForm:
 
     __slots__ = ("ring", "n_vars", "basis", "matrix", "scale", "mu", "det")
 
-    def __init__(self, ring, n_vars, basis, matrix, scale):
+    def __init__(self, ring, n_vars, basis, matrix, scale, det):
         mu = len(matrix)
         for i in range(mu):
             for j in range(i):
                 if matrix[i][j] != matrix[j][i]:
                     raise SingularBezoutian("gram matrix is not symmetric")
-        det = det_ring(ring, matrix) if mu else ring(1)
         if not det.is_unit():
             raise NonUnit("gram determinant is not a unit")
         self.ring = ring
@@ -127,16 +126,6 @@ def _residue_data(f: MultiPoly):
     return alg, C
 
 
-def _pairing(ring, C, factor):
-    """factor times the inverse of the Bezoutian matrix C."""
-    mu = len(C)
-    eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
-    X = solve_ring(ring, C, eye)
-    if X is None:
-        raise SingularBezoutian("bezoutian matrix is not invertible")
-    return X
-
-
 def bezoutian(f: MultiPoly):
     """Matrix of the Bezoutian class in A tensor A over the basis pairs."""
     return _residue_data(f)[1]
@@ -145,22 +134,25 @@ def bezoutian(f: MultiPoly):
 def residue_functional(f: MultiPoly):
     """Coefficients of the residue functional over the monomial basis: the
     row of the pairing at the unit monomial."""
-    alg, C = _residue_data(f)
-    if alg.mu == 0:
-        return []
-    return _pairing(f.ring, C, f.ring(1))[alg.basis_index[(0,) * f.n_vars]]
+    G = gram_matrix(f, 1)
+    return G.matrix[G.basis.index((0,) * f.n_vars)] if G.mu else []
 
 
 def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     """Gram matrix of the pairing for the differential scale*dt: alpha^n
     times the inverse of the Bezoutian matrix, alpha = scale."""
     alg, C = _residue_data(f)
-    ring = f.ring
+    ring, mu = f.ring, alg.mu
     alpha = ring(scale)
     if not alpha.is_unit():
         raise NonUnitScale(f"scale {alpha!r} is not a unit")
-    G = _pairing(ring, C, alpha ** f.n_vars)
-    return GramForm(ring, f.n_vars, list(alg.basis), G, alpha)
+    factor = alpha ** f.n_vars
+    eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
+    G, det_c = solve_ring(ring, C, eye)
+    if G is None:
+        raise SingularBezoutian("bezoutian matrix is not invertible")
+    det = factor ** mu * coded(ring).inverse(det_c)
+    return GramForm(ring, f.n_vars, list(alg.basis), G, alpha, det)
 
 
 def disc_square_class(G: GramForm):
@@ -176,7 +168,8 @@ def disc_square_class(G: GramForm):
 
 
 def tensor_gram(G1: GramForm, G2: GramForm) -> GramForm:
-    """Gram matrix of the product pairing on the sorted product basis."""
+    """Gram matrix of the product pairing on the sorted product basis; as a
+    permuted Kronecker product it has det(G1)^mu2 * det(G2)^mu1."""
     if G1.ring != G2.ring:
         raise RingMismatch("tensor factors over different rings")
     if G1.scale != G2.scale:
@@ -192,7 +185,8 @@ def tensor_gram(G1: GramForm, G2: GramForm) -> GramForm:
         [G1.matrix[i1][j1] * G2.matrix[i2][j2] for j1, j2, _ in pairs]
         for i1, i2, _ in pairs
     ]
-    return GramForm(G1.ring, G1.n_vars + G2.n_vars, basis, mat, G1.scale)
+    return GramForm(G1.ring, G1.n_vars + G2.n_vars, basis, mat, G1.scale,
+                    G1.det ** G2.mu * G2.det ** G1.mu)
 
 
 def extension_disc(ext: QuotientField) -> "SquareClass":
@@ -240,7 +234,7 @@ def global_univariate_functional(field, f):
         for i in range(mu)
     ]
     e0 = [[field.one if i == 0 else field.zero] for i in range(mu)]
-    X = solve_ring(field, C, e0)
+    X, _ = solve_ring(field, C, e0)
     if X is None:
         raise SingularBezoutian("bezoutian of the derivative is singular")
     lam = [row[0] for row in X]

@@ -253,3 +253,12 @@ def test_homog2_zero_form(capsys):
     code, payload = run_json(capsys, "homog2", "--p", "2", "--poly", "0*T0+0*T1")
     assert code == 2
     assert payload == {"error": "PolySyntaxError", "message": "the zero form has no degree"}
+
+
+def test_a_repeated_variable_name_is_a_syntax_error(capsys):
+    for names in ("x,x", "x,y,x"):
+        code, payload = run_json(capsys, "verify", "--p", "7", "--vars", names,
+                                 "--poly", "x^2")
+        assert code == 2
+        assert payload == {"error": "PolySyntaxError",
+                           "message": "variable x is declared more than once"}

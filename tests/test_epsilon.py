@@ -264,3 +264,26 @@ def test_char2_block_without_odd_exponent_is_not_isolated():
         arithmetic_side(parse_poly("x^2+x^4", f4, ["x"]))
     with pytest.raises(CatalogMiss):
         arithmetic_side(parse_poly("x^2+x^5", f4, ["x"]))
+
+
+def test_verify_enumerates_the_gauss_sum_field_once(monkeypatch):
+    """The twists c = 1..p-1 share one enumeration of F_q: verify of x^2 over
+    F_{13^2} traces q squares, not (p-1)*q."""
+    from resform import catalog, gfield
+
+    field = gf_create(13, 2)
+    monkeypatch.setattr(gfield, "_GAUSS_CACHE", {})
+    monkeypatch.setattr(gfield, "_SQUARE_TRACES", {})
+    monkeypatch.setattr(catalog, "_TWIST_CHECKED", set())
+    traced = [0]
+    real = gfield.gf_trace
+
+    def counting(a):
+        traced[0] += a.ring == field
+        return real(a)
+
+    monkeypatch.setattr(gfield, "gf_trace", counting)
+    report = verify_identity(parse_poly("x^2", field, ["x"]))
+    assert report["verdict"] == "PASS"
+    assert report["psi_twists_checked"] == 12
+    assert traced[0] == field.q

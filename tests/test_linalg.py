@@ -73,7 +73,7 @@ def ref_det(ring, mat):
 
 def _kernel_rref(ring, mat):
     ops = coded(ring)
-    A, pivots, stuck = ops.rref(ops.encode_matrix(mat))
+    A, pivots, stuck, _ = ops.rref(ops.encode_matrix(mat))
     return [ops.decode_row(row) for row in A], pivots, stuck
 
 
@@ -147,7 +147,8 @@ def test_det_outcomes_over_the_witt_ring():
 
 
 def test_solve_matches_reference_rows():
-    """One column and the identity as right-hand sides, solved as rows."""
+    """One column and the identity as right-hand sides, solved as rows,
+    with the determinant from the same elimination."""
     field = gf_create(2, 11)
     rng = random.Random(11)
     eye = [[field(int(i == j)) for j in range(4)] for i in range(4)]
@@ -157,15 +158,17 @@ def test_solve_matches_reference_rows():
     for mat in mats:
         column = [[field.decode(rng.randrange(field.q))] for _ in range(4)]
         for rhs in (column, eye):
-            got = solve_ring(field, mat, rhs)
+            got, det = solve_ring(field, mat, rhs)
             ref = ref_rref([row + b for row, b in zip(mat, rhs)])
             if ref[1] == [0, 1, 2, 3]:
                 assert got == [row[4:] for row in ref[0]]
+                assert det == ref_det(field, mat)
                 k = len(rhs[0])
                 assert all(sum((a * x[c] for a, x in zip(row, got)), field.zero) == b[c]
                            for row, b in zip(mat, rhs) for c in range(k))
             else:
-                assert got is None
+                assert (got, det) == (None, None)
+                assert ref_det(field, mat).is_zero()
 
 
 @pytest.mark.parametrize("p, m, r", [(3, 1, 2), (5, 1, 3), (3, 2, 2), (7, 1, 2)])

@@ -14,7 +14,7 @@ from resform.errors import (
     SingularBezoutian,
 )
 from resform.gfield import gf_create
-from resform.linalg import det_ring
+from resform.linalg import CodedOps, det_ring
 from resform.milnor import milnor_algebra
 from resform.mpoly import MultiPoly, parse_poly
 from resform.residue import (
@@ -103,6 +103,52 @@ def test_tensor_matches_direct_sum():
     prod = tensor_gram(gram_matrix(f, 1), gram_matrix(g, 1))
     assert direct.basis == prod.basis
     assert direct.matrix == prod.matrix
+
+
+def test_tensor_determinant_is_the_kronecker_determinant():
+    """det(G1)^mu2 * det(G2)^mu1 against elimination of the sorted product
+    matrix, over F_p, F_{p^m} and W_3 lifts."""
+    rng = random.Random(13)
+    fields = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (2, 1), (2, 2)]
+    seen = set()
+    for _ in range(24):
+        p, m = rng.choice(fields)
+        field = gf_create(p, m)
+        f1 = _seeded_isolated(rng, field, 1)
+        f2 = _seeded_isolated(rng, field, rng.randrange(1, 3))
+        if p == 2:
+            f1, f2 = witt_lift(f1), witt_lift(f2)
+        scale = rng.choice([1, 2, 3, 5])
+        if not f1.ring(scale).is_unit():
+            scale = 1
+        G = tensor_gram(gram_matrix(f1, scale), gram_matrix(f2, scale))
+        assert G.det == ref_det(G.ring, G.matrix)
+        seen.add((p, m, G.mu > 2))
+    assert {(p, m, True) for p, m in fields} <= seen
+
+
+def test_a_gram_form_is_eliminated_once(monkeypatch):
+    """With its Milnor algebra warm, gram_matrix runs mu pivot steps: the
+    Bezoutian solve, whose pivots also give det G."""
+    f2 = gf_create(2, 2)
+    cases = [parse_poly("x^4+y^5", gf_create(7, 1), ["x", "y"]),
+             witt_lift(parse_poly("x^3+g*x^2*y+y^3", f2, ["x", "y"], {"g": f2.gen()}))]
+    steps = [0]
+    real = CodedOps._pivot
+
+    def counting(*args):
+        steps[0] += 1
+        return real(*args)
+
+    for f in cases:
+        mu = milnor_algebra(f).mu
+        steps[0] = 0
+        monkeypatch.setattr(CodedOps, "_pivot", counting)
+        G = gram_matrix(f, 1)
+        monkeypatch.setattr(CodedOps, "_pivot", real)
+        assert G.mu == mu > 1
+        assert steps[0] == mu
+        assert G.det == ref_det(f.ring, G.matrix)
 
 
 def test_tensor_rejects_mismatches():
@@ -204,7 +250,7 @@ def test_ring_kind_decides_each_route(name, poly, want):
     if name.startswith("W3"):
         f = witt_lift(f)
     ring = f.ring
-    unit_form = GramForm(ring, 1, [(0,)], [[ring(1)]], ring(1))
+    unit_form = GramForm(ring, 1, [(0,)], [[ring(1)]], ring(1), ring(1))
     calls = [lambda: disc_square_class(unit_form), lambda: arf_invariant(f),
              lambda: arithmetic_side(f)]
     for call, expect in zip(calls, want):
