@@ -130,7 +130,14 @@ _TWIST_CHECKED: set = set()
 
 
 def _check_twist_law(field, c: int):
-    """Confirm by summation that the twisted Gauss sum is the scaled one."""
+    """Confirm that the twisted Gauss sum is the scaled one.
+
+    gauss_sum computes tau_q(c) = tau_p(c)^m (Hasse-Davenport), so the law
+    over F_q follows from the law over F_p: tau_p(c) = eta_p(c) tau_p(1)
+    gives tau_q(c) = eta_p(c)^m tau_q(1), and legendre_q(c) = eta_p(N c) =
+    eta_p(c)^m for c in F_p.  The check still runs, to catch a gauss_sum
+    that has gone wrong.
+    """
     c %= field.p
     if (field, c) in _TWIST_CHECKED:
         return

@@ -8,6 +8,11 @@ of the engine sees the same field presentation.
 The element arithmetic is that of (Z/b)[x]/(h) for any b (`DigitElem`,
 `DigitRing`); a field is the case b = p, and the Witt ring W_3(F_{2^m}) in
 wittring.py is the case b = 8.
+
+Quadratic Gauss sums of F_{p^m} come from the prime field: the
+Hasse-Davenport relation (Davenport-Hasse 1935) gives tau_{p^m}(c) =
+tau_p(c)^m in Z[zeta_p], so no Gauss sum enumerates F_q; gauss_sum has the
+derivation.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from .errors import (
 )
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
+# Fields have at most 2^MAX_FIELD_BITS elements: m <= 40 at p = 2, m <= 10
+# at p = 13.  The default-modulus search stays under a second for each.
+MAX_FIELD_BITS = 40
 
 _FIELD_CACHE: dict = {}
 
@@ -308,6 +316,8 @@ class Field(DigitRing):
             raise UnsupportedPrime(f"characteristic {p} not supported")
         if m < 1:
             raise ValueError("extension degree must be positive")
+        if m > MAX_FIELD_BITS or p ** m > 2 ** MAX_FIELD_BITS:
+            raise ValueError(f"F_{p}^{m} has more than 2^{MAX_FIELD_BITS} elements")
         if modulus is None:
             modulus = _default_modulus(p, m)
         else:
@@ -509,13 +519,19 @@ def _cyclo_reduce(p: int, coeffs):
 
 
 _GAUSS_CACHE: dict = {}
-_SQUARE_TRACES: dict = {}  # N_t = #{a : Tr(a^2) = t}, shared by every twist
 
 
 def gauss_sum(field: Field, twist: int = 1) -> CycloInt:
     """The quadratic Gauss sum -sum_a psi(twist * a^2) as an exact CycloInt.
 
-    psi is the additive character zeta_p^Tr; twist picks psi^twist.
+    The sum runs over F_q, q = p^m; psi is the additive character zeta_p^Tr
+    and twist = c picks psi^c.  With psi_q = psi_p o Tr and the quadratic
+    character eta_q = eta_p o N, the sum is -g(eta_q, psi_q^c), and the
+    Hasse-Davenport relation -g(eta_p o N, psi_p^c o Tr) =
+    (-g(eta_p, psi_p^c))^m (Davenport-Hasse 1935; Berndt-Evans-Williams,
+    Gauss and Jacobi Sums, 1998) gives tau_{p^m}(c) = tau_p(c)^m: a sum
+    over the p residues c*a^2 mod p, raised to the m-th power in Z[zeta_p].
+    No element of F_q is touched.
     """
     p = field.p
     if p == 2:
@@ -527,15 +543,6 @@ def gauss_sum(field: Field, twist: int = 1) -> CycloInt:
     cached = _GAUSS_CACHE.get(key)
     if cached is not None:
         return cached
-    squares = _SQUARE_TRACES.get(field)
-    if squares is None:
-        squares = _SQUARE_TRACES[field] = [0] * p
-        for a in field.elements():
-            squares[gf_trace(a * a).constant_value()] += 1
-    total = CycloInt(p, [0])
-    for t, n in enumerate(squares):
-        if n:
-            total = total + n * CycloInt.zeta_pow(p, twist * t)
-    tau = -total
+    tau = (-sum(CycloInt.zeta_pow(p, twist * a * a) for a in range(p))) ** field.m
     _GAUSS_CACHE[key] = tau
     return tau

@@ -262,3 +262,16 @@ def test_a_repeated_variable_name_is_a_syntax_error(capsys):
         assert code == 2
         assert payload == {"error": "PolySyntaxError",
                            "message": "variable x is declared more than once"}
+
+
+def test_extension_degree_is_bounded(capsys):
+    for p, m in (("2", "41"), ("3", "26"), ("13", "11"), ("5", "1000")):
+        code, payload = run_json(capsys, "verify", "--p", p, "--m", m,
+                                 "--vars", "x", "--poly", "x^2")
+        assert code == 2
+        assert payload == {"error": "ValueError",
+                           "message": f"F_{p}^{m} has more than 2^40 elements"}
+    code, payload = run_json(capsys, "verify", "--p", "13", "--m", "10",
+                             "--vars", "x", "--poly", "x^2")
+    assert code == 0
+    assert payload["verdict"] == "PASS"

@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from resform import catalog, cli, gfield
 from resform.errors import (
     CatalogMiss,
     EvenCharacteristic,
@@ -266,24 +268,44 @@ def test_char2_block_without_odd_exponent_is_not_isolated():
         arithmetic_side(parse_poly("x^2+x^5", f4, ["x"]))
 
 
-def test_verify_enumerates_the_gauss_sum_field_once(monkeypatch):
-    """The twists c = 1..p-1 share one enumeration of F_q: verify of x^2 over
-    F_{13^2} traces q squares, not (p-1)*q."""
-    from resform import catalog, gfield
-
-    field = gf_create(13, 2)
+@pytest.fixture
+def field_reads(monkeypatch):
+    """Counts of gf_trace calls and field enumerations, with cold Gauss-sum
+    and twist-law caches."""
     monkeypatch.setattr(gfield, "_GAUSS_CACHE", {})
-    monkeypatch.setattr(gfield, "_SQUARE_TRACES", {})
     monkeypatch.setattr(catalog, "_TWIST_CHECKED", set())
-    traced = [0]
-    real = gfield.gf_trace
+    reads = {"traces": 0, "enumerations": 0}
+    real_trace = gfield.gf_trace
+    real_elements = gfield.DigitRing.elements
 
-    def counting(a):
-        traced[0] += a.ring == field
-        return real(a)
+    def trace(a):
+        reads["traces"] += 1
+        return real_trace(a)
 
-    monkeypatch.setattr(gfield, "gf_trace", counting)
-    report = verify_identity(parse_poly("x^2", field, ["x"]))
+    def elements(ring):
+        reads["enumerations"] += 1
+        return real_elements(ring)
+
+    monkeypatch.setattr(gfield, "gf_trace", trace)
+    monkeypatch.setattr(gfield.DigitRing, "elements", elements)
+    return reads
+
+
+def test_verify_enumerates_no_field_for_the_gauss_sum(field_reads):
+    """The twists c = 1..p-1 of the Gauss sum of F_{13^2} come from F_13 by
+    Hasse-Davenport: verify of x^2 traces no element and enumerates no field."""
+    report = verify_identity(parse_poly("x^2", gf_create(13, 2), ["x"]))
     assert report["verdict"] == "PASS"
     assert report["psi_twists_checked"] == 12
-    assert traced[0] == field.q
+    assert field_reads == {"traces": 0, "enumerations": 0}
+
+
+@pytest.mark.parametrize("p, m, twists", [(3, 10, 2), (5, 7, 4)])
+def test_cli_verify_over_a_large_field_enumerates_nothing(capsys, field_reads, p, m, twists):
+    code = cli.main(["verify", "--p", str(p), "--m", str(m), "--vars", "x",
+                     "--poly", "x^2", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["verdict"] == "PASS"
+    assert payload["psi_twists_checked"] == twists
+    assert field_reads == {"traces": 0, "enumerations": 0}

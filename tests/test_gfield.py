@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from resform import gfield
+from resform import gfield, unipoly
 from resform.errors import (
     EvenCharacteristic,
     FieldMismatch,
@@ -11,6 +11,8 @@ from resform.errors import (
     UnsupportedPrime,
 )
 from resform.gfield import (
+    MAX_FIELD_BITS,
+    SUPPORTED_PRIMES,
     CycloInt,
     gauss_sum,
     gf_create,
@@ -82,6 +84,23 @@ def test_irreducibility_test_matches_trial_division(p, m):
     for k in range(p ** m):
         h = gfield._digits(k, p, m) + [1]
         assert gfield._irreducible_mod_p(h, p) == (not _has_factor_by_trial_division(h, p)), h
+
+
+def _monic_polys(field, degree):
+    for k in range(field.q ** degree):
+        yield [field.decode(k // field.q ** i % field.q) for i in range(degree)] + [field.one]
+
+
+@pytest.mark.parametrize("p, m, top", [(2, 1, 4), (3, 1, 4), (5, 1, 4), (2, 2, 4), (3, 2, 3)])
+def test_is_irreducible_matches_a_divisor_search(p, m, top):
+    """Every monic polynomial of degree 1..top over F_{p^m} against a search
+    for a monic divisor of degree 1..deg/2."""
+    field = gf_create(p, m)
+    divisors = [g for d in range(1, top // 2 + 1) for g in _monic_polys(field, d)]
+    for r in range(1, top + 1):
+        for f in _monic_polys(field, r):
+            reducible = any(not unipoly.mod_p(f, g) for g in divisors if 2 * unipoly.degree(g) <= r)
+            assert unipoly.is_irreducible(field, f) == (not reducible), f
 
 
 def test_default_moduli_are_pinned():
@@ -166,6 +185,49 @@ def test_gauss_sum_twist_scaling():
         for _ in range(4):
             c = 1 + rng.randrange(p - 1)
             assert gauss_sum(field, c) == legendre(field(c)) * gauss_sum(field)
+
+
+def _gauss_sum_by_enumeration(field, twist):
+    """-sum over all a in F_q of zeta^Tr(twist * a^2), by plain enumeration.
+
+    Tr is F_p-linear, so it is read off the traces of the basis g^i.
+    """
+    p = field.p
+    basis_traces = [gf_trace(field.gen() ** i).constant_value() for i in range(field.m)]
+    counts = [0] * p
+    for a in field.elements():
+        square = (a * a).coeffs
+        counts[twist * sum(c * t for c, t in zip(square, basis_traces)) % p] += 1
+    return -CycloInt(p, counts)
+
+
+ORACLE_FIELDS = [(p, m) for p in SUPPORTED_PRIMES[1:] for m in range(1, 8) if p ** m <= 3 ** 7]
+
+
+@pytest.mark.parametrize("p, m", ORACLE_FIELDS)
+def test_gauss_sum_matches_the_enumeration(p, m):
+    field = gf_create(p, m)
+    for c in range(1, p):
+        assert gauss_sum(field, c) == _gauss_sum_by_enumeration(field, c), c
+
+
+@pytest.mark.parametrize("p, moduli", [(3, ((2, 2, 1), (1, 0, 1))),
+                                       (5, ((2, 0, 1), (3, 0, 1)))])
+def test_gauss_sum_does_not_depend_on_the_modulus(p, moduli):
+    one, other = (gf_create(p, 2, h) for h in moduli)
+    assert one.modulus != other.modulus
+    for c in range(1, p):
+        tau = _gauss_sum_by_enumeration(one, c)
+        assert _gauss_sum_by_enumeration(other, c) == tau
+        assert gauss_sum(one, c) == gauss_sum(other, c) == tau
+
+
+def test_field_size_is_bounded():
+    assert gf_create(2, MAX_FIELD_BITS).q == 2 ** MAX_FIELD_BITS
+    assert gf_create(13, 10).q == 13 ** 10
+    for p, m in ((2, MAX_FIELD_BITS + 1), (3, 26), (13, 11), (7, 10 ** 9)):
+        with pytest.raises(ValueError, match="more than 2\\^40 elements"):
+            gf_create(p, m)
 
 
 def test_missing_artin_schreier_preimage_is_reported(monkeypatch):
