@@ -105,6 +105,44 @@ def mul_digits(a, c, xpow, b: int) -> list:
     return out
 
 
+def _trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _inverse_digits(a, h, p: int) -> list:
+    """Digits of the inverse of the nonzero a modulo the irreducible monic h
+    over Z/p, by the extended Euclidean algorithm on integer digit lists.
+
+    Each step keeps s_i * a = r_i mod h; the remainders end in a nonzero
+    constant c, and s / c is the inverse.  A constant a (every element of a
+    prime field) skips the loop: its inverse is a^(p-2) mod p.
+    """
+    m = len(h) - 1
+    r0, r1 = list(h), _trim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        d = len(r1) - 1
+        lead = pow(r1[-1], p - 2, p)
+        quot = [0] * (len(r0) - d)
+        for i in range(len(r0) - 1 - d, -1, -1):
+            c = r0[i + d] * lead % p
+            if c:
+                quot[i] = c
+                for j, rj in enumerate(r1):
+                    r0[i + j] = (r0[i + j] - c * rj) % p
+        s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
+        for i, c in enumerate(quot):
+            if c:
+                for j, sj in enumerate(s1):
+                    s[i + j] = (s[i + j] - c * sj) % p
+        r0, r1 = r1, _trim(r0)
+        s0, s1 = s1, _trim(s)
+    c = pow(r1[0], p - 2, p)
+    return [x * c % p for x in s1] + [0] * (m - len(s1))
+
+
 def _default_modulus(p: int, m: int) -> tuple:
     """First monic irreducible of degree m in base-p counting order."""
     for k in range(p ** m):
@@ -294,7 +332,8 @@ class FieldElem(DigitElem):
     def inverse(self) -> "FieldElem":
         if not any(self.coeffs):
             raise ZeroDivisionError("inverse of zero")
-        return self ** (self.ring.q - 2)
+        ring = self.ring
+        return FieldElem(ring, _inverse_digits(self.coeffs, ring.modulus, ring.p))
 
     def frobenius(self) -> "FieldElem":
         return self ** self.ring.p

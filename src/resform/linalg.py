@@ -8,11 +8,13 @@ element as its m digits mod b and a matrix as a (rows, cols, m) integer
 array.  A product convolves the digits and folds x^m..x^{2m-2} back through
 the reduction rows, so one elimination serves every such ring at any size.
 Callers that build their matrix as digits (the Milnor relation matrices)
-call CodedOps.rref on it directly; det_ring and solve_ring encode element
-matrices and read determinants off rref's pivots, so rref is the one
-elimination loop.  solve_ring takes its right-hand side as n x k rows: one
-elimination of [M | B] gives the whole solution and det M (the residue
-engine inverts the Bezoutian matrix this way, with B a multiple of I).
+call CodedOps.rref on it directly, so rref is the one elimination loop.
+unit_det reads a determinant off rref's pivots: det_ring applies it to an
+encoded element matrix, and the residue engine to the encoded Bezoutian
+matrix, whose determinant is all the discriminant needs.  solve_ring takes
+its right-hand side as n x k rows: one elimination of [M | B] gives the
+whole solution (the residue engine inverts the Bezoutian matrix this way,
+with B a multiple of I, only when the Gram matrix itself is asked for).
 
 Row reduction only ever uses unit pivots.  Over a field that loses nothing.
 Over the truncated Witt ring a column whose remaining entries are nonzero
@@ -154,6 +156,15 @@ def coded(ring):
     return ops
 
 
+def unit_det(ops, A):
+    """rref of the square digit array A; returns (reduced, k, det), k the
+    first column without a unit pivot (len(A) when there is none) and det the
+    product of the pivot values when k == len(A), else None."""
+    R, pivots, _, values = ops.rref(A)
+    k = next((j for j, c in enumerate(pivots) if j != c), len(pivots))
+    return R, k, (ops.product(values) if k == len(A) else None)
+
+
 def det_ring(ring, mat):
     """Determinant, the product of rref's pivot values.  Rows from the first
     non-pivot column k on are only combined among themselves after step k,
@@ -161,27 +172,26 @@ def det_ring(ring, mat):
     if not mat:
         return ring(1)
     ops = coded(ring)
-    A, pivots, _, values = ops.rref(ops.encode_matrix(mat))
-    k = next((j for j, c in enumerate(pivots) if j != c), len(pivots))
-    if k == len(mat):
-        return ops.product(values)
-    if A[k:, k].any():
+    R, k, det = unit_det(ops, ops.encode_matrix(mat))
+    if det is not None:
+        return det
+    if R[k:, k].any():
         raise NonUnit("determinant is divisible by 2")
     return ring.zero
 
 
 def solve_ring(ring, mat, rhs):
-    """Solve mat * X = rhs for an n x k rhs given as rows; returns (X as
-    rows, det(mat)), or (None, None) when the matrix is not invertible."""
+    """Solve mat * X = rhs for an n x k rhs given as rows; returns X as
+    rows, or None when the matrix is not invertible."""
     n = len(mat)
     if n == 0:
-        return [], ring.one
+        return []
     ops = coded(ring)
     aug = ops.encode_matrix([list(row) + list(b) for row, b in zip(mat, rhs)])
-    A, pivots, _, values = ops.rref(aug)
+    A, pivots, _, _ = ops.rref(aug)
     if pivots[:n] != list(range(n)):
-        return None, None
-    return [ops.decode_row(row) for row in A[:n, n:]], ops.product(values)
+        return None
+    return [ops.decode_row(row) for row in A[:n, n:]]
 
 
 def det_expand(mat):

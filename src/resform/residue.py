@@ -2,11 +2,13 @@
 
 The Bezoutian of the partials is the element of A tensor A dual to the
 residue pairing on the Milnor algebra A (Scheja-Storch), so the Gram matrix
-of the pairing is the inverse of the Bezoutian matrix, found by one solve,
-and the residue functional is its row at the unit monomial.  The solve also
-gives det C, and det G = alpha^(n*mu) / det C.  From the Gram matrix come
-its discriminant square class, tensor and trace-pushforward laws, and the
-Arf invariant of characteristic-2 singularities via the length-3 Witt lift.
+of the pairing is G = alpha^n * C^-1 for the Bezoutian matrix C, and the
+residue functional is its row at the unit monomial.  The discriminant needs
+only det G = alpha^(n*mu) / det C, which one elimination of C gives; G
+itself is solved on first access, as one solve of [C | alpha^n * I].  From
+det G come the discriminant square class and the Arf invariant of
+characteristic-2 singularities via the length-3 Witt lift; from G the
+tensor and trace-pushforward laws.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     SingularBezoutian,
 )
 from .gfield import Field, legendre
-from .linalg import coded, det_expand, det_ring, solve_ring
+from .linalg import coded, det_expand, det_ring, solve_ring, unit_det
 from .milnor import milnor_algebra, mono_key
 from .mpoly import MultiPoly, divided_difference, partials
 from .unipoly import QuotientField
@@ -70,25 +72,32 @@ class SquareClass:
 
 
 class GramForm:
-    """Symmetric Gram matrix of the residue pairing on a monomial basis."""
+    """Symmetric Gram matrix of the residue pairing on a monomial basis.
 
-    __slots__ = ("ring", "n_vars", "basis", "matrix", "scale", "mu", "det")
+    `solve` is a function of no arguments that returns the matrix rows; it
+    runs on the first read of `matrix`, and its rows are kept.
+    """
 
-    def __init__(self, ring, n_vars, basis, matrix, scale, det):
-        mu = len(matrix)
-        for i in range(mu):
-            for j in range(i):
-                if matrix[i][j] != matrix[j][i]:
-                    raise SingularBezoutian("gram matrix is not symmetric")
+    __slots__ = ("ring", "n_vars", "basis", "scale", "mu", "det", "_solve", "_matrix")
+
+    def __init__(self, ring, n_vars, basis, solve, scale, det):
         if not det.is_unit():
             raise NonUnit("gram determinant is not a unit")
         self.ring = ring
         self.n_vars = n_vars
         self.basis = basis
-        self.matrix = matrix
         self.scale = scale
-        self.mu = mu
+        self.mu = len(basis)
         self.det = det
+        self._solve = solve
+        self._matrix = None
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = self._solve()
+            self._solve = None
+        return self._matrix
 
     def to_json(self) -> dict:
         return {
@@ -140,19 +149,34 @@ def residue_functional(f: MultiPoly):
 
 def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     """Gram matrix of the pairing for the differential scale*dt: alpha^n
-    times the inverse of the Bezoutian matrix, alpha = scale."""
+    times the inverse of the Bezoutian matrix, alpha = scale.
+
+    C is symmetric exactly when its inverse is, so the symmetry check reads
+    C's digits; its determinant comes from one elimination of C alone, and
+    the matrix is solved only when it is read.
+    """
     alg, C = _residue_data(f)
     ring, mu = f.ring, alg.mu
     alpha = ring(scale)
     if not alpha.is_unit():
         raise NonUnitScale(f"scale {alpha!r} is not a unit")
     factor = alpha ** f.n_vars
-    eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
-    G, det_c = solve_ring(ring, C, eye)
-    if G is None:
-        raise SingularBezoutian("bezoutian matrix is not invertible")
-    det = factor ** mu * coded(ring).inverse(det_c)
-    return GramForm(ring, f.n_vars, list(alg.basis), G, alpha, det)
+    inv_det_c = ring.one
+    if mu:
+        ops = coded(ring)
+        digits = ops.encode_matrix(C)
+        if not (digits == digits.swapaxes(0, 1)).all():
+            raise SingularBezoutian("gram matrix is not symmetric")
+        det_c = unit_det(ops, digits)[2]
+        if det_c is None:
+            raise SingularBezoutian("bezoutian matrix is not invertible")
+        inv_det_c = ops.inverse(det_c)
+
+    def solve():
+        eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
+        return solve_ring(ring, C, eye)
+
+    return GramForm(ring, f.n_vars, list(alg.basis), solve, alpha, factor ** mu * inv_det_c)
 
 
 def disc_square_class(G: GramForm):
@@ -181,11 +205,12 @@ def tensor_gram(G1: GramForm, G2: GramForm) -> GramForm:
     ]
     pairs.sort(key=lambda t: mono_key(t[2]))
     basis = [e for _, _, e in pairs]
-    mat = [
-        [G1.matrix[i1][j1] * G2.matrix[i2][j2] for j1, j2, _ in pairs]
-        for i1, i2, _ in pairs
-    ]
-    return GramForm(G1.ring, G1.n_vars + G2.n_vars, basis, mat, G1.scale,
+
+    def solve():
+        M1, M2 = G1.matrix, G2.matrix
+        return [[M1[i1][j1] * M2[i2][j2] for j1, j2, _ in pairs] for i1, i2, _ in pairs]
+
+    return GramForm(G1.ring, G1.n_vars + G2.n_vars, basis, solve, G1.scale,
                     G1.det ** G2.mu * G2.det ** G1.mu)
 
 
@@ -234,7 +259,7 @@ def global_univariate_functional(field, f):
         for i in range(mu)
     ]
     e0 = [[field.one if i == 0 else field.zero] for i in range(mu)]
-    X, _ = solve_ring(field, C, e0)
+    X = solve_ring(field, C, e0)
     if X is None:
         raise SingularBezoutian("bezoutian of the derivative is singular")
     lam = [row[0] for row in X]

@@ -309,3 +309,28 @@ def test_mixing_rings_raises_a_mismatch():
         gf_create(3, 2).gen() + gf_create(3, 1)(1)
     with pytest.raises(FieldMismatch):
         gf_create(3, 1)(gf_create(3, 2).gen())
+
+
+SMALL_FIELDS = [(p, m) for p in SUPPORTED_PRIMES for m in range(1, 8) if p ** m <= 3 ** 5]
+
+
+@pytest.mark.parametrize("p, m", SMALL_FIELDS, ids=[f"F_{p}^{m}" for p, m in SMALL_FIELDS])
+def test_inverse_is_the_power_q_minus_2_on_every_unit(p, m):
+    field = gf_create(p, m)
+    for a in field.elements():
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+                a.inverse()
+        else:
+            assert a.inverse() == a ** (field.q - 2)
+
+
+@pytest.mark.parametrize("p, m", [(2, 10), (3, 6)])
+def test_inverse_is_the_power_q_minus_2_on_large_fields(p, m):
+    field = gf_create(p, m)
+    rng = random.Random(f"inverse/{p}/{m}")
+    for _ in range(200):
+        a = field.decode(rng.randrange(1, field.q))
+        inv = a.inverse()
+        assert inv == a ** (field.q - 2)
+        assert a * inv == field.one

@@ -147,8 +147,7 @@ def test_det_outcomes_over_the_witt_ring():
 
 
 def test_solve_matches_reference_rows():
-    """One column and the identity as right-hand sides, solved as rows,
-    with the determinant from the same elimination."""
+    """One column and the identity as right-hand sides, solved as rows."""
     field = gf_create(2, 11)
     rng = random.Random(11)
     eye = [[field(int(i == j)) for j in range(4)] for i in range(4)]
@@ -158,16 +157,15 @@ def test_solve_matches_reference_rows():
     for mat in mats:
         column = [[field.decode(rng.randrange(field.q))] for _ in range(4)]
         for rhs in (column, eye):
-            got, det = solve_ring(field, mat, rhs)
+            got = solve_ring(field, mat, rhs)
             ref = ref_rref([row + b for row, b in zip(mat, rhs)])
             if ref[1] == [0, 1, 2, 3]:
                 assert got == [row[4:] for row in ref[0]]
-                assert det == ref_det(field, mat)
                 k = len(rhs[0])
                 assert all(sum((a * x[c] for a, x in zip(row, got)), field.zero) == b[c]
                            for row, b in zip(mat, rhs) for c in range(k))
             else:
-                assert (got, det) == (None, None)
+                assert got is None
                 assert ref_det(field, mat).is_zero()
 
 

@@ -4,10 +4,12 @@ import re
 import pytest
 from test_linalg import ref_det, ref_rref
 
-from resform import residue
+from resform import cli, linalg, residue
 from resform.catalog import arithmetic_side
+from resform.epsilon import verify_identity
 from resform.errors import (
     EvenCharacteristic,
+    NonUnit,
     NonUnitScale,
     OddCharacteristic,
     RingMismatch,
@@ -250,7 +252,7 @@ def test_ring_kind_decides_each_route(name, poly, want):
     if name.startswith("W3"):
         f = witt_lift(f)
     ring = f.ring
-    unit_form = GramForm(ring, 1, [(0,)], [[ring(1)]], ring(1), ring(1))
+    unit_form = GramForm(ring, 1, [(0,)], lambda: [[ring(1)]], ring(1), ring(1))
     calls = [lambda: disc_square_class(unit_form), lambda: arf_invariant(f),
              lambda: arithmetic_side(f)]
     for call, expect in zip(calls, want):
@@ -346,4 +348,112 @@ def test_a_non_symmetric_bezoutian_is_refused(monkeypatch):
 
     monkeypatch.setattr(residue, "_residue_data", skewed)
     with pytest.raises(SingularBezoutian, match="^gram matrix is not symmetric$"):
+        gram_matrix(f, 1)
+
+
+def _count_solves(monkeypatch):
+    """Count linalg.solve_ring calls (under both names it goes by) and
+    CodedOps.decode_row calls."""
+    counts = {"solve": 0, "decode": 0}
+    solve, decode = linalg.solve_ring, CodedOps.decode_row
+
+    def counting_solve(*args):
+        counts["solve"] += 1
+        return solve(*args)
+
+    def counting_decode(self, row):
+        counts["decode"] += 1
+        return decode(self, row)
+
+    monkeypatch.setattr(linalg, "solve_ring", counting_solve)
+    monkeypatch.setattr(residue, "solve_ring", counting_solve)
+    monkeypatch.setattr(CodedOps, "decode_row", counting_decode)
+    return counts
+
+
+LAZY_CASES = [
+    ("7", "1", "x,y,z", "x^3+y^3+z^4"),
+    ("13", "1", "x,y", "x^5+y^6"),
+    ("5", "2", "x,y", "x^3+g*y^4"),
+    ("2", "4", "x,y", "x^5+y^5"),
+    ("2", "2", "x,y", "x^2+x*y+g*y^2"),
+]
+
+
+@pytest.mark.parametrize("p, m, names, poly", LAZY_CASES, ids=[c[3] + "/" + c[0] for c in LAZY_CASES])
+def test_only_a_read_of_the_matrix_solves_the_gram(monkeypatch, capsys, p, m, names, poly):
+    """verify, disc and arf read det G alone: no solve, no decoded entry.
+    gram solves once, and a second read of the matrix keeps the first."""
+    field = gf_create(int(p), int(m))
+    constants = {"g": field.gen()} if field.m > 1 else None
+    f = parse_poly(poly, field, names.split(","), constants=constants)
+    f_gram = witt_lift(f) if field.p == 2 else f
+    counts = _count_solves(monkeypatch)
+    assert verify_identity(f)["verdict"] in ("PASS", "GEOMETRIC_ONLY")
+    G = gram_matrix(f_gram, -1)
+    disc_square_class(G)
+    if field.p == 2:
+        arf_invariant(f)
+    argv = ["--p", p, "--m", m, "--vars", names, "--poly", poly]
+    for cmd in ("verify", "disc") + (("arf",) if field.p == 2 else ()):
+        assert cli.main([cmd] + argv) == 0
+    capsys.readouterr()
+    assert counts == {"solve": 0, "decode": 0}
+
+    assert cli.main(["gram"] + argv + ["--json"]) == 0
+    capsys.readouterr()
+    assert counts["solve"] == 1
+    rows = G.matrix
+    assert counts["solve"] == 2
+    assert G.matrix is rows
+    assert counts["solve"] == 2
+
+
+def _element_product(A, B, zero):
+    return [[sum((a * B[k][j] for k, a in enumerate(row)), zero) for j in range(len(B[0]))]
+            for row in A]
+
+
+def test_the_lazy_matrix_inverts_the_bezoutian():
+    """G * C = alpha^n * I with element arithmetic, and G.det is the
+    determinant of G itself, over prime and extension fields and W_3 lifts,
+    for alpha = 1, -1 and another unit (F_3 has only two)."""
+    rng = random.Random(12)
+    fields = [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2), (2, 1), (2, 2)]
+    checked = set()
+    for p, m in fields:
+        for _ in range(4):
+            f = _seeded_isolated(rng, gf_create(p, m), rng.randrange(1, 4))
+            if p == 2:
+                f = witt_lift(f)
+            ring = f.ring
+            C = bezoutian(f)
+            other = ring([0, 1]) if m > 1 else ring(3)
+            for alpha in [ring(1), ring(-1)] + ([other] if other.is_unit() else []):
+                G = gram_matrix(f, alpha)
+                factor = alpha ** f.n_vars
+                eye = [[factor if i == j else ring.zero for j in range(G.mu)]
+                       for i in range(G.mu)]
+                assert _element_product(G.matrix, C, ring.zero) == eye
+                assert G.det == det_ring(ring, G.matrix)
+                checked.add((p, m, G.mu > 1))
+    assert {(p, m, True) for p, m in fields} <= checked
+
+
+def test_a_bezoutian_singular_over_w3_is_not_invertible(monkeypatch):
+    """A symmetric C whose determinant is even has no unit pivot in some
+    column: det_ring calls that a non-unit, the engine a singular C."""
+    f = witt_lift(parse_poly("x^3+y^3", gf_create(2, 1), ["x", "y"]))
+    ring = f.ring
+    real = residue._residue_data
+
+    def even(f):
+        alg, C = real(f)
+        C = [[c * 2 if 0 in (i, j) else c for j, c in enumerate(row)] for i, row in enumerate(C)]
+        return alg, C
+
+    monkeypatch.setattr(residue, "_residue_data", even)
+    with pytest.raises(NonUnit):
+        det_ring(ring, bezoutian(f))
+    with pytest.raises(SingularBezoutian, match="^bezoutian matrix is not invertible$"):
         gram_matrix(f, 1)
