@@ -12,7 +12,8 @@ wittring.py is the case b = 8.
 Quadratic Gauss sums of F_{p^m} come from the prime field: the
 Hasse-Davenport relation (Davenport-Hasse 1935) gives tau_{p^m}(c) =
 tau_p(c)^m in Z[zeta_p], so no Gauss sum enumerates F_q; gauss_sum has the
-derivation.
+derivation.  The absolute trace is F_p-linear and is read off the traces of
+the basis x^i, computed once per field.
 """
 
 from __future__ import annotations
@@ -335,14 +336,26 @@ class FieldElem(DigitElem):
         ring = self.ring
         return FieldElem(ring, _inverse_digits(self.coeffs, ring.modulus, ring.p))
 
-    def frobenius(self) -> "FieldElem":
-        return self ** self.ring.p
-
     def constant_value(self) -> int:
         """The value in Z/p, valid only for prime-subfield elements."""
         if any(self.coeffs[1:]):
             raise ValueError(f"{self!r} is not in the prime subfield")
         return self.coeffs[0]
+
+
+def _basis_traces(modulus, p: int) -> tuple:
+    """Tr(x^0), ..., Tr(x^(m-1)) in Z/p for F_p[x]/(h), h the monic modulus.
+
+    Tr(x^k) is the power sum s_k of the roots of h, and Newton's identities
+    give s_k = -(a_1 s_{k-1} + ... + a_{k-1} s_1 + k a_k) with
+    h = x^m + a_1 x^(m-1) + ... + a_m, and s_0 = m.
+    """
+    m = len(modulus) - 1
+    a = [None] + [modulus[m - i] for i in range(1, m + 1)]
+    s = [m % p]
+    for k in range(1, m):
+        s.append(-(sum(a[i] * s[k - i] for i in range(1, k)) + k * a[k]) % p)
+    return tuple(s)
 
 
 class Field(DigitRing):
@@ -368,6 +381,7 @@ class Field(DigitRing):
         self.p = p
         self.q = p ** m
         super().__init__(p, p, modulus, "g")
+        self._traces = _basis_traces(modulus, p)
 
     def gen(self) -> FieldElem:
         """The class of x modulo the field's modulus."""
@@ -400,13 +414,13 @@ def gf_create(p: int, m: int, modulus=None) -> Field:
 
 
 def gf_trace(a: FieldElem) -> FieldElem:
-    """Absolute trace down to the prime subfield."""
-    acc = a
-    cur = a
-    for _ in range(a.ring.m - 1):
-        cur = cur.frobenius()
-        acc = acc + cur
-    return acc
+    """Absolute trace down to the prime subfield.
+
+    Tr is F_p-linear, so Tr(a) = sum a_i Tr(x^i) over the digits a_i of a,
+    with the traces of the basis computed once per field.
+    """
+    field = a.ring
+    return field(sum(c * t for c, t in zip(a.coeffs, field._traces)))
 
 
 def trace_bit(a: FieldElem) -> int:
@@ -420,6 +434,13 @@ def legendre(a: FieldElem) -> int:
         raise EvenCharacteristic("no quadratic character in characteristic 2")
     if a.is_zero():
         return 0
+    c = a.coeffs
+    if not any(c[1:]):
+        # c in F_p: c^((q-1)/2) = (c^((p-1)/2))^(1 + p + ... + p^(m-1)), and
+        # that exponent has the parity of m, so eta_q(c) = eta_p(c)^m
+        if field.m % 2 == 0 or pow(c[0], (field.p - 1) // 2, field.p) == 1:
+            return 1
+        return -1
     t = a ** ((field.q - 1) // 2)
     v = t.constant_value()
     return 1 if v == 1 else -1

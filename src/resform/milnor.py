@@ -2,8 +2,12 @@
 
 The local algebra R[[x]]/(Jacobian ideal) is presented by elimination on
 monomials below a truncation degree D.  Over a field D is the smallest D0
-with m^{D0} contained in the Jacobian ideal; over the length-3 Witt ring the
-bound 3*D0 works because (J + (2))^3 lies in J + (8) = J.
+with m^{D0} contained in the Jacobian ideal.  Over the length-3 Witt ring,
+with D0 that of the residue field, one elimination at D0 is tried first:
+graded Nakayama holds there too, as the variables lie in the maximal ideal
+(2, x), so the field scan's certificate on it proves m^{D0} inside J and
+D = D0.  When it fails, the bound 3*D0 works, because (J + (2))^3 lies in
+J + (8) = J, and one elimination at 3*D0 - 1 presents the algebra.
 
 The search for D0 starts at a proven lower bound.  When the initial forms
 of the partials, of orders k_i, span every monomial of degree
@@ -79,15 +83,28 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
     return (cols, *coded(ring).rref(A)[:3])
 
 
+def _certified(cols, red, pivots, d):
+    """The presentation below degree d that an elimination at d certifies.
+
+    The certificate holds when every degree-d column is a pivot whose row
+    is that monomial alone: every degree-d monomial then lies in
+    J + m^{d+1}, so m^d lies in J by graded Nakayama, and the remaining rows
+    restricted to degree < d are the reduced echelon form of the relations
+    there.  Returns (columns, reduced digit rows, pivots) below d, or None.
+    """
+    top = sum(1 for e in cols if sum(e) == d)
+    if pivots[:top] != list(range(top)) or red[:top, top:].any():
+        return None
+    return cols[top:], red[top:, top:], [c - top for c in pivots[top:]]
+
+
 def _scan(f: MultiPoly, cap: int):
     """Smallest D0 with every degree-D0 monomial in J + m^{D0+1}, over a field.
 
     By graded Nakayama this certifies m^{D0} inside the Jacobian ideal of
     the complete local ring at the origin.  The certifying elimination also
-    presents the algebra: its degree-D0 columns come first, each a pivot
-    whose row is that monomial alone, so the remaining rows restricted to
-    degree < D0 are the unique reduced echelon form of the relations there.
-    Returns (D0, columns, reduced digit rows, pivots) of that presentation.
+    presents the algebra (_certified).  Returns (D0, columns, reduced digit
+    rows, pivots) of that presentation.
 
     The search starts at a lower bound.  Let k_i be the order of the i-th
     partial and s = 1 + sum(k_i - 1).  When every k_i >= 1 and
@@ -135,10 +152,9 @@ def _scan(f: MultiPoly, cap: int):
         elif all(g.total_degree() == k for g, k in zip(grads, orders)):
             start = cap + 1  # a cone that is not isolated: no degree certifies
     for d0 in range(start, min(cap, bezout) + 1):
-        cols, red, pivots, _ = _eliminate(grads, f.ring, f.n_vars, d0)
-        top = sum(1 for e in cols if sum(e) == d0)
-        if pivots[:top] == list(range(top)) and not red[:top, top:].any():
-            return d0, cols[top:], red[top:, top:], [c - top for c in pivots[top:]]
+        certified = _certified(*_eliminate(grads, f.ring, f.n_vars, d0)[:3], d0)
+        if certified is not None:
+            return (d0, *certified)
     if bezout < cap:
         raise NotIsolated(
             f"Jacobian ideal is not monomial-cofinite below degree {bezout}, "
@@ -187,6 +203,8 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     """Quotient by the Jacobian ideal, presented below the truncation degree.
 
     Computed once per polynomial and cap; every consumer shares the result.
+    Over W_3 the truncation degree D is the residue field's D0 when one
+    elimination at D0 certifies it, and 3*D0 otherwise.
     """
     ring = f.ring
     n = f.n_vars
@@ -198,13 +216,21 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     if ring.b == ring.residue:  # a field; over W_3 the scan runs mod 2
         D, cols, red, pivots = _scan(f, cap)
     else:
+        # the residue field's D0 certifies most lifts; the rest take 3*D0
         reduced = f.map_coeffs(lambda c: c.reduce(), ring.field)
-        D = 3 * milnor_algebra(reduced, cap=cap).D
-        cols, red, pivots, stuck = _eliminate(partials(f), ring, n, D - 1)
+        D = milnor_algebra(reduced, cap=cap).D
+        grads = partials(f)
+        cols, red, pivots, stuck = _eliminate(grads, ring, n, D)
+        certified = _certified(cols, red, pivots, D)
+        if certified is None:
+            D *= 3
+            cols, red, pivots, stuck = _eliminate(grads, ring, n, D - 1)
         if stuck is not None:
             raise NotFlat(
                 f"monomial {cols[stuck]} carries a non-unit relation; quotient is not free"
             )
+        if certified is not None:
+            cols, red, pivots = certified
     pivot_set = set(pivots)
     free = [j for j in range(len(cols)) if j not in pivot_set]
     basis = sorted((cols[j] for j in free), key=mono_key)

@@ -334,3 +334,51 @@ def test_inverse_is_the_power_q_minus_2_on_large_fields(p, m):
         inv = a.inverse()
         assert inv == a ** (field.q - 2)
         assert a * inv == field.one
+
+
+def _frobenius_trace(a):
+    """a + a^p + ... + a^(p^(m-1)): the definition of the absolute trace."""
+    acc = cur = a
+    for _ in range(a.ring.m - 1):
+        cur = cur ** a.ring.p
+        acc = acc + cur
+    return acc
+
+
+TRACE_FIELDS = ([(2, m, None) for m in range(1, 9)]
+                + [(p, m, None) for p, m in SMALL_FIELDS if p > 2]
+                + [(2, 4, (1, 1, 1, 1, 1)), (3, 2, (1, 0, 1)), (5, 2, (3, 0, 1))])
+
+
+@pytest.mark.parametrize("p, m, modulus", TRACE_FIELDS,
+                         ids=[f"F_{p}^{m}" + ("" if h is None else f"/{h}")
+                              for p, m, h in TRACE_FIELDS])
+def test_trace_is_the_frobenius_sum_on_every_element(p, m, modulus):
+    field = gf_create(p, m, modulus)
+    for a in field.elements():
+        want = _frobenius_trace(a)
+        assert gf_trace(a) == want, a
+        assert trace_bit(a) == want.constant_value()
+
+
+@pytest.mark.parametrize("m", [10, 40])
+def test_trace_is_the_frobenius_sum_on_large_fields(m):
+    field = gf_create(2, m)
+    rng = random.Random(f"trace/2/{m}")
+    for _ in range(200):
+        a = field.decode(rng.randrange(field.q))
+        assert gf_trace(a) == _frobenius_trace(a), a
+
+
+ODD_FIELDS = [(p, m) for p, m in SMALL_FIELDS if p > 2]
+
+
+@pytest.mark.parametrize("p, m", ODD_FIELDS, ids=[f"F_{p}^{m}" for p, m in ODD_FIELDS])
+def test_legendre_is_eulers_criterion_on_every_element(p, m):
+    """The prime-subfield shortcut and the general power agree with
+    a^((q-1)/2) everywhere."""
+    field = gf_create(p, m)
+    for a in field.elements():
+        power = a ** ((field.q - 1) // 2)
+        want = 0 if a.is_zero() else (1 if power == field.one else -1)
+        assert legendre(a) == want, a

@@ -16,7 +16,7 @@ from resform.milnor import (
     monomials_upto,
 )
 from resform.mpoly import MultiPoly, parse_poly, partials
-from resform.residue import arf_invariant
+from resform.residue import arf_invariant, witt_lift
 from resform.wittring import gr_create
 
 
@@ -230,14 +230,15 @@ def test_repeated_arf_scans_the_residue_field_once(monkeypatch):
     # one variable: the scan starts at the derivative's order u^4, D0 = 4
     assert milnor_algebra(f).D == 4
     assert scans == 1
-    assert len(seen) == scans + 1
+    # these lifts do not certify at D0 = 4, so each distinct lift makes two
+    # W_3 eliminations: the one at D0 and the fallback at 3*D0 - 1
+    assert len(seen) == scans + 2
     perturbations = ["u^3", "u^4", "u^3+u^4"]
     for text in perturbations:
         assert arf_invariant(f, lift_perturbation=parse_poly(text, field, ["u"])) == first
     assert arf_invariant(f) == first
     assert sum(1 for r in seen if r == field) == scans
-    # one elimination at 3*D0 - 1 per distinct Witt lift
-    assert len(seen) == scans + 1 + len(perturbations)
+    assert len(seen) == scans + 2 * (1 + len(perturbations))
 
 
 def test_algebra_cache_drops_the_least_recently_used(monkeypatch):
@@ -422,3 +423,69 @@ def test_the_scan_finds_the_least_degree(p, m):
         for e in monomials_upto(f.n_vars, alg.D - 1):
             assert alg.nf_monomial(e) == nf[e], (f, e)
     assert isolated >= 10 and at_s >= 1
+
+
+def _raw_presentation(f_w, upto):
+    """Basis and normal forms read off one elimination of the relation
+    matrix at degree upto, with no certificate and no slicing."""
+    ring, n = f_w.ring, f_w.n_vars
+    cols, red, pivots, stuck = milnor._eliminate(partials(f_w), ring, n, upto)
+    assert stuck is None
+    pivot_set = set(pivots)
+    free = [j for j in range(len(cols)) if j not in pivot_set]
+    basis = sorted((cols[j] for j in free), key=mono_key)
+    index = {e: i for i, e in enumerate(basis)}
+    nf = {e: {index[e]: ring(1)} for e in basis}
+    for k, c in enumerate(pivots):
+        nf[cols[c]] = {index[cols[j]]: -ring(red[k, j].tolist())
+                       for j in free if red[k, j].any()}
+    return basis, nf
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_w3_algebra_matches_the_elimination_at_3_d0_minus_1(m):
+    """Teichmueller lifts and 2*g perturbations of seeded isolated inputs:
+    whether D0 certifies or the 3*D0 - 1 fallback runs, the basis and every
+    normal form up to degree 3*D0 are those of one plain elimination at
+    3*D0 - 1."""
+    field = gf_create(2, m)
+    ring = gr_create(field)
+    rng = random.Random(f"w3-oracle/{m}")
+    lifts = certified = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        f = _random_poly(rng, field, n)
+        try:
+            D0 = milnor_algebra(f, cap=5).D
+        except NotIsolated:
+            continue
+        g = _random_poly(rng, field, n)
+        for f_w in (witt_lift(f), witt_lift(f) + g.map_coeffs(ring, ring).scale(2)):
+            alg = milnor_algebra(f_w, cap=5)
+            basis, nf = _raw_presentation(f_w, 3 * D0 - 1)
+            assert alg.D in (D0, 3 * D0), f_w
+            assert alg.basis == basis, f_w
+            for e in monomials_upto(n, 3 * D0):
+                assert alg.nf_monomial(e) == nf.get(e, {}), (f_w, e)
+            lifts += 1
+            certified += alg.D == D0
+    assert lifts >= 10 and 0 < certified < lifts
+
+
+def test_arf_of_the_fermat_quintic_over_f4_eliminates_once_over_w3(monkeypatch):
+    """x^5 + y^5 + z^5 over F_4 certifies at the residue field's D0 = 10, so
+    its Witt lift is eliminated once, at degree 10 and not 29."""
+    seen = []
+    eliminate = milnor._eliminate
+
+    def counting(grads, ring, n_vars, upto, lo=0):
+        seen.append((ring, upto))
+        return eliminate(grads, ring, n_vars, upto, lo)
+
+    monkeypatch.setattr(milnor, "_eliminate", counting)
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    field = gf_create(2, 2)
+    f = parse_poly("x^5+y^5+z^5", field, ["x", "y", "z"])
+    arf_invariant(f)
+    assert milnor_algebra(f).D == 10
+    assert [upto for ring, upto in seen if ring != field] == [10]
