@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import (CatalogMiss, CheckFailed, EvenCharacteristic, FieldMismatch,
                      NotIsolated, OddCharacteristic, RingMismatch, ZeroCoefficient)
 from .gfield import CycloInt, Field, gauss_sum, legendre, trace_bit
-from .mpoly import MultiPoly
+from .mpoly import MultiPoly, variable_blocks
 
 
 class EpsilonValue:
@@ -184,23 +184,12 @@ def eps_convolve(e1: EpsilonValue, d1: int, e2: EpsilonValue, d2: int) -> Epsilo
 
 def _blocks(f: MultiPoly):
     """Split f into variable-disjoint summands, ordered by first variable."""
-    groups = []
-    for e in f.terms:
-        sup = {i for i, k in enumerate(e) if k}
-        if not sup:
-            raise CatalogMiss("nonzero constant term")
-        for g in [g for g in groups if g & sup]:
-            groups.remove(g)
-            sup |= g
-        groups.append(sup)
-    if sum(map(len, groups)) != f.n_vars:
+    if (0,) * f.n_vars in f.terms:
+        raise CatalogMiss("nonzero constant term")
+    blocks = variable_blocks(f)
+    if sum(len(vs) for vs, _ in blocks) != f.n_vars:
         raise CatalogMiss("a variable is missing from f")
-    out = []
-    for vs in sorted(sorted(g) for g in groups):
-        terms = {tuple(e[v] for v in vs): c
-                 for e, c in f.terms.items() if any(e[v] for v in vs)}
-        out.append(MultiPoly(f.ring, len(vs), terms))
-    return out
+    return [bp for _, bp in blocks]
 
 
 def _mu_univariate_char2(bp: MultiPoly) -> int:

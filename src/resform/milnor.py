@@ -22,15 +22,37 @@ The relation matrix stays in the elimination kernel's digit form from build
 to normal forms: it is written as a (rows, cols, m) integer array, reduced
 there, certified there, and only the nonzero normal-form coefficients
 become ring elements.
+
+A Thom-Sebastiani sum f = f_1 + ... + f_k, k >= 2, of polynomials in
+pairwise disjoint sets of variables (a constant term belongs to none) has
+J(f) = J(f_1) + ... + J(f_k), so over a field its algebra is the tensor
+product of theirs (Sebastiani-Thom, Un resultat sur la monodromie, Invent.
+Math. 1971), built from the blocks' cached algebras without eliminating
+f's own relation matrix.  Its standard monomials are the products of the
+blocks': each such product is standard, and there are mu = prod mu_i of
+them.  A monomial's normal form is the product of its block parts' forms,
+computed on first request.  The truncation degree is D = sum D_i - (k - 1),
+and it is the least D0: some monomial of degree D_i - 1 survives in each
+block, and the product of their normal forms is nonzero, as a tensor
+product of nonzero vectors over a field is; while every monomial of degree
+sum D_i - k + 1 has some block part of degree at least D_i, which lies in
+J.  Over W_3 neither half holds: D is the certified D0 or the bound 3*D0
+rather than a least degree, and a product of nonzero forms can vanish, so
+a product of the lifts' algebras could carry another D than f's own, and
+W_3 algebras are not split (their D0 still comes from the residue field's
+algebra, which may be a product).  Morse and smooth points are not split
+either: their scan is already one small elimination.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .errors import DegenerateFiber, NotFlat, NotIsolated, OddProduct
+from .errors import DegenerateFiber, NotFlat, NotIsolated, OddProduct, ResformError
 from .linalg import coded
-from .mpoly import MultiPoly, partials
+from .mpoly import MultiPoly, partials, variable_blocks
 from . import unipoly
 
 DEGREE_CAP = 24
@@ -98,7 +120,21 @@ def _certified(cols, red, pivots, d):
     return cols[top:], red[top:, top:], [c - top for c in pivots[top:]]
 
 
-def _scan(f: MultiPoly, cap: int):
+def _orders(f: MultiPoly):
+    """The partials of f and their orders; refuses a constant f and a
+    partial that vanishes identically, where no degree can certify."""
+    if f.total_degree() < 1:
+        raise NotIsolated("constant polynomial has no isolated singularity")
+    grads = partials(f)
+    if any(g.is_zero() for g in grads):
+        raise NotIsolated(
+            "a partial derivative vanishes identically, so the Jacobian ideal "
+            "has fewer generators than variables"
+        )
+    return grads, [g.low_degree() for g in grads]
+
+
+def _scan(f: MultiPoly, grads, orders, cap: int):
     """Smallest D0 with every degree-D0 monomial in J + m^{D0+1}, over a field.
 
     By graded Nakayama this certifies m^{D0} inside the Jacobian ideal of
@@ -131,18 +167,9 @@ def _scan(f: MultiPoly, cap: int):
     isolated singularity D0 <= mu, and mu is at most that product by the
     refined Bezout theorem.
     """
-    if f.total_degree() < 1:
-        raise NotIsolated("constant polynomial has no isolated singularity")
-    grads = partials(f)
-    if any(g.is_zero() for g in grads):
-        raise NotIsolated(
-            "a partial derivative vanishes identically, so the Jacobian ideal "
-            "has fewer generators than variables"
-        )
     bezout = 1
     for g in grads:
         bezout *= max(g.total_degree(), 1)
-    orders = [g.low_degree() for g in grads]
     start = max(1, min(orders))
     s = 1 + sum(k - 1 for k in orders)
     if min(orders) >= 1 and s > start + 1:
@@ -164,11 +191,15 @@ def _scan(f: MultiPoly, cap: int):
 
 
 class MilnorAlgebra:
-    """Finite free presentation of R[x]/J on standard monomials."""
+    """Finite free presentation of R[x]/J on standard monomials.
 
-    __slots__ = ("ring", "n_vars", "D", "basis", "mu", "basis_index", "_nf")
+    `blocks` holds the variable-disjoint summands of f when the algebra was
+    built as the tensor product of theirs, and is None otherwise.
+    """
 
-    def __init__(self, ring, n_vars, D, basis, nf):
+    __slots__ = ("ring", "n_vars", "D", "basis", "mu", "basis_index", "_nf", "blocks")
+
+    def __init__(self, ring, n_vars, D, basis, nf, blocks=None):
         self.ring = ring
         self.n_vars = n_vars
         self.D = D
@@ -176,6 +207,7 @@ class MilnorAlgebra:
         self.mu = len(basis)
         self.basis_index = {e: i for i, e in enumerate(basis)}
         self._nf = nf
+        self.blocks = blocks
 
     def nf_monomial(self, exps) -> dict:
         """Sparse coefficient vector of a monomial over the basis."""
@@ -192,6 +224,78 @@ class MilnorAlgebra:
         return f"MilnorAlgebra(mu={self.mu}, D={self.D}, over {self.ring!r})"
 
 
+def _presentation(ring, cols, red, pivots):
+    """Basis and normal forms read off a reduced relation matrix."""
+    pivot_set = set(pivots)
+    free = [j for j in range(len(cols)) if j not in pivot_set]
+    basis = sorted((cols[j] for j in free), key=mono_key)
+    basis_index = {e: i for i, e in enumerate(basis)}
+    nf: dict = {e: {basis_index[e]: ring(1)} for e in basis}
+    free_index = [basis_index[cols[j]] for j in free]
+    # a pivot row reads e = -sum(row[j] * basis[j]) over the free columns
+    neg = -red[:len(pivots)][:, free] % ring.b
+    for c, row in zip(pivots, neg):
+        nf[cols[c]] = {free_index[j]: ring(row[j].tolist())
+                       for j in np.flatnonzero(row.any(axis=1))}
+    return basis, nf
+
+
+class _ProductForms(dict):
+    """Normal forms of a tensor product of algebras, keyed by monomial.
+
+    A monomial's form is the product of its block parts' forms; it is
+    computed on first request and kept.
+    """
+
+    def __init__(self, parts, index):
+        super().__init__()
+        self._parts = parts  # (variables, block algebra) pairs
+        self._index = index  # block basis indices -> product basis index
+
+    def __missing__(self, e):
+        forms = [alg.nf_monomial(tuple(e[v] for v in vs)) for vs, alg in self._parts]
+        value = {}
+        if all(forms):
+            terms = {(i,): c for i, c in forms[0].items()}
+            for nf in forms[1:]:
+                terms = {key + (i,): c * ci for key, c in terms.items() for i, ci in nf.items()}
+            value = {self._index[key]: c for key, c in terms.items()}
+        self[e] = value
+        return value
+
+
+def _product(f: MultiPoly, cap: int):
+    """f's algebra over a field as the tensor product of its blocks' algebras.
+
+    Returns (D, basis, normal forms, blocks), or None when f is a single
+    block or a block raises; the caller then scans f itself, so errors and
+    their messages are its own.  Every variable lies in some block, as no
+    partial of f vanishes.
+    """
+    split = variable_blocks(f)
+    if len(split) < 2:
+        return None
+    try:
+        parts = [(vs, milnor_algebra(block, cap)) for vs, block in split]
+    except ResformError:
+        return None
+    D = sum(alg.D for _, alg in parts) - len(parts) + 1
+    if D > cap:
+        # D <= mu <= the Bezout bound, so f's own scan stops at the cap too
+        raise NotIsolated(f"Jacobian ideal is not monomial-cofinite below degree {cap}")
+    monos = []
+    for combo in itertools.product(*(enumerate(alg.basis) for _, alg in parts)):
+        e = [0] * f.n_vars
+        for (vs, _), (_, b) in zip(parts, combo):
+            for v, k in zip(vs, b):
+                e[v] = k
+        monos.append((tuple(e), tuple(i for i, _ in combo)))
+    monos.sort(key=lambda t: mono_key(t[0]))
+    index = {key: j for j, (_, key) in enumerate(monos)}
+    basis = [e for e, _ in monos]
+    return D, basis, _ProductForms(parts, index), [block for _, block in split]
+
+
 # Most recently used last.  The bound holds every algebra that the
 # consumers of one polynomial share, and it is a bound rather than a clear
 # so that a call costs the same however many polynomials came before it.
@@ -203,8 +307,11 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     """Quotient by the Jacobian ideal, presented below the truncation degree.
 
     Computed once per polynomial and cap; every consumer shares the result.
-    Over W_3 the truncation degree D is the residue field's D0 when one
-    elimination at D0 certifies it, and 3*D0 otherwise.
+    Over a field a sum of blocks in disjoint variables gets the tensor
+    product of the blocks' algebras, except at a Morse or a smooth point,
+    where the scan is already one small elimination.  Over W_3 the
+    truncation degree D is the residue field's D0 when one elimination at
+    D0 certifies it, and 3*D0 otherwise.
     """
     ring = f.ring
     n = f.n_vars
@@ -213,8 +320,17 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     if alg is not None:
         _ALGEBRAS[key] = alg
         return alg
+    blocks = None
     if ring.b == ring.residue:  # a field; over W_3 the scan runs mod 2
-        D, cols, red, pivots = _scan(f, cap)
+        grads, orders = _orders(f)
+        product = None
+        if min(orders) >= 1 and max(orders) >= 2:  # neither smooth nor Morse
+            product = _product(f, cap)
+        if product is None:
+            D, *presented = _scan(f, grads, orders, cap)
+            basis, nf = _presentation(ring, *presented)
+        else:
+            D, basis, nf, blocks = product
     else:
         # the residue field's D0 certifies most lifts; the rest take 3*D0
         reduced = f.map_coeffs(lambda c: c.reduce(), ring.field)
@@ -229,24 +345,12 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
             raise NotFlat(
                 f"monomial {cols[stuck]} carries a non-unit relation; quotient is not free"
             )
-        if certified is not None:
-            cols, red, pivots = certified
-    pivot_set = set(pivots)
-    free = [j for j in range(len(cols)) if j not in pivot_set]
-    basis = sorted((cols[j] for j in free), key=mono_key)
+        basis, nf = _presentation(ring, *(certified or (cols, red, pivots)))
     if ring.residue == 2 and n % 2 == 1 and len(basis) % 2 == 1:
         raise OddProduct(
             f"parity violated: odd mu={len(basis)} with odd n_vars={n} in characteristic 2"
         )
-    basis_index = {e: i for i, e in enumerate(basis)}
-    nf: dict = {e: {basis_index[e]: ring(1)} for e in basis}
-    free_index = [basis_index[cols[j]] for j in free]
-    # a pivot row reads e = -sum(row[j] * basis[j]) over the free columns
-    neg = -red[:len(pivots)][:, free] % ring.b
-    for c, row in zip(pivots, neg):
-        nf[cols[c]] = {free_index[j]: ring(row[j].tolist())
-                       for j in np.flatnonzero(row.any(axis=1))}
-    alg = MilnorAlgebra(ring, n, D, basis, nf)
+    alg = MilnorAlgebra(ring, n, D, basis, nf, blocks)
     if len(_ALGEBRAS) >= _ALGEBRAS_MAX:
         del _ALGEBRAS[next(iter(_ALGEBRAS))]
     _ALGEBRAS[key] = alg

@@ -229,6 +229,32 @@ def partials(f: MultiPoly):
     return [f.derivative(i) for i in range(f.n_vars)]
 
 
+def variable_blocks(f: MultiPoly):
+    """Split f into summands in pairwise disjoint sets of variables.
+
+    Returns (variables, block) pairs ordered by first variable: block is
+    the sum of f's terms in those variables, written in them alone.  The
+    constant term belongs to no block, nor does a variable absent from f.
+    """
+    groups = []  # (variables, terms) of the blocks found so far
+    for e, c in f.terms.items():
+        sup = {i for i, k in enumerate(e) if k}
+        if not sup:
+            continue
+        terms = {e: c}
+        for g in [g for g in groups if g[0] & sup]:
+            groups.remove(g)
+            sup |= g[0]
+            terms.update(g[1])
+        groups.append((sup, terms))
+    out = []
+    for sup, terms in sorted(groups, key=lambda g: min(g[0])):
+        vs = tuple(sorted(sup))
+        out.append((vs, MultiPoly(f.ring, len(vs),
+                                  {tuple([e[v] for v in vs]): c for e, c in terms.items()})))
+    return out
+
+
 def divided_difference(g: MultiPoly, j: int) -> MultiPoly:
     """The j-th divided difference of g, a polynomial in doubled variables.
 

@@ -9,9 +9,22 @@ itself is solved on first access, as one solve of [C | alpha^n * I].  From
 det G come the discriminant square class and the Arf invariant of
 characteristic-2 singularities via the length-3 Witt lift; from G the
 tensor and trace-pushforward laws.
+
+When the Milnor algebra of f is the tensor product of its blocks' (f a sum
+of polynomials f_i in n_i disjoint variables, see milnor), so is the
+Bezoutian: the matrix of divided differences is block-diagonal up to one
+permutation of its rows and columns, its determinant is the product of the
+blocks', and C is the Kronecker product of the C_i on the sorted product
+basis.  Then G = alpha^n * C^-1 is the Kronecker product of the
+G_i = alpha^(n_i) * C_i^-1, and det G = prod det(G_i)^(mu/mu_i).  Each G_i
+is the gram_matrix of f_i, with its checks; C is symmetric or invertible
+exactly when every C_i is.  G itself is still solved from f's own C, built
+from the product normal forms, when it is read.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import (
     EvenCharacteristic,
@@ -153,30 +166,41 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
 
     C is symmetric exactly when its inverse is, so the symmetry check reads
     C's digits; its determinant comes from one elimination of C alone, and
-    the matrix is solved only when it is read.
+    the matrix is solved only when it is read.  When the Milnor algebra is
+    a tensor product of blocks' algebras, so is G, and det G is read off
+    the blocks' Gram forms by the Kronecker law, with their checks.
     """
-    alg, C = _residue_data(f)
+    alg = milnor_algebra(f)
     ring, mu = f.ring, alg.mu
-    alpha = ring(scale)
-    if not alpha.is_unit():
-        raise NonUnitScale(f"scale {alpha!r} is not a unit")
+    C = None
+    if alg.blocks:
+        # G is the permuted Kronecker product of the blocks' forms
+        forms = [gram_matrix(block, scale) for block in alg.blocks]
+        alpha = forms[0].scale
+        det = math.prod((G.det ** (mu // G.mu) for G in forms), start=ring.one)
+    else:
+        C = _residue_data(f)[1]
+        alpha = ring(scale)
+        if not alpha.is_unit():
+            raise NonUnitScale(f"scale {alpha!r} is not a unit")
+        inv_det_c = ring.one
+        if mu:
+            ops = coded(ring)
+            digits = ops.encode_matrix(C)
+            if not (digits == digits.swapaxes(0, 1)).all():
+                raise SingularBezoutian("gram matrix is not symmetric")
+            det_c = unit_det(ops, digits)[2]
+            if det_c is None:
+                raise SingularBezoutian("bezoutian matrix is not invertible")
+            inv_det_c = ops.inverse(det_c)
+        det = alpha ** (f.n_vars * mu) * inv_det_c
     factor = alpha ** f.n_vars
-    inv_det_c = ring.one
-    if mu:
-        ops = coded(ring)
-        digits = ops.encode_matrix(C)
-        if not (digits == digits.swapaxes(0, 1)).all():
-            raise SingularBezoutian("gram matrix is not symmetric")
-        det_c = unit_det(ops, digits)[2]
-        if det_c is None:
-            raise SingularBezoutian("bezoutian matrix is not invertible")
-        inv_det_c = ops.inverse(det_c)
 
     def solve():
         eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
-        return solve_ring(ring, C, eye)
+        return solve_ring(ring, _residue_data(f)[1] if C is None else C, eye)
 
-    return GramForm(ring, f.n_vars, list(alg.basis), solve, alpha, factor ** mu * inv_det_c)
+    return GramForm(ring, f.n_vars, list(alg.basis), solve, alpha, det)
 
 
 def disc_square_class(G: GramForm):

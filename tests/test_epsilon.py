@@ -210,10 +210,12 @@ def test_catalog_miss_reports_geometric_only():
 
 def test_blocks_reject_bad_shapes():
     f7 = gf_create(7, 1)
-    with pytest.raises(CatalogMiss):
+    with pytest.raises(CatalogMiss, match="^nonzero constant term$"):
         arithmetic_side(parse_poly("x^2+1", f7, ["x"]))
-    with pytest.raises(CatalogMiss):
+    with pytest.raises(CatalogMiss, match="^a variable is missing from f$"):
         arithmetic_side(parse_poly("x^2", f7, ["x", "y"]))
+    with pytest.raises(CatalogMiss, match="^nonzero constant term$"):
+        arithmetic_side(parse_poly("x^2+1", f7, ["x", "y"]))
 
 
 def test_conventions_differ_on_twisted_quadratic():

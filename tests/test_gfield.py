@@ -86,6 +86,29 @@ def test_irreducibility_test_matches_trial_division(p, m):
         assert gfield._irreducible_mod_p(h, p) == (not _has_factor_by_trial_division(h, p)), h
 
 
+@pytest.mark.parametrize("p, top", [(2, 24), (3, 14), (13, 8)])
+def test_the_digit_test_agrees_with_the_element_test(p, top):
+    """Seeded monic polynomials of degree 2..top over F_p, about half of
+    them built reducible, against unipoly.is_irreducible on elements."""
+    prime = gf_create(p, 1)
+    rng = random.Random(f"ben-or/{p}")
+    seen = set()
+    for _ in range(60):
+        r = rng.randint(2, top)
+        if rng.random() < 0.5:
+            k = rng.randint(1, r // 2)
+            g = [rng.randrange(p) for _ in range(k)] + [1]
+            c = [rng.randrange(p) for _ in range(r - k)] + [1]
+            h = [sum(g[i] * c[j - i] for i in range(len(g)) if 0 <= j - i < len(c)) % p
+                 for j in range(r + 1)]
+        else:
+            h = [rng.randrange(p) for _ in range(r)] + [1]
+        irreducible = gfield._irreducible_mod_p(h, p)
+        assert irreducible == unipoly.is_irreducible(prime, [prime(c) for c in h]), h
+        seen.add(irreducible)
+    assert seen == {True, False}
+
+
 def _monic_polys(field, degree):
     for k in range(field.q ** degree):
         yield [field.decode(k // field.q ** i % field.q) for i in range(degree)] + [field.one]

@@ -15,7 +15,7 @@ from resform.milnor import (
     mono_key,
     monomials_upto,
 )
-from resform.mpoly import MultiPoly, parse_poly, partials
+from resform.mpoly import MultiPoly, parse_poly, partials, variable_blocks
 from resform.residue import arf_invariant, witt_lift
 from resform.wittring import gr_create
 
@@ -164,6 +164,41 @@ def _d_minus_one_presentation(f, D):
     return basis, nf
 
 
+def _separable_sample(per_field=3):
+    """Seeded sums of two or three blocks in disjoint variables, at most
+    three variables in all, each (p, m, names, text).  A block is a power
+    c*v^d with p not dividing d, or u^a + c*v^b + c'*u^i*v^j with
+    i/a + j/b > 1, which its principal part keeps isolated.  Some block has
+    degree 3 or more, so no sample is a Morse point."""
+    rng = random.Random("separable")
+    cases = []
+    for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (2, 2), (2, 4)]:
+        degrees = [d for d in range(2, 6) if d % p]
+        coefs = (["", "g*", "g^2*", "(g+1)*"] if m > 1
+                 else [""] + [f"{c}*" for c in range(2, p)])
+        found = 0
+        while found < per_field:
+            shapes = rng.choice([[1, 1], [1, 1, 1], [2, 1], [1, 2]])
+            names = iter("xyz")
+            blocks = []
+            for width in shapes:
+                a, b = rng.choice(degrees), rng.choice(degrees)
+                u = next(names)
+                if width == 1:
+                    blocks.append((a, f"{rng.choice(coefs)}{u}^{a}"))
+                    continue
+                v = next(names)
+                i, j = rng.choice([(i, j) for i in range(1, a + 1) for j in range(1, b + 1)
+                                   if i * b + j * a > a * b and i + j <= max(a, b) + 1])
+                blocks.append((max(a, b), f"{u}^{a}+{rng.choice(coefs)}{v}^{b}"
+                                          f"+{rng.choice(coefs)}{u}^{i}*{v}^{j}"))
+            if max(d for d, _ in blocks) >= 3:
+                cases.append((p, m, ",".join("xyz"[:sum(shapes)]),
+                              "+".join(text for _, text in blocks)))
+                found += 1
+    return cases
+
+
 @pytest.mark.parametrize("p, m, names, text", [
     (7, 1, "x,y", "x^3+y^3"),
     (5, 1, "x,y", "x^4+y^2+x*y"),
@@ -173,14 +208,30 @@ def _d_minus_one_presentation(f, D):
     (5, 2, "x,y", "x^3+g*y^4+x*y"),
     (2, 11, "x,y", "x^3+g*y^3+x*y^2"),
     (2, 11, "u", "u^2+g*u^5"),
-])
+    # separable: the algebra is the tensor product of its blocks' algebras,
+    # except at a Morse point
+    (7, 1, "x,y,z", "x^2+2*y^2+3*z^2"),
+    (7, 1, "x,y,z", "x^3+2*y^4+z^5"),
+    (13, 1, "x,y,z", "x^2+y^3+z^4+7"),
+    (7, 1, "x,y", "3+x^4+y^5"),
+    (5, 2, "x,y,z", "x^3+g*y^4+x*y^2+z^3"),
+    (2, 2, "x,y,z,w", "x^3+g*y^5+z^2+z*w+w^3"),
+    (2, 4, "x,y", "g*x^5+y^3"),
+] + _separable_sample())
 def test_scan_presentation_matches_a_fresh_elimination_below_D(p, m, names, text):
-    """The presentation read off the certifying scan equals the D-1 elimination."""
+    """The presentation read off the certifying scan, or built as a tensor
+    product of the blocks' presentations, equals the D-1 elimination."""
     field = gf_create(p, m)
     vars_ = names.split(",")
     constants = {field.gen_symbol: field.gen()} if m > 1 else None
     f = parse_poly(text, field, vars_, constants=constants)
     alg = milnor_algebra(f)
+    parts = variable_blocks(f)
+    orders = [g.low_degree() for g in partials(f)]
+    separable = len(parts) > 1 and min(orders) >= 1 and max(orders) > 1
+    assert (alg.blocks is not None) == separable
+    if separable:
+        assert alg.D == sum(milnor_algebra(b).D for _, b in parts) - len(parts) + 1
     basis, nf = _d_minus_one_presentation(f, alg.D)
     assert alg.basis == basis
     for e in monomials_upto(f.n_vars, alg.D - 1):
@@ -214,11 +265,17 @@ def test_verify_runs_only_the_scan(monkeypatch):
     calibrate()
     seen = _count_eliminations(monkeypatch)
     f7 = gf_create(7, 1)
-    report = verify_identity(parse_poly("x^3+y^3", f7, ["x", "y"]))
+    report = verify_identity(parse_poly("x^3+y^3+x^2*y", f7, ["x", "y"]))
     assert report["mu"] == 4
     # the scan starts at the partials' order 2: one failed degree and the
     # certificate at D0 = 3, none after the scan
     assert len(seen) == 2
+    # x^3 + y^3 is the tensor square of the algebra of x^3, whose scan
+    # certifies at its order 2; y^3 is the same one-variable block
+    seen.clear()
+    report = verify_identity(parse_poly("x^3+y^3", f7, ["x", "y"]))
+    assert report["mu"] == 4
+    assert len(seen) == 1
 
 
 def test_repeated_arf_scans_the_residue_field_once(monkeypatch):
@@ -296,9 +353,10 @@ def test_macaulay_cells_never_become_objects_on_the_way_in_or_out(monkeypatch):
 
 
 def test_only_the_normal_form_coefficients_are_built_as_elements(monkeypatch):
-    """The sextic's scan touches about 620k cells; the elements built are
-    its normal-form coefficients plus a few constants."""
-    f = parse_poly("x^6+y^6+z^6", gf_create(13, 1), ["x", "y", "z"])
+    """The sextic's scan touches about 290k cells; the elements built are
+    its normal-form coefficients plus a few constants.  The x^2*y^2*z^2
+    term keeps it from splitting into three blocks."""
+    f = parse_poly("x^6+y^6+z^6+x^2*y^2*z^2", gf_create(13, 1), ["x", "y", "z"])
     monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     built = [0]
     init = DigitElem.__init__
@@ -310,7 +368,7 @@ def test_only_the_normal_form_coefficients_are_built_as_elements(monkeypatch):
     monkeypatch.setattr(DigitElem, "__init__", counting)
     alg = milnor_algebra(f)
     monkeypatch.setattr(DigitElem, "__init__", init)
-    assert alg.mu == 125
+    assert (alg.mu, alg.D, alg.blocks) == (125, 13, None)
     assert built[0] <= _nf_size(alg) + 32
 
 
@@ -355,6 +413,8 @@ def test_a_non_isolated_four_variable_cone_is_rejected_in_bounded_time():
     ("x,y,z", "x*y+z"),
     # a constant partial next to partials of order 5: s = 8 means nothing here
     ("x,y,z", "x+y^3*z^3"),
+    # three blocks, but a smooth point is not split
+    ("x,y,z", "x+y^4+z^5"),
 ])
 def test_smooth_points_have_D_one_and_mu_zero(names, text):
     alg = milnor_algebra(parse_poly(text, gf_create(7, 1), names.split(",")))
@@ -373,6 +433,35 @@ def test_initial_forms_off_a_regular_sequence_start_at_the_least_order(p, m, nam
     alg = milnor_algebra(f)
     assert (alg.D, alg.mu) == (D, mu)
     assert alg.basis == _d_minus_one_presentation(f, D)[0]
+
+
+@pytest.mark.parametrize("p, names, text, n_vars_scanned, message", [
+    # the block y^2*z^2 is not isolated, so f's own scan runs and stops at
+    # f's Bezout bound 2*3*3, not the block's 3*3
+    (7, "x,y,z", "x^3+y^2*z^2", {1, 2, 3},
+     "Jacobian ideal is not monomial-cofinite below degree 18, the Bezout bound on the Milnor "
+     "number"),
+    # x^14 has D = 13, so the product has D = 13 + 13 - 1 = 25, past the cap;
+    # only the block is scanned
+    (13, "x,y", "x^14+y^14", {1},
+     "Jacobian ideal is not monomial-cofinite below degree 24"),
+])
+def test_a_separable_input_that_fails_keeps_the_message_of_its_own_scan(
+        monkeypatch, p, names, text, n_vars_scanned, message):
+    seen = []
+    eliminate = milnor._eliminate
+
+    def counting(grads, ring, n_vars, upto, lo=0):
+        seen.append(n_vars)
+        return eliminate(grads, ring, n_vars, upto, lo)
+
+    monkeypatch.setattr(milnor, "_eliminate", counting)
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    f = parse_poly(text, gf_create(p, 1), names.split(","))
+    with pytest.raises(NotIsolated) as err:
+        milnor_algebra(f)
+    assert str(err.value) == message
+    assert set(seen) == n_vars_scanned
 
 
 def test_a_derivative_of_order_past_the_cap_keeps_the_cap_message():

@@ -10,6 +10,7 @@ from resform.mpoly import (
     divided_difference,
     parse_poly,
     partials,
+    variable_blocks,
 )
 
 
@@ -97,3 +98,13 @@ def test_embed_offsets():
     f = parse_poly("x^2 + 1", f7, ["x"])
     g = f.embed(3, 1)
     assert g.terms == {(0, 2, 0): f7(1), (0, 0, 0): f7(1)}
+
+
+def test_variable_blocks_order_by_first_variable_and_drop_the_constant():
+    f7 = gf_create(7, 1)
+    names = ["a", "b", "c", "d", "e"]
+    f = parse_poly("3 + d^2*b + b^4 + 2*c^3 + a*c", f7, names)
+    blocks = variable_blocks(f)
+    assert [vs for vs, _ in blocks] == [(0, 2), (1, 3)]
+    assert [g.render(["u", "v"]) for _, g in blocks] == ["2*v^3 + u*v", "u^4 + u*v^2"]
+    assert variable_blocks(MultiPoly.const(f7, 2, 5)) == []

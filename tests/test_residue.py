@@ -1,10 +1,11 @@
+import json
 import random
 import re
 
 import pytest
 from test_linalg import ref_det, ref_rref
 
-from resform import cli, linalg, residue
+from resform import cli, linalg, milnor, residue
 from resform.catalog import arithmetic_side
 from resform.epsilon import verify_identity
 from resform.errors import (
@@ -131,10 +132,14 @@ def test_tensor_determinant_is_the_kronecker_determinant():
 
 def test_a_gram_form_is_eliminated_once(monkeypatch):
     """With its Milnor algebra warm, gram_matrix runs mu pivot steps: the
-    Bezoutian solve, whose pivots also give det G."""
+    elimination of the Bezoutian matrix, whose pivots give det G.  A sum of
+    blocks in disjoint variables runs mu_i steps per block instead, here
+    3 + 4 for x^4 + y^5, whose mu is 12."""
     f2 = gf_create(2, 2)
-    cases = [parse_poly("x^4+y^5", gf_create(7, 1), ["x", "y"]),
-             witt_lift(parse_poly("x^3+g*x^2*y+y^3", f2, ["x", "y"], {"g": f2.gen()}))]
+    f7 = gf_create(7, 1)
+    cases = [(parse_poly("x^4+y^5+x^2*y^2", f7, ["x", "y"]), None),
+             (witt_lift(parse_poly("x^3+g*x^2*y+y^3", f2, ["x", "y"], {"g": f2.gen()})), None),
+             (parse_poly("x^4+y^5", f7, ["x", "y"]), 3 + 4)]
     steps = [0]
     real = CodedOps._pivot
 
@@ -142,14 +147,14 @@ def test_a_gram_form_is_eliminated_once(monkeypatch):
         steps[0] += 1
         return real(*args)
 
-    for f in cases:
+    for f, block_steps in cases:
         mu = milnor_algebra(f).mu
         steps[0] = 0
         monkeypatch.setattr(CodedOps, "_pivot", counting)
         G = gram_matrix(f, 1)
         monkeypatch.setattr(CodedOps, "_pivot", real)
         assert G.mu == mu > 1
-        assert steps[0] == mu
+        assert steps[0] == (mu if block_steps is None else block_steps)
         assert G.det == ref_det(f.ring, G.matrix)
 
 
@@ -187,6 +192,26 @@ def test_arf_ignores_choice_of_lift():
     for g_text in ("x*y", "x^2+y", "1+x^3"):
         g = parse_poly(g_text, f4, ["x", "y"])
         assert arf_invariant(f, lift_perturbation=g) == base
+
+
+def test_a_separable_arf_over_f4_is_the_unsplit_one(capsys):
+    """The field algebra of a sum of blocks splits and the W_3 lift's does
+    not; arf and verify answer as they did with both eliminated whole."""
+    f4 = gf_create(2, 2)
+    poly = "x^3+y^3+z^2+z*w+g*w^2"
+    f = parse_poly(poly, f4, ["x", "y", "z", "w"], {"g": f4.gen()})
+    assert milnor_algebra(f).blocks is not None
+    assert milnor_algebra(witt_lift(f)).blocks is None
+    argv = ["--p", "2", "--m", "2", "--vars", "x,y,z,w", "--poly", poly, "--json"]
+    head = {"input": "x^3 + y^3 + z^2 + z*w + g*w^2",
+            "field": {"p": 2, "m": 2, "modulus": [1, 1, 1]}}
+    assert cli.main(["arf"] + argv) == 0
+    assert json.loads(capsys.readouterr().out) == {**head, "arf": {"value": [0, 0], "trace_bit": 0}}
+    assert cli.main(["verify"] + argv) == 0
+    epsilon = {"sign": 1, "tau_exp": 0, "q_exp": "-8", "witness": None}
+    assert json.loads(capsys.readouterr().out) == {
+        **head, "mu": 4, "dimtot": -4, "convention": "calibrated", "geometric": epsilon,
+        "arithmetic": epsilon, "verdict": "PASS", "psi_twists_checked": 1}
 
 
 def test_global_univariate_hand_case():
@@ -409,34 +434,81 @@ def test_only_a_read_of_the_matrix_solves_the_gram(monkeypatch, capsys, p, m, na
     assert counts["solve"] == 2
 
 
+def test_a_separable_verify_and_disc_eliminate_only_a_block(monkeypatch, capsys):
+    """verify and disc of x^5+y^5+z^5+w^5 over F_11 (mu = 256) eliminate
+    only the one-variable block x^5, once, and build the Bezoutian matrix
+    of that block alone, never f's."""
+    eliminated, bezoutians = [], []
+    eliminate, residue_data = milnor._eliminate, residue._residue_data
+
+    def counting_eliminate(grads, ring, n_vars, upto, lo=0):
+        eliminated.append(n_vars)
+        return eliminate(grads, ring, n_vars, upto, lo)
+
+    def counting_residue_data(f):
+        bezoutians.append(f.n_vars)
+        return residue_data(f)
+
+    monkeypatch.setattr(milnor, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(residue, "_residue_data", counting_residue_data)
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    argv = ["--p", "11", "--vars", "x,y,z,w", "--poly", "x^5+y^5+z^5+w^5", "--json"]
+    assert cli.main(["verify"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] == 256
+    assert cli.main(["disc"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] == 256
+    assert eliminated == [1]
+    assert bezoutians and set(bezoutians) == {1}
+
+
 def _element_product(A, B, zero):
     return [[sum((a * B[k][j] for k, a in enumerate(row)), zero) for j in range(len(B[0]))]
             for row in A]
 
 
+SEPARABLE = [
+    (7, 1, "x,y", "x^3+y^3"),
+    (13, 1, "x,y,z", "2*x^2+y^3+5*z^4"),
+    (11, 1, "x,y,z", "x^3+y^4+x*y^3+3*z^3"),
+    (5, 2, "x,y", "g*x^3+y^4+1"),
+    (3, 2, "x,y,z", "x^4+g*y^5+z^2"),
+    (5, 1, "x,y,z,w", "x^2+x*y+2*y^2+z^3+3*w^4"),
+]
+
+
 def test_the_lazy_matrix_inverts_the_bezoutian():
     """G * C = alpha^n * I with element arithmetic, and G.det is the
     determinant of G itself, over prime and extension fields and W_3 lifts,
-    for alpha = 1, -1 and another unit (F_3 has only two)."""
+    for alpha = 1, -1 and another unit (F_3 has only two).  For the sums of
+    blocks in disjoint variables det G comes from the blocks' Gram forms
+    and the matrix from f's own C, with alpha = 1, -1 and 3 (g over F_9)."""
     rng = random.Random(12)
     fields = [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2), (2, 1), (2, 2)]
-    checked = set()
+    cases = []
     for p, m in fields:
         for _ in range(4):
             f = _seeded_isolated(rng, gf_create(p, m), rng.randrange(1, 4))
             if p == 2:
                 f = witt_lift(f)
-            ring = f.ring
-            C = bezoutian(f)
-            other = ring([0, 1]) if m > 1 else ring(3)
-            for alpha in [ring(1), ring(-1)] + ([other] if other.is_unit() else []):
-                G = gram_matrix(f, alpha)
-                factor = alpha ** f.n_vars
-                eye = [[factor if i == j else ring.zero for j in range(G.mu)]
-                       for i in range(G.mu)]
-                assert _element_product(G.matrix, C, ring.zero) == eye
-                assert G.det == det_ring(ring, G.matrix)
-                checked.add((p, m, G.mu > 1))
+            other = f.ring([0, 1]) if m > 1 else f.ring(3)
+            cases.append((p, m, f, [1, -1] + ([other] if other.is_unit() else [])))
+    for p, m, names, poly in SEPARABLE:
+        field = gf_create(p, m)
+        f = parse_poly(poly, field, names.split(","), {"g": field.gen()} if m > 1 else None)
+        assert milnor_algebra(f).blocks is not None
+        cases.append((p, m, f, [1, -1, 3 if p != 3 else field.gen()]))
+    checked = set()
+    for p, m, f, scales in cases:
+        ring = f.ring
+        C = bezoutian(f)
+        for alpha in map(ring, scales):
+            G = gram_matrix(f, alpha)
+            factor = alpha ** f.n_vars
+            eye = [[factor if i == j else ring.zero for j in range(G.mu)]
+                   for i in range(G.mu)]
+            assert _element_product(G.matrix, C, ring.zero) == eye
+            assert G.det == det_ring(ring, G.matrix)
+            checked.add((p, m, G.mu > 1))
     assert {(p, m, True) for p, m in fields} <= checked
 
 
