@@ -13,7 +13,8 @@ Quadratic Gauss sums of F_{p^m} come from the prime field: the
 Hasse-Davenport relation (Davenport-Hasse 1935) gives tau_{p^m}(c) =
 tau_p(c)^m in Z[zeta_p], so no Gauss sum enumerates F_q; gauss_sum has the
 derivation.  The absolute trace is F_p-linear and is read off the traces of
-the basis x^i, computed once per field.
+the basis x^i, computed once per field.  The quadratic character is that of
+F_p on the norm, a resultant with the modulus.
 """
 
 from __future__ import annotations
@@ -446,23 +447,38 @@ def trace_bit(a: FieldElem) -> int:
     return gf_trace(a).constant_value()
 
 
+def _norm_digits(a, h, p: int) -> int:
+    """Norm to F_p of the nonzero a in F_p[x]/(h), h irreducible and monic:
+    the resultant Res(h, a), by Euclid on integer digit lists.
+
+    Each step writes r0 = Q*r1 + r2 and uses Res(r0, r1) =
+    (-1)^(deg r0 * deg r1) * lc(r1)^(deg r0 - deg r2) * Res(r1, r2); at a
+    constant r1 = c, Res(r0, c) = c^(deg r0).
+    """
+    r0, r1 = list(h), _trim(list(a))
+    acc = 1
+    while len(r1) > 1:
+        d0, d1 = len(r0) - 1, len(r1) - 1
+        inv = pow(r1[-1], p - 2, p)
+        r2 = _trim(_poly_mod(r0, [c * inv % p for c in r1], p))
+        acc = acc * pow(r1[-1], d0 - len(r2) + 1, p) * (-1) ** (d0 * d1) % p
+        r0, r1 = r1, r2
+    return acc * pow(r1[0], len(r0) - 1, p) % p
+
+
 def legendre(a: FieldElem) -> int:
-    """Quadratic character of F_q, q odd: +1, -1, or 0."""
+    """Quadratic character of F_q, q odd: +1, -1, or 0.
+
+    a^((q-1)/2) = N(a)^((p-1)/2) for the norm N to F_p, so eta_q(a) is
+    Euler's criterion mod p on N(a) = Res(h, a).
+    """
     field = a.ring
     if field.p == 2:
         raise EvenCharacteristic("no quadratic character in characteristic 2")
     if a.is_zero():
         return 0
-    c = a.coeffs
-    if not any(c[1:]):
-        # c in F_p: c^((q-1)/2) = (c^((p-1)/2))^(1 + p + ... + p^(m-1)), and
-        # that exponent has the parity of m, so eta_q(c) = eta_p(c)^m
-        if field.m % 2 == 0 or pow(c[0], (field.p - 1) // 2, field.p) == 1:
-            return 1
-        return -1
-    t = a ** ((field.q - 1) // 2)
-    v = t.constant_value()
-    return 1 if v == 1 else -1
+    p = field.p
+    return 1 if pow(_norm_digits(a.coeffs, field.modulus, p), (p - 1) // 2, p) == 1 else -1
 
 
 def wp_class(a: FieldElem):

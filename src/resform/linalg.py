@@ -45,13 +45,15 @@ class CodedOps:
     Digits are int32: a product sums m terms below b^2 before it is reduced.
     """
 
-    __slots__ = ("ring", "size", "base", "residue", "_elem", "_S", "_inv")
+    __slots__ = ("ring", "size", "base", "residue", "_mask", "_elem", "_S", "_inv")
 
     def __init__(self, ring):
         m = ring.m
         self.ring = ring
         self.size = ring.b ** m
         self.base = ring.b
+        # b = 2 or 8: X mod b is X & (b - 1), on negative int32 entries too
+        self._mask = ring.b - 1 if ring.b & (ring.b - 1) == 0 else None
         # an entry is a unit when its digits mod the residue characteristic
         # are not all zero
         self.residue = ring.residue
@@ -71,8 +73,12 @@ class CodedOps:
         return [elem(ring, c) for c in row.tolist()]
 
     def _reduce(self, X):
-        """X mod b in place, by floor division, which numpy does fast for a scalar."""
-        X -= (X // self.base) * self.base
+        """X mod b in place: a bit mask when b is a power of two, else by
+        floor division, which numpy does fast for a scalar."""
+        if self._mask is not None:
+            X &= self._mask
+        else:
+            X -= (X // self.base) * self.base
         return X
 
     def _units(self, X):

@@ -195,9 +195,13 @@ class MilnorAlgebra:
 
     `blocks` holds the variable-disjoint summands of f when the algebra was
     built as the tensor product of theirs, and is None otherwise.
+    `gram_dets` maps a unit scale alpha to the determinant of f's Gram
+    matrix for alpha*dt; residue.gram_matrix fills it once its checks pass,
+    so every consumer of f shares one Bezoutian elimination.
     """
 
-    __slots__ = ("ring", "n_vars", "D", "basis", "mu", "basis_index", "_nf", "blocks")
+    __slots__ = ("ring", "n_vars", "D", "basis", "mu", "basis_index", "_nf", "blocks",
+                 "gram_dets")
 
     def __init__(self, ring, n_vars, D, basis, nf, blocks=None):
         self.ring = ring
@@ -208,6 +212,7 @@ class MilnorAlgebra:
         self.basis_index = {e: i for i, e in enumerate(basis)}
         self._nf = nf
         self.blocks = blocks
+        self.gram_dets: dict = {}
 
     def nf_monomial(self, exps) -> dict:
         """Sparse coefficient vector of a monomial over the basis."""
@@ -297,8 +302,9 @@ def _product(f: MultiPoly, cap: int):
 
 
 # Most recently used last.  The bound holds every algebra that the
-# consumers of one polynomial share, and it is a bound rather than a clear
-# so that a call costs the same however many polynomials came before it.
+# consumers of one polynomial share, with the Gram determinants stored on
+# it, and it is a bound rather than a clear so that a call costs the same
+# however many polynomials came before it.
 _ALGEBRAS: dict = {}
 _ALGEBRAS_MAX = 256
 

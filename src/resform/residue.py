@@ -20,6 +20,12 @@ G_i = alpha^(n_i) * C_i^-1, and det G = prod det(G_i)^(mu/mu_i).  Each G_i
 is the gram_matrix of f_i, with its checks; C is symmetric or invertible
 exactly when every C_i is.  G itself is still solved from f's own C, built
 from the product normal forms, when it is read.
+
+det G is kept, per unit scale, on the Milnor algebra that milnor_algebra
+shares among the consumers of one polynomial, and only once every check
+has passed; so verify, disc, arf, a split sum's blocks and the Witt lift
+that arf and verify both build eliminate C once, and an error is raised
+anew on every call.  Neither C nor the solved matrix is kept there.
 """
 
 from __future__ import annotations
@@ -169,11 +175,26 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     the matrix is solved only when it is read.  When the Milnor algebra is
     a tensor product of blocks' algebras, so is G, and det G is read off
     the blocks' Gram forms by the Kronecker law, with their checks.
+
+    det G is kept on f's shared Milnor algebra once every check has passed;
+    a later call reads it there, or moves it to another unit scale by
+    det G(alpha) = det G(beta) * (alpha/beta)^(n*mu), without C.
     """
     alg = milnor_algebra(f)
     ring, mu = f.ring, alg.mu
+    dets = alg.gram_dets
     C = None
-    if alg.blocks:
+    if dets:
+        # every check on f passed when the first entry was stored: only the
+        # scale is new
+        alpha = ring(scale)
+        det = dets.get(alpha)
+        if det is None:
+            if not alpha.is_unit():
+                raise NonUnitScale(f"scale {alpha!r} is not a unit")
+            beta, det_beta = next(iter(dets.items()))
+            det = det_beta * (alpha / beta) ** (f.n_vars * mu)
+    elif alg.blocks:
         # G is the permuted Kronecker product of the blocks' forms
         forms = [gram_matrix(block, scale) for block in alg.blocks]
         alpha = forms[0].scale
@@ -200,7 +221,9 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
         eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
         return solve_ring(ring, _residue_data(f)[1] if C is None else C, eye)
 
-    return GramForm(ring, f.n_vars, list(alg.basis), solve, alpha, det)
+    G = GramForm(ring, f.n_vars, list(alg.basis), solve, alpha, det)
+    dets[alpha] = det
+    return G
 
 
 def disc_square_class(G: GramForm):

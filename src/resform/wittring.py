@@ -53,6 +53,16 @@ class GaloisRing(DigitRing):
             raise OddCharacteristic("Witt coefficients are built over characteristic 2")
         self.field = field
         super().__init__(8, 2, tuple(c % 2 for c in field.modulus), field.gen_symbol)
+        # a -> a^(2^k), k = -2 mod m, inverts a -> a^4 on the residue field
+        # and is F_2-linear: row i holds the bits of (x^i)^(2^k)
+        t = field.gen()
+        for _ in range(-2 % field.m):
+            t = t * t
+        rows, power = [], field.one
+        for _ in range(field.m):
+            rows.append(sum(c << j for j, c in enumerate(power.coeffs)))
+            power = power * t
+        self._fourth_root = tuple(rows)
 
     def lift(self, a: FieldElem) -> GaloisRingElem:
         """The coefficient-wise {0,1} lift (not multiplicative in general)."""
@@ -76,19 +86,23 @@ def gr_create(field: Field) -> GaloisRing:
 
 
 def teichmuller(ring: GaloisRing, a: FieldElem) -> GaloisRingElem:
-    """Multiplicative lift: the unique fixed point of z -> z^(2^m) above a."""
+    """Multiplicative lift [a], the unique fixed point of z -> z^(2^m) above a.
+
+    [0] = 0 and [1] = 1.  Otherwise let b = a^(2^k), k = -2 mod m, so that
+    b^4 = a.  Any lift z of b has z^2 = [b]^2 mod 4, as (t + 2w)^2 =
+    t^2 + 4(tw + w^2), and so z^4 = [b]^4 = [a] mod 8: two squarings.
+    """
     z = ring.lift(a)
-    for _ in range(4):
-        w = _frob_q(ring, z)
-        if w == z:
-            return z
-        z = w
-    raise ReducibleModulus("Teichmuller iteration did not converge")
-
-
-def _frob_q(ring: GaloisRing, z: GaloisRingElem) -> GaloisRingElem:
-    for _ in range(ring.m):
+    if any(a.coeffs[1:]):
+        bits = 0
+        for c, row in zip(a.coeffs, ring._fourth_root):
+            if c:
+                bits ^= row
+        z = GaloisRingElem(ring, [(bits >> j) & 1 for j in range(ring.m)])
         z = z * z
+        z = z * z
+        if z.reduce() != a:
+            raise ReducibleModulus("b^4 != a for b = a^(2^(m-2)): the modulus is reducible")
     return z
 
 

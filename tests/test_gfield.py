@@ -398,10 +398,23 @@ ODD_FIELDS = [(p, m) for p, m in SMALL_FIELDS if p > 2]
 
 @pytest.mark.parametrize("p, m", ODD_FIELDS, ids=[f"F_{p}^{m}" for p, m in ODD_FIELDS])
 def test_legendre_is_eulers_criterion_on_every_element(p, m):
-    """The prime-subfield shortcut and the general power agree with
-    a^((q-1)/2) everywhere."""
+    """The character of the norm Res(h, a) agrees with a^((q-1)/2)
+    everywhere."""
     field = gf_create(p, m)
     for a in field.elements():
-        power = a ** ((field.q - 1) // 2)
-        want = 0 if a.is_zero() else (1 if power == field.one else -1)
-        assert legendre(a) == want, a
+        assert legendre(a) == _euler(a), a
+
+
+def _euler(a):
+    power = a ** ((a.ring.q - 1) // 2)
+    return 0 if a.is_zero() else (1 if power == a.ring.one else -1)
+
+
+@pytest.mark.parametrize("p, m, modulus", [(3, 6, None), (5, 4, None), (13, 3, None),
+                                           (3, 2, (1, 0, 1)), (5, 2, (3, 0, 1))])
+def test_legendre_is_eulers_criterion_on_large_fields(p, m, modulus):
+    field = gf_create(p, m, modulus)
+    rng = random.Random(f"legendre/{p}/{m}/{modulus}")
+    for _ in range(200):
+        a = field.decode(rng.randrange(field.q))
+        assert legendre(a) == _euler(a), a

@@ -248,7 +248,8 @@ def test_a_lower_cap_still_rejects_after_success():
 
 
 def _count_eliminations(monkeypatch):
-    """Record the ring of every elimination milnor runs, on an empty cache."""
+    """Record the ring of every elimination milnor runs (each test starts
+    with an empty algebra cache, see conftest)."""
     seen = []
     eliminate = milnor._eliminate
 
@@ -257,7 +258,6 @@ def _count_eliminations(monkeypatch):
         return eliminate(grads, ring, n_vars, upto, lo)
 
     monkeypatch.setattr(milnor, "_eliminate", counting)
-    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     return seen
 
 
@@ -299,7 +299,6 @@ def test_repeated_arf_scans_the_residue_field_once(monkeypatch):
 
 
 def test_algebra_cache_drops_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     monkeypatch.setattr(milnor, "_ALGEBRAS_MAX", 3)
     f7 = gf_create(7, 1)
     a, b, c, d = (parse_poly(f"{k}*x^3", f7, ["x"]) for k in range(1, 5))
@@ -315,7 +314,6 @@ def test_algebra_cache_drops_the_least_recently_used(monkeypatch):
 def test_parity_violation_is_a_structured_error(monkeypatch, capsys):
     """A broken parity reaches the CLI as OddProduct with exit code 2."""
     field = gf_create(2, 1)
-    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     # pretend the Jacobian ideal is (u): mu = 1 with one variable
     monkeypatch.setattr(milnor, "partials", lambda f: [MultiPoly.var(field, 1, 0)])
     with pytest.raises(OddProduct):
@@ -344,7 +342,6 @@ def test_macaulay_cells_never_become_objects_on_the_way_in_or_out(monkeypatch):
 
     monkeypatch.setattr(linalg.CodedOps, "encode_matrix", refuse)
     monkeypatch.setattr(linalg.CodedOps, "decode_row", refuse)
-    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     f13 = gf_create(13, 1)
     alg = milnor_algebra(parse_poly("x^4+y^3+x^2*y", f13, ["x", "y"]))
     assert _nf_size(alg) > alg.mu
@@ -357,7 +354,6 @@ def test_only_the_normal_form_coefficients_are_built_as_elements(monkeypatch):
     its normal-form coefficients plus a few constants.  The x^2*y^2*z^2
     term keeps it from splitting into three blocks."""
     f = parse_poly("x^6+y^6+z^6+x^2*y^2*z^2", gf_create(13, 1), ["x", "y", "z"])
-    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     built = [0]
     init = DigitElem.__init__
 
@@ -376,7 +372,6 @@ def test_a_relation_without_a_unit_pivot_is_not_flat(monkeypatch):
     """Over F_2 the ideal is (x, y); its lift (2x, 2y) has no unit pivot, so
     the quotient over W_3 is not free."""
     field = gf_create(2, 1)
-    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     monkeypatch.setattr(milnor, "partials", lambda f: [
         MultiPoly.var(f.ring, 2, i).scale(1 if f.ring == field else 2) for i in range(2)
     ])
@@ -456,7 +451,6 @@ def test_a_separable_input_that_fails_keeps_the_message_of_its_own_scan(
         return eliminate(grads, ring, n_vars, upto, lo)
 
     monkeypatch.setattr(milnor, "_eliminate", counting)
-    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     f = parse_poly(text, gf_create(p, 1), names.split(","))
     with pytest.raises(NotIsolated) as err:
         milnor_algebra(f)
@@ -572,7 +566,6 @@ def test_arf_of_the_fermat_quintic_over_f4_eliminates_once_over_w3(monkeypatch):
         return eliminate(grads, ring, n_vars, upto, lo)
 
     monkeypatch.setattr(milnor, "_eliminate", counting)
-    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     field = gf_create(2, 2)
     f = parse_poly("x^5+y^5+z^5", field, ["x", "y", "z"])
     arf_invariant(f)

@@ -372,8 +372,10 @@ def test_a_non_symmetric_bezoutian_is_refused(monkeypatch):
         return alg, C
 
     monkeypatch.setattr(residue, "_residue_data", skewed)
-    with pytest.raises(SingularBezoutian, match="^gram matrix is not symmetric$"):
-        gram_matrix(f, 1)
+    for _ in range(2):
+        with pytest.raises(SingularBezoutian, match="^gram matrix is not symmetric$"):
+            gram_matrix(f, 1)
+    assert milnor_algebra(f).gram_dets == {}
 
 
 def _count_solves(monkeypatch):
@@ -437,7 +439,8 @@ def test_only_a_read_of_the_matrix_solves_the_gram(monkeypatch, capsys, p, m, na
 def test_a_separable_verify_and_disc_eliminate_only_a_block(monkeypatch, capsys):
     """verify and disc of x^5+y^5+z^5+w^5 over F_11 (mu = 256) eliminate
     only the one-variable block x^5, once, and build the Bezoutian matrix
-    of that block alone, never f's."""
+    of that block alone, once, never f's: the four blocks share one
+    algebra, and disc's scale 1 moves verify's det G for -1."""
     eliminated, bezoutians = [], []
     eliminate, residue_data = milnor._eliminate, residue._residue_data
 
@@ -451,14 +454,13 @@ def test_a_separable_verify_and_disc_eliminate_only_a_block(monkeypatch, capsys)
 
     monkeypatch.setattr(milnor, "_eliminate", counting_eliminate)
     monkeypatch.setattr(residue, "_residue_data", counting_residue_data)
-    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     argv = ["--p", "11", "--vars", "x,y,z,w", "--poly", "x^5+y^5+z^5+w^5", "--json"]
     assert cli.main(["verify"] + argv) == 0
     assert json.loads(capsys.readouterr().out)["mu"] == 256
     assert cli.main(["disc"] + argv) == 0
     assert json.loads(capsys.readouterr().out)["mu"] == 256
     assert eliminated == [1]
-    assert bezoutians and set(bezoutians) == {1}
+    assert bezoutians == [1]
 
 
 def _element_product(A, B, zero):
@@ -527,5 +529,110 @@ def test_a_bezoutian_singular_over_w3_is_not_invertible(monkeypatch):
     monkeypatch.setattr(residue, "_residue_data", even)
     with pytest.raises(NonUnit):
         det_ring(ring, bezoutian(f))
-    with pytest.raises(SingularBezoutian, match="^bezoutian matrix is not invertible$"):
-        gram_matrix(f, 1)
+    for _ in range(2):
+        with pytest.raises(SingularBezoutian, match="^bezoutian matrix is not invertible$"):
+            gram_matrix(f, 1)
+    assert milnor_algebra(f).gram_dets == {}
+
+
+def _count_bezoutians(monkeypatch):
+    """Record (ring, n_vars) of every Bezoutian matrix built, and count the
+    eliminations that read a determinant off it."""
+    built, dets = [], [0]
+    residue_data, det = residue._residue_data, residue.unit_det
+
+    def counting_residue_data(f):
+        built.append((f.ring, f.n_vars))
+        return residue_data(f)
+
+    def counting_det(ops, digits):
+        dets[0] += 1
+        return det(ops, digits)
+
+    monkeypatch.setattr(residue, "_residue_data", counting_residue_data)
+    monkeypatch.setattr(residue, "unit_det", counting_det)
+    return built, dets
+
+
+def test_arf_then_verify_build_the_witt_bezoutian_once(monkeypatch):
+    """arf_invariant and then verify_identity of x^2+x*y+g*y^2 over F_16
+    read det G of one Witt lift: one Bezoutian and one elimination."""
+    field = gf_create(2, 4)
+    f = parse_poly("x^2+x*y+g*y^2", field, ["x", "y"], {"g": field.gen()})
+    built, dets = _count_bezoutians(monkeypatch)
+    first = arf_invariant(f)
+    report = verify_identity(f)
+    assert report["verdict"] == "PASS"
+    assert arf_invariant(f) == first
+    assert built == [(gr_create(field), 2)]
+    assert dets == [1]
+
+
+STORE_CASES = [
+    (7, 1, "x,y", "x^4+y^5+x^2*y^2"),
+    (5, 2, "x,y", "g*x^3+y^4"),
+    (13, 1, "x,y,z", "2*x^2+y^3+5*z^4"),
+    (2, 2, "x,y", "x^3+g*x^2*y+y^3"),
+]
+
+
+def _store_case(p, m, names, poly):
+    field = gf_create(p, m)
+    f = parse_poly(poly, field, names.split(","), {"g": field.gen()} if m > 1 else None)
+    return witt_lift(f) if p == 2 else f
+
+
+@pytest.mark.parametrize("p, m, names, poly", STORE_CASES, ids=[c[3] + "/" + str(c[0]) for c in STORE_CASES])
+def test_a_stored_det_is_the_det_of_the_solved_matrix(monkeypatch, p, m, names, poly):
+    """A det read from the algebra, or moved there to a new scale, is the
+    determinant of the matrix solved from f's own Bezoutian; no Bezoutian is
+    built for it, and the algebra keeps ring elements only."""
+    f = _store_case(p, m, names, poly)
+    ring = f.ring
+    first = gram_matrix(f, 1)
+    alg = milnor_algebra(f)
+    slots = {name: id(getattr(alg, name)) for name in type(alg).__slots__}
+    built, dets = _count_bezoutians(monkeypatch)
+    forms = [gram_matrix(f, s) for s in (1, -1, 3, -1)]
+    assert built == [] and dets == [0]
+    forms.append(first)
+    for G in forms:
+        assert G.det == det_ring(ring, G.matrix)
+    assert {name: id(getattr(alg, name)) for name in type(alg).__slots__} == slots
+    assert set(alg.gram_dets) == {ring(1), ring(-1), ring(3)}
+    for alpha, det in alg.gram_dets.items():
+        assert type(alpha) is type(det) is type(ring.one)
+        assert alpha.ring == det.ring == ring
+
+
+def test_errors_are_raised_anew_on_every_call():
+    """A non-unit scale raises its message before and after the algebra
+    holds a determinant, over a field, for a split sum and over W_3."""
+    f7 = gf_create(7, 1)
+    cases = [(parse_poly("x^4+y^3+x^2*y", f7, ["x", "y"]), 7, "0"),
+             (parse_poly("x^4+y^3", f7, ["x", "y"]), 14, "0"),
+             (witt_lift(parse_poly("x^3+y^3", gf_create(2, 1), ["x", "y"])), 2, "2")]
+    for f, scale, shown in cases:
+        for good in (None, 1):
+            if good is not None:
+                gram_matrix(f, good)
+            for _ in range(2):
+                with pytest.raises(NonUnitScale, match=f"^scale {shown} is not a unit$"):
+                    gram_matrix(f, scale)
+        assert set(milnor_algebra(f).gram_dets) == {f.ring(1)}
+
+
+def test_an_evicted_polynomial_recomputes_the_same_det(monkeypatch):
+    """With room for three algebras, the first of four polynomials is
+    evicted; its next Gram form builds its Bezoutian again, with the same
+    det, while a warm one builds none."""
+    monkeypatch.setattr(milnor, "_ALGEBRAS_MAX", 3)
+    f7 = gf_create(7, 1)
+    polys = [parse_poly(f"x^4+y^3+{k}*x^2*y", f7, ["x", "y"]) for k in range(1, 5)]
+    built, _ = _count_bezoutians(monkeypatch)
+    first = [gram_matrix(f, 3).det for f in polys]
+    assert len(built) == 4
+    assert gram_matrix(polys[-1], 3).det == first[-1]
+    assert len(built) == 4
+    assert gram_matrix(polys[0], 3).det == first[0]
+    assert len(built) == 5

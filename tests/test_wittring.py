@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from resform import wittring
@@ -120,16 +121,19 @@ def test_sign_parity_moves_between_classes():
 
 
 def test_teichmuller_non_convergence_is_reported(monkeypatch):
-    """The fixed-point check survives python -O as a structured error."""
-    field = gf_create(2, 2)
+    """A fourth root that does not invert a -> a^4 is reported as a
+    structured error, which survives python -O."""
+    field = gf_create(2, 3)
     ring = gr_create(field)
-    monkeypatch.setattr(wittring, "_frob_q", lambda ring, z: z + ring(4))
+    # the identity is not a^(2^k) on F_8, k = 1: g^4 != g
+    monkeypatch.setattr(ring, "_fourth_root", (1, 2, 4))
     with pytest.raises(ReducibleModulus):
         teichmuller(ring, field.gen())
 
 
 def test_a_fixed_lift_costs_one_frobenius(monkeypatch):
-    """A lift that is already fixed is squared m times, once round."""
+    """0 and 1 are their own lifts and cost no product; any other lift costs
+    at most 4 multiplications (it takes 2), whatever m."""
     calls = []
     real = DigitElem.__mul__
 
@@ -137,14 +141,55 @@ def test_a_fixed_lift_costs_one_frobenius(monkeypatch):
         calls.append(1)
         return real(a, b)
 
-    monkeypatch.setattr(DigitElem, "__mul__", counting)
-    for m in (1, 3, 4):
+    for m in (1, 3, 4, 10, 40):
         field = gf_create(2, m)
         ring = gr_create(field)
+        monkeypatch.setattr(DigitElem, "__mul__", counting)
         for a in (field.zero, field.one):
             calls.clear()
             assert teichmuller(ring, a) == ring.lift(a)
-            assert len(calls) == m
+            assert not calls
+        rng = random.Random(m)
+        for _ in range(5):
+            a = field.decode(rng.randrange(field.q))
+            calls.clear()
+            teichmuller(ring, a)
+            assert len(calls) <= 4
+        monkeypatch.setattr(DigitElem, "__mul__", real)
+
+
+def _iterated_lift(ring, a):
+    """Reference lift: iterate z -> z^(2^m) from the {0,1} lift of a until
+    it is fixed, squaring by numpy convolution and the ring's reduction rows."""
+    m = ring.m
+    rows = np.array(ring._xpow, dtype=np.int64).reshape(-1, m)
+    z = np.array(a.coeffs, dtype=np.int64)
+    for _ in range(4):
+        w = z
+        for _ in range(m):
+            conv = np.convolve(w, w)
+            w = (conv[:m] + conv[m:] @ rows) % 8
+        if (w == z).all():
+            return ring(w.tolist())
+        z = w
+    raise AssertionError("the iteration did not converge")
+
+
+def test_teichmuller_matches_the_frobenius_iteration():
+    """Every element of F_{2^m}, m <= 8, and 200 seeded elements of F_{2^10}
+    and F_{2^40} lift as the fixed point of z -> z^(2^m) does."""
+    for m in range(1, 9):
+        field = gf_create(2, m)
+        ring = gr_create(field)
+        for a in field.elements():
+            assert teichmuller(ring, a) == _iterated_lift(ring, a)
+    for m in (10, 40):
+        field = gf_create(2, m)
+        ring = gr_create(field)
+        rng = random.Random(m)
+        for _ in range(200):
+            a = field.decode(rng.randrange(field.q))
+            assert teichmuller(ring, a) == _iterated_lift(ring, a)
 
 
 def test_halving_an_odd_digit_raises_non_integral():
