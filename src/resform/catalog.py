@@ -3,7 +3,9 @@
 An EpsilonValue is sign * tau^t * q^e with tau the quadratic Gauss sum of
 the field, kept symbolic so equality is decidable.  The catalog covers the
 quadratic blocks in each characteristic, and additive convolution composes
-them over the variable-disjoint blocks of a polynomial.  This is the second
+them over the variable-disjoint blocks of a polynomial.  A polynomial is
+split into its blocks once, and every block is classified afresh for each
+twist of the additive character.  This is the second
 route of verify_identity, so it imports no residue code: a block's Milnor
 number is read off its derivative, never from the Milnor engine.
 """
@@ -19,11 +21,23 @@ from .mpoly import MultiPoly, variable_blocks
 
 
 class EpsilonValue:
-    """sign * tau^tau_exp * q^q_exp, normalized so tau_exp is 0 or 1."""
+    """sign * tau^tau_exp * q^q_exp, normalized so tau_exp is 0 or 1.
 
-    __slots__ = ("field", "sign", "tau_exp", "q_exp")
+    Every exponent of q that arises is a half-integer, so the value keeps
+    q2 = 2 * q_exp as an int and its arithmetic never leaves the integers;
+    q_exp reads it back as a Fraction.
+    """
+
+    __slots__ = ("field", "sign", "tau_exp", "q2")
 
     def __init__(self, field, sign: int, tau_exp: int = 0, q_exp=0):
+        q2 = 2 * Fraction(q_exp)
+        if q2.denominator != 1:
+            raise ValueError("the exponent of q must be a half-integer")
+        self._set(field, sign, tau_exp, int(q2))
+
+    def _set(self, field, sign: int, tau_exp: int, q2: int):
+        """Hold sign * tau^tau_exp * q^(q2/2), with tau^2 absorbed into q."""
         if sign not in (1, -1):
             raise ValueError("sign must be +-1")
         t = tau_exp % 2
@@ -36,33 +50,28 @@ class EpsilonValue:
         self.field = field
         self.sign = sign
         self.tau_exp = t
-        self.q_exp = Fraction(q_exp) + k
+        self.q2 = q2 + 2 * k
+
+    @property
+    def q_exp(self) -> Fraction:
+        return Fraction(self.q2, 2)
 
     def __mul__(self, other):
         if not isinstance(other, EpsilonValue):
             return NotImplemented
         if self.field != other.field:
             raise FieldMismatch("epsilon values over different fields")
-        return EpsilonValue(
-            self.field,
-            self.sign * other.sign,
-            self.tau_exp + other.tau_exp,
-            self.q_exp + other.q_exp,
-        )
+        return _epsilon(self.field, self.sign * other.sign,
+                        self.tau_exp + other.tau_exp, self.q2 + other.q2)
 
     def __pow__(self, k: int):
-        return EpsilonValue(
-            self.field,
-            self.sign if k % 2 else 1,
-            self.tau_exp * k,
-            self.q_exp * k,
-        )
+        return _epsilon(self.field, self.sign if k % 2 else 1, self.tau_exp * k, self.q2 * k)
 
     def inverse(self) -> "EpsilonValue":
-        return EpsilonValue(self.field, self.sign, -self.tau_exp, -self.q_exp)
+        return _epsilon(self.field, self.sign, -self.tau_exp, -self.q2)
 
     def negate(self) -> "EpsilonValue":
-        return EpsilonValue(self.field, -self.sign, self.tau_exp, self.q_exp)
+        return _epsilon(self.field, -self.sign, self.tau_exp, self.q2)
 
     def twist(self, c: int) -> "EpsilonValue":
         """The same value for the character psi^c in place of psi."""
@@ -76,15 +85,15 @@ class EpsilonValue:
         s = self.sign
         if self.tau_exp:
             s *= legendre(self.field(c))
-        return EpsilonValue(self.field, s, self.tau_exp, self.q_exp)
+        return _epsilon(self.field, s, self.tau_exp, self.q2)
 
     def witness(self):
         """The value as an exact cyclotomic integer, when it is one."""
         if self.field.p == 2:
             return None
-        if self.q_exp.denominator != 1 or self.q_exp < 0:
+        if self.q2 % 2 or self.q2 < 0:
             return None
-        w = CycloInt.from_int(self.field.p, self.sign * self.field.q ** int(self.q_exp))
+        w = CycloInt.from_int(self.field.p, self.sign * self.field.q ** (self.q2 // 2))
         if self.tau_exp:
             w = w * gauss_sum(self.field)
         return w
@@ -96,18 +105,18 @@ class EpsilonValue:
             self.field == other.field
             and self.sign == other.sign
             and self.tau_exp == other.tau_exp
-            and self.q_exp == other.q_exp
+            and self.q2 == other.q2
         )
 
     def __hash__(self):
-        return hash((self.field, self.sign, self.tau_exp, self.q_exp))
+        return hash((self.field, self.sign, self.tau_exp, self.q2))
 
     def __repr__(self):
         parts = []
         if self.tau_exp:
             parts.append("tau")
-        if self.q_exp:
-            parts.append(f"q^{self.q_exp}" if self.q_exp != 1 else "q")
+        if self.q2:
+            parts.append(f"q^{self.q_exp}" if self.q2 != 2 else "q")
         body = "*".join(parts) if parts else "1"
         return ("-" if self.sign < 0 else "") + body
 
@@ -119,6 +128,13 @@ class EpsilonValue:
             "q_exp": str(self.q_exp),
             "witness": list(w.coeffs) if w is not None else None,
         }
+
+
+def _epsilon(field, sign: int, tau_exp: int, q2: int) -> EpsilonValue:
+    """The value sign * tau^tau_exp * q^(q2/2), built from integers alone."""
+    e = object.__new__(EpsilonValue)
+    e._set(field, sign, tau_exp, q2)
+    return e
 
 
 def dimtot_from_mu(n_vars: int, mu: int) -> int:
@@ -158,7 +174,7 @@ def eps_quad_odd(a, field, twist: int = 1) -> EpsilonValue:
     if twist % field.p == 0:
         raise ZeroCoefficient("twist must be prime to the characteristic")
     _check_twist_law(field, twist)
-    return EpsilonValue(field, -legendre(-a * twist), 1, 0)
+    return _epsilon(field, -legendre(-a * twist), 1, 0)
 
 
 def eps_ordquad_char2(a, field) -> EpsilonValue:
@@ -167,14 +183,14 @@ def eps_ordquad_char2(a, field) -> EpsilonValue:
         raise OddCharacteristic("this entry is for characteristic 2")
     a = field(a)
     sign = -1 if trace_bit(a) == 0 else 1
-    return EpsilonValue(field, sign, 0, Fraction(-1))
+    return _epsilon(field, sign, 0, -2)
 
 
 def eps_wildquad_char2(field) -> EpsilonValue:
     """Catalog entry for a univariate mu=2 singularity in characteristic 2."""
     if field.p != 2:
         raise OddCharacteristic("this entry is for characteristic 2")
-    return EpsilonValue(field, 1, 0, Fraction(1))
+    return _epsilon(field, 1, 0, 2)
 
 
 def eps_convolve(e1: EpsilonValue, d1: int, e2: EpsilonValue, d2: int) -> EpsilonValue:
@@ -227,26 +243,37 @@ def _classify_block(field, bp: MultiPoly, twist: int):
     raise CatalogMiss(f"no catalog entry for block {bp.render()}")
 
 
-def arithmetic_side(f: MultiPoly, twist: int = 1):
-    """Catalog-and-convolution epsilon: returns (EpsilonValue, dimtot).
+def arithmetic_sides(f: MultiPoly, twists):
+    """Catalog-and-convolution epsilons: one (EpsilonValue, dimtot) per twist.
 
-    Falls over with CatalogMiss whenever any variable-disjoint block of f
-    is not in the explicit catalog; no attempt is made to diagonalize.  The
-    signed total dimension of a Thom-Sebastiani sum is -d1*d2.
+    f is split into its variable-disjoint blocks once; each block's catalog
+    entry is then derived afresh for every twist and the entries convolved.
+    Falls over with CatalogMiss whenever any block of f is not in the
+    explicit catalog; no attempt is made to diagonalize.  The signed total
+    dimension of a Thom-Sebastiani sum is -d1*d2.
     """
     field = f.ring
     if not isinstance(field, Field):
         raise RingMismatch("arithmetic side needs a finite field")
-    if field.p == 2 and twist % 2 == 0:
+    if field.p == 2 and any(c % 2 == 0 for c in twists):
         raise ZeroCoefficient("twist must be prime to the characteristic")
-    acc = None
-    for bp in _blocks(f):
-        eps0, db = _classify_block(field, bp, twist)
-        ebar = eps0.negate() if db % 2 else eps0
-        if acc is None:
-            acc = (ebar, db)
-        else:
-            acc = (eps_convolve(*acc, ebar, db), -acc[1] * db)
-    if acc is None:
+    blocks = _blocks(f)
+    if not blocks:
         raise CatalogMiss("empty polynomial")
-    return acc
+    out = []
+    for twist in twists:
+        acc = None
+        for bp in blocks:
+            eps0, db = _classify_block(field, bp, twist)
+            ebar = eps0.negate() if db % 2 else eps0
+            if acc is None:
+                acc = (ebar, db)
+            else:
+                acc = (eps_convolve(*acc, ebar, db), -acc[1] * db)
+        out.append(acc)
+    return out
+
+
+def arithmetic_side(f: MultiPoly, twist: int = 1):
+    """The catalog epsilon of f for one twist: (EpsilonValue, dimtot)."""
+    return arithmetic_sides(f, [twist])[0]

@@ -6,6 +6,9 @@ graded lexicographic with x_0 > x_1 > ... throughout the package.
 
 from __future__ import annotations
 
+import re
+from operator import add
+
 from .errors import PolySyntaxError, RingMismatch, UnknownVariable
 
 
@@ -285,114 +288,160 @@ def divided_difference(g: MultiPoly, j: int) -> MultiPoly:
     return MultiPoly(g.ring, 2 * n, out.terms)
 
 
-_TOKEN_OPS = set("+-*^()")
 MAX_NESTING = 100  # levels of parentheses; each costs the descent four frames
+MAX_EXPANSION = 100_000  # term pairs one product of the expansion may multiply
+
+# One token per match, after optional white space: an integer, a name, an
+# operator (with ** spelled ^), or any other character, which is an error.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|(\*\*|[-+*^()])|(\S))")
 
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif text.startswith("**", i):
-            tokens.append(("op", "^"))
-            i += 2
-        elif ch in _TOKEN_OPS:
-            tokens.append(("op", ch))
-            i += 1
-        else:
-            raise PolySyntaxError(f"unexpected character {ch!r} at position {i}")
+    for m in _TOKEN.finditer(text):
+        digits, name, op, _ = m.groups()
+        if digits is not None:
+            tokens.append(("int", int(digits)))
+        elif name is not None and (name[0].isalpha() or name[0] == "_"):
+            tokens.append(("name", name))
+        elif op is not None:
+            tokens.append(("op", "^" if op == "**" else op))
+        else:  # a stray character, or a non-decimal numeral that starts no name
+            i = m.start(2) if name is not None else m.start(4)
+            raise PolySyntaxError(f"unexpected character {text[i]!r} at position {i}")
     return tokens
 
 
+def _add_into(acc: dict, other: dict, subtract: bool):
+    """acc += other (or -= other), dropping the terms that cancel."""
+    for e, c in other.items():
+        if subtract:
+            c = -c
+        if e in acc:
+            c = acc[e] + c
+            if _czero(c):
+                del acc[e]
+                continue
+        acc[e] = c
+
+
+def _product(a: dict, b: dict) -> dict:
+    if len(a) * len(b) > MAX_EXPANSION:
+        raise PolySyntaxError(f"expanding the input multiplies {len(a)} by {len(b)} terms, "
+                              f"more than {MAX_EXPANSION} term pairs")
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if not _czero(c)}
+
+
+def _power(a: dict, k: int, one) -> dict:
+    """a ** k for k >= 1; one term is raised directly, more by repeated
+    squaring.  one is the ring's 1, which needs no raising."""
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        if c is not one:
+            c = c ** k
+            if _czero(c):
+                return {}
+        return {tuple(x * k for x in e): c}
+    result = None
+    while k:
+        if k & 1:
+            result = a if result is None else _product(result, a)
+        k >>= 1
+        if k:
+            a = _product(a, a)
+    return result
+
+
+_END = (None, None)
+
+
 class _Parser:
+    """Recursive descent over the tokens into {exponent tuple: coefficient}
+    dicts, so that only the finished polynomial is built as a MultiPoly."""
+
     def __init__(self, tokens, ring, var_names, constants):
-        self.tokens = tokens
+        self.tokens = tokens + [_END]
         self.pos = 0
         self.ring = ring
-        self.var_names = list(var_names)
+        self.n = len(var_names)
+        self.one = ring(1)
+        self.monomials = {}
+        for i, v in enumerate(var_names):
+            e = [0] * self.n
+            e[i] = 1
+            self.monomials[v] = tuple(e)
         self.constants = constants or {}
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def expr(self):
         node = self.term()
         while True:
-            kind, val = self.peek()
+            kind, val = self.tokens[self.pos]
             if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                node = node + rhs if val == "+" else node - rhs
+                self.pos += 1
+                _add_into(node, self.term(), val == "-")
             else:
                 return node
 
     def term(self):
         node = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                node = node * self.factor()
-            else:
-                return node
+        while self.tokens[self.pos] == ("op", "*"):
+            self.pos += 1
+            node = _product(node, self.factor())
+        return node
 
     def factor(self):
         kind, val = self.peek()
         neg = False
         while kind == "op" and val in "+-":
-            self.take()
+            self.pos += 1
             if val == "-":
                 neg = not neg
             kind, val = self.peek()
         node = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
+        if self.tokens[self.pos] == ("op", "^"):
+            self.pos += 1
             kind, val = self.take()
             if kind != "int":
                 raise PolySyntaxError("exponent must be an integer literal")
-            node = node ** val
-        return -node if neg else node
+            node = _power(node, val, self.one) if val else {(0,) * self.n: self.one}
+        return {e: -c for e, c in node.items()} if neg else node
+
+    def _const(self, value):
+        c = self.ring(value)
+        return {} if _czero(c) else {(0,) * self.n: c}
 
     def atom(self):
         kind, val = self.take()
-        n = len(self.var_names)
         if kind == "int":
-            return MultiPoly.const(self.ring, n, self.ring(val))
+            return self._const(val)
         if kind == "name":
-            if val in self.var_names:
-                return MultiPoly.var(self.ring, n, self.var_names.index(val))
+            e = self.monomials.get(val)
+            if e is not None:
+                return {e: self.one}
             if val in self.constants:
-                return MultiPoly.const(self.ring, n, self.ring(self.constants[val]))
+                return self._const(self.constants[val])
             raise UnknownVariable(f"unknown name {val!r}")
         if kind == "op" and val == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise PolySyntaxError(f"parentheses nested deeper than {MAX_NESTING}")
             node = self.expr()
-            kind, val = self.take()
-            if (kind, val) != ("op", ")"):
+            if self.take() != ("op", ")"):
                 raise PolySyntaxError("expected closing parenthesis")
             self.depth -= 1
             return node
@@ -400,7 +449,11 @@ class _Parser:
 
 
 def parse_poly(text: str, ring, var_names, constants=None) -> MultiPoly:
-    """Parse an expression with +, -, *, ^, parentheses, ints, and names."""
+    """Parse an expression with +, -, *, ^, parentheses, ints, and names.
+
+    No product of the expansion may multiply more than MAX_EXPANSION pairs
+    of terms, so every input is read in bounded time.
+    """
     repeated = [v for i, v in enumerate(var_names) if v in var_names[:i]]
     if repeated:
         raise PolySyntaxError(f"variable {repeated[0]} is declared more than once")
@@ -408,7 +461,7 @@ def parse_poly(text: str, ring, var_names, constants=None) -> MultiPoly:
     if not tokens:
         raise PolySyntaxError("empty expression")
     parser = _Parser(tokens, ring, var_names, constants)
-    poly = parser.expr()
+    terms = parser.expr()
     if parser.pos != len(tokens):
         raise PolySyntaxError(f"trailing input near token {parser.pos}")
-    return poly
+    return MultiPoly(ring, len(var_names), terms)

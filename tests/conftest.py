@@ -1,6 +1,19 @@
+import os
+
 import pytest
 
 from resform import milnor
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # Property tests draw the same examples on every run, so the suite stays
+    # deterministic; HYPOTHESIS_PROFILE=default draws fresh ones.
+    settings.register_profile("derandomized", derandomize=True, database=None,
+                              deadline=None, print_blob=False)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
 
 @pytest.fixture(autouse=True)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -275,3 +276,14 @@ def test_extension_degree_is_bounded(capsys):
                              "--vars", "x", "--poly", "x^2")
     assert code == 0
     assert payload["verdict"] == "PASS"
+
+
+def test_an_expansion_past_the_cap_is_refused_quickly(capsys):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "verify", "--p", "7", "--vars", "x,y,z",
+                             "--poly", "(x+y+z)^2000")
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert payload == {"error": "PolySyntaxError",
+                       "message": "expanding the input multiplies 450 by 540 terms, "
+                                  "more than 100000 term pairs"}

@@ -17,6 +17,7 @@ from resform.errors import (
 from resform.catalog import (
     EpsilonValue,
     arithmetic_side,
+    arithmetic_sides,
     _mu_univariate_char2,
     dimtot_from_mu,
     eps_convolve,
@@ -73,6 +74,61 @@ def test_char2_refuses_tau():
     with pytest.raises(EvenCharacteristic):
         EpsilonValue(f2, 1, 1, 0)
     assert EpsilonValue(f2, -1, 0, Fraction(1, 2)).to_json()["q_exp"] == "1/2"
+
+
+def test_q_exponent_is_kept_as_twice_a_half_integer():
+    """Every value the operations build holds 2*q_exp as an int, and reads
+    q_exp back as the Fraction it stands for."""
+    rng = random.Random(7)
+    for p in (3, 5, 7):
+        field = gf_create(p, 1)
+        vals = [EpsilonValue(field, rng.choice((1, -1)), rng.randrange(-3, 4),
+                             Fraction(rng.randrange(-5, 6), 2)) for _ in range(5)]
+        built = [a * b for a in vals for b in vals]
+        built += [e ** k for e in vals for k in (0, 1, 2, 3, -1)]
+        built += [e.inverse() for e in vals] + [e.negate() for e in vals]
+        built += [e.twist(c) for e in vals for c in range(1, p)]
+        for e in vals + built:
+            assert type(e.q2) is int
+            assert type(e.q_exp) is Fraction and e.q_exp == Fraction(e.q2, 2)
+            assert e.tau_exp in (0, 1)
+
+
+def test_q_exponent_json_strings():
+    f2, f3, f4 = gf_create(2, 1), gf_create(3, 1), gf_create(2, 2)
+    cases = [
+        (EpsilonValue(f2, 1, 0, Fraction(1, 2)), "1/2"),
+        (eps_ordquad_char2(f2(0), f2), "-1"),
+        (EpsilonValue(f4, -1, 0, Fraction(3, 2)), "3/2"),
+        (EpsilonValue(f3, 1, 1, 0), "0"),
+        (EpsilonValue(f3, 1, 1, 0) ** 2, "1"),
+        (EpsilonValue(f3, 1, 0, Fraction(-4, 2)), "-2"),
+    ]
+    for e, text in cases:
+        assert e.to_json()["q_exp"] == text
+
+
+def test_equal_values_built_by_different_routes_hash_alike():
+    f3, f5 = gf_create(3, 1), gf_create(5, 1)
+    tau3, tau5 = EpsilonValue(f3, 1, 1), EpsilonValue(f5, 1, 1)
+    for a, b in [
+        (tau3 ** 2, EpsilonValue(f3, -1, 0, 1)),  # tau^2 = -q over F_3
+        (tau5 ** 2, EpsilonValue(f5, 1, 0, 1)),  # and +q over F_5
+        (tau3 * tau3.inverse(), EpsilonValue(f3, 1)),
+        (EpsilonValue(f3, 1, 0, Fraction(2, 2)), EpsilonValue(f3, 1, 0, 1)),
+        (EpsilonValue(f3, 1, 4, 0), EpsilonValue(f3, 1, 0, 2)),
+        (tau3.negate().negate(), tau3),
+    ]:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert tau3 ** 2 != EpsilonValue(f3, 1, 0, 1)
+
+
+@pytest.mark.parametrize("q_exp", [Fraction(1, 3), Fraction(5, 4), Fraction(-1, 6)])
+def test_a_q_exponent_that_is_not_a_half_integer_is_refused(q_exp):
+    with pytest.raises(ValueError, match="half-integer"):
+        EpsilonValue(gf_create(5, 1), 1, 0, q_exp)
 
 
 def test_field_mismatch_refuses_product():
@@ -194,6 +250,47 @@ def test_verify_mixed_char2_convolution():
     assert d == 2
     rep = verify_identity(f)
     assert rep["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 3), (7, 2), (13, 4)])
+def test_verify_splits_once_and_classifies_every_block_for_every_twist(monkeypatch, p, k):
+    """One verify of a k-block diagonal form over F_p splits f once in the
+    catalog and derives each block's entry afresh for each of the p-1 twists."""
+    calibrate()  # its probes run through the catalog too
+    calls = {"split": 0, "classify": 0}
+    real_split, real_classify = catalog.variable_blocks, catalog._classify_block
+
+    def split(f):
+        calls["split"] += 1
+        return real_split(f)
+
+    def classify(*args):
+        calls["classify"] += 1
+        return real_classify(*args)
+
+    monkeypatch.setattr(catalog, "variable_blocks", split)
+    monkeypatch.setattr(catalog, "_classify_block", classify)
+    field = gf_create(p, 1)
+    names = [f"x{i}" for i in range(k)]
+    text = "+".join(f"{i % (p - 1) + 1}*{v}^2" for i, v in enumerate(names))
+    report = verify_identity(parse_poly(text, field, names))
+    assert report["verdict"] == "PASS"
+    assert report["psi_twists_checked"] == p - 1
+    assert calls == {"split": 1, "classify": k * (p - 1)}
+
+
+def test_arithmetic_sides_is_the_one_twist_answer_for_each_twist():
+    f7 = gf_create(7, 1)
+    f = parse_poly("x^2+3*y^2+5*z^2", f7, ["x", "y", "z"])
+    twists = list(range(1, 7))
+    assert arithmetic_sides(f, twists) == [arithmetic_side(f, c) for c in twists]
+    # an even twist in characteristic 2 is refused before f is split, and a
+    # bad shape before any block is classified
+    f2 = gf_create(2, 1)
+    with pytest.raises(ZeroCoefficient):
+        arithmetic_sides(parse_poly("x^2+x^3+1", f2, ["x"]), [1, 2])
+    with pytest.raises(CatalogMiss, match="nonzero constant term"):
+        arithmetic_side(parse_poly("x^2+1", f7, ["x"]), twist=7)
 
 
 def test_catalog_miss_reports_geometric_only():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from resform.errors import PolySyntaxError, UnknownVariable
+from resform import mpoly
 from resform.gfield import gf_create
 from resform.mpoly import (
     MultiPoly,
@@ -35,10 +36,55 @@ def test_parse_and_render_round_trip():
 
 def test_parse_errors():
     f7 = gf_create(7, 1)
-    with pytest.raises(UnknownVariable):
+    with pytest.raises(UnknownVariable, match=r"^unknown name 'z'$"):
         parse_poly("x + z", f7, ["x", "y"])
-    with pytest.raises(PolySyntaxError):
+    with pytest.raises(PolySyntaxError, match=r"^unexpected token '\*'$"):
         parse_poly("x ++* y", f7, ["x", "y"])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty expression"),
+    ("  ", "empty expression"),
+    ("x $ y", "unexpected character '$' at position 2"),
+    ("x + 1\u00b2", "unexpected character '\u00b2' at position 5"),
+    ("x^", "exponent must be an integer literal"),
+    ("x^-1", "exponent must be an integer literal"),
+    ("x^y", "exponent must be an integer literal"),
+    ("(x+y", "expected closing parenthesis"),
+    ("x+", "unexpected token None"),
+    ("**x", "unexpected token '^'"),
+    ("()", "unexpected token ')'"),
+    ("x)", "trailing input near token 1"),
+    ("x y", "trailing input near token 1"),
+    ("x^2^3", "trailing input near token 3"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly(text, gf_create(7, 1), ["x", "y"])
+    assert str(err.value) == message
+
+
+def test_names_and_numerals_outside_ascii():
+    f7 = gf_create(7, 1)
+    assert parse_poly("x^\u0663", f7, ["x"]) == parse_poly("x^3", f7, ["x"])
+    with pytest.raises(UnknownVariable, match="unknown name 'x\u00b2'"):
+        parse_poly("x\u00b2", f7, ["x"])
+    assert parse_poly("\u00e9^2", f7, ["\u00e9"]).terms == {(2,): f7(1)}
+
+
+def test_each_product_of_the_expansion_is_capped(monkeypatch):
+    f7 = gf_create(7, 1)
+    names = ["x", "y", "z"]
+    monkeypatch.setattr(mpoly, "MAX_EXPANSION", 6)
+    assert len(parse_poly("(x+y)*(x+y+z)", f7, names).terms) == 5
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly("(x+y)*(x+y+z+1)", f7, names)
+    assert str(err.value) == "expanding the input multiplies 2 by 4 terms, more than 6 term pairs"
+    # a single term is raised without expanding anything
+    assert parse_poly("(3*x*y)^100000", f7, names).terms == {(100000, 100000, 0): f7(3) ** 100000}
+    # squaring (x+y+z) multiplies 9 pairs
+    with pytest.raises(PolySyntaxError, match="multiplies 3 by 3 terms"):
+        parse_poly("(x+y+z)^2", f7, names)
 
 
 def test_ring_axioms_on_samples():
