@@ -46,6 +46,40 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two {exponent tuple: coefficient} dicts, without the
+    terms that cancel."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if not _czero(c)}
+
+
+def _pow_terms(a: dict, k: int, one, mul) -> dict:
+    """a ** k for k >= 1, with mul the product of two term dicts.  A single
+    term is raised directly (one is the ring's 1, which needs no raising);
+    more terms by repeated squaring, which skips the last squaring, so every
+    product it makes is used in the result."""
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        if c is not one:
+            c = c ** k
+            if _czero(c):
+                return {}
+        return {tuple(x * k for x in e): c}
+    result = None
+    while k:
+        if k & 1:
+            result = a if result is None else mul(result, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return result
+
+
 class MultiPoly:
     __slots__ = ("ring", "n_vars", "terms")
 
@@ -109,13 +143,7 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             o = self._compat(other)
-            terms: dict = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in o.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    c = c1 * c2
-                    terms[e] = terms[e] + c if e in terms else c
-            return MultiPoly(self.ring, self.n_vars, terms)
+            return MultiPoly(self.ring, self.n_vars, _mul_terms(self.terms, o.terms))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -128,14 +156,10 @@ class MultiPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = MultiPoly.const(self.ring, self.n_vars, self.ring(1))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if e == 0:
+            return MultiPoly.const(self.ring, self.n_vars, self.ring(1))
+        return MultiPoly(self.ring, self.n_vars,
+                         _pow_terms(self.terms, e, self.ring.one, _mul_terms))
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
@@ -326,36 +350,11 @@ def _add_into(acc: dict, other: dict, subtract: bool):
 
 
 def _product(a: dict, b: dict) -> dict:
+    """_mul_terms, refused past MAX_EXPANSION term pairs."""
     if len(a) * len(b) > MAX_EXPANSION:
         raise PolySyntaxError(f"expanding the input multiplies {len(a)} by {len(b)} terms, "
                               f"more than {MAX_EXPANSION} term pairs")
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            c = c1 * c2
-            out[e] = out[e] + c if e in out else c
-    return {e: c for e, c in out.items() if not _czero(c)}
-
-
-def _power(a: dict, k: int, one) -> dict:
-    """a ** k for k >= 1; one term is raised directly, more by repeated
-    squaring.  one is the ring's 1, which needs no raising."""
-    if len(a) == 1:
-        ((e, c),) = a.items()
-        if c is not one:
-            c = c ** k
-            if _czero(c):
-                return {}
-        return {tuple(x * k for x in e): c}
-    result = None
-    while k:
-        if k & 1:
-            result = a if result is None else _product(result, a)
-        k >>= 1
-        if k:
-            a = _product(a, a)
-    return result
+    return _mul_terms(a, b)
 
 
 _END = (None, None)
@@ -418,7 +417,7 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise PolySyntaxError("exponent must be an integer literal")
-            node = _power(node, val, self.one) if val else {(0,) * self.n: self.one}
+            node = _pow_terms(node, val, self.one, _product) if val else {(0,) * self.n: self.one}
         return {e: -c for e, c in node.items()} if neg else node
 
     def _const(self, value):

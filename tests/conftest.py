@@ -1,19 +1,13 @@
-import os
-
 import pytest
+from hypothesis import settings
 
 from resform import milnor
 
-try:
-    from hypothesis import settings
-except ImportError:  # the property tests skip themselves without hypothesis
-    pass
-else:
-    # Property tests draw the same examples on every run, so the suite stays
-    # deterministic; HYPOTHESIS_PROFILE=default draws fresh ones.
-    settings.register_profile("derandomized", derandomize=True, database=None,
-                              deadline=None, print_blob=False)
-    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic.
+settings.register_profile("derandomized", derandomize=True, database=None,
+                          deadline=None, print_blob=False)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(autouse=True)

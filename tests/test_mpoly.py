@@ -47,6 +47,8 @@ def test_parse_errors():
     ("  ", "empty expression"),
     ("x $ y", "unexpected character '$' at position 2"),
     ("x + 1\u00b2", "unexpected character '\u00b2' at position 5"),
+    ("x+\u00b2", "unexpected character '\u00b2' at position 2"),
+    ("\u00b2", "unexpected character '\u00b2' at position 0"),
     ("x^", "exponent must be an integer literal"),
     ("x^-1", "exponent must be an integer literal"),
     ("x^y", "exponent must be an integer literal"),

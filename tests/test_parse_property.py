@@ -1,17 +1,16 @@
 """parse_poly against MultiPoly arithmetic on random expression trees.
 
 A tree is written out as text in the grammar parse_poly reads, and the same
-tree is evaluated with MultiPoly's own +, -, * and ** inside the test; the
-two polynomials must agree term for term.
+tree is evaluated with MultiPoly's own +, - and * inside the test (a power
+as a repeated product); the two polynomials must agree term for term.
 """
 
-import pytest
+import math
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st
 
-from resform.gfield import gf_create  # noqa: E402
-from resform.mpoly import MultiPoly, parse_poly  # noqa: E402
+from resform.gfield import gf_create
+from resform.mpoly import MultiPoly, parse_poly
 
 NAMES = ["x", "y", "z"]
 FIELDS = [(7, 1), (3, 2), (2, 2)]
@@ -32,9 +31,14 @@ leaves = st.one_of(
 def _extend(children):
     return st.one_of(
         st.tuples(st.sampled_from(["add", "sub", "mul"]), children, children),
-        children.map(lambda t: ("sub", t, t)),  # cancels to zero
+        # u + (t - t): the bracket cancels to zero and leaves u to be checked
+        st.tuples(children, children).map(
+            lambda ut: ("add", ut[0], ("paren", ("sub", ut[1], ut[1])))),
         st.tuples(st.just("sign"), st.text("+-", min_size=1, max_size=3), children),
         st.tuples(st.just("pow"), children, st.integers(0, 3), st.sampled_from(["^", "**"])),
+        # a power of a sum, so that square-and-multiply meets several terms
+        st.tuples(st.just("pow"), st.tuples(st.just("add"), children, children),
+                  st.integers(2, 5), st.sampled_from(["^", "**"])),
         st.tuples(st.just("paren"), children),
     )
 
@@ -80,7 +84,8 @@ def _evaluate(tree, field):
         value = _evaluate(tree[2], field)
         return -value if tree[1].count("-") % 2 else value
     if kind == "pow":
-        return _evaluate(tree[1], field) ** tree[2]
+        one = MultiPoly.const(field, n, 1)
+        return math.prod([_evaluate(tree[1], field)] * tree[2], start=one)
     left, right = _evaluate(tree[1], field), _evaluate(tree[2], field)
     return {"add": left + right, "sub": left - right, "mul": left * right}[kind]
 
