@@ -48,46 +48,38 @@ def _digits(k: int, p: int, width: int) -> list:
     return out
 
 
-def _poly_mod(num, den, b):
-    """Remainder of num modulo a monic den, over Z/b, little-endian."""
-    num = [c % b for c in num]
-    dn = len(den) - 1
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
+def _divmod_digits(num: list, den, b: int):
+    """Quotient and trimmed remainder of num by den over Z/b, little-endian.
+
+    num's digits are reduced mod b, and num is overwritten: its low part
+    becomes the remainder.  den's leading digit must be a unit mod b.
+    """
+    d = len(den) - 1
+    inv = pow(den[-1], -1, b)
+    quot = [0] * (len(num) - d)
+    for i in range(len(num) - 1 - d, -1, -1):
+        c = num[i + d] * inv % b
         if c:
-            base = i - dn
-            for j in range(dn + 1):
-                num[base + j] = (num[base + j] - c * den[j]) % b
-    return num[:dn]
+            quot[i] = c
+            for j in range(d):
+                num[i + j] = (num[i + j] - c * den[j]) % b
+    del num[d:]
+    return quot, _trim(num)
 
 
 def _irreducible_mod_p(h, p) -> bool:
     """Whether the monic h over Z/p is irreducible, on integer digit lists.
 
-    Ben-Or's test, as unipoly.is_irreducible runs it on field elements: h
-    of degree r is irreducible iff gcd(h, x^(p^i) - x) = 1 for every
-    i <= r/2.  x^(p^i) mod h is the p-th power of x^(p^(i-1)), taken with
-    mul_digits in (Z/p)[x]/(h), and the test stops at the first i that
-    finds a factor.
+    Ben-Or's test: h of degree r is irreducible iff x^(p^i) - x is prime
+    to h for every i <= r/2, that is iff its resultant with h is nonzero.
+    x^(p^i) is the p-th power of x^(p^(i-1)) in the ring (Z/p)[x]/(h), and
+    the test stops at the first i that finds a factor.
     """
-    r = len(h) - 1
-    if r == 1:
-        return True
-    xpow = reduction_rows(h, p)
-    frob = x = [0, 1] + [0] * (r - 2)
-    for _ in range(r // 2):
-        acc, base, e = [1] + [0] * (r - 1), frob, p
-        while e:
-            if e & 1:
-                acc = mul_digits(acc, base, xpow, p)
-            base = mul_digits(base, base, xpow, p)
-            e >>= 1
-        frob = acc
-        a, b = list(h), _trim([(c - t) % p for c, t in zip(frob, x)])
-        while b:
-            inv = pow(b[-1], p - 2, p)
-            a, b = b, _trim(_poly_mod(a, [c * inv % p for c in b], p))
-        if len(a) > 1:
+    ring = DigitRing(p, p, h, "x")
+    x = frob = ring([0, 1])
+    for _ in range((len(h) - 1) // 2):
+        frob = frob ** p
+        if not _norm_digits((frob - x).coeffs, h, p):
             return False
     return True
 
@@ -144,21 +136,13 @@ def _inverse_digits(a, h, p: int) -> list:
     r0, r1 = list(h), _trim(list(a))
     s0, s1 = [], [1]
     while len(r1) > 1:
-        d = len(r1) - 1
-        lead = pow(r1[-1], p - 2, p)
-        quot = [0] * (len(r0) - d)
-        for i in range(len(r0) - 1 - d, -1, -1):
-            c = r0[i + d] * lead % p
-            if c:
-                quot[i] = c
-                for j, rj in enumerate(r1):
-                    r0[i + j] = (r0[i + j] - c * rj) % p
+        quot, r2 = _divmod_digits(r0, r1, p)
         s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
         for i, c in enumerate(quot):
             if c:
                 for j, sj in enumerate(s1):
                     s[i + j] = (s[i + j] - c * sj) % p
-        r0, r1 = r1, _trim(r0)
+        r0, r1 = r1, r2
         s0, s1 = s1, _trim(s)
     c = pow(r1[0], p - 2, p)
     return [x * c % p for x in s1] + [0] * (m - len(s1))
@@ -241,13 +225,13 @@ class DigitElem:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        # left to right: square for each bit after the leading one, and
+        # multiply by self where the bit is set
+        result = self if e else self.ring.one
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def is_zero(self) -> bool:
@@ -316,7 +300,7 @@ class DigitRing:
             return self._elem(self, [value % self.b] + [0] * (self.m - 1))
         coeffs = [c % self.b for c in value]
         if len(coeffs) > self.m:
-            coeffs = _poly_mod(coeffs, list(self.modulus), self.b)
+            coeffs = _divmod_digits(coeffs, self.modulus, self.b)[1]
         coeffs += [0] * (self.m - len(coeffs))
         return self._elem(self, coeffs)
 
@@ -448,8 +432,9 @@ def trace_bit(a: FieldElem) -> int:
 
 
 def _norm_digits(a, h, p: int) -> int:
-    """Norm to F_p of the nonzero a in F_p[x]/(h), h irreducible and monic:
-    the resultant Res(h, a), by Euclid on integer digit lists.
+    """The resultant Res(h, a) over Z/p of the monic h and a, by Euclid on
+    integer digit lists: 0 exactly when h and a share a factor, and the
+    norm of a to F_p when h is irreducible and a nonzero in F_p[x]/(h).
 
     Each step writes r0 = Q*r1 + r2 and uses Res(r0, r1) =
     (-1)^(deg r0 * deg r1) * lc(r1)^(deg r0 - deg r2) * Res(r1, r2); at a
@@ -459,11 +444,12 @@ def _norm_digits(a, h, p: int) -> int:
     acc = 1
     while len(r1) > 1:
         d0, d1 = len(r0) - 1, len(r1) - 1
-        inv = pow(r1[-1], p - 2, p)
-        r2 = _trim(_poly_mod(r0, [c * inv % p for c in r1], p))
+        r2 = _divmod_digits(r0, r1, p)[1]
+        if not r2:
+            return 0
         acc = acc * pow(r1[-1], d0 - len(r2) + 1, p) * (-1) ** (d0 * d1) % p
         r0, r1 = r1, r2
-    return acc * pow(r1[0], len(r0) - 1, p) % p
+    return acc * pow(r1[0], len(r0) - 1, p) % p if r1 else 0
 
 
 def legendre(a: FieldElem) -> int:

@@ -98,11 +98,6 @@ class CodedOps:
             M = self._inv[key] = self._row_times(np.array([inv.coeffs], dtype=np.int32))
         return M
 
-    def inverse(self, x):
-        """Inverse of a unit: row 0 of its memoised multiplication matrix."""
-        M = self._inverse_times(np.array(x.coeffs, dtype=np.int32))
-        return self._elem(self.ring, M[0].tolist())
-
     def product(self, values):
         """Product of digit lists, such as rref's pivot values, as an element."""
         return math.prod((self._elem(self.ring, v) for v in values), start=self.ring.one)

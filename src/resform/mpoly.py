@@ -1,7 +1,9 @@
 """Sparse multivariate polynomials over a field, a Galois ring, or Z.
 
-Terms are kept in a dict keyed by exponent tuples.  Monomial order is
-graded lexicographic with x_0 > x_1 > ... throughout the package.
+Terms are kept in a dict keyed by exponent tuples.  render prints them in
+graded lexicographic order with x_0 > x_1 > ...; that order is for printing
+only.  Milnor bases use milnor.mono_key, under which x_{n-1} weighs most
+within a degree.
 """
 
 from __future__ import annotations
@@ -181,9 +183,6 @@ class MultiPoly:
 
     def low_degree(self) -> int:
         return min((sum(e) for e in self.terms), default=0)
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.ring.zero)
 
     def derivative(self, i: int) -> "MultiPoly":
         terms = {}

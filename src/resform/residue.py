@@ -213,7 +213,7 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
             det_c = unit_det(ops, digits)[2]
             if det_c is None:
                 raise SingularBezoutian("bezoutian matrix is not invertible")
-            inv_det_c = ops.inverse(det_c)
+            inv_det_c = det_c.inverse()
         det = alpha ** (f.n_vars * mu) * inv_det_c
     factor = alpha ** f.n_vars
 

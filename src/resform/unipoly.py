@@ -130,24 +130,35 @@ def _xpoly(field):
     return [field.zero, field.one]
 
 
-def ddf(field, f):
-    """Distinct-degree split of a monic squarefree f: list of (d, product)."""
+def _ddf_blocks(field, f):
+    """Distinct-degree blocks (d, product of the degree-d factors) of a
+    monic f, yielded as they are found.
+
+    The j-th step takes h = x^(q^j) mod f by a q-th power and splits off
+    gcd(f, h - x), the product of f's distinct irreducible factors of
+    degree dividing j; those of lower degree went at earlier steps, so for
+    a squarefree f it is the degree-j block.  Once 2(j + 1) exceeds deg f,
+    what is left of f is irreducible.
+    """
     q = field.p ** field.m
-    f = list(f)
-    out = []
-    h = mod_p(_xpoly(field), f)
+    x = _xpoly(field)
+    h = mod_p(x, f)
     j = 0
-    while degree(f) >= 1 and 2 * (j + 1) <= degree(f):
+    while 2 * (j + 1) <= degree(f):
         j += 1
         h = pow_mod(h, q, f)
-        g = gcd_p(f, sub_p(h, _xpoly(field)))
+        g = gcd_p(f, sub_p(h, x))
         if degree(g) >= 1:
-            out.append((j, g))
+            yield j, g
             f = divmod_p(f, g)[0]
             h = mod_p(h, f)
     if degree(f) >= 1:
-        out.append((degree(f), f))
-    return out
+        yield degree(f), f
+
+
+def ddf(field, f):
+    """Distinct-degree split of a monic squarefree f: list of (d, product)."""
+    return list(_ddf_blocks(field, list(f)))
 
 
 def _random_poly(field, deg_bound: int, rng) -> list:
@@ -226,21 +237,12 @@ def is_irreducible(field, f) -> bool:
     """Ben-Or's test: f of degree r is irreducible iff it has no factor of
     degree i <= r/2, that is iff gcd(f, x^(q^i) - x) = 1 for each such i.
 
-    x^(q^i) mod f is built by repeated q-th powers, and the test stops at
-    the first i that finds a factor, so most reducible f end after a step.
+    That is the first distinct-degree block having degree r; the blocks are
+    found one at a time, so most reducible f end after a step.
     """
     f = monic_p(trim(f))
     r = degree(f)
-    if r < 1:
-        return False
-    q = field.p ** field.m
-    x = _xpoly(field)
-    h = mod_p(x, f)
-    for _ in range(r // 2):
-        h = pow_mod(h, q, f)
-        if degree(gcd_p(f, sub_p(h, x))) >= 1:
-            return False
-    return True
+    return r >= 1 and next(_ddf_blocks(field, f))[0] == r
 
 
 def irreducible_poly(field, r: int, rng=None):
@@ -296,9 +298,7 @@ class QFElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        res = mod_p(pow_mod(trim(self.coeffs), e, self.ring.modulus),
-                    self.ring.modulus)
-        return QFElem(self.ring, res)
+        return QFElem(self.ring, pow_mod(trim(self.coeffs), e, self.ring.modulus))
 
     def inverse(self):
         g, s, _ = ext_gcd_p(self.ring.base, trim(self.coeffs), self.ring.modulus)

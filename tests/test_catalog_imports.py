@@ -1,9 +1,13 @@
 """The catalog is the second, independent side of verify: nothing it
 imports, directly or through other package modules, may reach the residue
-engine or numpy.  The check reads the sources and imports nothing."""
+engine or numpy.  The arithmetic at the bottom (finite fields, univariate
+and multivariate polynomials) reaches no package module but errors, and no
+numpy.  The check reads the sources and imports nothing."""
 
 import ast
 import pathlib
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "resform"
 FORBIDDEN = {"milnor", "residue", "linalg", "wittring", "epsilon", "homog", "corpus", "cli"}
@@ -45,6 +49,14 @@ def test_catalog_reaches_no_residue_code():
     reached = _reachable(SRC, "catalog")
     assert "gfield" in reached and "mpoly" in reached
     assert reached & (FORBIDDEN | {"numpy"}) == set()
+
+
+@pytest.mark.parametrize("name", ["gfield", "unipoly", "mpoly"])
+def test_the_arithmetic_layer_stays_at_the_bottom(name):
+    package = {path.stem for path in SRC.glob("*.py")}
+    reached = _reachable(SRC, name)
+    assert reached & package <= {"errors"}
+    assert "numpy" not in reached
 
 
 def test_the_scan_follows_imports(tmp_path):

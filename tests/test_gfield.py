@@ -21,6 +21,7 @@ from resform.gfield import (
     trace_bit,
     wp_class,
 )
+from resform.linalg import det_ring
 from resform.wittring import gr_create
 
 
@@ -69,12 +70,14 @@ def test_bad_constructions():
 
 
 def _has_factor_by_trial_division(h, p) -> bool:
-    """Whether a monic h over Z/p has a monic divisor of degree 1..deg(h)//2."""
-    m = len(h) - 1
-    for d in range(1, m // 2 + 1):
+    """Whether a monic h over Z/p has a monic divisor of degree 1..deg(h)//2,
+    divided on prime-field elements, apart from the digit-list arithmetic."""
+    prime = gf_create(p, 1)
+    f = [prime(c) for c in h]
+    for d in range(1, (len(h) - 1) // 2 + 1):
         for k in range(p ** d):
-            cand = gfield._digits(k, p, d) + [1]
-            if not any(gfield._poly_mod(list(h), cand, p)):
+            cand = [prime(c) for c in gfield._digits(k, p, d)] + [prime.one]
+            if not unipoly.mod_p(f, cand):
                 return True
     return False
 
@@ -418,3 +421,61 @@ def test_legendre_is_eulers_criterion_on_large_fields(p, m, modulus):
     for _ in range(200):
         a = field.decode(rng.randrange(field.q))
         assert legendre(a) == _euler(a), a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_digit_division_matches_the_element_division(p):
+    """Seeded pairs over F_p, divisors not monic, against unipoly.divmod_p."""
+    prime = gf_create(p, 1)
+    rng = random.Random(f"divmod/{p}")
+    for _ in range(200):
+        den = [rng.randrange(p) for _ in range(rng.randint(0, 5))] + [rng.randrange(1, p)]
+        num = [rng.randrange(p) for _ in range(rng.randint(0, 9))]
+        quot, rem = gfield._divmod_digits(list(num), den, p)
+        q_ref, r_ref = unipoly.divmod_p([prime(c) for c in num], [prime(c) for c in den])
+        assert gfield._trim(quot) == [c.coeffs[0] for c in q_ref], (num, den)
+        assert rem == [c.coeffs[0] for c in r_ref], (num, den)
+
+
+def test_digit_division_over_z8_multiplies_back():
+    """Over Z/8 with monic divisors: num = quot * den + rem, deg rem < deg den."""
+    rng = random.Random("divmod/8")
+    for _ in range(200):
+        den = [rng.randrange(8) for _ in range(rng.randint(0, 5))] + [1]
+        num = [rng.randrange(8) for _ in range(rng.randint(0, 9))]
+        quot, rem = gfield._divmod_digits(list(num), den, 8)
+        assert len(rem) < len(den) and (not rem or rem[-1])
+        back = [0] * max(len(num), len(quot) + len(den) - 1, len(rem))
+        for i, c in enumerate(quot):
+            for j, d in enumerate(den):
+                back[i + j] += c * d
+        for i, c in enumerate(rem):
+            back[i] += c
+        assert gfield._trim([c % 8 for c in back]) == gfield._trim(list(num)), (num, den)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_resultant_is_the_determinant_of_multiplication(p):
+    """For every monic h of degree 1..4 over F_p, reducible ones included,
+    and every a of lower degree (eight seeded ones past 16): Res(h, a) is
+    det of multiplication by a on (Z/p)[x]/(h), and 0 exactly when a and h
+    share a factor."""
+    prime = gf_create(p, 1)
+    rng = random.Random(f"resultant/{p}")
+    for r in range(1, 5):
+        for k in range(p ** r):
+            h = gfield._digits(k, p, r) + [1]
+            h_el = [prime(c) for c in h]
+            q = p ** r
+            for j in range(q) if q <= 16 else rng.sample(range(q), 8):
+                a = gfield._digits(j, p, r)
+                a_el = unipoly.trim([prime(c) for c in a])
+                # row i: the digits of a * x^i mod h
+                rows = []
+                for i in range(r):
+                    prod = unipoly.mod_p(unipoly.mul_p([prime.zero] * i + [prime.one], a_el), h_el)
+                    rows.append(prod + [prime.zero] * (r - len(prod)))
+                res = gfield._norm_digits(a, h, p)
+                assert prime(res) == det_ring(prime, rows), (h, a)
+                shared = unipoly.degree(unipoly.gcd_p(h_el, a_el)) >= 1
+                assert (res == 0) == shared, (h, a)

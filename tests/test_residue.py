@@ -636,3 +636,25 @@ def test_an_evicted_polynomial_recomputes_the_same_det(monkeypatch):
     assert len(built) == 4
     assert gram_matrix(polys[0], 3).det == first[0]
     assert len(built) == 5
+
+
+@pytest.mark.parametrize("case", ["field", "witt"])
+def test_a_cold_gram_matrix_inverts_only_the_pivots(monkeypatch, case):
+    """With f's algebra built, a cold Gram form asks the pivot-inverse memo
+    once per pivot of the Bezoutian's elimination; det C is inverted as an
+    element, outside the memo."""
+    if case == "field":
+        f = parse_poly("x^4+y^3+x^2*y", gf_create(7, 1), ["x", "y"])
+    else:
+        f = witt_lift(parse_poly("x^3+y^3", gf_create(2, 1), ["x", "y"]))
+    mu = milnor_algebra(f).mu
+    calls = []
+    inverse_times = CodedOps._inverse_times
+
+    def counting(ops, d):
+        calls.append(d)
+        return inverse_times(ops, d)
+
+    monkeypatch.setattr(CodedOps, "_inverse_times", counting)
+    gram_matrix(f, 1)
+    assert len(calls) == mu
