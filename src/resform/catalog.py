@@ -20,6 +20,12 @@ from .gfield import CycloInt, Field, gauss_sum, legendre, trace_bit
 from .mpoly import MultiPoly, variable_blocks
 
 
+# CPython's default limit on the digits of an int it prints: a longer
+# witness could not be written into a report, so the report gives none.
+WITNESS_DIGITS = 4300
+_WITNESS_BOUND = 10 ** WITNESS_DIGITS
+
+
 class EpsilonValue:
     """sign * tau^tau_exp * q^q_exp, normalized so tau_exp is 0 or 1.
 
@@ -88,14 +94,22 @@ class EpsilonValue:
         return _epsilon(self.field, s, self.tau_exp, self.q2)
 
     def witness(self):
-        """The value as an exact cyclotomic integer, when it is one."""
+        """The value as an exact cyclotomic integer, when it is one and every
+        coefficient has at most WITNESS_DIGITS decimal digits."""
         if self.field.p == 2:
             return None
         if self.q2 % 2 or self.q2 < 0:
             return None
-        w = CycloInt.from_int(self.field.p, self.sign * self.field.q ** (self.q2 // 2))
+        k, q = self.q2 // 2, self.field.q
+        # some coefficient is at least q^k >= 2^(k*(bits - 1)) in size, and
+        # 2^(4*WITNESS_DIGITS) > 10^WITNESS_DIGITS: refuse before the power
+        if k * (q.bit_length() - 1) >= 4 * WITNESS_DIGITS:
+            return None
+        w = CycloInt.from_int(self.field.p, self.sign * q ** k)
         if self.tau_exp:
             w = w * gauss_sum(self.field)
+        if any(abs(c) >= _WITNESS_BOUND for c in w.coeffs):
+            return None
         return w
 
     def __eq__(self, other):

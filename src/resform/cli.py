@@ -107,8 +107,7 @@ def _cmd_epsilon(args):
 def _cmd_verify(args):
     field = _build_field(args)
     f = _parse_over(args, field)
-    report = verify_identity(f, convention=args.convention)
-    report["input"] = f.render(_var_list(args))
+    report = verify_identity(f, args.convention, _var_list(args))
     return (1 if report["verdict"] == "FAIL" else 0), report
 
 

@@ -82,10 +82,11 @@ def geometric_side(f: MultiPoly, convention: str = "calibrated") -> EpsilonValue
     return _geometric_raw(f, exponent)
 
 
-def verify_identity(f: MultiPoly, convention: str = "calibrated") -> dict:
+def verify_identity(f: MultiPoly, convention: str = "calibrated", var_names=None) -> dict:
     """Compare geometric and catalog epsilons over every character twist.
 
-    The catalog side splits f into its blocks once, then classifies every
+    The report renders f with var_names (x0, x1, ... by default).  The
+    catalog side splits f into its blocks once, then classifies every
     block afresh for each twist, so the loop genuinely re-tests the
     identity rather than multiplying both sides by the same character value.
     """
@@ -108,7 +109,7 @@ def verify_identity(f: MultiPoly, convention: str = "calibrated") -> dict:
                     for c, (ar_c, d_c) in zip(twists, arith))
         verdict = "PASS" if agree else "FAIL"
     return {
-        "input": f.render(),
+        "input": f.render(var_names),
         "field": field.to_json(),
         "mu": mu,
         "dimtot": dimtot,

@@ -30,6 +30,8 @@ product of theirs (Sebastiani-Thom, Un resultat sur la monodromie, Invent.
 Math. 1971), built from the blocks' cached algebras without eliminating
 f's own relation matrix.  Its standard monomials are the products of the
 blocks': each such product is standard, and there are mu = prod mu_i of
+them.  They are enumerated and sorted only on the first read of the basis,
+its index or a normal form, as mu, D and the Gram determinant need none of
 them.  A monomial's normal form is the product of its block parts' forms,
 computed on first request.  The truncation degree is D = sum D_i - (k - 1),
 and it is the least D0: some monomial of degree D_i - 1 survives in each
@@ -47,6 +49,7 @@ either: their scan is already one small elimination.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -77,6 +80,35 @@ def monomials_upto(n_vars: int, max_deg: int):
     return list(gen(n_vars, max_deg))
 
 
+# Most recently used last.  The bound counts monomials, not entries, so the
+# memo stays this small however high a scan in many variables goes; a range
+# larger than the bound is not kept.
+_MONOMIALS: dict = {}
+_MONOMIALS_MAX = 1024
+
+
+def _monomials(n_vars: int, upto: int, lo: int):
+    """The monomials of degree lo..upto in monomials_upto's order, the same
+    sorted from the highest degree down, and their index in that order.
+
+    Shift lists keep the first order, so the relation rows, and over W_3
+    what a non-free elimination leaves over, are those of a fresh
+    enumeration; columns take the second.
+    """
+    key = (n_vars, upto, max(lo, 0))
+    hit = _MONOMIALS.pop(key, None)
+    if hit is None:
+        monos = [e for e in monomials_upto(n_vars, upto) if sum(e) >= lo]
+        cols = sorted(monos, key=mono_key, reverse=True)
+        hit = monos, cols, {e: j for j, e in enumerate(cols)}
+    if len(hit[0]) <= _MONOMIALS_MAX:
+        _MONOMIALS[key] = hit
+    held = sum(len(monos) for monos, _, _ in _MONOMIALS.values())
+    while held > _MONOMIALS_MAX:
+        held -= len(_MONOMIALS.pop(next(iter(_MONOMIALS)))[0])
+    return hit
+
+
 def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
     """Reduced relation matrix on the monomials of degree lo..upto.
 
@@ -88,20 +120,18 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
     Columns run from the highest degree down; returns (columns, reduced
     digit array, pivot columns, stuck column or None).
     """
-    cols = sorted((e for e in monomials_upto(n_vars, upto) if sum(e) >= lo),
-                  key=mono_key, reverse=True)
-    col_index = {e: j for j, e in enumerate(cols)}
-    shifts = []
-    for g in grads:
-        k = g.low_degree()
-        shifts += [(g, alpha) for alpha in monomials_upto(n_vars, upto - k)
-                   if sum(alpha) >= lo - k]
-    A = np.zeros((len(shifts), len(cols), ring.m), dtype=np.int32)
-    for r, (g, alpha) in enumerate(shifts):
-        for e, c in g.terms.items():
-            shifted = tuple(a + b for a, b in zip(e, alpha))
-            if sum(shifted) <= upto:
-                A[r, col_index[shifted]] = c.coeffs
+    _, cols, col_index = _monomials(n_vars, upto, lo)
+    shifts = [(g, _monomials(n_vars, upto - g.low_degree(), lo - g.low_degree())[0])
+              for g in grads]
+    A = np.zeros((sum(len(alphas) for _, alphas in shifts), len(cols), ring.m), dtype=np.int32)
+    r = 0
+    for g, alphas in shifts:
+        for alpha in alphas:
+            for e, c in g.terms.items():
+                shifted = tuple(a + b for a, b in zip(e, alpha))
+                if sum(shifted) <= upto:
+                    A[r, col_index[shifted]] = c.coeffs
+            r += 1
     return (cols, *coded(ring).rref(A)[:3])
 
 
@@ -194,25 +224,38 @@ class MilnorAlgebra:
     """Finite free presentation of R[x]/J on standard monomials.
 
     `blocks` holds the variable-disjoint summands of f when the algebra was
-    built as the tensor product of theirs, and is None otherwise.
-    `gram_dets` maps a unit scale alpha to the determinant of f's Gram
-    matrix for alpha*dt; residue.gram_matrix fills it once its checks pass,
-    so every consumer of f shares one Bezoutian elimination.
+    built as the tensor product of theirs, and is None otherwise.  Such a
+    product knows mu and D from its blocks; its `basis`, `basis_index` and
+    normal forms are built on the first read of any of them or of
+    `nf_monomial`.  `gram_dets` maps a unit scale alpha to the determinant
+    of f's Gram matrix for alpha*dt; residue.gram_matrix fills it once its
+    checks pass, so every consumer of f shares one Bezoutian elimination.
     """
 
-    __slots__ = ("ring", "n_vars", "D", "basis", "mu", "basis_index", "_nf", "blocks",
-                 "gram_dets")
+    __slots__ = ("ring", "n_vars", "D", "mu", "blocks", "gram_dets", "_parts",
+                 "basis", "basis_index", "_nf")
 
-    def __init__(self, ring, n_vars, D, basis, nf, blocks=None):
+    def __init__(self, ring, n_vars, D, mu, blocks=None, parts=None):
         self.ring = ring
         self.n_vars = n_vars
         self.D = D
+        self.mu = mu
+        self.blocks = blocks
+        self._parts = parts  # (variables, block algebra) pairs of a product
+        self.gram_dets: dict = {}
+
+    def _present(self, basis, nf):
         self.basis = basis
-        self.mu = len(basis)
         self.basis_index = {e: i for i, e in enumerate(basis)}
         self._nf = nf
-        self.blocks = blocks
-        self.gram_dets: dict = {}
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset: a product's presentation before
+        # its first read
+        if name not in ("basis", "basis_index", "_nf") or self._parts is None:
+            raise AttributeError(name)
+        self._present(*_product_presentation(self._parts, self.n_vars))
+        return getattr(self, name)
 
     def nf_monomial(self, exps) -> dict:
         """Sparse coefficient vector of a monomial over the basis."""
@@ -272,10 +315,10 @@ class _ProductForms(dict):
 def _product(f: MultiPoly, cap: int):
     """f's algebra over a field as the tensor product of its blocks' algebras.
 
-    Returns (D, basis, normal forms, blocks), or None when f is a single
-    block or a block raises; the caller then scans f itself, so errors and
-    their messages are its own.  Every variable lies in some block, as no
-    partial of f vanishes.
+    Returns (D, mu, blocks, parts), parts the (variables, block algebra)
+    pairs, or None when f is a single block or a block raises; the caller
+    then scans f itself, so errors and their messages are its own.  Every
+    variable lies in some block, as no partial of f vanishes.
     """
     split = variable_blocks(f)
     if len(split) < 2:
@@ -288,17 +331,22 @@ def _product(f: MultiPoly, cap: int):
     if D > cap:
         # D <= mu <= the Bezout bound, so f's own scan stops at the cap too
         raise NotIsolated(f"Jacobian ideal is not monomial-cofinite below degree {cap}")
+    mu = math.prod(alg.mu for _, alg in parts)
+    return D, mu, [block for _, block in split], parts
+
+
+def _product_presentation(parts, n_vars: int):
+    """Sorted basis and normal forms of a tensor product of algebras."""
     monos = []
     for combo in itertools.product(*(enumerate(alg.basis) for _, alg in parts)):
-        e = [0] * f.n_vars
+        e = [0] * n_vars
         for (vs, _), (_, b) in zip(parts, combo):
             for v, k in zip(vs, b):
                 e[v] = k
         monos.append((tuple(e), tuple(i for i, _ in combo)))
     monos.sort(key=lambda t: mono_key(t[0]))
     index = {key: j for j, (_, key) in enumerate(monos)}
-    basis = [e for e, _ in monos]
-    return D, basis, _ProductForms(parts, index), [block for _, block in split]
+    return [e for e, _ in monos], _ProductForms(parts, index)
 
 
 # Most recently used last.  The bound holds every algebra that the
@@ -326,17 +374,13 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     if alg is not None:
         _ALGEBRAS[key] = alg
         return alg
-    blocks = None
+    product = None
     if ring.b == ring.residue:  # a field; over W_3 the scan runs mod 2
         grads, orders = _orders(f)
-        product = None
         if min(orders) >= 1 and max(orders) >= 2:  # neither smooth nor Morse
             product = _product(f, cap)
         if product is None:
             D, *presented = _scan(f, grads, orders, cap)
-            basis, nf = _presentation(ring, *presented)
-        else:
-            D, basis, nf, blocks = product
     else:
         # the residue field's D0 certifies most lifts; the rest take 3*D0
         reduced = f.map_coeffs(lambda c: c.reduce(), ring.field)
@@ -351,12 +395,17 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
             raise NotFlat(
                 f"monomial {cols[stuck]} carries a non-unit relation; quotient is not free"
             )
-        basis, nf = _presentation(ring, *(certified or (cols, red, pivots)))
-    if ring.residue == 2 and n % 2 == 1 and len(basis) % 2 == 1:
+        presented = certified or (cols, red, pivots)
+    if product is None:
+        basis, nf = _presentation(ring, *presented)
+        alg = MilnorAlgebra(ring, n, D, len(basis))
+        alg._present(basis, nf)
+    else:
+        alg = MilnorAlgebra(ring, n, *product)
+    if ring.residue == 2 and n % 2 == 1 and alg.mu % 2 == 1:
         raise OddProduct(
-            f"parity violated: odd mu={len(basis)} with odd n_vars={n} in characteristic 2"
+            f"parity violated: odd mu={alg.mu} with odd n_vars={n} in characteristic 2"
         )
-    alg = MilnorAlgebra(ring, n, D, basis, nf, blocks)
     if len(_ALGEBRAS) >= _ALGEBRAS_MAX:
         del _ALGEBRAS[next(iter(_ALGEBRAS))]
     _ALGEBRAS[key] = alg

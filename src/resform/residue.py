@@ -19,7 +19,8 @@ basis.  Then G = alpha^n * C^-1 is the Kronecker product of the
 G_i = alpha^(n_i) * C_i^-1, and det G = prod det(G_i)^(mu/mu_i).  Each G_i
 is the gram_matrix of f_i, with its checks; C is symmetric or invertible
 exactly when every C_i is.  G itself is still solved from f's own C, built
-from the product normal forms, when it is read.
+from the product normal forms, when it is read; the product basis is built
+only then, or when the form's basis is read.
 
 det G is kept, per unit scale, on the Milnor algebra that milnor_algebra
 shares among the consumers of one polynomial, and only once every check
@@ -93,23 +94,35 @@ class SquareClass:
 class GramForm:
     """Symmetric Gram matrix of the residue pairing on a monomial basis.
 
-    `solve` is a function of no arguments that returns the matrix rows; it
-    runs on the first read of `matrix`, and its rows are kept.
+    `basis` and `solve` are functions of no arguments that return the basis
+    and the matrix rows; each runs on the first read of `basis` or `matrix`,
+    and its result is kept.  So a split sum's product basis, built on the
+    first read of the Milnor algebra's, is built only when a form's basis,
+    matrix or JSON is read.
     """
 
-    __slots__ = ("ring", "n_vars", "basis", "scale", "mu", "det", "_solve", "_matrix")
+    __slots__ = ("ring", "n_vars", "mu", "scale", "det", "_read_basis", "_basis",
+                 "_solve", "_matrix")
 
-    def __init__(self, ring, n_vars, basis, solve, scale, det):
+    def __init__(self, ring, n_vars, mu, basis, solve, scale, det):
         if not det.is_unit():
             raise NonUnit("gram determinant is not a unit")
         self.ring = ring
         self.n_vars = n_vars
-        self.basis = basis
+        self.mu = mu
         self.scale = scale
-        self.mu = len(basis)
         self.det = det
+        self._read_basis = basis
+        self._basis = None
         self._solve = solve
         self._matrix = None
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = self._read_basis()
+            self._read_basis = None
+        return self._basis
 
     @property
     def matrix(self):
@@ -221,7 +234,7 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
         eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
         return solve_ring(ring, _residue_data(f)[1] if C is None else C, eye)
 
-    G = GramForm(ring, f.n_vars, list(alg.basis), solve, alpha, det)
+    G = GramForm(ring, f.n_vars, mu, lambda: list(alg.basis), solve, alpha, det)
     dets[alpha] = det
     return G
 
@@ -257,8 +270,8 @@ def tensor_gram(G1: GramForm, G2: GramForm) -> GramForm:
         M1, M2 = G1.matrix, G2.matrix
         return [[M1[i1][j1] * M2[i2][j2] for j1, j2, _ in pairs] for i1, i2, _ in pairs]
 
-    return GramForm(G1.ring, G1.n_vars + G2.n_vars, basis, solve, G1.scale,
-                    G1.det ** G2.mu * G2.det ** G1.mu)
+    return GramForm(G1.ring, G1.n_vars + G2.n_vars, len(basis), lambda: basis, solve,
+                    G1.scale, G1.det ** G2.mu * G2.det ** G1.mu)
 
 
 def extension_disc(ext: QuotientField) -> "SquareClass":

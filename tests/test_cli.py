@@ -93,6 +93,20 @@ def test_verify_geometric_only_still_exits_zero(capsys):
     assert payload["arithmetic"] is None
 
 
+def test_verify_of_a_sum_with_a_witness_too_long_to_print_reports(capsys):
+    """mu = 5^5 in five variables puts q^7812 in the geometric witness, past
+    the digits an int may print: the report prints, plain and JSON, with no
+    witness, and exits 0."""
+    argv = ["verify", "--p", "13", "--vars", "x,y,z,w,v", "--poly", "x^6+y^6+z^6+w^6+v^6"]
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["mu"] == 3125 and payload["verdict"] == "GEOMETRIC_ONLY"
+    assert payload["geometric"] == {"sign": 1, "tau_exp": 1, "q_exp": "7812", "witness": None}
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert '"witness": null' in out and out.startswith("input: x^6 + y^6 + z^6 + w^6 + v^6\n")
+
+
 def test_fermat_command(capsys):
     code, payload = run_json(capsys, "fermat", "--d", "3", "--n", "0", "--a", "1,1")
     assert code == 0

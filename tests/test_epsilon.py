@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,47 @@ def test_witness_values():
     assert EpsilonValue(f3, 1, 0, -1).witness() is None
     assert EpsilonValue(f3, 1, 0, Fraction(1, 2)).witness() is None
     assert EpsilonValue(gf_create(2, 1), 1, 0, 1).witness() is None
+
+
+def _witness_as_printed(e):
+    """The witness of e as the report printed it before witnesses had a
+    size bound: the full power, or None when json refuses to print it."""
+    if e.field.p == 2 or e.q2 % 2 or e.q2 < 0:
+        return None
+    w = CycloInt.from_int(e.field.p, e.sign * e.field.q ** (e.q2 // 2))
+    if e.tau_exp:
+        w = w * gfield.gauss_sum(e.field)
+    try:
+        json.dumps(list(w.coeffs))
+    except ValueError:
+        return "refused"
+    return list(w.coeffs)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (13, 1), (3, 2), (5, 3)])
+def test_a_witness_is_printed_exactly_when_its_digits_fit(p, m):
+    """Around the size where q^k first needs more than WITNESS_DIGITS
+    digits, a witness that printed before prints the same, and one that
+    could not print is None, so every report prints."""
+    field = gf_create(p, m)
+    edge, power, bound = 0, 1, 10 ** catalog.WITNESS_DIGITS
+    while power < bound:
+        edge, power = edge + 1, power * field.q
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(catalog.WITNESS_DIGITS)
+    try:
+        refused = 0
+        for k in range(edge - 3, edge + 3):
+            for sign, tau in itertools.product((1, -1), (0, 1)):
+                e = EpsilonValue(field, sign, tau, k)
+                before = _witness_as_printed(e)
+                refused += before == "refused"
+                assert e.to_json()["witness"] == (None if before == "refused" else before)
+                json.dumps(e.to_json())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert 0 < refused < 24
+    assert EpsilonValue(field, 1, 1, 10 ** 6).witness() is None
 
 
 def test_twist_rules():

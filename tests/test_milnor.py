@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from math import prod
 
 import pytest
 from test_linalg import ref_rref
@@ -16,7 +17,7 @@ from resform.milnor import (
     monomials_upto,
 )
 from resform.mpoly import MultiPoly, parse_poly, partials, variable_blocks
-from resform.residue import arf_invariant, witt_lift
+from resform.residue import arf_invariant, disc_square_class, gram_matrix, witt_lift
 from resform.wittring import gr_create
 
 
@@ -218,13 +219,15 @@ def _separable_sample(per_field=3):
     (2, 2, "x,y,z,w", "x^3+g*y^5+z^2+z*w+w^3"),
     (2, 4, "x,y", "g*x^5+y^3"),
 ] + _separable_sample())
-def test_scan_presentation_matches_a_fresh_elimination_below_D(p, m, names, text):
+def test_scan_presentation_matches_a_fresh_elimination_below_D(monkeypatch, p, m, names, text):
     """The presentation read off the certifying scan, or built as a tensor
-    product of the blocks' presentations, equals the D-1 elimination."""
+    product of the blocks' presentations on its first read, equals the D-1
+    elimination."""
     field = gf_create(p, m)
     vars_ = names.split(",")
     constants = {field.gen_symbol: field.gen()} if m > 1 else None
     f = parse_poly(text, field, vars_, constants=constants)
+    built = _count_product_presentations(monkeypatch)
     alg = milnor_algebra(f)
     parts = variable_blocks(f)
     orders = [g.low_degree() for g in partials(f)]
@@ -232,10 +235,127 @@ def test_scan_presentation_matches_a_fresh_elimination_below_D(p, m, names, text
     assert (alg.blocks is not None) == separable
     if separable:
         assert alg.D == sum(milnor_algebra(b).D for _, b in parts) - len(parts) + 1
+        assert alg.mu == prod(milnor_algebra(b).mu for _, b in parts)
+    assert built == []
     basis, nf = _d_minus_one_presentation(f, alg.D)
     assert alg.basis == basis
+    assert built == ([f.n_vars, "forms"] if separable else [])
     for e in monomials_upto(f.n_vars, alg.D - 1):
         assert alg.nf_monomial(e) == nf[e], e
+
+
+def _count_product_presentations(monkeypatch):
+    """Record n_vars of every product basis enumerated, and "forms" for
+    every _ProductForms made."""
+    built = []
+    present, forms = milnor._product_presentation, milnor._ProductForms
+
+    class CountingForms(forms):
+        def __init__(self, parts, index):
+            built.append("forms")
+            super().__init__(parts, index)
+
+    def counting(parts, n_vars):
+        built.append(n_vars)
+        return present(parts, n_vars)
+
+    monkeypatch.setattr(milnor, "_product_presentation", counting)
+    monkeypatch.setattr(milnor, "_ProductForms", CountingForms)
+    return built
+
+
+SPLIT_SUMS = [
+    (13, 1, "x,y,z", "x^6+y^6+z^6"),
+    (5, 2, "x,y", "g*x^3+y^4"),
+    (13, 1, "x,y,z", "2*x^2+y^3+5*z^4"),
+    (11, 1, "x,y,z,w", "x^5+y^5+z^5+w^5"),
+]
+
+
+def _parse_case(p, m, names, text):
+    field = gf_create(p, m)
+    constants = {field.gen_symbol: field.gen()} if m > 1 else None
+    return parse_poly(text, field, names.split(","), constants=constants)
+
+
+@pytest.mark.parametrize("p, m, names, text", SPLIT_SUMS)
+def test_verify_and_the_gram_det_of_a_split_sum_build_no_product_basis(monkeypatch, p, m, names, text):
+    """verify, the Gram determinant at two scales and the discriminant read
+    mu, D and det G off the blocks; the product basis is enumerated once,
+    on the first read of a basis, and never again."""
+    f = _parse_case(p, m, names, text)
+    built = _count_product_presentations(monkeypatch)
+    report = verify_identity(f)
+    G = gram_matrix(f, 1)
+    disc_square_class(gram_matrix(f, 3))
+    alg = milnor_algebra(f)
+    assert alg.blocks is not None and report["mu"] == G.mu == alg.mu
+    assert built == []
+    assert G.basis == alg.basis
+    assert built == [f.n_vars, "forms"]
+    alg.nf_monomial((1,) * f.n_vars)
+    assert alg.basis_index[G.basis[-1]] == alg.mu - 1
+    assert built == [f.n_vars, "forms"]
+
+
+def test_the_arf_of_a_split_sum_reads_the_field_basis_once(monkeypatch):
+    """arf compares the W_3 lift's basis with the split field algebra's,
+    which builds that product basis, once; the lift does not split."""
+    field = gf_create(2, 2)
+    f = parse_poly("x^5+y^5+z^3+w^3", field, ["x", "y", "z", "w"])
+    built = _count_product_presentations(monkeypatch)
+    first = arf_invariant(f)
+    assert verify_identity(f)["mu"] == 64
+    assert arf_invariant(f) == first
+    assert built == [4, "forms"]
+
+
+def test_a_split_quartic_in_eleven_variables_verifies_quickly(monkeypatch):
+    """mu = 3^11 = 177147: verify reads mu and det G off the one-variable
+    blocks and never enumerates the product basis or raises q to 974308."""
+    field = gf_create(13, 1)
+    n = 11
+    f = MultiPoly(field, n, {tuple(4 * (j == i) for j in range(n)): field(i + 1)
+                             for i in range(n)})
+    built = _count_product_presentations(monkeypatch)
+    start = time.perf_counter()
+    report = verify_identity(f)
+    assert time.perf_counter() - start < 2.0
+    assert built == []
+    assert report["mu"] == 3 ** 11
+    assert report["geometric"]["q_exp"] == str(n * 3 ** 11 // 2)
+    assert report["geometric"]["witness"] is None
+
+
+def test_eliminations_share_one_bounded_monomial_memo(monkeypatch):
+    """Columns and shift lists come from one memo keyed by (n_vars, upto, lo):
+    each key is enumerated once while it is held, the memo never holds more
+    than _MONOMIALS_MAX monomials, and the algebra does not depend on what
+    it holds.  x^4+y^4+x^2*y^2 has partials of order 3, so its scan starts
+    with the degree-5 test of the initial forms (lo = 5)."""
+    f = parse_poly("x^4+y^4+x^2*y^2", gf_create(7, 1), ["x", "y"])
+    enumerated = []
+    upto = milnor.monomials_upto
+
+    def counting(n_vars, max_deg):
+        enumerated.append((n_vars, max_deg))
+        return upto(n_vars, max_deg)
+
+    monkeypatch.setattr(milnor, "monomials_upto", counting)
+    monkeypatch.setattr(milnor, "_MONOMIALS", {})
+    alg = milnor_algebra(f)
+    assert (2, 5, 5) in milnor._MONOMIALS
+    assert len(enumerated) == len(milnor._MONOMIALS)
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    again = milnor_algebra(f)
+    assert len(enumerated) == len(milnor._MONOMIALS)
+    assert again.basis == alg.basis and again._nf == alg._nf
+    monkeypatch.setattr(milnor, "_MONOMIALS_MAX", 12)
+    monkeypatch.setattr(milnor, "_MONOMIALS", {})
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    small = milnor_algebra(f)
+    assert sum(len(monos) for monos, _, _ in milnor._MONOMIALS.values()) <= 12
+    assert small.basis == alg.basis and small._nf == alg._nf
 
 
 def test_a_lower_cap_still_rejects_after_success():

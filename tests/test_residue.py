@@ -4,6 +4,7 @@ import re
 
 import pytest
 from test_linalg import ref_det, ref_rref
+from test_milnor import _count_product_presentations, _d_minus_one_presentation, _parse_case
 
 from resform import cli, linalg, milnor, residue
 from resform.catalog import arithmetic_side
@@ -18,7 +19,7 @@ from resform.errors import (
 )
 from resform.gfield import gf_create
 from resform.linalg import CodedOps, det_ring
-from resform.milnor import milnor_algebra
+from resform.milnor import milnor_algebra, monomials_upto
 from resform.mpoly import MultiPoly, parse_poly
 from resform.residue import (
     GramForm,
@@ -277,7 +278,7 @@ def test_ring_kind_decides_each_route(name, poly, want):
     if name.startswith("W3"):
         f = witt_lift(f)
     ring = f.ring
-    unit_form = GramForm(ring, 1, [(0,)], lambda: [[ring(1)]], ring(1), ring(1))
+    unit_form = GramForm(ring, 1, 1, lambda: [(0,)], lambda: [[ring(1)]], ring(1), ring(1))
     calls = [lambda: disc_square_class(unit_form), lambda: arf_invariant(f),
              lambda: arithmetic_side(f)]
     for call, expect in zip(calls, want):
@@ -582,6 +583,57 @@ def _store_case(p, m, names, poly):
     return witt_lift(f) if p == 2 else f
 
 
+FIRST_READS = {
+    "algebra basis": lambda alg, G: alg.basis,
+    "basis index": lambda alg, G: alg.basis_index,
+    "normal form": lambda alg, G: alg.nf_monomial((1,) * alg.n_vars),
+    "algebra json": lambda alg, G: alg.to_json(),
+    "form basis": lambda alg, G: G.basis,
+    "form matrix": lambda alg, G: G.matrix,
+    "form json": lambda alg, G: G.to_json(),
+}
+LAZY_CASES = [
+    (5, 2, "x,y", "g*x^3+y^4"),
+    (13, 1, "x,y,z", "2*x^2+y^3+5*z^4"),
+    (7, 1, "x,y,z", "x^3+2*y^4+z^3"),
+]
+
+
+@pytest.mark.parametrize("read", FIRST_READS)
+@pytest.mark.parametrize("p, m, names, poly", LAZY_CASES, ids=[c[3] for c in LAZY_CASES])
+def test_a_split_sum_builds_its_product_basis_on_first_read(monkeypatch, read, p, m, names, poly):
+    """Whichever read comes first builds the product basis, once, and the
+    basis, every normal form below D and the solved G equal the eager
+    references: a plain elimination of f below D, and G read off the
+    residue functional."""
+    f = _parse_case(p, m, names, poly)
+    built = _count_product_presentations(monkeypatch)
+    G = gram_matrix(f, 3)
+    alg = milnor_algebra(f)
+    assert alg.blocks is not None and built == []
+    FIRST_READS[read](alg, G)
+    assert built == [f.n_vars, "forms"]
+    basis, nf = _d_minus_one_presentation(f, alg.D)
+    assert alg.basis == G.basis == basis
+    for e in monomials_upto(f.n_vars, alg.D - 1):
+        assert alg.nf_monomial(e) == nf[e], e
+    assert G.matrix == _reference_gram(f, 3)[1]
+    assert G.det == det_ring(f.ring, G.matrix)
+    assert built == [f.n_vars, "forms"]
+
+
+def _bound_slots(alg):
+    """id of every slot value the algebra has bound, read without building
+    a product's presentation."""
+    bound = {}
+    for name in type(alg).__slots__:
+        try:
+            bound[name] = id(object.__getattribute__(alg, name))
+        except AttributeError:
+            pass
+    return bound
+
+
 @pytest.mark.parametrize("p, m, names, poly", STORE_CASES, ids=[c[3] + "/" + str(c[0]) for c in STORE_CASES])
 def test_a_stored_det_is_the_det_of_the_solved_matrix(monkeypatch, p, m, names, poly):
     """A det read from the algebra, or moved there to a new scale, is the
@@ -591,14 +643,19 @@ def test_a_stored_det_is_the_det_of_the_solved_matrix(monkeypatch, p, m, names, 
     ring = f.ring
     first = gram_matrix(f, 1)
     alg = milnor_algebra(f)
-    slots = {name: id(getattr(alg, name)) for name in type(alg).__slots__}
+    slots = _bound_slots(alg)
     built, dets = _count_bezoutians(monkeypatch)
     forms = [gram_matrix(f, s) for s in (1, -1, 3, -1)]
     assert built == [] and dets == [0]
+    assert _bound_slots(alg) == slots
     forms.append(first)
     for G in forms:
         assert G.det == det_ring(ring, G.matrix)
-    assert {name: id(getattr(alg, name)) for name in type(alg).__slots__} == slots
+    # solving G reads a product's presentation, which binds it; no other
+    # slot is rebound
+    after = _bound_slots(alg)
+    assert {name: after[name] for name in slots} == slots
+    assert set(after) - set(slots) == ({"basis", "basis_index", "_nf"} if alg.blocks else set())
     assert set(alg.gram_dets) == {ring(1), ring(-1), ring(3)}
     for alpha, det in alg.gram_dets.items():
         assert type(alpha) is type(det) is type(ring.one)
