@@ -7,8 +7,13 @@ residue characteristic and the reduction rows off the ring, stores an
 element as its m digits mod b and a matrix as a (rows, cols, m) integer
 array.  A product convolves the digits and folds x^m..x^{2m-2} back through
 the reduction rows, so one elimination serves every such ring at any size.
-Callers that build their matrix as digits (the Milnor relation matrices)
-call CodedOps.rref on it directly, so rref is the one elimination loop.
+The folding table is laid out once per ring so that d @ _S is the
+multiplication matrix of d; a pivot step is then two plain matrix
+products, one for the multipliers of the rows it clears and one applying
+them to the pivot row.  Callers that build their matrix as digits (the
+Milnor relation matrices) call CodedOps.rref on it directly, so rref is the
+one elimination loop.  It reduces its argument in place: every caller
+builds the array for that one call.
 unit_det reads a determinant off rref's pivots: det_ring applies it to an
 encoded element matrix, and the residue engine to the encoded Bezoutian
 matrix, whose determinant is all the discriminant needs.  solve_ring takes
@@ -37,12 +42,16 @@ from .errors import NonUnit
 from .mpoly import _czero
 
 _CODED_CACHE: dict = {}
+# Pivot inverses kept per ring; a W_3(F_1024) memo otherwise grows with
+# every distinct pivot value it meets.
+_INVERSES_MAX = 1024
 
 
 class CodedOps:
     """Digit-plane arithmetic and elimination for one ring (Z/b)[x]/(h).
 
-    Digits are int32: a product sums m terms below b^2 before it is reduced.
+    Digits are int32: an unreduced product sums at most m^2 terms, each
+    two digits times a table digit.
     """
 
     __slots__ = ("ring", "size", "base", "residue", "_mask", "_elem", "_S", "_inv")
@@ -61,8 +70,9 @@ class CodedOps:
         # digits of x^0..x^(2m-2), the top m-1 from the ring's reduction rows
         red = np.vstack([np.eye(m, dtype=np.int32),
                          np.array(ring._xpow, dtype=np.int32).reshape(-1, m)])
-        # _S[i, j] holds the digits of x^(i+j)
-        self._S = red[np.add.outer(np.arange(m), np.arange(m))]
+        # row i holds the digits of x^(i+j) for j = 0..m-1, side by side, so
+        # d @ _S is the multiplication matrix of d, flattened (_times)
+        self._S = red[np.add.outer(np.arange(m), np.arange(m))].reshape(m, m * m)
         self._inv: dict = {}
 
     def encode_matrix(self, rows):
@@ -81,70 +91,70 @@ class CodedOps:
             X -= (X // self.base) * self.base
         return X
 
-    def _units(self, X):
-        return (X % self.residue).any(axis=-1)
-
-    def _row_times(self, row):
-        """(m, cols*m) matrix U with F @ U the products F[r] * row[c], unreduced."""
-        return np.einsum("cj,ijk->ick", row, self._S).reshape(len(self._S), -1)
+    def _times(self, D):
+        """Multiplication matrices of the entries of D, shape (..., m, m):
+        v @ M is the digit vector of v * d, unreduced."""
+        m = len(self._S)
+        return (D @ self._S).reshape(*D.shape[:-1], m, m)
 
     def _inverse_times(self, d):
         """Multiplication matrix of the inverse of the unit with digits d:
-        v @ M is the digit vector of v / d.  Memoised per ring."""
+        v @ M is the digit vector of v / d.  Memoised per ring, at most
+        _INVERSES_MAX of them, the oldest dropped first."""
         key = d.tobytes()
         M = self._inv.get(key)
         if M is None:
+            if len(self._inv) >= _INVERSES_MAX:
+                del self._inv[next(iter(self._inv))]
             inv = self._elem(self.ring, d.tolist()).inverse()
-            M = self._inv[key] = self._row_times(np.array([inv.coeffs], dtype=np.int32))
+            M = self._inv[key] = self._times(np.array(inv.coeffs, dtype=np.int32))
         return M
 
     def product(self, values):
         """Product of digit lists, such as rref's pivot values, as an element."""
         return math.prod((self._elem(self.ring, v) for v in values), start=self.ring.one)
 
-    def _pivot(self, A, prow, r, col):
-        """Move row r to prow, scale it to 1 at col, and clear col from the
-        other rows, touching only the rows with a nonzero entry in col."""
-        if r != prow:
-            A[[prow, r]] = A[[r, prow]]
-        P = A[prow]
-        P[:] = self._reduce(P @ self._inverse_times(P[col]))
-        nz = A[:, col].any(axis=1)
-        nz[prow] = False
-        rows = np.flatnonzero(nz)
-        if rows.size:
-            # over a field the pivot row is zero left of col; over the Witt
-            # ring skipped columns there may hold non-units
-            lo = col if self.residue == self.base else 0
-            U = np.einsum("ri,in->rn", A[rows, col], self._row_times(P[lo:]))
-            U = U.reshape(rows.size, -1, P.shape[1])
-            A[rows, lo:] = self._reduce(A[rows, lo:] - U)
-
     def rref(self, A):
-        """Reduce a copy; returns (matrix, pivot cols, stuck col, pivot values).
+        """Reduce A in place; returns (A, pivot cols, stuck col, pivot values).
 
-        Columns without a unit entry are skipped; over a local ring their
-        non-unit residue ends up in the leftover rows, and a nonzero
-        leftover row is what certifies a non-free quotient.  The pivot
-        values are digit lists, negated after a row swap, so their product
-        is the determinant of the pivot block.
+        Each pivot step moves the first row with a unit in the column up,
+        scales it to 1 there and clears the column from the other rows,
+        touching only the rows with a nonzero entry in it.  Columns without
+        a unit entry are skipped; over a local ring their non-unit residue
+        ends up in the leftover rows, and a nonzero leftover row is what
+        certifies a non-free quotient.  The pivot values are digit lists,
+        negated after a row swap, so their product is the determinant of
+        the pivot block.
         """
-        A = A.copy()
         nrows, ncols, _ = A.shape
+        # over a field every nonzero entry is a unit
+        field = self.residue == self.base
         pivots, values = [], []
         prow = 0
         for col in range(ncols):
             if prow == nrows:
                 break
-            units = np.flatnonzero(self._units(A[prow:, col]))
-            if units.size == 0:
+            below = A[prow:, col]
+            units = (below if field else below % self.residue).any(axis=1).nonzero()[0]
+            if not units.size:
                 continue
             r = prow + int(units[0])
-            values.append((A[r, col] if r == prow else -A[r, col] % self.base).tolist())
-            self._pivot(A, prow, r, col)
+            if r != prow:
+                A[[prow, r]] = A[[r, prow]]
+            P = A[prow]
+            values.append((P[col] if r == prow else -P[col] % self.base).tolist())
+            P[:] = self._reduce(P @ self._inverse_times(P[col]))
+            nz = A[:, col].any(axis=1)
+            nz[prow] = False
+            rows = nz.nonzero()[0]
+            if rows.size:
+                # over a field the pivot row is zero left of col; over the Witt
+                # ring skipped columns there may hold non-units
+                lo = col if field else 0
+                A[rows, lo:] = self._reduce(A[rows, lo:] - P[lo:] @ self._times(A[rows, col]))
             pivots.append(col)
             prow += 1
-        leftover = np.flatnonzero(A[prow:].any(axis=(0, 2)))
+        leftover = A[prow:].any(axis=(0, 2)).nonzero()[0]
         stuck = int(leftover[0]) if leftover.size else None
         return A, pivots, stuck, values
 

@@ -25,25 +25,42 @@ become ring elements.
 
 A Thom-Sebastiani sum f = f_1 + ... + f_k, k >= 2, of polynomials in
 pairwise disjoint sets of variables (a constant term belongs to none) has
-J(f) = J(f_1) + ... + J(f_k), so over a field its algebra is the tensor
-product of theirs (Sebastiani-Thom, Un resultat sur la monodromie, Invent.
-Math. 1971), built from the blocks' cached algebras without eliminating
-f's own relation matrix.  Its standard monomials are the products of the
-blocks': each such product is standard, and there are mu = prod mu_i of
-them.  They are enumerated and sorted only on the first read of the basis,
-its index or a normal form, as mu, D and the Gram determinant need none of
-them.  A monomial's normal form is the product of its block parts' forms,
-computed on first request.  The truncation degree is D = sum D_i - (k - 1),
-and it is the least D0: some monomial of degree D_i - 1 survives in each
-block, and the product of their normal forms is nonzero, as a tensor
-product of nonzero vectors over a field is; while every monomial of degree
-sum D_i - k + 1 has some block part of degree at least D_i, which lies in
-J.  Over W_3 neither half holds: D is the certified D0 or the bound 3*D0
-rather than a least degree, and a product of nonzero forms can vanish, so
-a product of the lifts' algebras could carry another D than f's own, and
-W_3 algebras are not split (their D0 still comes from the residue field's
-algebra, which may be a product).  Morse and smooth points are not split
-either: their scan is already one small elimination.
+J(f) = J(f_1) + ... + J(f_k), so its algebra is the tensor product of
+theirs (Sebastiani-Thom, Un resultat sur la monodromie, Invent. Math.
+1971), built from the blocks' cached algebras without eliminating f's own
+relation matrix.  Its standard monomials are the products of the blocks':
+each such product is standard, and there are mu = prod mu_i of them.  They
+are enumerated and sorted only on the first read of the basis, its index
+or a normal form, as mu, D and the Gram determinant need none of them.  A
+monomial's normal form is the product of its block parts' forms, computed
+on first request.  The truncation degree is D = sum D_i - (k - 1): every
+monomial of that degree has some block part of degree at least D_i, which
+lies in J_i, so m^D lies in J.  Over a field D is also the least D0, as
+some monomial of degree D_i - 1 survives in each block and the product of
+their normal forms is nonzero, as a tensor product of nonzero vectors over
+a field is.  Morse and smooth points are not split: their scan is already
+one small elimination.
+
+The Witt lift of a separable characteristic-2 input splits the same way,
+once its reduction's algebra is a product: it is then the tensor product
+over W_3 of its own blocks' algebras.  Each block's algebra is free with a
+monomial basis, or raises NotFlat, so the products of the blocks' basis
+monomials are a basis and normal forms multiply; a product whose
+coefficients vanish mod 8 is a zero normal form, not a failure.  The same
+argument shows that D = sum D_i - (k - 1) is a certified truncation degree
+over W_3: m^{D_i} lies in J_i for each block, so m^D lies in J.  It need
+not be least, as a W_3 D never was, and it may exceed the cap, which the
+whole lift's 3*D0 is not held to either.  A lift whose blocks are not
+those of a split reduction (a lift perturbation may couple variables), or
+one with a block that raises, is eliminated whole, so its errors and
+their messages are its own.
+
+A W_3 lift that is eliminated whole and fails the D0 certificate pays a
+second elimination at 3*D0 - 1.  A scan upward from D0 + 1 to the least
+certified degree would cost more.  Of the 540 a7 lifts of the char2-witt
+benchmark (the first 60 pool entries per slot, each with both lift
+perturbations), 371 are eliminated whole and 197 of those fail at D0; the
+scan would eliminate 9356 columns in total on them, the fallback 5178.
 """
 
 from __future__ import annotations
@@ -264,6 +281,15 @@ class MilnorAlgebra:
             return {}
         return self._nf[e]
 
+    def same_basis(self, other) -> bool:
+        """Whether other has this basis.  Two products over the same sets of
+        variables compare block by block, building neither product basis."""
+        parts, others = self._parts, other._parts
+        if parts is None or others is None or \
+                [vs for vs, _ in parts] != [vs for vs, _ in others]:
+            return self.basis == other.basis
+        return all(a.same_basis(b) for (_, a), (_, b) in zip(parts, others))
+
     def to_json(self) -> dict:
         return {"mu": self.mu, "basis": [list(e) for e in self.basis],
                 "D": self.D}
@@ -291,8 +317,8 @@ def _presentation(ring, cols, red, pivots):
 class _ProductForms(dict):
     """Normal forms of a tensor product of algebras, keyed by monomial.
 
-    A monomial's form is the product of its block parts' forms; it is
-    computed on first request and kept.
+    A monomial's form is the product of its block parts' forms, without the
+    coefficients that vanish; it is computed on first request and kept.
     """
 
     def __init__(self, parts, index):
@@ -307,17 +333,18 @@ class _ProductForms(dict):
             terms = {(i,): c for i, c in forms[0].items()}
             for nf in forms[1:]:
                 terms = {key + (i,): c * ci for key, c in terms.items() for i, ci in nf.items()}
-            value = {self._index[key]: c for key, c in terms.items()}
+            # over W_3 a product of nonzero coefficients can vanish
+            value = {self._index[key]: c for key, c in terms.items() if not c.is_zero()}
         self[e] = value
         return value
 
 
 def _product(f: MultiPoly, cap: int):
-    """f's algebra over a field as the tensor product of its blocks' algebras.
+    """f's algebra as the tensor product of its blocks' algebras.
 
     Returns (D, mu, blocks, parts), parts the (variables, block algebra)
     pairs, or None when f is a single block or a block raises; the caller
-    then scans f itself, so errors and their messages are its own.  Every
+    then presents f whole, so errors and their messages are its own.  Every
     variable lies in some block, as no partial of f vanishes.
     """
     split = variable_blocks(f)
@@ -328,8 +355,9 @@ def _product(f: MultiPoly, cap: int):
     except ResformError:
         return None
     D = sum(alg.D for _, alg in parts) - len(parts) + 1
-    if D > cap:
-        # D <= mu <= the Bezout bound, so f's own scan stops at the cap too
+    if D > cap and f.ring.b == f.ring.residue:
+        # D <= mu <= the Bezout bound, so f's own scan stops at the cap too;
+        # a W_3 lift's whole elimination is never held to the cap
         raise NotIsolated(f"Jacobian ideal is not monomial-cofinite below degree {cap}")
     mu = math.prod(alg.mu for _, alg in parts)
     return D, mu, [block for _, block in split], parts
@@ -361,11 +389,12 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     """Quotient by the Jacobian ideal, presented below the truncation degree.
 
     Computed once per polynomial and cap; every consumer shares the result.
-    Over a field a sum of blocks in disjoint variables gets the tensor
-    product of the blocks' algebras, except at a Morse or a smooth point,
-    where the scan is already one small elimination.  Over W_3 the
-    truncation degree D is the residue field's D0 when one elimination at
-    D0 certifies it, and 3*D0 otherwise.
+    A sum of blocks in disjoint variables gets the tensor product of the
+    blocks' algebras: over a field except at a Morse or a smooth point,
+    where the scan is already one small elimination, and over W_3 when the
+    residue field's algebra is such a product.  A W_3 lift eliminated whole
+    has the truncation degree D of the residue field's D0 when one
+    elimination at D0 certifies it, and 3*D0 otherwise.
     """
     ring = f.ring
     n = f.n_vars
@@ -374,34 +403,36 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     if alg is not None:
         _ALGEBRAS[key] = alg
         return alg
-    product = None
-    if ring.b == ring.residue:  # a field; over W_3 the scan runs mod 2
+    field = ring.b == ring.residue  # over W_3 the scan runs mod 2
+    if field:
         grads, orders = _orders(f)
-        if min(orders) >= 1 and max(orders) >= 2:  # neither smooth nor Morse
-            product = _product(f, cap)
-        if product is None:
-            D, *presented = _scan(f, grads, orders, cap)
+        split = min(orders) >= 1 and max(orders) >= 2  # neither smooth nor Morse
     else:
-        # the residue field's D0 certifies most lifts; the rest take 3*D0
-        reduced = f.map_coeffs(lambda c: c.reduce(), ring.field)
-        D = milnor_algebra(reduced, cap=cap).D
-        grads = partials(f)
-        cols, red, pivots, stuck = _eliminate(grads, ring, n, D)
-        certified = _certified(cols, red, pivots, D)
-        if certified is None:
-            D *= 3
-            cols, red, pivots, stuck = _eliminate(grads, ring, n, D - 1)
-        if stuck is not None:
-            raise NotFlat(
-                f"monomial {cols[stuck]} carries a non-unit relation; quotient is not free"
-            )
-        presented = certified or (cols, red, pivots)
-    if product is None:
+        reduced = milnor_algebra(f.map_coeffs(lambda c: c.reduce(), ring.field), cap=cap)
+        split = reduced.blocks is not None
+    product = _product(f, cap) if split else None
+    if product is not None:
+        alg = MilnorAlgebra(ring, n, *product)
+    else:
+        if field:
+            D, *presented = _scan(f, grads, orders, cap)
+        else:
+            # the residue field's D0 certifies most lifts; the rest take 3*D0
+            D = reduced.D
+            grads = partials(f)
+            cols, red, pivots, stuck = _eliminate(grads, ring, n, D)
+            presented = _certified(cols, red, pivots, D)
+            if presented is None:
+                D *= 3
+                cols, red, pivots, stuck = _eliminate(grads, ring, n, D - 1)
+                presented = cols, red, pivots
+            if stuck is not None:
+                raise NotFlat(
+                    f"monomial {cols[stuck]} carries a non-unit relation; quotient is not free"
+                )
         basis, nf = _presentation(ring, *presented)
         alg = MilnorAlgebra(ring, n, D, len(basis))
         alg._present(basis, nf)
-    else:
-        alg = MilnorAlgebra(ring, n, *product)
     if ring.residue == 2 and n % 2 == 1 and alg.mu % 2 == 1:
         raise OddProduct(
             f"parity violated: odd mu={alg.mu} with odd n_vars={n} in characteristic 2"

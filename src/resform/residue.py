@@ -16,11 +16,13 @@ Bezoutian: the matrix of divided differences is block-diagonal up to one
 permutation of its rows and columns, its determinant is the product of the
 blocks', and C is the Kronecker product of the C_i on the sorted product
 basis.  Then G = alpha^n * C^-1 is the Kronecker product of the
-G_i = alpha^(n_i) * C_i^-1, and det G = prod det(G_i)^(mu/mu_i).  Each G_i
-is the gram_matrix of f_i, with its checks; C is symmetric or invertible
-exactly when every C_i is.  G itself is still solved from f's own C, built
-from the product normal forms, when it is read; the product basis is built
-only then, or when the form's basis is read.
+G_i = alpha^(n_i) * C_i^-1, and det G = prod det(G_i)^(mu/mu_i); this
+holds over any commutative ring, so over a field and for the W_3 lift of
+a separable characteristic-2 input alike.  Each G_i is the gram_matrix of
+f_i, with its checks; C is symmetric or invertible exactly when every C_i
+is.  G itself is still solved from f's own C, built from the product
+normal forms, when it is read; the product basis is built only then, or
+when the form's basis is read.
 
 det G is kept, per unit scale, on the Milnor algebra that milnor_algebra
 shares among the consumers of one polynomial, and only once every check
@@ -347,7 +349,9 @@ def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None) -> A
 
     The default lift takes Teichmueller representatives of the coefficients;
     an optional perturbation g changes the lift by 2*g.  The result does not
-    depend on that choice, which the test suite exercises directly.
+    depend on that choice, which the test suite exercises directly.  When
+    f and its lift split into blocks in the same variables, their bases
+    are compared block by block and det G comes from the blocks' forms.
     """
     field = f.ring
     if not isinstance(field, Field) or field.p != 2:
@@ -361,7 +365,7 @@ def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None) -> A
         f_w = f_w + g.scale(2)
     alg2 = milnor_algebra(f)
     alg_w = milnor_algebra(f_w)
-    if alg_w.basis != alg2.basis:
+    if not alg_w.same_basis(alg2):
         raise NotFlat("Witt-lift basis does not match its mod-2 reduction")
     n_mu = f.n_vars * alg_w.mu
     if n_mu % 2:

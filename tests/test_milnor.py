@@ -298,16 +298,18 @@ def test_verify_and_the_gram_det_of_a_split_sum_build_no_product_basis(monkeypat
     assert built == [f.n_vars, "forms"]
 
 
-def test_the_arf_of_a_split_sum_reads_the_field_basis_once(monkeypatch):
-    """arf compares the W_3 lift's basis with the split field algebra's,
-    which builds that product basis, once; the lift does not split."""
+def test_the_arf_of_a_split_sum_reads_no_product_basis(monkeypatch):
+    """The W_3 lift splits like the field algebra, so arf compares the two
+    bases block by block and builds neither product basis; verify reads
+    none either."""
     field = gf_create(2, 2)
     f = parse_poly("x^5+y^5+z^3+w^3", field, ["x", "y", "z", "w"])
     built = _count_product_presentations(monkeypatch)
     first = arf_invariant(f)
     assert verify_identity(f)["mu"] == 64
     assert arf_invariant(f) == first
-    assert built == [4, "forms"]
+    assert milnor_algebra(witt_lift(f)).blocks is not None
+    assert built == []
 
 
 def test_a_split_quartic_in_eleven_variables_verifies_quickly(monkeypatch):
@@ -648,13 +650,14 @@ def _raw_presentation(f_w, upto):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_the_w3_algebra_matches_the_elimination_at_3_d0_minus_1(m):
     """Teichmueller lifts and 2*g perturbations of seeded isolated inputs:
-    whether D0 certifies or the 3*D0 - 1 fallback runs, the basis and every
-    normal form up to degree 3*D0 are those of one plain elimination at
-    3*D0 - 1."""
+    whether D0 certifies, the 3*D0 - 1 fallback runs or the lift splits
+    into blocks, the basis and every normal form up to degree 3*D0 (and up
+    to a product's D, which may lie above it) are those of one plain
+    elimination at 3*D0 - 1."""
     field = gf_create(2, m)
     ring = gr_create(field)
     rng = random.Random(f"w3-oracle/{m}")
-    lifts = certified = 0
+    lifts = certified = split = 0
     for _ in range(40):
         n = rng.randint(1, 3)
         f = _random_poly(rng, field, n)
@@ -666,18 +669,24 @@ def test_the_w3_algebra_matches_the_elimination_at_3_d0_minus_1(m):
         for f_w in (witt_lift(f), witt_lift(f) + g.map_coeffs(ring, ring).scale(2)):
             alg = milnor_algebra(f_w, cap=5)
             basis, nf = _raw_presentation(f_w, 3 * D0 - 1)
-            assert alg.D in (D0, 3 * D0), f_w
+            if alg.blocks is None:
+                assert alg.D in (D0, 3 * D0), f_w
+            else:
+                blocks = [milnor_algebra(block, cap=5).D for block in alg.blocks]
+                assert alg.D == sum(blocks) - len(blocks) + 1, f_w
             assert alg.basis == basis, f_w
-            for e in monomials_upto(n, 3 * D0):
+            for e in monomials_upto(n, max(3 * D0, alg.D)):
                 assert alg.nf_monomial(e) == nf.get(e, {}), (f_w, e)
             lifts += 1
             certified += alg.D == D0
-    assert lifts >= 10 and 0 < certified < lifts
+            split += alg.blocks is not None
+    assert lifts >= 10 and 0 < certified < lifts and split
 
 
 def test_arf_of_the_fermat_quintic_over_f4_eliminates_once_over_w3(monkeypatch):
-    """x^5 + y^5 + z^5 over F_4 certifies at the residue field's D0 = 10, so
-    its Witt lift is eliminated once, at degree 10 and not 29."""
+    """The Witt lift of x^5 + y^5 + z^5 over F_4 is the sum of three lifts
+    of u^5, one cached algebra, which certifies at its residue field's
+    D0 = 4: one W_3 elimination, at degree 4 and not 10 for the whole lift."""
     seen = []
     eliminate = milnor._eliminate
 
@@ -690,4 +699,5 @@ def test_arf_of_the_fermat_quintic_over_f4_eliminates_once_over_w3(monkeypatch):
     f = parse_poly("x^5+y^5+z^5", field, ["x", "y", "z"])
     arf_invariant(f)
     assert milnor_algebra(f).D == 10
-    assert [upto for ring, upto in seen if ring != field] == [10]
+    assert milnor_algebra(witt_lift(f)).D == 10
+    assert [upto for ring, upto in seen if ring != field] == [4]

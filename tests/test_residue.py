@@ -1,10 +1,16 @@
 import json
 import random
 import re
+import time
 
 import pytest
 from test_linalg import ref_det, ref_rref
-from test_milnor import _count_product_presentations, _d_minus_one_presentation, _parse_case
+from test_milnor import (
+    _count_product_presentations,
+    _d_minus_one_presentation,
+    _parse_case,
+    _random_poly,
+)
 
 from resform import cli, linalg, milnor, residue
 from resform.catalog import arithmetic_side
@@ -14,6 +20,7 @@ from resform.errors import (
     NonUnit,
     NonUnitScale,
     OddCharacteristic,
+    ResformError,
     RingMismatch,
     SingularBezoutian,
 )
@@ -142,7 +149,7 @@ def test_a_gram_form_is_eliminated_once(monkeypatch):
              (witt_lift(parse_poly("x^3+g*x^2*y+y^3", f2, ["x", "y"], {"g": f2.gen()})), None),
              (parse_poly("x^4+y^5", f7, ["x", "y"]), 3 + 4)]
     steps = [0]
-    real = CodedOps._pivot
+    real = CodedOps._inverse_times  # asked once per pivot step
 
     def counting(*args):
         steps[0] += 1
@@ -151,9 +158,9 @@ def test_a_gram_form_is_eliminated_once(monkeypatch):
     for f, block_steps in cases:
         mu = milnor_algebra(f).mu
         steps[0] = 0
-        monkeypatch.setattr(CodedOps, "_pivot", counting)
+        monkeypatch.setattr(CodedOps, "_inverse_times", counting)
         G = gram_matrix(f, 1)
-        monkeypatch.setattr(CodedOps, "_pivot", real)
+        monkeypatch.setattr(CodedOps, "_inverse_times", real)
         assert G.mu == mu > 1
         assert steps[0] == (mu if block_steps is None else block_steps)
         assert G.det == ref_det(f.ring, G.matrix)
@@ -196,13 +203,13 @@ def test_arf_ignores_choice_of_lift():
 
 
 def test_a_separable_arf_over_f4_is_the_unsplit_one(capsys):
-    """The field algebra of a sum of blocks splits and the W_3 lift's does
-    not; arf and verify answer as they did with both eliminated whole."""
+    """The field algebra of a sum of blocks splits and so does the W_3
+    lift's; arf and verify answer as they did with both eliminated whole."""
     f4 = gf_create(2, 2)
     poly = "x^3+y^3+z^2+z*w+g*w^2"
     f = parse_poly(poly, f4, ["x", "y", "z", "w"], {"g": f4.gen()})
     assert milnor_algebra(f).blocks is not None
-    assert milnor_algebra(witt_lift(f)).blocks is None
+    assert len(milnor_algebra(witt_lift(f)).blocks) == 3
     argv = ["--p", "2", "--m", "2", "--vars", "x,y,z,w", "--poly", poly, "--json"]
     head = {"input": "x^3 + y^3 + z^2 + z*w + g*w^2",
             "field": {"p": 2, "m": 2, "modulus": [1, 1, 1]}}
@@ -699,12 +706,13 @@ def test_an_evicted_polynomial_recomputes_the_same_det(monkeypatch):
 def test_a_cold_gram_matrix_inverts_only_the_pivots(monkeypatch, case):
     """With f's algebra built, a cold Gram form asks the pivot-inverse memo
     once per pivot of the Bezoutian's elimination; det C is inverted as an
-    element, outside the memo."""
+    element, outside the memo.  Neither f is a sum of blocks."""
     if case == "field":
         f = parse_poly("x^4+y^3+x^2*y", gf_create(7, 1), ["x", "y"])
     else:
-        f = witt_lift(parse_poly("x^3+y^3", gf_create(2, 1), ["x", "y"]))
+        f = witt_lift(parse_poly("x^3+x^2*y+y^3", gf_create(2, 1), ["x", "y"]))
     mu = milnor_algebra(f).mu
+    assert milnor_algebra(f).blocks is None and mu == 4
     calls = []
     inverse_times = CodedOps._inverse_times
 
@@ -715,3 +723,126 @@ def test_a_cold_gram_matrix_inverts_only_the_pivots(monkeypatch, case):
     monkeypatch.setattr(CodedOps, "_inverse_times", counting)
     gram_matrix(f, 1)
     assert len(calls) == mu
+
+
+def _separable(rng, field):
+    """A sum of two or three seeded random blocks in disjoint variables, 3
+    variables in all at most, and the variable sets of its blocks."""
+    sizes = rng.choice([(1, 1), (1, 2), (2, 1), (1, 1, 1)])
+    terms, blocks, first = {}, [], 0
+    n = sum(sizes)
+    for size in sizes:
+        block = _random_poly(rng, field, size)
+        for e, c in block.terms.items():
+            terms[(0,) * first + e + (0,) * (n - first - size)] = c
+        blocks.append(range(first, first + size))
+        first += size
+    return MultiPoly(field, n, terms), blocks
+
+
+def _perturbations(rng, field, n, blocks):
+    """No perturbation, one whose terms each lie in one block's variables,
+    and one with a term that couples two blocks."""
+    def term(vs):
+        e = [0] * n
+        for v in vs:
+            e[v] += rng.randint(1, 2)
+        return tuple(e)
+
+    unit = field.one
+    inside = {term([rng.choice(block)]): unit for block in blocks}
+    coupling = dict(inside)
+    coupling[term([rng.choice(blocks[0]), rng.choice(blocks[-1])])] = unit
+    return [None, MultiPoly(field, n, inside), MultiPoly(field, n, coupling)]
+
+
+def _w3_outcome(f, g):
+    """The W_3 algebra, det G, Arf JSON and Gram form at the non-unit scale
+    2 of f's lift perturbed by 2*g, or for each the (error, message) it
+    raised."""
+    ring = gr_create(f.ring)
+    f_w = witt_lift(f) if g is None else witt_lift(f) + g.map_coeffs(ring, ring).scale(2)
+    out = []
+    for step in (lambda: milnor_algebra(f_w), lambda: gram_matrix(f_w, 1).det,
+                 lambda: arf_invariant(f, g).to_json(), lambda: gram_matrix(f_w, 2)):
+        try:
+            out.append(step())
+        except ResformError as err:
+            out.append((type(err).__name__, str(err)))
+    return out
+
+
+def test_a_split_witt_lift_is_the_whole_lift(monkeypatch):
+    """Seeded separable inputs over F_2..F_16, lifted plain, perturbed
+    inside the blocks and perturbed across two of them: the product route
+    gives the W_3 mu, basis, normal forms, det G (exactly, not only its
+    trace bit), Arf JSON and error messages of a whole-lift elimination."""
+    product = milnor._product
+
+    def whole(f, cap):
+        return product(f, cap) if f.ring.b == f.ring.residue else None
+
+    compared = split = coupled = errors = 0
+    for m in (1, 2, 3, 4):
+        field = gf_create(2, m)
+        rng = random.Random(f"split-w3/{m}")
+        for _ in range(80):
+            f, blocks = _separable(rng, field)
+            try:
+                milnor_algebra(f, cap=3)  # keeps the whole lift's 3*D0 - 1 elimination small
+            except ResformError:
+                continue
+            for g in _perturbations(rng, field, f.n_vars, blocks):
+                monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+                got = _w3_outcome(f, g)
+                monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+                monkeypatch.setattr(milnor, "_product", whole)
+                want = _w3_outcome(f, g)
+                monkeypatch.setattr(milnor, "_product", product)
+                alg, ref = got[0], want[0]
+                errors += sum(isinstance(out, tuple) for out in want)
+                if isinstance(ref, tuple):
+                    assert alg == ref, f
+                else:
+                    assert ref.blocks is None
+                    assert (alg.mu, alg.basis) == (ref.mu, ref.basis), f
+                    for e in monomials_upto(f.n_vars, max(alg.D, ref.D)):
+                        assert alg.nf_monomial(e) == ref.nf_monomial(e), (f, g, e)
+                    split += alg.blocks is not None
+                    coupled += len(alg.blocks or ()) < len(blocks)
+                assert got[1:] == want[1:], (f, g)
+                compared += 1
+    assert compared >= 60 and split >= 40 and coupled >= 20 and errors >= compared
+
+
+def test_a_separable_lift_builds_no_whole_relation_matrix_or_bezoutian(monkeypatch):
+    """arf, verify, gram and disc of x^5+y^5+z^3+w^3 over F_4 eliminate and
+    build a Bezoutian only for the one-variable lifts x^5 and z^3, never in
+    four variables over W_3."""
+    eliminated = []
+    eliminate = milnor._eliminate
+
+    def counting(grads, ring, n_vars, upto, lo=0):
+        eliminated.append((ring, n_vars))
+        return eliminate(grads, ring, n_vars, upto, lo)
+
+    monkeypatch.setattr(milnor, "_eliminate", counting)
+    built, _ = _count_bezoutians(monkeypatch)
+    f4 = gf_create(2, 2)
+    ring = gr_create(f4)
+    f = parse_poly("x^5+y^5+z^3+w^3", f4, ["x", "y", "z", "w"])
+    arf_invariant(f)
+    verify_identity(f)
+    disc_square_class(gram_matrix(witt_lift(f), 3))
+    assert [n for r, n in eliminated if r == ring] == [1, 1]
+    assert [n for r, n in built if r == ring] == [1, 1]
+
+
+def test_a_cold_split_arf_is_fast():
+    """The blocks' lifts are eliminated instead of the whole mu = 64 lift,
+    whose elimination and Bezoutian took about 0.14 s."""
+    f = parse_poly("x^5+y^5+z^3+w^3", gf_create(2, 2), ["x", "y", "z", "w"])
+    milnor_algebra(f)
+    start = time.perf_counter()
+    arf_invariant(f)
+    assert time.perf_counter() - start < 0.05
