@@ -61,8 +61,9 @@ class NotIsolated(ResformError):
 
 
 class NotFlat(ResformError):
-    """Elimination over Z/8 hit a non-unit pivot: the presented algebra
-    is not free over the Witt ring.  Valid lifts never do this."""
+    """Elimination over Z/8 hit a non-unit pivot, or left standard
+    monomials other than the residue field's: the presented algebra is not
+    a free lift of the reduction's.  Valid lifts never do this."""
 
 
 class DegenerateFiber(ResformError):

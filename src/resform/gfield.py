@@ -148,6 +148,19 @@ def _inverse_digits(a, h, p: int) -> list:
     return [x * c % p for x in s1] + [0] * (m - len(s1))
 
 
+def _power(x, e: int, one):
+    """x ** e for e >= 0, left to right: square for each bit after the
+    leading one, and multiply by x where the bit is set."""
+    if not e:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
+
+
 def _default_modulus(p: int, m: int) -> tuple:
     """First monic irreducible of degree m in base-p counting order."""
     for k in range(p ** m):
@@ -225,14 +238,7 @@ class DigitElem:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        # left to right: square for each bit after the leading one, and
-        # multiply by self where the bit is set
-        result = self if e else self.ring.one
-        for bit in bin(e)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return _power(self, e, self.ring.one)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -531,15 +537,6 @@ class CycloInt:
     def __neg__(self):
         return CycloInt(self.p, [-a for a in self.coeffs])
 
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return CycloInt(self.p, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._check(other)
         if o is NotImplemented:
@@ -556,14 +553,7 @@ class CycloInt:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers leave Z[zeta]")
-        result = CycloInt.from_int(self.p, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, CycloInt.from_int(self.p, 1))
 
     def __eq__(self, other):
         if isinstance(other, int):

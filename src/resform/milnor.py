@@ -55,6 +55,15 @@ those of a split reduction (a lift perturbation may couple variables), or
 one with a block that raises, is eliminated whole, so its errors and
 their messages are its own.
 
+A W_3 algebra is checked against its reduction once, where a lift is
+eliminated whole: standard monomials that differ from the residue field's
+raise NotFlat, as the lift's algebra then does not lift the reduction's on
+the same monomial basis.  A split lift needs no check of its own.
+Every term of the reduction is a term of the lift, so each of the lift's
+blocks is a union of the reduction's blocks; the standard monomials of a
+disjoint sum are the products of the blocks', so once every block of the
+lift has the basis of its own reduction, the lift has its reduction's.
+
 A W_3 lift that is eliminated whole and fails the D0 certificate pays a
 second elimination at 3*D0 - 1.  A scan upward from D0 + 1 to the least
 certified degree would cost more.  Of the 540 a7 lifts of the char2-witt
@@ -281,15 +290,6 @@ class MilnorAlgebra:
             return {}
         return self._nf[e]
 
-    def same_basis(self, other) -> bool:
-        """Whether other has this basis.  Two products over the same sets of
-        variables compare block by block, building neither product basis."""
-        parts, others = self._parts, other._parts
-        if parts is None or others is None or \
-                [vs for vs, _ in parts] != [vs for vs, _ in others]:
-            return self.basis == other.basis
-        return all(a.same_basis(b) for (_, a), (_, b) in zip(parts, others))
-
     def to_json(self) -> dict:
         return {"mu": self.mu, "basis": [list(e) for e in self.basis],
                 "D": self.D}
@@ -394,7 +394,9 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     where the scan is already one small elimination, and over W_3 when the
     residue field's algebra is such a product.  A W_3 lift eliminated whole
     has the truncation degree D of the residue field's D0 when one
-    elimination at D0 certifies it, and 3*D0 otherwise.
+    elimination at D0 certifies it, and 3*D0 otherwise, and raises NotFlat
+    unless its basis is the residue field's; a split lift has that check
+    from its blocks.
     """
     ring = f.ring
     n = f.n_vars
@@ -431,6 +433,8 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
                     f"monomial {cols[stuck]} carries a non-unit relation; quotient is not free"
                 )
         basis, nf = _presentation(ring, *presented)
+        if not field and basis != reduced.basis:
+            raise NotFlat("Witt-lift basis does not match its mod-2 reduction")
         alg = MilnorAlgebra(ring, n, D, len(basis))
         alg._present(basis, nf)
     if ring.residue == 2 and n % 2 == 1 and alg.mu % 2 == 1:

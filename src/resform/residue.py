@@ -39,9 +39,7 @@ from .errors import (
     EvenCharacteristic,
     NonUnit,
     NonUnitScale,
-    NotFlat,
     OddCharacteristic,
-    OddProduct,
     RingMismatch,
     SingularBezoutian,
 )
@@ -145,8 +143,8 @@ class GramForm:
         return f"GramForm(mu={self.mu}, scale={self.scale!r}, over {self.ring!r})"
 
 
-def _residue_data(f: MultiPoly):
-    """(Milnor algebra, Bezoutian matrix) of f."""
+def bezoutian(f: MultiPoly):
+    """Matrix of the Bezoutian class in A tensor A over the basis pairs."""
     alg = milnor_algebra(f)
     n = f.n_vars
     grads = partials(f)
@@ -166,12 +164,7 @@ def _residue_data(f: MultiPoly):
                 C[i][j] = C[i][j] + cc * cy
     if mu and (0,) * n not in alg.basis_index:
         raise SingularBezoutian("the unit monomial is not a standard monomial")
-    return alg, C
-
-
-def bezoutian(f: MultiPoly):
-    """Matrix of the Bezoutian class in A tensor A over the basis pairs."""
-    return _residue_data(f)[1]
+    return C
 
 
 def residue_functional(f: MultiPoly):
@@ -189,7 +182,8 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     C's digits; its determinant comes from one elimination of C alone, and
     the matrix is solved only when it is read.  When the Milnor algebra is
     a tensor product of blocks' algebras, so is G, and det G is read off
-    the blocks' Gram forms by the Kronecker law, with their checks.
+    the blocks' Gram forms by the Kronecker law, with their checks.  The
+    scale is checked once, after f's algebra and before any Bezoutian.
 
     det G is kept on f's shared Milnor algebra once every check has passed;
     a later call reads it there, or moves it to another unit scale by
@@ -197,28 +191,24 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     """
     alg = milnor_algebra(f)
     ring, mu = f.ring, alg.mu
+    alpha = ring(scale)
+    if not alpha.is_unit():
+        raise NonUnitScale(f"scale {alpha!r} is not a unit")
     dets = alg.gram_dets
     C = None
     if dets:
         # every check on f passed when the first entry was stored: only the
         # scale is new
-        alpha = ring(scale)
         det = dets.get(alpha)
         if det is None:
-            if not alpha.is_unit():
-                raise NonUnitScale(f"scale {alpha!r} is not a unit")
             beta, det_beta = next(iter(dets.items()))
             det = det_beta * (alpha / beta) ** (f.n_vars * mu)
     elif alg.blocks:
         # G is the permuted Kronecker product of the blocks' forms
-        forms = [gram_matrix(block, scale) for block in alg.blocks]
-        alpha = forms[0].scale
+        forms = [gram_matrix(block, alpha) for block in alg.blocks]
         det = math.prod((G.det ** (mu // G.mu) for G in forms), start=ring.one)
     else:
-        C = _residue_data(f)[1]
-        alpha = ring(scale)
-        if not alpha.is_unit():
-            raise NonUnitScale(f"scale {alpha!r} is not a unit")
+        C = bezoutian(f)
         inv_det_c = ring.one
         if mu:
             ops = coded(ring)
@@ -234,7 +224,7 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
 
     def solve():
         eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
-        return solve_ring(ring, _residue_data(f)[1] if C is None else C, eye)
+        return solve_ring(ring, bezoutian(f) if C is None else C, eye)
 
     G = GramForm(ring, f.n_vars, mu, lambda: list(alg.basis), solve, alpha, det)
     dets[alpha] = det
@@ -349,9 +339,10 @@ def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None) -> A
 
     The default lift takes Teichmueller representatives of the coefficients;
     an optional perturbation g changes the lift by 2*g.  The result does not
-    depend on that choice, which the test suite exercises directly.  When
-    f and its lift split into blocks in the same variables, their bases
-    are compared block by block and det G comes from the blocks' forms.
+    depend on that choice, which the test suite exercises directly.  The
+    class is read off det G of the lift at scale 1; milnor_algebra checks
+    the lift's basis against its reduction's, and n_vars*mu is even, as it
+    refuses an odd mu in an odd number of variables.
     """
     field = f.ring
     if not isinstance(field, Field) or field.p != 2:
@@ -363,12 +354,5 @@ def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None) -> A
         if g.ring != ring:
             g = g.map_coeffs(lambda c: ring(c), ring)
         f_w = f_w + g.scale(2)
-    alg2 = milnor_algebra(f)
-    alg_w = milnor_algebra(f_w)
-    if not alg_w.same_basis(alg2):
-        raise NotFlat("Witt-lift basis does not match its mod-2 reduction")
-    n_mu = f.n_vars * alg_w.mu
-    if n_mu % 2:
-        raise OddProduct(f"n_vars*mu = {n_mu} is odd")
     G = gram_matrix(f_w, 1)
-    return arf_from_unit(G.det, n_mu // 2)
+    return arf_from_unit(G.det, f.n_vars * G.mu // 2)

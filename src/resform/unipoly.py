@@ -198,12 +198,12 @@ def _pth_root(c):
     return c ** (k.p ** (k.m - 1)) if k.m > 1 else c
 
 
-def factor(field, f, rng=None):
+def factor(field, f):
     """Full factorization: (leading coefficient, [(monic irreducible, mult)])."""
     f = trim(f)
     if degree(f) < 0:
         raise ZeroDivisionError("factoring the zero polynomial")
-    rng = rng or random.Random(sum(field.encode(c) for c in f) + 13)
+    rng = random.Random(sum(field.encode(c) for c in f) + 13)
     lead = f[-1]
     f = monic_p(f)
     out = {}
@@ -284,9 +284,6 @@ class QFElem:
         o = self._lift(other)
         return QFElem(self.ring, [a - b for a, b in zip(self.coeffs, o.coeffs)])
 
-    def __neg__(self):
-        return QFElem(self.ring, [-a for a in self.coeffs])
-
     def __mul__(self, other):
         o = self._lift(other)
         prod = mod_p(mul_p(trim(self.coeffs), trim(o.coeffs)), self.ring.modulus)
@@ -316,14 +313,6 @@ class QFElem:
         if any(not c.is_zero() for c in self.coeffs[1:]):
             raise ValueError("element is not in the base field")
         return self.coeffs[0]
-
-    def __eq__(self, other):
-        if isinstance(other, QFElem):
-            return self.ring is other.ring and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ring), tuple(self.ring.base.encode(c) for c in self.coeffs)))
 
     def __repr__(self):
         parts = [f"({c!r})*y^{i}" if i else repr(c)

@@ -139,12 +139,49 @@ def test_error_records(capsys):
         (("milnor", "--p", "7", "--vars", "x"), "PolySyntaxError"),
         (("homog2", "--p", "3", "--poly", "T0^3+T1^3"), "OddCharacteristic"),
         (("homog2", "--p", "2", "--poly", "T0^3"), "SingularForm"),
+        (("verify", "--p", "3", "--poly", "x^2"), "PolySyntaxError"),
+        (("homog2", "--p", "2", "--vars", "x,y,z", "--poly", "x^3+y^3+z^3"),
+         "PolySyntaxError"),
+        (("verify", "--p", "2", "--m", "2", "--modulus", "1,0,1", "--vars", "x", "--poly", "x^2"),
+         "ReducibleModulus"),
     ]
     for argv, err in cases:
         code, payload = run_json(capsys, *argv)
         assert code == 2, argv
         assert payload["error"] == err
         assert payload["message"]
+
+
+def test_a_given_modulus_is_used_and_checked(capsys):
+    """--modulus builds the field the report names; one of the wrong degree
+    is refused with exit code 2."""
+    code, payload = run_json(capsys, "verify", "--p", "3", "--m", "2", "--modulus", "1,0,1",
+                             "--vars", "x,y", "--poly", "x^2+y^2")
+    assert code == 0
+    assert payload["field"] == {"p": 3, "m": 2, "modulus": [1, 0, 1]}
+    assert payload["verdict"] == "PASS"
+    code, out = run(capsys, "verify", "--p", "3", "--m", "2", "--modulus", "1,1",
+                    "--vars", "x", "--poly", "x^2")
+    assert code == 2
+    assert out == "error: ValueError\nmessage: modulus must be monic of degree m\n"
+
+
+def test_both_char2_ordinary_quadratic_shapes(capsys):
+    """The catalog reads c*x^2+x*y+y^2 by its x^2 coefficient as it reads
+    x^2+x*y+c*y^2; with neither square coefficient 1 it has no entry, so
+    verify checks the geometric side only and epsilon refuses."""
+    argv = ["--p", "2", "--m", "2", "--vars", "x,y", "--poly"]
+    code, payload = run_json(capsys, "verify", *argv, "g*x^2+x*y+y^2")
+    assert code == 0
+    assert payload["verdict"] == "PASS"
+    assert payload["arithmetic"] == payload["geometric"]
+    code, payload = run_json(capsys, "verify", *argv, "g*x^2+x*y+g*y^2")
+    assert code == 0
+    assert payload["verdict"] == "GEOMETRIC_ONLY"
+    assert payload["arithmetic"] is None
+    code, payload = run_json(capsys, "epsilon", *argv, "g*x^2+x*y+g*y^2")
+    assert code == 2
+    assert payload["error"] == "CatalogMiss"
 
 
 def test_milnor_rejects_a_non_isolated_four_variable_cone(capsys):

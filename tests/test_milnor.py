@@ -502,6 +502,26 @@ def test_a_relation_without_a_unit_pivot_is_not_flat(monkeypatch):
     assert str(err.value) == "monomial (0, 2) carries a non-unit relation; quotient is not free"
 
 
+@pytest.mark.parametrize("poly", ["x^2*y+x*y^2", "x^3+y^3"])
+def test_a_lift_off_its_reductions_basis_is_not_flat_for_every_command(monkeypatch, capsys, poly):
+    """With the W_3 basis forced off the residue field's (reversed), arf,
+    gram and disc all refuse the lift with one message, on every call: the
+    check sits where the lift's algebra is built.  x^2*y+x*y^2 is lifted
+    whole; x^3+y^3 meets the check in its blocks and then whole."""
+    presentation = milnor._presentation
+
+    def reversed_over_w3(ring, *args):
+        basis, nf = presentation(ring, *args)
+        return (basis[::-1] if ring.b != ring.residue else basis), nf
+
+    monkeypatch.setattr(milnor, "_presentation", reversed_over_w3)
+    argv = ["--p", "2", "--vars", "x,y", "--poly", poly]
+    for cmd in ("arf", "gram", "disc", "arf"):
+        assert cli.main([cmd] + argv) == 2
+        assert capsys.readouterr().out == (
+            "error: NotFlat\nmessage: Witt-lift basis does not match its mod-2 reduction\n")
+
+
 def test_a_non_isolated_three_variable_cone_is_rejected_in_bounded_time():
     """x^5*y + z^5 is singular along the y-axis and its Bezout bound is 100,
     so the scan runs all the way to the cap of 24."""

@@ -370,16 +370,15 @@ def test_a_non_symmetric_bezoutian_is_refused(monkeypatch):
     """The inverse of a non-symmetric Bezoutian matrix is not symmetric."""
     f7 = gf_create(7, 1)
     f = parse_poly("x^3+y^3", f7, ["x", "y"])
-    real = residue._residue_data
+    real = residue.bezoutian
 
     def skewed(f):
-        alg, C = real(f)
-        C = [list(row) for row in C]
+        C = [list(row) for row in real(f)]
         C[0][1] = C[0][1] + f7(1)
         assert C[0][1] != C[1][0]
-        return alg, C
+        return C
 
-    monkeypatch.setattr(residue, "_residue_data", skewed)
+    monkeypatch.setattr(residue, "bezoutian", skewed)
     for _ in range(2):
         with pytest.raises(SingularBezoutian, match="^gram matrix is not symmetric$"):
             gram_matrix(f, 1)
@@ -450,18 +449,18 @@ def test_a_separable_verify_and_disc_eliminate_only_a_block(monkeypatch, capsys)
     of that block alone, once, never f's: the four blocks share one
     algebra, and disc's scale 1 moves verify's det G for -1."""
     eliminated, bezoutians = [], []
-    eliminate, residue_data = milnor._eliminate, residue._residue_data
+    eliminate, bezoutian = milnor._eliminate, residue.bezoutian
 
     def counting_eliminate(grads, ring, n_vars, upto, lo=0):
         eliminated.append(n_vars)
         return eliminate(grads, ring, n_vars, upto, lo)
 
-    def counting_residue_data(f):
+    def counting_bezoutian(f):
         bezoutians.append(f.n_vars)
-        return residue_data(f)
+        return bezoutian(f)
 
     monkeypatch.setattr(milnor, "_eliminate", counting_eliminate)
-    monkeypatch.setattr(residue, "_residue_data", counting_residue_data)
+    monkeypatch.setattr(residue, "bezoutian", counting_bezoutian)
     argv = ["--p", "11", "--vars", "x,y,z,w", "--poly", "x^5+y^5+z^5+w^5", "--json"]
     assert cli.main(["verify"] + argv) == 0
     assert json.loads(capsys.readouterr().out)["mu"] == 256
@@ -527,16 +526,15 @@ def test_a_bezoutian_singular_over_w3_is_not_invertible(monkeypatch):
     column: det_ring calls that a non-unit, the engine a singular C."""
     f = witt_lift(parse_poly("x^3+y^3", gf_create(2, 1), ["x", "y"]))
     ring = f.ring
-    real = residue._residue_data
+    real = residue.bezoutian
 
     def even(f):
-        alg, C = real(f)
-        C = [[c * 2 if 0 in (i, j) else c for j, c in enumerate(row)] for i, row in enumerate(C)]
-        return alg, C
+        return [[c * 2 if 0 in (i, j) else c for j, c in enumerate(row)]
+                for i, row in enumerate(real(f))]
 
-    monkeypatch.setattr(residue, "_residue_data", even)
+    monkeypatch.setattr(residue, "bezoutian", even)
     with pytest.raises(NonUnit):
-        det_ring(ring, bezoutian(f))
+        det_ring(ring, residue.bezoutian(f))
     for _ in range(2):
         with pytest.raises(SingularBezoutian, match="^bezoutian matrix is not invertible$"):
             gram_matrix(f, 1)
@@ -547,17 +545,17 @@ def _count_bezoutians(monkeypatch):
     """Record (ring, n_vars) of every Bezoutian matrix built, and count the
     eliminations that read a determinant off it."""
     built, dets = [], [0]
-    residue_data, det = residue._residue_data, residue.unit_det
+    bezoutian, det = residue.bezoutian, residue.unit_det
 
-    def counting_residue_data(f):
+    def counting_bezoutian(f):
         built.append((f.ring, f.n_vars))
-        return residue_data(f)
+        return bezoutian(f)
 
     def counting_det(ops, digits):
         dets[0] += 1
         return det(ops, digits)
 
-    monkeypatch.setattr(residue, "_residue_data", counting_residue_data)
+    monkeypatch.setattr(residue, "bezoutian", counting_bezoutian)
     monkeypatch.setattr(residue, "unit_det", counting_det)
     return built, dets
 
@@ -684,6 +682,29 @@ def test_errors_are_raised_anew_on_every_call():
                 with pytest.raises(NonUnitScale, match=f"^scale {shown} is not a unit$"):
                     gram_matrix(f, scale)
         assert set(milnor_algebra(f).gram_dets) == {f.ring(1)}
+
+
+def test_a_cold_non_unit_scale_builds_no_bezoutian(monkeypatch):
+    """The scale is checked once, before any branch: a cold gram_matrix at
+    a non-unit scale expands no Bezoutian, over a field, for a split sum
+    and over W_3, and stores no determinant."""
+    expanded = []
+    det_expand = residue.det_expand
+
+    def counting_det_expand(mat):
+        expanded.append(len(mat))
+        return det_expand(mat)
+
+    monkeypatch.setattr(residue, "det_expand", counting_det_expand)
+    f7 = gf_create(7, 1)
+    cases = [(parse_poly("x^4+y^3+x^2*y", f7, ["x", "y"]), 7, "0"),
+             (parse_poly("x^4+y^3", f7, ["x", "y"]), 14, "0"),
+             (witt_lift(parse_poly("x^3+y^3", gf_create(2, 1), ["x", "y"])), 2, "2")]
+    for f, scale, shown in cases:
+        with pytest.raises(NonUnitScale, match=f"^scale {shown} is not a unit$"):
+            gram_matrix(f, scale)
+        assert milnor_algebra(f).gram_dets == {}
+    assert expanded == []
 
 
 def test_an_evicted_polynomial_recomputes_the_same_det(monkeypatch):

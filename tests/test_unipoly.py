@@ -64,3 +64,62 @@ def test_is_irreducible_stops_at_the_first_block(monkeypatch):
     assert calls == [3]
     assert [d for d, _ in unipoly.ddf(field, f)] == [1, 5]
     assert calls == [3, 3, 3]
+
+
+def _codes(field, g):
+    return tuple(field.encode(c) for c in g)
+
+
+def _check_factorization(field, f, want):
+    """factor(f) multiplies back to f, into monic irreducibles with the
+    multiplicities in want ({factor codes: multiplicity})."""
+    lead, facs = unipoly.factor(field, f)
+    back = [lead]
+    for g, e in facs:
+        assert g[-1] == field.one
+        assert unipoly.is_irreducible(field, g)
+        for _ in range(e):
+            back = unipoly.mul_p(back, g)
+    assert back == unipoly.trim(f)
+    assert {_codes(field, g): e for g, e in facs} == want
+
+
+def test_factor_splits_equal_degree_and_inseparable_factors():
+    """Two cubics over F_2 share a distinct-degree block, which the trace
+    map of characteristic 2 splits; x*(x^2+x+g)^2 over F_4 and (x+g)^3 over
+    F_9 leave a p-th power after their separable part, whose p-th root is
+    factored with the multiplicity scaled by p."""
+    f2 = gf_create(2, 1)
+    a, b = [f2(1), f2(1), f2(0), f2(1)], [f2(1), f2(0), f2(1), f2(1)]
+    _check_factorization(f2, unipoly.mul_p(a, b), {(1, 1, 0, 1): 1, (1, 0, 1, 1): 1})
+    f4 = gf_create(2, 2)
+    g = f4.gen()
+    h = [g, f4.one, f4.one]
+    x = [f4.zero, f4.one]
+    _check_factorization(f4, unipoly.mul_p(x, unipoly.mul_p(h, h)),
+                         {(0, 1): 1, _codes(f4, h): 2})
+    f9 = gf_create(3, 2)
+    linear = [f9.gen(), f9.one]
+    cube = unipoly.mul_p(linear, unipoly.mul_p(linear, linear))
+    _check_factorization(f9, unipoly.scale_p(cube, f9(2)), {_codes(f9, linear): 3})
+
+
+def test_factor_recovers_a_seeded_sample_of_products():
+    """Products of distinct monic irreducibles of degree 1..3 with
+    multiplicities 1..p+1 (so p-th powers occur) and a random leading
+    coefficient, over every field of at most 8 elements."""
+    rng = random.Random("factor")
+    for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]:
+        field = gf_create(p, m)
+        for _ in range(4):
+            want, count = {}, rng.randint(1, 3)
+            while len(want) < count:
+                d = rng.randint(1, 3)
+                g = [field.decode(rng.randrange(field.q)) for _ in range(d)] + [field.one]
+                if unipoly.is_irreducible(field, g):
+                    want.setdefault(_codes(field, g), rng.randint(1, p + 1))
+            f = [field.decode(rng.randrange(1, field.q))]
+            for codes, e in want.items():
+                for _ in range(e):
+                    f = unipoly.mul_p(f, [field.decode(c) for c in codes])
+            _check_factorization(field, f, want)
