@@ -213,13 +213,14 @@ def eps_convolve(e1: EpsilonValue, d1: int, e2: EpsilonValue, d2: int) -> Epsilo
 
 
 def _blocks(f: MultiPoly):
-    """Split f into variable-disjoint summands, ordered by first variable."""
+    """Split f into variable-disjoint summands, ordered by first variable:
+    (variables, block) pairs."""
     if (0,) * f.n_vars in f.terms:
         raise CatalogMiss("nonzero constant term")
     blocks = variable_blocks(f)
     if sum(len(vs) for vs, _ in blocks) != f.n_vars:
         raise CatalogMiss("a variable is missing from f")
-    return [bp for _, bp in blocks]
+    return blocks
 
 
 def _mu_univariate_char2(bp: MultiPoly) -> int:
@@ -235,14 +236,15 @@ def _mu_univariate_char2(bp: MultiPoly) -> int:
     return min(odd) - 1
 
 
-def _classify_block(field, bp: MultiPoly, twist: int):
-    """Catalog lookup for one block: (epsilon_0, dimtot)."""
+def _classify_block(field, bp: MultiPoly, twist: int, names):
+    """Catalog lookup for one block: (epsilon_0, dimtot).  A miss renders
+    the block with names, the names of its variables in f."""
     terms = bp.terms
     one = field(1)
     if field.p != 2:
         if bp.n_vars == 1 and set(terms) == {(2,)}:
             return eps_quad_odd(terms[(2,)], field, twist), 1
-        raise CatalogMiss(f"no catalog entry for block {bp.render()}")
+        raise CatalogMiss(f"no catalog entry for block {bp.render(names)}")
     if bp.n_vars == 2:
         if set(terms) <= {(2, 0), (1, 1), (0, 2)} and terms.get((1, 1)) == one:
             c20 = terms.get((2, 0), field(0))
@@ -251,34 +253,37 @@ def _classify_block(field, bp: MultiPoly, twist: int):
                 return eps_ordquad_char2(c02, field), -1
             if c02 == one:
                 return eps_ordquad_char2(c20, field), -1
-        raise CatalogMiss(f"no catalog entry for block {bp.render()}")
+        raise CatalogMiss(f"no catalog entry for block {bp.render(names)}")
     if bp.n_vars == 1 and _mu_univariate_char2(bp) == 2:
         return eps_wildquad_char2(field), 2
-    raise CatalogMiss(f"no catalog entry for block {bp.render()}")
+    raise CatalogMiss(f"no catalog entry for block {bp.render(names)}")
 
 
-def arithmetic_sides(f: MultiPoly, twists):
+def arithmetic_sides(f: MultiPoly, twists, var_names=None):
     """Catalog-and-convolution epsilons: one (EpsilonValue, dimtot) per twist.
 
     f is split into its variable-disjoint blocks once; each block's catalog
     entry is then derived afresh for every twist and the entries convolved.
     Falls over with CatalogMiss whenever any block of f is not in the
-    explicit catalog; no attempt is made to diagonalize.  The signed total
-    dimension of a Thom-Sebastiani sum is -d1*d2.
+    explicit catalog; no attempt is made to diagonalize.  Its message names
+    the block's variables by var_names (x0, x1, ... by default), as f's
+    own.  The signed total dimension of a Thom-Sebastiani sum is -d1*d2.
     """
     field = f.ring
     if not isinstance(field, Field):
         raise RingMismatch("arithmetic side needs a finite field")
     if field.p == 2 and any(c % 2 == 0 for c in twists):
         raise ZeroCoefficient("twist must be prime to the characteristic")
-    blocks = _blocks(f)
+    if var_names is None:
+        var_names = [f"x{i}" for i in range(f.n_vars)]
+    blocks = [(bp, [var_names[v] for v in vs]) for vs, bp in _blocks(f)]
     if not blocks:
         raise CatalogMiss("empty polynomial")
     out = []
     for twist in twists:
         acc = None
-        for bp in blocks:
-            eps0, db = _classify_block(field, bp, twist)
+        for bp, names in blocks:
+            eps0, db = _classify_block(field, bp, twist, names)
             ebar = eps0.negate() if db % 2 else eps0
             if acc is None:
                 acc = (ebar, db)
@@ -288,6 +293,6 @@ def arithmetic_sides(f: MultiPoly, twists):
     return out
 
 
-def arithmetic_side(f: MultiPoly, twist: int = 1):
+def arithmetic_side(f: MultiPoly, twist: int = 1, var_names=None):
     """The catalog epsilon of f for one twist: (EpsilonValue, dimtot)."""
-    return arithmetic_sides(f, [twist])[0]
+    return arithmetic_sides(f, [twist], var_names)[0]

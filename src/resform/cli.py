@@ -95,7 +95,7 @@ def _cmd_arf(args):
 def _cmd_epsilon(args):
     field = _build_field(args)
     f = _parse_over(args, field)
-    eps, dimtot = arithmetic_side(f)
+    eps, dimtot = arithmetic_side(f, var_names=_var_list(args))
     return 0, {
         "input": f.render(_var_list(args)),
         "field": field.to_json(),

@@ -85,7 +85,8 @@ def geometric_side(f: MultiPoly, convention: str = "calibrated") -> EpsilonValue
 def verify_identity(f: MultiPoly, convention: str = "calibrated", var_names=None) -> dict:
     """Compare geometric and catalog epsilons over every character twist.
 
-    The report renders f with var_names (x0, x1, ... by default).  The
+    The report renders f with var_names (x0, x1, ... by default), and the
+    catalog names a missed block's variables by them.  The
     catalog side splits f into its blocks once, then classifies every
     block afresh for each twist, so the loop genuinely re-tests the
     identity rather than multiplying both sides by the same character value.
@@ -99,7 +100,7 @@ def verify_identity(f: MultiPoly, convention: str = "calibrated", var_names=None
     arith1 = None
     checked = 0
     try:
-        arith = arithmetic_sides(f, twists)
+        arith = arithmetic_sides(f, twists, var_names)
     except CatalogMiss:
         verdict = "GEOMETRIC_ONLY"
     else:

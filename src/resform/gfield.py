@@ -102,19 +102,42 @@ def reduction_rows(modulus, b: int) -> list:
     return rows
 
 
-def mul_digits(a, c, xpow, b: int) -> list:
-    """Product in (Z/b)[x]/(h): convolve the digits, fold x^m.. back through xpow."""
+def _pack_digits(digits) -> int:
+    """The digits as one integer, little-endian, in 16-bit slots."""
+    packed = 0
+    for d in reversed(digits):
+        packed = (packed << 16) | d
+    return packed
+
+
+def mul_digits(a, c, packed_rows, b: int) -> list:
+    """Product in (Z/b)[x]/(h) by Kronecker substitution.
+
+    One integer product of the packed digits puts every convolution
+    coefficient in a 16-bit slot of its own; the top m-1 slots, reduced
+    mod b, fold back through the packed reduction rows of x^m..x^(2m-2),
+    and each of the low m slots is then taken mod b.  No slot carries: it
+    ends at most (2m - 1)(b - 1)^2, below 2^16 for every supported ring
+    (W_3(F_{2^40}) has 79 * 49).
+    """
     m = len(a)
-    conv = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, cj in enumerate(c):
-                conv[i + j] = (conv[i + j] + ai * cj) % b
-    out = conv[:m]
-    for k in range(m - 1):
-        t = conv[m + k]
+    if m == 1:
+        return [a[0] * c[0] % b]
+    product = _pack_digits(a) * _pack_digits(c)
+    shift = 16 * m
+    low = product & ((1 << shift) - 1)
+    top = product >> shift
+    for row in packed_rows:
+        if not top:
+            break
+        t = (top & 0xFFFF) % b
         if t:
-            out = [(o + t * r) % b for o, r in zip(out, xpow[k])]
+            low += t * row
+        top >>= 16
+    out = []
+    for _ in range(m):
+        out.append((low & 0xFFFF) % b)
+        low >>= 16
     return out
 
 
@@ -220,7 +243,7 @@ class DigitElem:
         if o is NotImplemented:
             return o
         r = self.ring
-        return type(self)(r, mul_digits(self.coeffs, o.coeffs, r._xpow, r.b))
+        return type(self)(r, mul_digits(self.coeffs, o.coeffs, r._packed_rows, r.b))
 
     __rmul__ = __mul__
 
@@ -294,6 +317,7 @@ class DigitRing:
         self.modulus = modulus
         self.gen_symbol = gen_symbol
         self._xpow = reduction_rows(modulus, b)
+        self._packed_rows = [_pack_digits(row) for row in self._xpow]
         self.zero = self._elem(self, [0] * m)
         self.one = self._elem(self, [1] + [0] * (m - 1))
 

@@ -9,14 +9,15 @@ graded Nakayama holds there too, as the variables lie in the maximal ideal
 D = D0.  When it fails, the bound 3*D0 works, because (J + (2))^3 lies in
 J + (8) = J, and one elimination at 3*D0 - 1 presents the algebra.
 
-The search for D0 starts at a proven lower bound.  When the initial forms
-of the partials, of orders k_i, span every monomial of degree
-s = 1 + sum(k_i - 1), they are a regular sequence, J's initial ideal is
-theirs and D0 = s (Valla; Fulton, Intersection Theory, Cor. 12.4), so the
-scan starts there; otherwise, or when s is at most min k_i + 1, it starts
-at min k_i, since J lies in m^{min k_i}.  A cone whose partials are
-homogeneous and fail that test is not isolated, and is rejected without a
-scan.
+The search for D0 starts at a proven lower bound.  The orders k_i of the
+partials are read off f's exponents (_orders), so an input that does not
+need its own scan never builds its partials.  When the initial forms of the
+partials span every monomial of degree s = 1 + sum(k_i - 1), they are a
+regular sequence, J's initial ideal is theirs and D0 = s (Valla; Fulton,
+Intersection Theory, Cor. 12.4), so the scan starts there; otherwise, or
+when s is at most min k_i + 1, it starts at min k_i, since J lies in
+m^{min k_i}.  A cone whose partials are homogeneous and fail that test is
+not isolated, and is rejected without a scan.
 
 The relation matrix stays in the elimination kernel's digit form from build
 to normal forms: it is written as a (rows, cols, m) integer array, reduced
@@ -27,19 +28,23 @@ A Thom-Sebastiani sum f = f_1 + ... + f_k, k >= 2, of polynomials in
 pairwise disjoint sets of variables (a constant term belongs to none) has
 J(f) = J(f_1) + ... + J(f_k), so its algebra is the tensor product of
 theirs (Sebastiani-Thom, Un resultat sur la monodromie, Invent. Math.
-1971), built from the blocks' cached algebras without eliminating f's own
-relation matrix.  Its standard monomials are the products of the blocks':
-each such product is standard, and there are mu = prod mu_i of them.  They
-are enumerated and sorted only on the first read of the basis, its index
-or a normal form, as mu, D and the Gram determinant need none of them.  A
-monomial's normal form is the product of its block parts' forms, computed
-on first request.  The truncation degree is D = sum D_i - (k - 1): every
-monomial of that degree has some block part of degree at least D_i, which
-lies in J_i, so m^D lies in J.  Over a field D is also the least D0, as
-some monomial of degree D_i - 1 survives in each block and the product of
-their normal forms is nonzero, as a tensor product of nonzero vectors over
-a field is.  Morse and smooth points are not split: their scan is already
-one small elimination.
+1971), composed from the blocks' cached algebras without eliminating f's
+own relation matrix.  Only eliminations are cached: a product is composed
+afresh on every call and is not kept, so it never pushes the blocks it is
+built from out of the cache, and the cache's bound counts
+eliminations.  Composing is cheap, as the product's standard monomials are
+the products of the blocks': each such product is standard, and there are
+mu = prod mu_i of them.  They are enumerated and sorted only on the first
+read of the basis, its index or a normal form, once per composed algebra,
+as mu, D and the Gram determinant need none of them.  A monomial's normal
+form is the product of its block parts' forms, computed on first
+request.  The truncation degree is D = sum D_i - (k - 1): every monomial of
+that degree has some block part of degree at least D_i, which lies in J_i,
+so m^D lies in J.  Over a field D is also the least D0, as some monomial of
+degree D_i - 1 survives in each block and the product of their normal forms
+is nonzero, as a tensor product of nonzero vectors over a field is.  Morse
+and smooth points are not split: their scan is already one small
+elimination.
 
 The Witt lift of a separable characteristic-2 input splits the same way,
 once its reduction's algebra is a product: it is then the tensor product
@@ -177,20 +182,32 @@ def _certified(cols, red, pivots, d):
 
 
 def _orders(f: MultiPoly):
-    """The partials of f and their orders; refuses a constant f and a
-    partial that vanishes identically, where no degree can certify."""
+    """The orders of f's partials over a field, read off f's exponents.
+
+    d/dx_i sends distinct terms to distinct terms and kills exactly those
+    whose i-th exponent the characteristic p divides, so
+    ord d_i f = min{|e| : e a term of f, p does not divide e_i} - 1.
+    Refuses a constant f and a partial that vanishes identically, where no
+    degree can certify.
+    """
     if f.total_degree() < 1:
         raise NotIsolated("constant polynomial has no isolated singularity")
-    grads = partials(f)
-    if any(g.is_zero() for g in grads):
+    p = f.ring.p
+    lows = [None] * f.n_vars
+    for e in f.terms:
+        d = sum(e)
+        for i, k in enumerate(e):
+            if k % p and (lows[i] is None or d < lows[i]):
+                lows[i] = d
+    if None in lows:
         raise NotIsolated(
             "a partial derivative vanishes identically, so the Jacobian ideal "
             "has fewer generators than variables"
         )
-    return grads, [g.low_degree() for g in grads]
+    return [d - 1 for d in lows]
 
 
-def _scan(f: MultiPoly, grads, orders, cap: int):
+def _scan(f: MultiPoly, orders, cap: int):
     """Smallest D0 with every degree-D0 monomial in J + m^{D0+1}, over a field.
 
     By graded Nakayama this certifies m^{D0} inside the Jacobian ideal of
@@ -223,6 +240,7 @@ def _scan(f: MultiPoly, grads, orders, cap: int):
     isolated singularity D0 <= mu, and mu is at most that product by the
     refined Bezout theorem.
     """
+    grads = partials(f)
     bezout = 1
     for g in grads:
         bezout *= max(g.total_degree(), 1)
@@ -254,8 +272,10 @@ class MilnorAlgebra:
     product knows mu and D from its blocks; its `basis`, `basis_index` and
     normal forms are built on the first read of any of them or of
     `nf_monomial`.  `gram_dets` maps a unit scale alpha to the determinant
-    of f's Gram matrix for alpha*dt; residue.gram_matrix fills it once its
-    checks pass, so every consumer of f shares one Bezoutian elimination.
+    of f's Gram matrix for alpha*dt; residue.gram_matrix fills it on an
+    eliminated algebra once its checks pass, so every consumer of f shares
+    one Bezoutian elimination.  A product, composed afresh on each call,
+    keeps none: its det is read off its blocks' algebras.
     """
 
     __slots__ = ("ring", "n_vars", "D", "mu", "blocks", "gram_dets", "_parts",
@@ -377,10 +397,12 @@ def _product_presentation(parts, n_vars: int):
     return [e for e, _ in monos], _ProductForms(parts, index)
 
 
-# Most recently used last.  The bound holds every algebra that the
-# consumers of one polynomial share, with the Gram determinants stored on
-# it, and it is a bound rather than a clear so that a call costs the same
-# however many polynomials came before it.
+# Most recently used last.  Only algebras that an elimination built are
+# kept: a field scan's and a whole W_3 lift's.  A product is composed from
+# its blocks' kept algebras on every call, so the bound counts eliminations
+# and the Gram determinants stored on them; it is a bound rather than a
+# clear so that a call costs the same however many polynomials came before
+# it.
 _ALGEBRAS: dict = {}
 _ALGEBRAS_MAX = 256
 
@@ -388,15 +410,15 @@ _ALGEBRAS_MAX = 256
 def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     """Quotient by the Jacobian ideal, presented below the truncation degree.
 
-    Computed once per polynomial and cap; every consumer shares the result.
-    A sum of blocks in disjoint variables gets the tensor product of the
-    blocks' algebras: over a field except at a Morse or a smooth point,
-    where the scan is already one small elimination, and over W_3 when the
-    residue field's algebra is such a product.  A W_3 lift eliminated whole
-    has the truncation degree D of the residue field's D0 when one
-    elimination at D0 certifies it, and 3*D0 otherwise, and raises NotFlat
-    unless its basis is the residue field's; a split lift has that check
-    from its blocks.
+    One elimination per polynomial and cap, shared by every consumer.  A sum
+    of blocks in disjoint variables gets the tensor product of the blocks'
+    algebras, composed afresh on each call and not kept: over a field except
+    at a Morse or a smooth point, where the scan is already one small
+    elimination, and over W_3 when the residue field's algebra is such a
+    product.  A W_3 lift eliminated whole has the truncation degree D of the
+    residue field's D0 when one elimination at D0 certifies it, and 3*D0
+    otherwise, and raises NotFlat unless its basis is the residue field's; a
+    split lift has that check from its blocks.
     """
     ring = f.ring
     n = f.n_vars
@@ -407,7 +429,7 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
         return alg
     field = ring.b == ring.residue  # over W_3 the scan runs mod 2
     if field:
-        grads, orders = _orders(f)
+        orders = _orders(f)
         split = min(orders) >= 1 and max(orders) >= 2  # neither smooth nor Morse
     else:
         reduced = milnor_algebra(f.map_coeffs(lambda c: c.reduce(), ring.field), cap=cap)
@@ -417,7 +439,7 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
         alg = MilnorAlgebra(ring, n, *product)
     else:
         if field:
-            D, *presented = _scan(f, grads, orders, cap)
+            D, *presented = _scan(f, orders, cap)
         else:
             # the residue field's D0 certifies most lifts; the rest take 3*D0
             D = reduced.D
@@ -441,9 +463,10 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
         raise OddProduct(
             f"parity violated: odd mu={alg.mu} with odd n_vars={n} in characteristic 2"
         )
-    if len(_ALGEBRAS) >= _ALGEBRAS_MAX:
-        del _ALGEBRAS[next(iter(_ALGEBRAS))]
-    _ALGEBRAS[key] = alg
+    if product is None:
+        if len(_ALGEBRAS) >= _ALGEBRAS_MAX:
+            del _ALGEBRAS[next(iter(_ALGEBRAS))]
+        _ALGEBRAS[key] = alg
     return alg
 
 

@@ -24,11 +24,14 @@ is.  G itself is still solved from f's own C, built from the product
 normal forms, when it is read; the product basis is built only then, or
 when the form's basis is read.
 
-det G is kept, per unit scale, on the Milnor algebra that milnor_algebra
-shares among the consumers of one polynomial, and only once every check
-has passed; so verify, disc, arf, a split sum's blocks and the Witt lift
-that arf and verify both build eliminate C once, and an error is raised
-anew on every call.  Neither C nor the solved matrix is kept there.
+det G is kept, per unit scale, on the Milnor algebra of an elimination,
+which milnor_algebra caches and shares among the consumers of one
+polynomial or block, and only once every check has passed; so verify, disc,
+arf, a split sum's blocks and the Witt lift that arf and verify both build
+eliminate C once, and an error is raised anew on every call.  A split sum's
+algebra is composed afresh on each call and keeps no det: its det G is the
+Kronecker product of the determinants its blocks' algebras keep.  Neither C
+nor the solved matrix is kept anywhere.
 """
 
 from __future__ import annotations
@@ -185,8 +188,9 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     the blocks' Gram forms by the Kronecker law, with their checks.  The
     scale is checked once, after f's algebra and before any Bezoutian.
 
-    det G is kept on f's shared Milnor algebra once every check has passed;
-    a later call reads it there, or moves it to another unit scale by
+    det G is kept on f's shared Milnor algebra once every check has passed,
+    unless that algebra is a product, whose blocks keep theirs; a later call
+    reads it there, or moves it to another unit scale by
     det G(alpha) = det G(beta) * (alpha/beta)^(n*mu), without C.
     """
     alg = milnor_algebra(f)
@@ -196,17 +200,18 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
         raise NonUnitScale(f"scale {alpha!r} is not a unit")
     dets = alg.gram_dets
     C = None
-    if dets:
+    if alg.blocks:
+        # G is the permuted Kronecker product of the blocks' forms, whose
+        # determinants the blocks' algebras keep
+        forms = [gram_matrix(block, alpha) for block in alg.blocks]
+        det = math.prod((G.det ** (mu // G.mu) for G in forms), start=ring.one)
+    elif dets:
         # every check on f passed when the first entry was stored: only the
         # scale is new
         det = dets.get(alpha)
         if det is None:
             beta, det_beta = next(iter(dets.items()))
             det = det_beta * (alpha / beta) ** (f.n_vars * mu)
-    elif alg.blocks:
-        # G is the permuted Kronecker product of the blocks' forms
-        forms = [gram_matrix(block, alpha) for block in alg.blocks]
-        det = math.prod((G.det ** (mu // G.mu) for G in forms), start=ring.one)
     else:
         C = bezoutian(f)
         inv_det_c = ring.one
@@ -227,7 +232,8 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
         return solve_ring(ring, bezoutian(f) if C is None else C, eye)
 
     G = GramForm(ring, f.n_vars, mu, lambda: list(alg.basis), solve, alpha, det)
-    dets[alpha] = det
+    if not alg.blocks:
+        dets[alpha] = det
     return G
 
 

@@ -184,6 +184,20 @@ def test_both_char2_ordinary_quadratic_shapes(capsys):
     assert payload["error"] == "CatalogMiss"
 
 
+@pytest.mark.parametrize("argv, block", [
+    (["--p", "7", "--vars", "u,v", "--poly", "u^3+v^2"], "u^3"),
+    (["--p", "7", "--vars", "u,v,w", "--poly", "u^2+v^3*w+w^4"], "v^3*w + w^4"),
+    (["--p", "2", "--m", "2", "--vars", "x,y", "--poly", "g*x^2+x*y+g*y^2"],
+     "g*x^2 + x*y + g*y^2"),
+])
+def test_a_catalog_miss_names_the_block_by_the_callers_variables(capsys, argv, block):
+    """The block is rendered in f's variable positions with the names given
+    on the command line, not with the block's own default names."""
+    code, payload = run_json(capsys, "epsilon", *argv)
+    assert code == 2
+    assert payload == {"error": "CatalogMiss", "message": f"no catalog entry for block {block}"}
+
+
 def test_milnor_rejects_a_non_isolated_four_variable_cone(capsys):
     """The homogeneous partials of x^5*y+z^5+w^5 fail the initial-form test,
     so the cone ends at once with the cap's message."""

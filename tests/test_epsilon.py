@@ -357,6 +357,16 @@ def test_blocks_reject_bad_shapes():
         arithmetic_side(parse_poly("x^2+1", f7, ["x", "y"]))
 
 
+def test_a_missed_block_is_named_in_fs_variable_positions():
+    """Without names the missed block reads f's default names, x1 for the
+    second variable, not the block's own x0."""
+    f = parse_poly("u^2+v^3", gf_create(7, 1), ["u", "v"])
+    with pytest.raises(CatalogMiss, match=r"^no catalog entry for block x1\^3$"):
+        arithmetic_side(f)
+    with pytest.raises(CatalogMiss, match=r"^no catalog entry for block v\^3$"):
+        arithmetic_sides(f, [1, 2], ["u", "v"])
+
+
 def test_conventions_differ_on_twisted_quadratic():
     """The literal convention drops a legendre(2) factor whenever n*mu is odd."""
     f5 = gf_create(5, 1)

@@ -322,6 +322,70 @@ def test_digit_arithmetic_matches_the_integer_reference(name):
         assert hash(same) == hash(a) == hash(padded) == hash(a * 1)
 
 
+def _digit_loop_mul(a, c, xpow, b):
+    """The digit-by-digit product: convolve the digits mod b, then fold
+    x^m.. back through the unpacked reduction rows xpow."""
+    m = len(a)
+    conv = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, cj in enumerate(c):
+                conv[i + j] = (conv[i + j] + ai * cj) % b
+    out = conv[:m]
+    for k in range(m - 1):
+        t = conv[m + k]
+        if t:
+            out = [(o + t * r) % b for o, r in zip(out, xpow[k])]
+    return out
+
+
+def _assert_packed_product(ring, a, c):
+    expect = _digit_loop_mul(a, c, ring._xpow, ring.b)
+    assert gfield.mul_digits(a, c, ring._packed_rows, ring.b) == expect, (ring, a, c)
+    assert list((ring(list(a)) * ring(list(c))).coeffs) == expect
+
+
+@pytest.mark.parametrize("make", [lambda: gf_create(2, 2), lambda: gf_create(3, 2),
+                                  lambda: gr_create(gf_create(2, 2))],
+                         ids=["F_4", "F_9", "W3(F_4)"])
+def test_the_packed_product_is_the_digit_loop_on_every_pair(make):
+    ring = make()
+    elems = [x.coeffs for x in ring.elements()]
+    for a in elems:
+        for c in elems:
+            _assert_packed_product(ring, a, c)
+
+
+# an irreducible of degree 40 over F_2 with 33 nonzero digits: its W_3
+# reduction rows are dense, so a top slot that was not reduced mod 8 before
+# its fold would carry out of a 16-bit slot
+DENSE_MODULUS_40 = tuple(int(c) for c in "11111101111011111111111101011111110111011")
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda m=m: gf_create(2, m) for m in (1, 2, 3, 10, 40)),
+    *(lambda m=m: gr_create(gf_create(2, m)) for m in (1, 2, 3, 10, 40)),
+    lambda: gr_create(gf_create(2, 40, DENSE_MODULUS_40)),
+    lambda: gf_create(3, 25), lambda: gf_create(13, 10), lambda: gf_create(7, 2),
+], ids=[*(f"F_2^{m}" for m in (1, 2, 3, 10, 40)), *(f"W3(F_2^{m})" for m in (1, 2, 3, 10, 40)),
+        "W3(F_2^40, dense)", "F_3^25", "F_13^10", "F_7^2"])
+def test_the_packed_product_is_the_digit_loop_on_seeded_pairs(make):
+    """Seeded digits, with the all-(b-1) element, whose convolution slots
+    are the largest, on both sides."""
+    ring = make()
+    b, m = ring.b, ring.m
+    rng = random.Random(f"{b}^{m}")
+    top = (b - 1,) * m
+    samples = [top, (0,) * m, (1,) + (0,) * (m - 1)]
+    samples += [tuple(rng.randrange(b) for _ in range(m)) for _ in range(40)]
+    samples += [tuple(rng.choice((0, b - 1)) for _ in range(m)) for _ in range(10)]
+    for a in samples:
+        _assert_packed_product(ring, a, top)
+        _assert_packed_product(ring, top, a)
+    for _ in range(200):
+        _assert_packed_product(ring, rng.choice(samples), rng.choice(samples))
+
+
 def test_mixing_rings_raises_a_mismatch():
     f16 = gf_create(2, 4)
     w16 = gr_create(f16)

@@ -4,6 +4,7 @@ import time
 from math import prod
 
 import pytest
+from hypothesis import given, strategies as st
 from test_linalg import ref_rref
 
 from resform import cli, linalg, milnor
@@ -281,8 +282,9 @@ def _parse_case(p, m, names, text):
 @pytest.mark.parametrize("p, m, names, text", SPLIT_SUMS)
 def test_verify_and_the_gram_det_of_a_split_sum_build_no_product_basis(monkeypatch, p, m, names, text):
     """verify, the Gram determinant at two scales and the discriminant read
-    mu, D and det G off the blocks; the product basis is enumerated once,
-    on the first read of a basis, and never again."""
+    mu, D and det G off the blocks.  A product is composed on every call
+    and kept nowhere, so G's algebra and alg are two; each enumerates its
+    product basis once, on the first read of a basis, and never again."""
     f = _parse_case(p, m, names, text)
     built = _count_product_presentations(monkeypatch)
     report = verify_identity(f)
@@ -290,12 +292,14 @@ def test_verify_and_the_gram_det_of_a_split_sum_build_no_product_basis(monkeypat
     disc_square_class(gram_matrix(f, 3))
     alg = milnor_algebra(f)
     assert alg.blocks is not None and report["mu"] == G.mu == alg.mu
+    assert alg not in milnor._ALGEBRAS.values()
+    assert all(kept.blocks is None for kept in milnor._ALGEBRAS.values())
     assert built == []
     assert G.basis == alg.basis
-    assert built == [f.n_vars, "forms"]
+    assert built == [f.n_vars, "forms"] * 2
     alg.nf_monomial((1,) * f.n_vars)
     assert alg.basis_index[G.basis[-1]] == alg.mu - 1
-    assert built == [f.n_vars, "forms"]
+    assert built == [f.n_vars, "forms"] * 2
 
 
 def test_the_arf_of_a_split_sum_reads_no_product_basis(monkeypatch):
@@ -436,7 +440,9 @@ def test_algebra_cache_drops_the_least_recently_used(monkeypatch):
 def test_parity_violation_is_a_structured_error(monkeypatch, capsys):
     """A broken parity reaches the CLI as OddProduct with exit code 2."""
     field = gf_create(2, 1)
-    # pretend the Jacobian ideal is (u): mu = 1 with one variable
+    # pretend the Jacobian ideal is (u): mu = 1 with one variable; the scan
+    # reads the partials, and their orders come from f's exponents
+    monkeypatch.setattr(milnor, "_orders", lambda f: [1])
     monkeypatch.setattr(milnor, "partials", lambda f: [MultiPoly.var(field, 1, 0)])
     with pytest.raises(OddProduct):
         milnor_algebra(parse_poly("u^3", field, ["u"]))
@@ -721,3 +727,99 @@ def test_arf_of_the_fermat_quintic_over_f4_eliminates_once_over_w3(monkeypatch):
     assert milnor_algebra(f).D == 10
     assert milnor_algebra(witt_lift(f)).D == 10
     assert [upto for ring, upto in seen if ring != field] == [4]
+
+
+@st.composite
+def _polys_for_orders(draw):
+    """A few terms over F_2, F_3, F_4, F_9 or F_13 whose exponents are often
+    multiples of p, so that some terms die under a derivative; the constant
+    and the zero polynomial are drawn too."""
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (13, 1)]))
+    field = gf_create(p, m)
+    n = draw(st.integers(1, 3))
+    exponent = st.one_of(st.integers(0, 4), st.integers(0, 2).map(lambda k: k * p))
+    exps = draw(st.lists(st.tuples(*[exponent] * n), max_size=5, unique=True))
+    codes = draw(st.lists(st.integers(1, field.q - 1), min_size=len(exps), max_size=len(exps)))
+    return MultiPoly(field, n, {e: field.decode(k) for e, k in zip(exps, codes)})
+
+
+def _orders_reference(f):
+    """The orders as milnor read them before: off the built partials."""
+    grads = partials(f)
+    if f.total_degree() < 1:
+        return "constant"
+    if any(g.is_zero() for g in grads):
+        return "vanishes"
+    return [g.low_degree() for g in grads]
+
+
+_ORDER_MESSAGES = {
+    "constant": "constant polynomial has no isolated singularity",
+    "vanishes": "a partial derivative vanishes identically, so the Jacobian ideal has fewer "
+                "generators than variables",
+}
+
+
+@given(_polys_for_orders())
+def test_the_orders_read_off_the_exponents_are_the_partials_orders(f):
+    expect = _orders_reference(f)
+    if isinstance(expect, list):
+        assert milnor._orders(f) == expect
+    else:
+        with pytest.raises(NotIsolated) as err:
+            milnor._orders(f)
+        assert str(err.value) == _ORDER_MESSAGES[expect]
+
+
+@pytest.mark.parametrize("p, text, expect", [
+    (3, "2", "constant"),
+    (3, "x^3+y^2", "vanishes"),
+    (2, "x^2*y+y^3+x^4", "vanishes"),
+    (13, "x^13*y+y^2+x^14", [13, 1]),
+    (2, "x^2*y+x*y^3+y^5", [3, 2]),
+])
+def test_the_orders_refuse_with_milnors_two_messages(p, text, expect):
+    f = parse_poly(text, gf_create(p, 1), ["x", "y"])
+    assert _orders_reference(f) == expect
+    if isinstance(expect, list):
+        assert milnor._orders(f) == expect
+        return
+    for call in (milnor._orders, milnor_algebra):
+        with pytest.raises(NotIsolated) as err:
+            call(f)
+        assert str(err.value) == _ORDER_MESSAGES[expect]
+
+
+@pytest.mark.parametrize("p, m, blocks, room", [
+    (7, 1, ("x^3", "x^4"), 2),
+    # the blocks' Witt lifts are eliminated and kept too
+    (2, 3, ("x^3", "x^5"), 4),
+])
+def test_a_bound_that_holds_the_eliminations_scans_each_block_once(monkeypatch, p, m, blocks, room):
+    """Ten distinct split sums of the same two blocks, in either order and
+    with a constant term, verify with room for the blocks' eliminations
+    alone: a product is composed on each call, so it pushes out no block,
+    and each block is scanned once."""
+    calibrate()  # its probes are kept algebras of their own
+    monkeypatch.setattr(milnor, "_ALGEBRAS_MAX", room)
+    field = gf_create(p, m)
+    scanned = []
+    scan = milnor._scan
+
+    def counting(f, *args):
+        scanned.append(f.render(["x"]))
+        return scan(f, *args)
+
+    monkeypatch.setattr(milnor, "_scan", counting)
+    sums = []
+    for code in range(5):
+        c = field.decode(code)
+        for a, b in (blocks, blocks[::-1]):
+            sums.append(parse_poly(f"{a}+{b.replace('x', 'y')}", field, ["x", "y"])
+                        + MultiPoly.const(field, 2, c))
+    assert len({frozenset(f.terms.items()) for f in sums}) == 10
+    mus = {verify_identity(f)["mu"] for f in sums}
+    assert len(mus) == 1
+    assert sorted(scanned) == sorted(blocks)
+    assert len(milnor._ALGEBRAS) == room
+    assert all(alg.blocks is None for alg in milnor._ALGEBRAS.values())

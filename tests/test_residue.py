@@ -588,14 +588,17 @@ def _store_case(p, m, names, poly):
     return witt_lift(f) if p == 2 else f
 
 
+# each first read, and how many composed algebras it presents: G's basis is
+# its algebra's, and G's matrix is solved from the Bezoutian, which composes
+# the product again
 FIRST_READS = {
-    "algebra basis": lambda alg, G: alg.basis,
-    "basis index": lambda alg, G: alg.basis_index,
-    "normal form": lambda alg, G: alg.nf_monomial((1,) * alg.n_vars),
-    "algebra json": lambda alg, G: alg.to_json(),
-    "form basis": lambda alg, G: G.basis,
-    "form matrix": lambda alg, G: G.matrix,
-    "form json": lambda alg, G: G.to_json(),
+    "algebra basis": (lambda alg, G: alg.basis, 1),
+    "basis index": (lambda alg, G: alg.basis_index, 1),
+    "normal form": (lambda alg, G: alg.nf_monomial((1,) * alg.n_vars), 1),
+    "algebra json": (lambda alg, G: alg.to_json(), 1),
+    "form basis": (lambda alg, G: G.basis, 1),
+    "form matrix": (lambda alg, G: G.matrix, 1),
+    "form json": (lambda alg, G: G.to_json(), 2),
 }
 LAZY_CASES = [
     (5, 2, "x,y", "g*x^3+y^4"),
@@ -607,24 +610,27 @@ LAZY_CASES = [
 @pytest.mark.parametrize("read", FIRST_READS)
 @pytest.mark.parametrize("p, m, names, poly", LAZY_CASES, ids=[c[3] for c in LAZY_CASES])
 def test_a_split_sum_builds_its_product_basis_on_first_read(monkeypatch, read, p, m, names, poly):
-    """Whichever read comes first builds the product basis, once, and the
-    basis, every normal form below D and the solved G equal the eager
-    references: a plain elimination of f below D, and G read off the
-    residue functional."""
+    """Whichever read comes first builds a product basis, once per composed
+    algebra it reads, and the basis, every normal form below D and the
+    solved G equal the eager references: a plain elimination of f below D,
+    and G read off the residue functional."""
     f = _parse_case(p, m, names, poly)
     built = _count_product_presentations(monkeypatch)
     G = gram_matrix(f, 3)
     alg = milnor_algebra(f)
     assert alg.blocks is not None and built == []
-    FIRST_READS[read](alg, G)
-    assert built == [f.n_vars, "forms"]
+    first, composed = FIRST_READS[read]
+    first(alg, G)
+    assert built == [f.n_vars, "forms"] * composed
     basis, nf = _d_minus_one_presentation(f, alg.D)
     assert alg.basis == G.basis == basis
     for e in monomials_upto(f.n_vars, alg.D - 1):
         assert alg.nf_monomial(e) == nf[e], e
-    assert G.matrix == _reference_gram(f, 3)[1]
+    matrix = G.matrix
+    # alg, G's algebra and the one G's Bezoutian composed: once each
+    assert built == [f.n_vars, "forms"] * 3
+    assert matrix == _reference_gram(f, 3)[1]
     assert G.det == det_ring(f.ring, G.matrix)
-    assert built == [f.n_vars, "forms"]
 
 
 def _bound_slots(alg):
@@ -641,35 +647,41 @@ def _bound_slots(alg):
 
 @pytest.mark.parametrize("p, m, names, poly", STORE_CASES, ids=[c[3] + "/" + str(c[0]) for c in STORE_CASES])
 def test_a_stored_det_is_the_det_of_the_solved_matrix(monkeypatch, p, m, names, poly):
-    """A det read from the algebra, or moved there to a new scale, is the
-    determinant of the matrix solved from f's own Bezoutian; no Bezoutian is
-    built for it, and the algebra keeps ring elements only."""
+    """A det read from an eliminated algebra, or moved there to a new scale,
+    is the determinant of the matrix solved from f's own Bezoutian; no
+    Bezoutian is built for it, and the algebra keeps ring elements only.
+    A split sum's det is the Kronecker product of its blocks' stored dets:
+    the product stores none, and the blocks' algebras hold them."""
     f = _store_case(p, m, names, poly)
     ring = f.ring
     first = gram_matrix(f, 1)
     alg = milnor_algebra(f)
-    slots = _bound_slots(alg)
+    kept = [milnor_algebra(block) for block in alg.blocks] if alg.blocks else [alg]
+    slots = [_bound_slots(a) for a in kept]
     built, dets = _count_bezoutians(monkeypatch)
     forms = [gram_matrix(f, s) for s in (1, -1, 3, -1)]
     assert built == [] and dets == [0]
-    assert _bound_slots(alg) == slots
+    assert [_bound_slots(a) for a in kept] == slots
     forms.append(first)
     for G in forms:
         assert G.det == det_ring(ring, G.matrix)
-    # solving G reads a product's presentation, which binds it; no other
-    # slot is rebound
-    after = _bound_slots(alg)
-    assert {name: after[name] for name in slots} == slots
-    assert set(after) - set(slots) == ({"basis", "basis_index", "_nf"} if alg.blocks else set())
-    assert set(alg.gram_dets) == {ring(1), ring(-1), ring(3)}
-    for alpha, det in alg.gram_dets.items():
-        assert type(alpha) is type(det) is type(ring.one)
-        assert alpha.ring == det.ring == ring
+    # solving G builds a Bezoutian; no slot of an eliminated algebra is
+    # rebound or newly bound
+    assert [_bound_slots(a) for a in kept] == slots
+    if alg.blocks:
+        assert alg.gram_dets == {}
+    for a in kept:
+        assert a.blocks is None
+        assert set(a.gram_dets) == {ring(1), ring(-1), ring(3)}
+        for alpha, det in a.gram_dets.items():
+            assert type(alpha) is type(det) is type(ring.one)
+            assert alpha.ring == det.ring == ring
 
 
 def test_errors_are_raised_anew_on_every_call():
     """A non-unit scale raises its message before and after the algebra
-    holds a determinant, over a field, for a split sum and over W_3."""
+    holds a determinant, over a field, for a split sum and over W_3; a
+    split sum's determinants are held by its blocks' algebras."""
     f7 = gf_create(7, 1)
     cases = [(parse_poly("x^4+y^3+x^2*y", f7, ["x", "y"]), 7, "0"),
              (parse_poly("x^4+y^3", f7, ["x", "y"]), 14, "0"),
@@ -681,7 +693,9 @@ def test_errors_are_raised_anew_on_every_call():
             for _ in range(2):
                 with pytest.raises(NonUnitScale, match=f"^scale {shown} is not a unit$"):
                     gram_matrix(f, scale)
-        assert set(milnor_algebra(f).gram_dets) == {f.ring(1)}
+        alg = milnor_algebra(f)
+        for kept in [milnor_algebra(block) for block in alg.blocks] if alg.blocks else [alg]:
+            assert set(kept.gram_dets) == {f.ring(1)}
 
 
 def test_a_cold_non_unit_scale_builds_no_bezoutian(monkeypatch):
