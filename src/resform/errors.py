@@ -87,14 +87,6 @@ class CatalogMiss(ResformError):
     """Input does not match any shape with a catalogued epsilon factor."""
 
 
-class CalibrationAmbiguous(ResformError):
-    """Both normalization conventions satisfied the calibration probes."""
-
-
-class CalibrationImpossible(ResformError):
-    """Neither normalization convention satisfied the calibration probes."""
-
-
 class SingularForm(ResformError):
     """A homogeneous form with vanishing divided discriminant was supplied
     where a nonsingular one is required."""

@@ -21,8 +21,9 @@ holds over any commutative ring, so over a field and for the W_3 lift of
 a separable characteristic-2 input alike.  Each G_i is the gram_matrix of
 f_i, with its checks; C is symmetric or invertible exactly when every C_i
 is.  G itself is still solved from f's own C, built from the product
-normal forms, when it is read; the product basis is built only then, or
-when the form's basis is read.
+normal forms of the algebra the form holds, when it is read; that algebra
+builds its product basis only then, or when the form's basis is read, and
+once for both.
 
 det G is kept, per unit scale, on the Milnor algebra of an elimination,
 which milnor_algebra caches and shares among the consumers of one
@@ -148,7 +149,11 @@ class GramForm:
 
 def bezoutian(f: MultiPoly):
     """Matrix of the Bezoutian class in A tensor A over the basis pairs."""
-    alg = milnor_algebra(f)
+    return _bezoutian(f, milnor_algebra(f))
+
+
+def _bezoutian(f: MultiPoly, alg):
+    """The Bezoutian matrix of f over the basis pairs of alg, f's algebra."""
     n = f.n_vars
     grads = partials(f)
     dd = [[divided_difference(grads[i], j) for j in range(n)] for i in range(n)]
@@ -229,7 +234,7 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
 
     def solve():
         eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
-        return solve_ring(ring, bezoutian(f) if C is None else C, eye)
+        return solve_ring(ring, _bezoutian(f, alg) if C is None else C, eye)
 
     G = GramForm(ring, f.n_vars, mu, lambda: list(alg.basis), solve, alpha, det)
     if not alg.blocks:

@@ -247,6 +247,23 @@ def test_calibration_picks_exponent_one():
     assert calibrate() == 1
 
 
+def test_the_geometric_side_never_consults_the_catalog(monkeypatch):
+    """With the catalog unreachable the geometric side still returns the
+    catalog's values on inputs the catalog covers."""
+    polys = [parse_poly(poly, gf_create(p, m), names.split(","))
+             for p, m, names, poly in [(3, 1, "t", "t^2"), (5, 1, "t", "t^2"),
+                                       (7, 1, "t", "t^2"), (3, 1, "x,y,z", "x^2+y^2+z^2"),
+                                       (2, 2, "x,y", "x^2+x*y+y^2")]]
+    expected = [arithmetic_side(f)[0] for f in polys]
+
+    def unreachable(*args):
+        raise AssertionError("the geometric side consulted the catalog")
+
+    monkeypatch.setattr(catalog, "arithmetic_sides", unreachable)
+    monkeypatch.setattr(catalog, "_classify_block", unreachable)
+    assert [geometric_side(f) for f in polys] == expected
+
+
 def test_quadratic_identity_held_out_primes():
     """The t^2 identity over primes that played no part in calibration."""
     for p in (7, 11, 13):
@@ -298,7 +315,6 @@ def test_verify_mixed_char2_convolution():
 def test_verify_splits_once_and_classifies_every_block_for_every_twist(monkeypatch, p, k):
     """One verify of a k-block diagonal form over F_p splits f once in the
     catalog and derives each block's entry afresh for each of the p-1 twists."""
-    calibrate()  # its probes run through the catalog too
     calls = {"split": 0, "classify": 0}
     real_split, real_classify = catalog.variable_blocks, catalog._classify_block
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from test_linalg import ref_rref
 
 from resform import cli, linalg, milnor
-from resform.epsilon import calibrate, verify_identity
+from resform.epsilon import verify_identity
 from resform.errors import NotFlat, NotIsolated, OddProduct
 from resform.gfield import DigitElem, gf_create
 from resform.milnor import (
@@ -388,7 +388,6 @@ def _count_eliminations(monkeypatch):
 
 
 def test_verify_runs_only_the_scan(monkeypatch):
-    calibrate()
     seen = _count_eliminations(monkeypatch)
     f7 = gf_create(7, 1)
     report = verify_identity(parse_poly("x^3+y^3+x^2*y", f7, ["x", "y"]))
@@ -800,7 +799,6 @@ def test_a_bound_that_holds_the_eliminations_scans_each_block_once(monkeypatch, 
     with a constant term, verify with room for the blocks' eliminations
     alone: a product is composed on each call, so it pushes out no block,
     and each block is scanned once."""
-    calibrate()  # its probes are kept algebras of their own
     monkeypatch.setattr(milnor, "_ALGEBRAS_MAX", room)
     field = gf_create(p, m)
     scanned = []
