@@ -53,10 +53,16 @@ def _cmd_milnor(args):
     return 0, out
 
 
-def _cmd_gram(args):
+def _gram_form(args):
+    """The parsed input and its Gram form at --scale; in characteristic 2
+    the form of the Witt lift."""
     field = _build_field(args)
     f = _parse_over(args, field)
-    G = gram_matrix(witt_lift(f) if field.p == 2 else f, args.scale)
+    return field, f, gram_matrix(witt_lift(f) if field.p == 2 else f, args.scale)
+
+
+def _cmd_gram(args):
+    field, f, G = _gram_form(args)
     out = {"input": f.render(_var_list(args)), "field": field.to_json()}
     out.update(G.to_json())
     out["det"] = repr(G.det)
@@ -64,9 +70,7 @@ def _cmd_gram(args):
 
 
 def _cmd_disc(args):
-    field = _build_field(args)
-    f = _parse_over(args, field)
-    G = gram_matrix(witt_lift(f) if field.p == 2 else f, args.scale)
+    field, f, G = _gram_form(args)
     cls = disc_square_class(G)
     return 0, {
         "input": f.render(_var_list(args)),

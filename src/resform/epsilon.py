@@ -34,26 +34,6 @@ from .residue import arf_invariant, gram_matrix
 CALIBRATED_EXPONENT = 1
 
 
-def _geometric_raw(f: MultiPoly, exponent: int) -> EpsilonValue:
-    field = f.ring
-    n = f.n_vars
-    if field.p == 2:
-        arf = arf_invariant(f)
-        mu = milnor_algebra(f).mu
-        n_mu = n * mu
-        sign = -1 if arf.trace_bit else 1
-        q_exp = Fraction(n_mu if n % 2 else -n_mu, 2)
-        return EpsilonValue(field, sign, 0, q_exp)
-    G = gram_matrix(f, -1)
-    mu = G.mu
-    n_mu = n * mu
-    sign = legendre(G.det) if mu else 1
-    if (exponent * n_mu) % 2:
-        sign *= legendre(field(2))
-    tau_exp = n_mu if n % 2 else -n_mu
-    return EpsilonValue(field, sign, tau_exp, 0)
-
-
 def calibrate() -> int:
     """The power of 2 of the calibrated convention."""
     return CALIBRATED_EXPONENT
@@ -72,7 +52,19 @@ def geometric_side(f: MultiPoly, convention: str = "calibrated") -> EpsilonValue
         exponent = 0
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    return _geometric_raw(f, exponent)
+    field = f.ring
+    n = f.n_vars
+    if field.p == 2:
+        arf = arf_invariant(f)
+        n_mu = n * milnor_algebra(f).mu
+        sign = -1 if arf.trace_bit else 1
+        return EpsilonValue(field, sign, 0, Fraction(n_mu if n % 2 else -n_mu, 2))
+    G = gram_matrix(f, -1)
+    n_mu = n * G.mu
+    sign = legendre(G.det) if G.mu else 1
+    if (exponent * n_mu) % 2:
+        sign *= legendre(field(2))
+    return EpsilonValue(field, sign, n_mu if n % 2 else -n_mu, 0)
 
 
 def verify_identity(f: MultiPoly, convention: str = "calibrated", var_names=None) -> dict:

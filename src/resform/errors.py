@@ -60,6 +60,11 @@ class NotIsolated(ResformError):
     truncation degree certifies a finite local algebra)."""
 
 
+class ResourceLimit(ResformError):
+    """A computation would hold more than the package allows itself, such
+    as a relation matrix past milnor.MAX_RELATION_CELLS."""
+
+
 class NotFlat(ResformError):
     """Elimination over Z/8 hit a non-unit pivot, or left standard
     monomials other than the residue field's: the presented algebra is not

@@ -84,12 +84,16 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateFiber, NotFlat, NotIsolated, OddProduct, ResformError
+from .errors import (DegenerateFiber, NotFlat, NotIsolated, OddProduct, ResformError,
+                     ResourceLimit)
 from .linalg import coded
 from .mpoly import MultiPoly, partials, variable_blocks
 from . import unipoly
 
 DEGREE_CAP = 24
+# digits one relation matrix may hold, 128 MiB as int32; the largest matrix
+# of the test suite and the corpus holds 6.4M
+MAX_RELATION_CELLS = 2 ** 25
 
 
 def mono_key(e):
@@ -149,12 +153,20 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
     written as digits straight into the kernel's array.  With lo = upto the
     rows are the degree-upto multiples of the partials' initial forms.
     Columns run from the highest degree down; returns (columns, reduced
-    digit array, pivot columns, stuck column or None).
+    digit array, pivot columns, stuck column or None).  A matrix of more
+    than MAX_RELATION_CELLS digits raises ResourceLimit before it is
+    allocated.
     """
     _, cols, col_index = _monomials(n_vars, upto, lo)
     shifts = [(g, _monomials(n_vars, upto - g.low_degree(), lo - g.low_degree())[0])
               for g in grads]
-    A = np.zeros((sum(len(alphas) for _, alphas in shifts), len(cols), ring.m), dtype=np.int32)
+    shape = (sum(len(alphas) for _, alphas in shifts), len(cols), ring.m)
+    if math.prod(shape) > MAX_RELATION_CELLS:
+        raise ResourceLimit(
+            f"the relation matrix in degree {upto} would hold {' x '.join(map(str, shape))} "
+            f"digits, more than MAX_RELATION_CELLS = {MAX_RELATION_CELLS}"
+        )
+    A = np.zeros(shape, dtype=np.int32)
     r = 0
     for g, alphas in shifts:
         for alpha in alphas:
@@ -267,28 +279,28 @@ def _scan(f: MultiPoly, orders, cap: int):
 class MilnorAlgebra:
     """Finite free presentation of R[x]/J on standard monomials.
 
-    `blocks` holds the variable-disjoint summands of f when the algebra was
-    built as the tensor product of theirs, and is None otherwise.  Such a
-    product knows mu and D from its blocks; its `basis`, `basis_index` and
-    normal forms are built on the first read of any of them or of
-    `nf_monomial`.  `gram_dets` maps a unit scale alpha to the determinant
-    of f's Gram matrix for alpha*dt; residue.gram_matrix fills it on an
-    eliminated algebra once its checks pass, so every consumer of f shares
-    one Bezoutian elimination.  A product, composed afresh on each call,
-    keeps none: its det is read off its blocks' algebras.
+    `blocks` holds the (variables, block, block algebra) triples of f's
+    variable-disjoint summands when the algebra was built as the tensor
+    product of theirs, and is None otherwise.  Such a product knows mu and
+    D from its blocks; its `basis`, `basis_index` and normal forms are
+    built on the first read of any of them or of `nf_monomial`.
+    `bezoutian_det` is the determinant of f's Bezoutian matrix C;
+    residue.gram_matrix sets it on an eliminated algebra once C is checked
+    symmetric and invertible, so every consumer of f shares one elimination
+    of C.  A product, composed afresh on each call, keeps none: its det C is
+    read off its blocks' algebras.
     """
 
-    __slots__ = ("ring", "n_vars", "D", "mu", "blocks", "gram_dets", "_parts",
+    __slots__ = ("ring", "n_vars", "D", "mu", "blocks", "bezoutian_det",
                  "basis", "basis_index", "_nf")
 
-    def __init__(self, ring, n_vars, D, mu, blocks=None, parts=None):
+    def __init__(self, ring, n_vars, D, mu, blocks=None):
         self.ring = ring
         self.n_vars = n_vars
         self.D = D
         self.mu = mu
         self.blocks = blocks
-        self._parts = parts  # (variables, block algebra) pairs of a product
-        self.gram_dets: dict = {}
+        self.bezoutian_det = None
 
     def _present(self, basis, nf):
         self.basis = basis
@@ -298,9 +310,9 @@ class MilnorAlgebra:
     def __getattr__(self, name):
         # reached only when a slot is unset: a product's presentation before
         # its first read
-        if name not in ("basis", "basis_index", "_nf") or self._parts is None:
+        if name not in ("basis", "basis_index", "_nf") or self.blocks is None:
             raise AttributeError(name)
-        self._present(*_product_presentation(self._parts, self.n_vars))
+        self._present(*_product_presentation(self.blocks, self.n_vars))
         return getattr(self, name)
 
     def nf_monomial(self, exps) -> dict:
@@ -341,13 +353,13 @@ class _ProductForms(dict):
     coefficients that vanish; it is computed on first request and kept.
     """
 
-    def __init__(self, parts, index):
+    def __init__(self, blocks, index):
         super().__init__()
-        self._parts = parts  # (variables, block algebra) pairs
+        self._blocks = blocks  # (variables, block, block algebra) triples
         self._index = index  # block basis indices -> product basis index
 
     def __missing__(self, e):
-        forms = [alg.nf_monomial(tuple(e[v] for v in vs)) for vs, alg in self._parts]
+        forms = [alg.nf_monomial(tuple(e[v] for v in vs)) for vs, _, alg in self._blocks]
         value = {}
         if all(forms):
             terms = {(i,): c for i, c in forms[0].items()}
@@ -362,8 +374,8 @@ class _ProductForms(dict):
 def _product(f: MultiPoly, cap: int):
     """f's algebra as the tensor product of its blocks' algebras.
 
-    Returns (D, mu, blocks, parts), parts the (variables, block algebra)
-    pairs, or None when f is a single block or a block raises; the caller
+    Returns (D, mu, blocks), blocks the (variables, block, block algebra)
+    triples, or None when f is a single block or a block raises; the caller
     then presents f whole, so errors and their messages are its own.  Every
     variable lies in some block, as no partial of f vanishes.
     """
@@ -371,36 +383,35 @@ def _product(f: MultiPoly, cap: int):
     if len(split) < 2:
         return None
     try:
-        parts = [(vs, milnor_algebra(block, cap)) for vs, block in split]
+        blocks = [(vs, block, milnor_algebra(block, cap)) for vs, block in split]
     except ResformError:
         return None
-    D = sum(alg.D for _, alg in parts) - len(parts) + 1
+    D = sum(alg.D for _, _, alg in blocks) - len(blocks) + 1
     if D > cap and f.ring.b == f.ring.residue:
         # D <= mu <= the Bezout bound, so f's own scan stops at the cap too;
         # a W_3 lift's whole elimination is never held to the cap
         raise NotIsolated(f"Jacobian ideal is not monomial-cofinite below degree {cap}")
-    mu = math.prod(alg.mu for _, alg in parts)
-    return D, mu, [block for _, block in split], parts
+    return D, math.prod(alg.mu for _, _, alg in blocks), blocks
 
 
-def _product_presentation(parts, n_vars: int):
+def _product_presentation(blocks, n_vars: int):
     """Sorted basis and normal forms of a tensor product of algebras."""
     monos = []
-    for combo in itertools.product(*(enumerate(alg.basis) for _, alg in parts)):
+    for combo in itertools.product(*(enumerate(alg.basis) for _, _, alg in blocks)):
         e = [0] * n_vars
-        for (vs, _), (_, b) in zip(parts, combo):
+        for (vs, _, _), (_, b) in zip(blocks, combo):
             for v, k in zip(vs, b):
                 e[v] = k
         monos.append((tuple(e), tuple(i for i, _ in combo)))
     monos.sort(key=lambda t: mono_key(t[0]))
     index = {key: j for j, (_, key) in enumerate(monos)}
-    return [e for e, _ in monos], _ProductForms(parts, index)
+    return [e for e, _ in monos], _ProductForms(blocks, index)
 
 
 # Most recently used last.  Only algebras that an elimination built are
 # kept: a field scan's and a whole W_3 lift's.  A product is composed from
 # its blocks' kept algebras on every call, so the bound counts eliminations
-# and the Gram determinants stored on them; it is a bound rather than a
+# and the Bezoutian determinants stored on them; it is a bound rather than a
 # clear so that a call costs the same however many polynomials came before
 # it.
 _ALGEBRAS: dict = {}

@@ -15,24 +15,23 @@ of polynomials f_i in n_i disjoint variables, see milnor), so is the
 Bezoutian: the matrix of divided differences is block-diagonal up to one
 permutation of its rows and columns, its determinant is the product of the
 blocks', and C is the Kronecker product of the C_i on the sorted product
-basis.  Then G = alpha^n * C^-1 is the Kronecker product of the
-G_i = alpha^(n_i) * C_i^-1, and det G = prod det(G_i)^(mu/mu_i); this
-holds over any commutative ring, so over a field and for the W_3 lift of
-a separable characteristic-2 input alike.  Each G_i is the gram_matrix of
-f_i, with its checks; C is symmetric or invertible exactly when every C_i
-is.  G itself is still solved from f's own C, built from the product
-normal forms of the algebra the form holds, when it is read; that algebra
-builds its product basis only then, or when the form's basis is read, and
-once for both.
+basis.  So det C = prod det(C_i)^(mu/mu_i), over any commutative ring:
+over a field and for the W_3 lift of a separable characteristic-2 input
+alike.  C is symmetric or invertible exactly when every C_i is, so the
+blocks' checks are f's.  G itself is still solved from f's own C, built
+from the product normal forms of the algebra the form holds, when it is
+read; that algebra builds its product basis only then, or when the form's
+basis is read, and once for both.
 
-det G is kept, per unit scale, on the Milnor algebra of an elimination,
-which milnor_algebra caches and shares among the consumers of one
-polynomial or block, and only once every check has passed; so verify, disc,
-arf, a split sum's blocks and the Witt lift that arf and verify both build
-eliminate C once, and an error is raised anew on every call.  A split sum's
-algebra is composed afresh on each call and keeps no det: its det G is the
-Kronecker product of the determinants its blocks' algebras keep.  Neither C
-nor the solved matrix is kept anywhere.
+det C is kept on the Milnor algebra of an elimination, which milnor_algebra
+caches and shares among the consumers of one polynomial or block, and only
+once C is checked symmetric and invertible; the scale alpha enters det G by
+the known power alpha^(n*mu).  So verify, disc, arf, a split sum's blocks
+and the Witt lift that arf and verify both build eliminate C once, at any
+unit scale, and an error is raised anew on every call.  A split sum's
+algebra is composed afresh on each call and keeps no det C: it lists its
+blocks' algebras, which keep theirs.  Neither C nor the solved matrix is
+kept anywhere.
 """
 
 from __future__ import annotations
@@ -182,64 +181,60 @@ def residue_functional(f: MultiPoly):
     return G.matrix[G.basis.index((0,) * f.n_vars)] if G.mu else []
 
 
+def _bezoutian_det(f: MultiPoly, alg):
+    """det C of f's Bezoutian matrix over alg, f's eliminated algebra, and
+    C when this call built it (None when alg already held det C).
+
+    C is symmetric exactly when its inverse is, so the symmetry check reads
+    C's digits; det C comes from one elimination of C alone, and is kept on
+    alg only once both checks pass.
+    """
+    if alg.bezoutian_det is not None:
+        return alg.bezoutian_det, None
+    ring = f.ring
+    C = bezoutian(f)
+    det_c = ring.one
+    if alg.mu:
+        ops = coded(ring)
+        digits = ops.encode_matrix(C)
+        if not (digits == digits.swapaxes(0, 1)).all():
+            raise SingularBezoutian("gram matrix is not symmetric")
+        det_c = unit_det(ops, digits)[2]
+        if det_c is None:
+            raise SingularBezoutian("bezoutian matrix is not invertible")
+    alg.bezoutian_det = det_c
+    return det_c, C
+
+
 def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     """Gram matrix of the pairing for the differential scale*dt: alpha^n
     times the inverse of the Bezoutian matrix, alpha = scale.
 
-    C is symmetric exactly when its inverse is, so the symmetry check reads
-    C's digits; its determinant comes from one elimination of C alone, and
-    the matrix is solved only when it is read.  When the Milnor algebra is
-    a tensor product of blocks' algebras, so is G, and det G is read off
-    the blocks' Gram forms by the Kronecker law, with their checks.  The
-    scale is checked once, after f's algebra and before any Bezoutian.
-
-    det G is kept on f's shared Milnor algebra once every check has passed,
-    unless that algebra is a product, whose blocks keep theirs; a later call
-    reads it there, or moves it to another unit scale by
-    det G(alpha) = det G(beta) * (alpha/beta)^(n*mu), without C.
+    det G = alpha^(n*mu) / det C at every scale, and the matrix is solved
+    only when it is read.  When the Milnor algebra is a tensor product of
+    blocks' algebras, det C = prod det(C_i)^(mu/mu_i) is read off the
+    blocks' algebras by the Kronecker law, with their checks.  The scale is
+    checked once, after f's algebra and before any Bezoutian.
     """
     alg = milnor_algebra(f)
     ring, mu = f.ring, alg.mu
     alpha = ring(scale)
     if not alpha.is_unit():
         raise NonUnitScale(f"scale {alpha!r} is not a unit")
-    dets = alg.gram_dets
     C = None
     if alg.blocks:
-        # G is the permuted Kronecker product of the blocks' forms, whose
-        # determinants the blocks' algebras keep
-        forms = [gram_matrix(block, alpha) for block in alg.blocks]
-        det = math.prod((G.det ** (mu // G.mu) for G in forms), start=ring.one)
-    elif dets:
-        # every check on f passed when the first entry was stored: only the
-        # scale is new
-        det = dets.get(alpha)
-        if det is None:
-            beta, det_beta = next(iter(dets.items()))
-            det = det_beta * (alpha / beta) ** (f.n_vars * mu)
+        det_c = math.prod((_bezoutian_det(block, a)[0] ** (mu // a.mu)
+                           for _, block, a in alg.blocks), start=ring.one)
     else:
-        C = bezoutian(f)
-        inv_det_c = ring.one
-        if mu:
-            ops = coded(ring)
-            digits = ops.encode_matrix(C)
-            if not (digits == digits.swapaxes(0, 1)).all():
-                raise SingularBezoutian("gram matrix is not symmetric")
-            det_c = unit_det(ops, digits)[2]
-            if det_c is None:
-                raise SingularBezoutian("bezoutian matrix is not invertible")
-            inv_det_c = det_c.inverse()
-        det = alpha ** (f.n_vars * mu) * inv_det_c
+        det_c, C = _bezoutian_det(f, alg)
     factor = alpha ** f.n_vars
 
     def solve():
         eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
         return solve_ring(ring, _bezoutian(f, alg) if C is None else C, eye)
 
-    G = GramForm(ring, f.n_vars, mu, lambda: list(alg.basis), solve, alpha, det)
-    if not alg.blocks:
-        dets[alpha] = det
-    return G
+    return GramForm(ring, f.n_vars, mu, lambda: list(alg.basis), solve, alpha,
+                    factor ** mu * det_c.inverse())
 
 
 def disc_square_class(G: GramForm):

@@ -13,6 +13,6 @@ settings.load_profile("derandomized")
 @pytest.fixture(autouse=True)
 def empty_algebra_cache(monkeypatch):
     """Each test starts from an empty Milnor algebra cache, so counts of
-    eliminations and Bezoutian builds, and the Gram determinants the cached
-    algebras carry, do not depend on the tests that ran before it."""
+    eliminations and Bezoutian builds, and the Bezoutian determinants the
+    cached algebras carry, do not depend on the tests that ran before it."""
     monkeypatch.setattr(milnor, "_ALGEBRAS", {})

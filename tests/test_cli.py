@@ -352,3 +352,23 @@ def test_an_expansion_past_the_cap_is_refused_quickly(capsys):
     assert payload == {"error": "PolySyntaxError",
                        "message": "expanding the input multiplies 450 by 540 terms, "
                                   "more than 100000 term pairs"}
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (["arf", "--p", "2", "--m", "2", "--vars", "x,y,z,w", "--poly", "x^5+y^5+z^3+w^3",
+      "--lift-perturbation", "x*y*z*w"], (26, "76050 x 27405 x 2")),
+    (["verify", "--p", "7", "--vars", "x,y,z,w", "--poly", "x^3*y+x^2*z^2+z^5+w^2"],
+     (16, "11016 x 4845 x 1")),
+], ids=["whole-w3-lift", "field-scan"])
+def test_a_relation_matrix_past_the_cell_bound_is_refused(capsys, argv, shape):
+    """A coupled W_3 lift at 3*D0 - 1 and a four-variable scan that no block
+    decides would each ask numpy for gigabytes; both end in ResourceLimit,
+    exit 2, before the matrix is allocated."""
+    start = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 30
+    assert code == 2
+    degree, dims = shape
+    assert payload == {"error": "ResourceLimit", "message":
+                       f"the relation matrix in degree {degree} would hold {dims} digits, "
+                       "more than MAX_RELATION_CELLS = 33554432"}

@@ -9,7 +9,7 @@ from test_linalg import ref_rref
 
 from resform import cli, linalg, milnor
 from resform.epsilon import verify_identity
-from resform.errors import NotFlat, NotIsolated, OddProduct
+from resform.errors import NotFlat, NotIsolated, OddProduct, ResourceLimit
 from resform.gfield import DigitElem, gf_create
 from resform.milnor import (
     family_milnor_profile,
@@ -364,6 +364,23 @@ def test_eliminations_share_one_bounded_monomial_memo(monkeypatch):
     assert small.basis == alg.basis and small._nf == alg._nf
 
 
+def test_a_relation_matrix_past_the_bound_is_refused(monkeypatch):
+    """With the bound below a scan's first matrix the scan raises
+    ResourceLimit, naming the shape, the degree and the bound; a matrix of
+    exactly the bound is built.  x^3+y^4+x*y^2 starts its scan at degree 2
+    and certifies D0 = 3 on a 6 x 10 x 1 matrix."""
+    f = parse_poly("x^3+y^4+x*y^2", gf_create(7, 1), ["x", "y"])
+    monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", 5)
+    with pytest.raises(ResourceLimit, match="^the relation matrix in degree 2 would hold "
+                                            "2 x 6 x 1 digits, more than MAX_RELATION_CELLS = 5$"):
+        milnor_algebra(f)
+    monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", 59)
+    with pytest.raises(ResourceLimit, match="in degree 3 would hold 6 x 10 x 1 digits"):
+        milnor_algebra(f)
+    monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", 60)
+    assert (milnor_algebra(f).mu, milnor_algebra(f).D) == (4, 3)
+
+
 def test_a_lower_cap_still_rejects_after_success():
     f7 = gf_create(7, 1)
     f = parse_poly("x^3+y^3", f7, ["x", "y"])
@@ -697,7 +714,7 @@ def test_the_w3_algebra_matches_the_elimination_at_3_d0_minus_1(m):
             if alg.blocks is None:
                 assert alg.D in (D0, 3 * D0), f_w
             else:
-                blocks = [milnor_algebra(block, cap=5).D for block in alg.blocks]
+                blocks = [milnor_algebra(block, cap=5).D for _, block, _ in alg.blocks]
                 assert alg.D == sum(blocks) - len(blocks) + 1, f_w
             assert alg.basis == basis, f_w
             for e in monomials_upto(n, max(3 * D0, alg.D)):

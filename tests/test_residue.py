@@ -382,7 +382,7 @@ def test_a_non_symmetric_bezoutian_is_refused(monkeypatch):
     for _ in range(2):
         with pytest.raises(SingularBezoutian, match="^gram matrix is not symmetric$"):
             gram_matrix(f, 1)
-    assert milnor_algebra(f).gram_dets == {}
+    assert milnor_algebra(f).bezoutian_det is None
 
 
 def _count_solves(monkeypatch):
@@ -538,7 +538,7 @@ def test_a_bezoutian_singular_over_w3_is_not_invertible(monkeypatch):
     for _ in range(2):
         with pytest.raises(SingularBezoutian, match="^bezoutian matrix is not invertible$"):
             gram_matrix(f, 1)
-    assert milnor_algebra(f).gram_dets == {}
+    assert milnor_algebra(f).bezoutian_det is None
 
 
 def _count_bezoutians(monkeypatch):
@@ -645,18 +645,25 @@ def _bound_slots(alg):
     return bound
 
 
+def _eliminated(alg):
+    """The eliminated algebras that keep det C for alg: a product's blocks'
+    algebras, or alg itself."""
+    return [a for _, _, a in alg.blocks] if alg.blocks else [alg]
+
+
 @pytest.mark.parametrize("p, m, names, poly", STORE_CASES, ids=[c[3] + "/" + str(c[0]) for c in STORE_CASES])
 def test_a_stored_det_is_the_det_of_the_solved_matrix(monkeypatch, p, m, names, poly):
-    """A det read from an eliminated algebra, or moved there to a new scale,
-    is the determinant of the matrix solved from f's own Bezoutian; no
-    Bezoutian is built for it, and the algebra keeps ring elements only.
-    A split sum's det is the Kronecker product of its blocks' stored dets:
-    the product stores none, and the blocks' algebras hold them."""
+    """det G read at scales 1, -1 and 3 off a stored det C is the
+    determinant of the matrix solved from f's own Bezoutian; no Bezoutian
+    is built for it, and the algebra keeps a ring element.  A split sum's
+    det C is the Kronecker product of its blocks' stored ones: the product
+    stores none, and its blocks' cached algebras hold them."""
     f = _store_case(p, m, names, poly)
     ring = f.ring
     first = gram_matrix(f, 1)
     alg = milnor_algebra(f)
-    kept = [milnor_algebra(block) for block in alg.blocks] if alg.blocks else [alg]
+    kept = _eliminated(alg)
+    assert all(milnor_algebra(block) is a for _, block, a in alg.blocks or ())
     slots = [_bound_slots(a) for a in kept]
     built, dets = _count_bezoutians(monkeypatch)
     forms = [gram_matrix(f, s) for s in (1, -1, 3, -1)]
@@ -669,19 +676,16 @@ def test_a_stored_det_is_the_det_of_the_solved_matrix(monkeypatch, p, m, names, 
     # rebound or newly bound
     assert [_bound_slots(a) for a in kept] == slots
     if alg.blocks:
-        assert alg.gram_dets == {}
+        assert alg.bezoutian_det is None
     for a in kept:
         assert a.blocks is None
-        assert set(a.gram_dets) == {ring(1), ring(-1), ring(3)}
-        for alpha, det in a.gram_dets.items():
-            assert type(alpha) is type(det) is type(ring.one)
-            assert alpha.ring == det.ring == ring
+        assert type(a.bezoutian_det) is type(ring.one) and a.bezoutian_det.ring == ring
 
 
 def test_errors_are_raised_anew_on_every_call():
     """A non-unit scale raises its message before and after the algebra
-    holds a determinant, over a field, for a split sum and over W_3; a
-    split sum's determinants are held by its blocks' algebras."""
+    holds det C, over a field, for a split sum and over W_3; a split sum's
+    det C is held by its blocks' algebras."""
     f7 = gf_create(7, 1)
     cases = [(parse_poly("x^4+y^3+x^2*y", f7, ["x", "y"]), 7, "0"),
              (parse_poly("x^4+y^3", f7, ["x", "y"]), 14, "0"),
@@ -694,14 +698,15 @@ def test_errors_are_raised_anew_on_every_call():
                 with pytest.raises(NonUnitScale, match=f"^scale {shown} is not a unit$"):
                     gram_matrix(f, scale)
         alg = milnor_algebra(f)
-        for kept in [milnor_algebra(block) for block in alg.blocks] if alg.blocks else [alg]:
-            assert set(kept.gram_dets) == {f.ring(1)}
+        assert all(a.bezoutian_det is not None for a in _eliminated(alg))
+        if alg.blocks:
+            assert alg.bezoutian_det is None
 
 
 def test_a_cold_non_unit_scale_builds_no_bezoutian(monkeypatch):
     """The scale is checked once, before any branch: a cold gram_matrix at
     a non-unit scale expands no Bezoutian, over a field, for a split sum
-    and over W_3, and stores no determinant."""
+    and over W_3, and stores no det C."""
     expanded = []
     det_expand = residue.det_expand
 
@@ -717,7 +722,8 @@ def test_a_cold_non_unit_scale_builds_no_bezoutian(monkeypatch):
     for f, scale, shown in cases:
         with pytest.raises(NonUnitScale, match=f"^scale {shown} is not a unit$"):
             gram_matrix(f, scale)
-        assert milnor_algebra(f).gram_dets == {}
+        alg = milnor_algebra(f)
+        assert all(a.bezoutian_det is None for a in [alg] + _eliminated(alg))
     assert expanded == []
 
 
