@@ -15,7 +15,7 @@ from itertools import product
 from . import unipoly
 from .catalog import EpsilonValue, eps_ordquad_char2, eps_quad_odd, eps_wildquad_char2
 from .epsilon import calibrate, verify_identity
-from .errors import CheckFailed, NotFlat, NotIsolated, SingularForm
+from .errors import CheckFailed, NotFlat, NotIsolated, ResourceLimit, SingularForm
 from .gfield import CycloInt, gauss_sum, gf_create, legendre, trace_bit, wp_class
 from .homog import (
     BinaryForm,
@@ -441,7 +441,7 @@ def check_a7(seed: int = DEFAULT_SEED) -> str:
         f = _random_char2_poly(rng, field, nv)
         try:
             alg = milnor_algebra(f, cap=10)
-        except (NotIsolated, NotFlat):
+        except (NotIsolated, NotFlat, ResourceLimit):
             continue
         if not 1 <= alg.mu <= 8 or (nv * alg.mu) % 2:
             continue

@@ -4,7 +4,9 @@ The geometric side reads the local epsilon constant off the residue form:
 the discriminant of the Gram matrix in odd characteristic, the Arf class in
 characteristic 2.  verify_identity compares it with the catalog answer of
 catalog.arithmetic_sides, an independent route, for every twist of the
-additive character.
+additive character.  It reads f's Milnor algebra once, for mu and the
+geometric side together, and the catalog reuses the split of f that the
+algebra made.
 
 In odd characteristic the discriminant is read for the volume form -dt and
 corrected by legendre(2)^(e*n*mu), a power of 2 the sources leave open.
@@ -28,7 +30,7 @@ from .errors import CatalogMiss
 from .gfield import legendre
 from .milnor import milnor_algebra
 from .mpoly import MultiPoly
-from .residue import arf_invariant, gram_matrix
+from .residue import _gram_matrix, arf_invariant
 
 
 CALIBRATED_EXPONENT = 1
@@ -46,6 +48,17 @@ def geometric_side(f: MultiPoly, convention: str = "calibrated") -> EpsilonValue
     and a power of the Gauss sum; characteristic 2 reads the Arf bit and a
     half-integral power of q.
     """
+    return _geometric_side(f, convention)[0]
+
+
+def _geometric_side(f: MultiPoly, convention: str):
+    """(geometric_side, mu) from one read of f's Milnor algebra.
+
+    The algebra is read first, so an input's first error is the algebra's
+    and an unknown convention is refused after it; in characteristic 2 the
+    field algebra is read before the Witt lift's.
+    """
+    alg = milnor_algebra(f)
     if convention == "calibrated":
         exponent = CALIBRATED_EXPONENT
     elif convention == "literal":
@@ -54,34 +67,31 @@ def geometric_side(f: MultiPoly, convention: str = "calibrated") -> EpsilonValue
         raise ValueError(f"unknown convention {convention!r}")
     field = f.ring
     n = f.n_vars
+    n_mu = n * alg.mu
     if field.p == 2:
-        arf = arf_invariant(f)
-        n_mu = n * milnor_algebra(f).mu
-        sign = -1 if arf.trace_bit else 1
-        return EpsilonValue(field, sign, 0, Fraction(n_mu if n % 2 else -n_mu, 2))
-    G = gram_matrix(f, -1)
-    n_mu = n * G.mu
+        sign = -1 if arf_invariant(f).trace_bit else 1
+        return EpsilonValue(field, sign, 0, Fraction(n_mu if n % 2 else -n_mu, 2)), alg.mu
+    G = _gram_matrix(f, alg, -1)
     sign = legendre(G.det) if G.mu else 1
     if (exponent * n_mu) % 2:
         sign *= legendre(field(2))
-    return EpsilonValue(field, sign, n_mu if n % 2 else -n_mu, 0)
+    return EpsilonValue(field, sign, n_mu if n % 2 else -n_mu, 0), alg.mu
 
 
 def verify_identity(f: MultiPoly, convention: str = "calibrated", var_names=None) -> dict:
     """Compare geometric and catalog epsilons over every character twist.
 
     The report renders f with var_names (x0, x1, ... by default), and the
-    catalog names a missed block's variables by them.  The
-    catalog side splits f into its blocks once, then classifies every
-    block afresh for each twist, so the loop genuinely re-tests the
-    identity rather than multiplying both sides by the same character value.
+    catalog names a missed block's variables by them.  mu and the geometric
+    side come from one read of f's Milnor algebra.  The catalog side uses
+    the same split of f into blocks, then classifies every block afresh for
+    each twist, so the loop genuinely re-tests the identity rather than
+    multiplying both sides by the same character value.
     """
     field = f.ring
-    n = f.n_vars
-    mu = milnor_algebra(f).mu
-    dimtot = dimtot_from_mu(n, mu)
+    geo1, mu = _geometric_side(f, convention)
+    dimtot = dimtot_from_mu(f.n_vars, mu)
     twists = list(range(1, field.p)) if field.p != 2 else [1]
-    geo1 = geometric_side(f, convention)
     arith1 = None
     checked = 0
     try:

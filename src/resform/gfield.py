@@ -261,7 +261,10 @@ class DigitElem:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        return _power(self, e, self.ring.one)
+        r = self.ring
+        if r.m == 1:  # Z/b, as F_p or W_3(F_2) = Z/8: Python's modular power
+            return type(self)(r, (pow(self.coeffs[0], e, r.b),))
+        return _power(self, e, r.one)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -17,7 +17,10 @@ regular sequence, J's initial ideal is theirs and D0 = s (Valla; Fulton,
 Intersection Theory, Cor. 12.4), so the scan starts there; otherwise, or
 when s is at most min k_i + 1, it starts at min k_i, since J lies in
 m^{min k_i}.  A cone whose partials are homogeneous and fail that test is
-not isolated, and is rejected without a scan.
+not isolated, and is rejected without a scan.  So is an input whose scan
+fails at every degree up to the Bezout bound on mu.  A scan that reaches
+the cap DEGREE_CAP first has proved nothing, and raises ResourceLimit, not
+NotIsolated.
 
 The relation matrix stays in the elimination kernel's digit form from build
 to normal forms: it is written as a (rows, cols, m) integer array, reduced
@@ -32,11 +35,14 @@ theirs (Sebastiani-Thom, Un resultat sur la monodromie, Invent. Math.
 own relation matrix.  Only eliminations are cached: a product is composed
 afresh on every call and is not kept, so it never pushes the blocks it is
 built from out of the cache, and the cache's bound counts
-eliminations.  Composing is cheap, as the product's standard monomials are
-the products of the blocks': each such product is standard, and there are
-mu = prod mu_i of them.  They are enumerated and sorted only on the first
-read of the basis, its index or a normal form, once per composed algebra,
-as mu, D and the Gram determinant need none of them.  A monomial's normal
+eliminations.  The split itself is kept on f (mpoly.variable_blocks), and
+verify reads f's algebra once, so a verify of a split sum whose blocks are
+cached splits f once and composes one product.  Composing is cheap, as the
+product's standard monomials are the products of the blocks': each such
+product is standard, and there are mu = prod mu_i of them.  They are
+enumerated and sorted only on the first read of the basis, its index or a
+normal form, once per composed algebra, as mu, D and the Gram determinant
+need none of them.  A monomial's normal
 form is the product of its block parts' forms, computed on first
 request.  The truncation degree is D = sum D_i - (k - 1): every monomial of
 that degree has some block part of degree at least D_i, which lies in J_i,
@@ -44,7 +50,11 @@ so m^D lies in J.  Over a field D is also the least D0, as some monomial of
 degree D_i - 1 survives in each block and the product of their normal forms
 is nonzero, as a tensor product of nonzero vectors over a field is.  Morse
 and smooth points are not split: their scan is already one small
-elimination.
+elimination.  Over a field a block that raises NotIsolated or
+ResourceLimit ends f with its error: a block that is not isolated makes
+the tensor product infinite, and f's own scan would have to pass the
+block's degree in more variables.  So does a product whose D passes the
+cap, as D is then f's least D0.
 
 The Witt lift of a separable characteristic-2 input splits the same way,
 once its reduction's algebra is a product: it is then the tensor product
@@ -250,7 +260,10 @@ def _scan(f: MultiPoly, orders, cap: int):
 
     The search stops at the product of the partials' degrees: for an
     isolated singularity D0 <= mu, and mu is at most that product by the
-    refined Bezout theorem.
+    refined Bezout theorem.  Failing every degree up to it proves f is not
+    isolated, as the cone test does, and both raise NotIsolated.  A scan
+    that stops at the cap first has proved nothing, and raises
+    ResourceLimit.
     """
     grads = partials(f)
     bezout = 1
@@ -258,22 +271,29 @@ def _scan(f: MultiPoly, orders, cap: int):
         bezout *= max(g.total_degree(), 1)
     start = max(1, min(orders))
     s = 1 + sum(k - 1 for k in orders)
+    cone = False  # a cone that is not isolated: no degree certifies
     if min(orders) >= 1 and s > start + 1:
         cols, _, pivots, _ = _eliminate(grads, f.ring, f.n_vars, s, lo=s)
         if len(pivots) == len(cols):
             start = s
-        elif all(g.total_degree() == k for g, k in zip(grads, orders)):
-            start = cap + 1  # a cone that is not isolated: no degree certifies
-    for d0 in range(start, min(cap, bezout) + 1):
-        certified = _certified(*_eliminate(grads, f.ring, f.n_vars, d0)[:3], d0)
-        if certified is not None:
-            return (d0, *certified)
+        else:
+            cone = all(g.total_degree() == k for g, k in zip(grads, orders))
+    if not cone:
+        for d0 in range(start, min(cap, bezout) + 1):
+            certified = _certified(*_eliminate(grads, f.ring, f.n_vars, d0)[:3], d0)
+            if certified is not None:
+                return (d0, *certified)
     if bezout < cap:
         raise NotIsolated(
             f"Jacobian ideal is not monomial-cofinite below degree {bezout}, "
             "the Bezout bound on the Milnor number"
         )
-    raise NotIsolated(f"Jacobian ideal is not monomial-cofinite below degree {cap}")
+    if cone or bezout == cap:
+        raise NotIsolated(f"Jacobian ideal is not monomial-cofinite below degree {cap}")
+    raise ResourceLimit(
+        f"no degree up to DEGREE_CAP = {cap} certifies the Jacobian ideal, "
+        f"and its Bezout bound {bezout} lies above the cap"
+    )
 
 
 class MilnorAlgebra:
@@ -284,14 +304,15 @@ class MilnorAlgebra:
     product of theirs, and is None otherwise.  Such a product knows mu and
     D from its blocks; its `basis`, `basis_index` and normal forms are
     built on the first read of any of them or of `nf_monomial`.
-    `bezoutian_det` is the determinant of f's Bezoutian matrix C;
-    residue.gram_matrix sets it on an eliminated algebra once C is checked
-    symmetric and invertible, so every consumer of f shares one elimination
-    of C.  A product, composed afresh on each call, keeps none: its det C is
-    read off its blocks' algebras.
+    `inv_bezoutian_det` is 1/det C for f's Bezoutian matrix C, the Gram
+    determinant of the residue form for dt; residue.gram_matrix sets it on
+    an eliminated algebra once C is checked symmetric and invertible, so
+    every consumer of f shares one elimination of C and one inverse.  A
+    product, composed afresh on each call, keeps none: its 1/det C is read
+    off its blocks' algebras.
     """
 
-    __slots__ = ("ring", "n_vars", "D", "mu", "blocks", "bezoutian_det",
+    __slots__ = ("ring", "n_vars", "D", "mu", "blocks", "inv_bezoutian_det",
                  "basis", "basis_index", "_nf")
 
     def __init__(self, ring, n_vars, D, mu, blocks=None):
@@ -300,7 +321,7 @@ class MilnorAlgebra:
         self.D = D
         self.mu = mu
         self.blocks = blocks
-        self.bezoutian_det = None
+        self.inv_bezoutian_det = None
 
     def _present(self, basis, nf):
         self.basis = basis
@@ -375,22 +396,35 @@ def _product(f: MultiPoly, cap: int):
     """f's algebra as the tensor product of its blocks' algebras.
 
     Returns (D, mu, blocks), blocks the (variables, block, block algebra)
-    triples, or None when f is a single block or a block raises; the caller
-    then presents f whole, so errors and their messages are its own.  Every
-    variable lies in some block, as no partial of f vanishes.
+    triples, or None when f is a single block or a block raises another
+    error; the caller then presents f whole, so those errors and their
+    messages are its own.  Over a field a block's NotIsolated or
+    ResourceLimit ends f: a block that is not isolated makes the tensor
+    product infinite, and f's own scan would need a degree at least the
+    block's.  A block's OddProduct says nothing of f's parity, and a W_3
+    lift is eliminated whole on any block error.  Every variable lies in
+    some block, as no partial of f vanishes.
     """
     split = variable_blocks(f)
     if len(split) < 2:
         return None
+    field = f.ring.b == f.ring.residue
     try:
         blocks = [(vs, block, milnor_algebra(block, cap)) for vs, block in split]
+    except (NotIsolated, ResourceLimit):
+        if field:
+            raise
+        return None
     except ResformError:
         return None
     D = sum(alg.D for _, _, alg in blocks) - len(blocks) + 1
-    if D > cap and f.ring.b == f.ring.residue:
-        # D <= mu <= the Bezout bound, so f's own scan stops at the cap too;
-        # a W_3 lift's whole elimination is never held to the cap
-        raise NotIsolated(f"Jacobian ideal is not monomial-cofinite below degree {cap}")
+    if D > cap and field:
+        # D is f's least D0, so f's own scan stops at the cap too; a W_3
+        # lift's whole elimination is never held to the cap
+        raise ResourceLimit(
+            f"the product of the blocks' algebras has truncation degree {D}, "
+            f"above DEGREE_CAP = {cap}"
+        )
     return D, math.prod(alg.mu for _, _, alg in blocks), blocks
 
 
@@ -411,9 +445,9 @@ def _product_presentation(blocks, n_vars: int):
 # Most recently used last.  Only algebras that an elimination built are
 # kept: a field scan's and a whole W_3 lift's.  A product is composed from
 # its blocks' kept algebras on every call, so the bound counts eliminations
-# and the Bezoutian determinants stored on them; it is a bound rather than a
-# clear so that a call costs the same however many polynomials came before
-# it.
+# and the inverse Bezoutian determinants stored on them; it is a bound
+# rather than a clear so that a call costs the same however many
+# polynomials came before it.
 _ALGEBRAS: dict = {}
 _ALGEBRAS_MAX = 256
 
@@ -429,7 +463,9 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     product.  A W_3 lift eliminated whole has the truncation degree D of the
     residue field's D0 when one elimination at D0 certifies it, and 3*D0
     otherwise, and raises NotFlat unless its basis is the residue field's; a
-    split lift has that check from its blocks.
+    split lift has that check from its blocks.  NotIsolated means a proof
+    that f is not isolated; a truncation degree past the cap, unproved,
+    raises ResourceLimit.
     """
     ring = f.ring
     n = f.n_vars

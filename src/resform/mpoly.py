@@ -83,7 +83,14 @@ def _pow_terms(a: dict, k: int, one, mul) -> dict:
 
 
 class MultiPoly:
-    __slots__ = ("ring", "n_vars", "terms")
+    """A polynomial in n_vars variables, its terms {exponent tuple: coefficient}.
+
+    Terms are never changed after construction: every operation builds the
+    dict of a new polynomial.  So variable_blocks splits a polynomial once
+    and keeps the split in `_split`.
+    """
+
+    __slots__ = ("ring", "n_vars", "terms", "_split")
 
     def __init__(self, ring, n_vars: int, terms=None):
         self.ring = ring
@@ -94,6 +101,7 @@ class MultiPoly:
                 if not _czero(c):
                     clean[tuple(exps)] = c
         self.terms = clean
+        self._split = None
 
     @classmethod
     def zero(cls, ring, n_vars: int) -> "MultiPoly":
@@ -261,7 +269,16 @@ def variable_blocks(f: MultiPoly):
     Returns (variables, block) pairs ordered by first variable: block is
     the sum of f's terms in those variables, written in them alone.  The
     constant term belongs to no block, nor does a variable absent from f.
+    The split is computed on the first call and kept on f, so every
+    consumer of one polynomial shares it; none may change the list.
     """
+    if f._split is None:
+        f._split = _disjoint_blocks(f)
+    return f._split
+
+
+def _disjoint_blocks(f: MultiPoly):
+    """variable_blocks computed afresh."""
     groups = []  # (variables, terms) of the blocks found so far
     for e, c in f.terms.items():
         sup = {i for i, k in enumerate(e) if k}
@@ -291,7 +308,7 @@ def divided_difference(g: MultiPoly, j: int) -> MultiPoly:
     n = g.n_vars
     if not 0 <= j < n:
         raise ValueError("variable index out of range")
-    out = MultiPoly.zero(g.ring, 2 * n)
+    terms: dict = {}
     for e, c in g.terms.items():
         k = e[j]
         if k == 0:
@@ -306,9 +323,8 @@ def divided_difference(g: MultiPoly, j: int) -> MultiPoly:
             ne[j] = k - 1 - s
             ne[n + j] = s
             ne = tuple(ne)
-            cur = out.terms.get(ne)
-            out.terms[ne] = cur + c if cur is not None else c
-    return MultiPoly(g.ring, 2 * n, out.terms)
+            terms[ne] = terms[ne] + c if ne in terms else c
+    return MultiPoly(g.ring, 2 * n, terms)
 
 
 MAX_NESTING = 100  # levels of parentheses; each costs the descent four frames

@@ -23,15 +23,16 @@ from the product normal forms of the algebra the form holds, when it is
 read; that algebra builds its product basis only then, or when the form's
 basis is read, and once for both.
 
-det C is kept on the Milnor algebra of an elimination, which milnor_algebra
-caches and shares among the consumers of one polynomial or block, and only
-once C is checked symmetric and invertible; the scale alpha enters det G by
-the known power alpha^(n*mu).  So verify, disc, arf, a split sum's blocks
-and the Witt lift that arf and verify both build eliminate C once, at any
-unit scale, and an error is raised anew on every call.  A split sum's
-algebra is composed afresh on each call and keeps no det C: it lists its
-blocks' algebras, which keep theirs.  Neither C nor the solved matrix is
-kept anywhere.
+1/det C, the Gram determinant for dt, is kept on the Milnor algebra of an
+elimination, which milnor_algebra caches and shares among the consumers of
+one polynomial or block, and only once C is checked symmetric and
+invertible; the scale alpha enters det G by the known power
+alpha^(n*mu).  So verify, disc, arf, a split sum's blocks and the Witt lift
+that arf and verify both build eliminate and invert det C once, at any unit
+scale, and an error is raised anew on every call.  A split sum's algebra is
+composed afresh on each call and keeps no 1/det C: it lists its blocks'
+algebras, which keep theirs.  Neither C nor the solved matrix is kept
+anywhere.
 """
 
 from __future__ import annotations
@@ -181,19 +182,19 @@ def residue_functional(f: MultiPoly):
     return G.matrix[G.basis.index((0,) * f.n_vars)] if G.mu else []
 
 
-def _bezoutian_det(f: MultiPoly, alg):
-    """det C of f's Bezoutian matrix over alg, f's eliminated algebra, and
-    C when this call built it (None when alg already held det C).
+def _inv_bezoutian_det(f: MultiPoly, alg):
+    """1/det C for f's Bezoutian matrix C over alg, f's eliminated algebra,
+    and C when this call built it (None when alg already held 1/det C).
 
     C is symmetric exactly when its inverse is, so the symmetry check reads
-    C's digits; det C comes from one elimination of C alone, and is kept on
-    alg only once both checks pass.
+    C's digits; det C comes from one elimination of C alone, and its
+    inverse is kept on alg only once both checks pass.
     """
-    if alg.bezoutian_det is not None:
-        return alg.bezoutian_det, None
+    if alg.inv_bezoutian_det is not None:
+        return alg.inv_bezoutian_det, None
     ring = f.ring
     C = bezoutian(f)
-    det_c = ring.one
+    inv_det_c = ring.one
     if alg.mu:
         ops = coded(ring)
         digits = ops.encode_matrix(C)
@@ -202,8 +203,9 @@ def _bezoutian_det(f: MultiPoly, alg):
         det_c = unit_det(ops, digits)[2]
         if det_c is None:
             raise SingularBezoutian("bezoutian matrix is not invertible")
-    alg.bezoutian_det = det_c
-    return det_c, C
+        inv_det_c = det_c.inverse()
+    alg.inv_bezoutian_det = inv_det_c
+    return inv_det_c, C
 
 
 def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
@@ -212,21 +214,25 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
 
     det G = alpha^(n*mu) / det C at every scale, and the matrix is solved
     only when it is read.  When the Milnor algebra is a tensor product of
-    blocks' algebras, det C = prod det(C_i)^(mu/mu_i) is read off the
+    blocks' algebras, 1/det C = prod (1/det C_i)^(mu/mu_i) is read off the
     blocks' algebras by the Kronecker law, with their checks.  The scale is
     checked once, after f's algebra and before any Bezoutian.
     """
-    alg = milnor_algebra(f)
+    return _gram_matrix(f, milnor_algebra(f), scale)
+
+
+def _gram_matrix(f: MultiPoly, alg, scale) -> GramForm:
+    """gram_matrix on alg, f's Milnor algebra as milnor_algebra returns it."""
     ring, mu = f.ring, alg.mu
     alpha = ring(scale)
     if not alpha.is_unit():
         raise NonUnitScale(f"scale {alpha!r} is not a unit")
     C = None
     if alg.blocks:
-        det_c = math.prod((_bezoutian_det(block, a)[0] ** (mu // a.mu)
-                           for _, block, a in alg.blocks), start=ring.one)
+        inv_det_c = math.prod((_inv_bezoutian_det(block, a)[0] ** (mu // a.mu)
+                               for _, block, a in alg.blocks), start=ring.one)
     else:
-        det_c, C = _bezoutian_det(f, alg)
+        inv_det_c, C = _inv_bezoutian_det(f, alg)
     factor = alpha ** f.n_vars
 
     def solve():
@@ -234,7 +240,7 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
         return solve_ring(ring, _bezoutian(f, alg) if C is None else C, eye)
 
     return GramForm(ring, f.n_vars, mu, lambda: list(alg.basis), solve, alpha,
-                    factor ** mu * det_c.inverse())
+                    factor ** mu * inv_det_c)
 
 
 def disc_square_class(G: GramForm):

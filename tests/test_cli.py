@@ -1,4 +1,5 @@
 import json
+import pathlib
 import time
 
 import pytest
@@ -208,6 +209,22 @@ def test_milnor_rejects_a_non_isolated_four_variable_cone(capsys):
                        "Jacobian ideal is not monomial-cofinite below degree 24"}
 
 
+@pytest.mark.parametrize("p, names, poly, message", [
+    # isolated with mu = 26, but D0 = 26 lies past the cap
+    (2, "x", "x^27", "no degree up to DEGREE_CAP = 24 certifies the Jacobian ideal, and its "
+                     "Bezout bound 26 lies above the cap"),
+    (13, "x,y", "x^14+y^14",
+     "the product of the blocks' algebras has truncation degree 25, above DEGREE_CAP = 24"),
+])
+def test_a_scan_stopped_at_the_cap_is_a_resource_limit(capsys, p, names, poly, message):
+    """Reaching the cap proves nothing about isolation, so verify ends in
+    ResourceLimit, exit 2, not NotIsolated (test_milnor covers a block
+    that stops at the cap)."""
+    code, payload = run_json(capsys, "verify", "--p", str(p), "--vars", names, "--poly", poly)
+    assert code == 2
+    assert payload == {"error": "ResourceLimit", "message": message}
+
+
 def test_plain_output_is_flat_key_values(capsys):
     code, out = run(capsys, "fermat", "--d", "3", "--n", "0", "--a", "1,1")
     assert code == 0
@@ -248,6 +265,16 @@ def test_corpus_payload_has_no_convention(capsys, monkeypatch):
     code, payload = run_json(capsys, "corpus")
     assert code == 0
     assert set(payload) == {"seed", "ok", "results"}
+
+
+def test_corpus_details_match_their_record(capsys):
+    """The name, verdict and detail of every corpus check, against the
+    record in tests/corpus_details.json; elapsed times are left out."""
+    code, payload = run_json(capsys, "corpus")
+    assert code == 0
+    with open(pathlib.Path(__file__).with_name("corpus_details.json")) as fh:
+        record = json.load(fh)
+    assert [[r["name"], r["ok"], r["detail"]] for r in payload["results"]] == record
 
 
 def test_corpus_rejects_convention():
@@ -357,13 +384,13 @@ def test_an_expansion_past_the_cap_is_refused_quickly(capsys):
 @pytest.mark.parametrize("argv, shape", [
     (["arf", "--p", "2", "--m", "2", "--vars", "x,y,z,w", "--poly", "x^5+y^5+z^3+w^3",
       "--lift-perturbation", "x*y*z*w"], (26, "76050 x 27405 x 2")),
-    (["verify", "--p", "7", "--vars", "x,y,z,w", "--poly", "x^3*y+x^2*z^2+z^5+w^2"],
+    (["verify", "--p", "7", "--vars", "x,y,z,w", "--poly", "x^3*y+x^3*w+x^2*z^2+z^5+w^2"],
      (16, "11016 x 4845 x 1")),
 ], ids=["whole-w3-lift", "field-scan"])
 def test_a_relation_matrix_past_the_cell_bound_is_refused(capsys, argv, shape):
-    """A coupled W_3 lift at 3*D0 - 1 and a four-variable scan that no block
-    decides would each ask numpy for gigabytes; both end in ResourceLimit,
-    exit 2, before the matrix is allocated."""
+    """A coupled W_3 lift at 3*D0 - 1 and a four-variable scan of an input
+    that does not split would each ask numpy for gigabytes; both end in
+    ResourceLimit, exit 2, before the matrix is allocated."""
     start = time.perf_counter()
     code, payload = run_json(capsys, *argv)
     assert time.perf_counter() - start < 30

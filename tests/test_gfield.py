@@ -415,6 +415,21 @@ def test_inverse_is_the_power_q_minus_2_on_every_unit(p, m):
             assert a.inverse() == a ** (field.q - 2)
 
 
+@pytest.mark.parametrize("ring", [gf_create(2, 1), gf_create(3, 1), gf_create(7, 1),
+                                  gf_create(13, 1), gr_create(gf_create(2, 1))],
+                         ids=["F_2", "F_3", "F_7", "F_13", "Z/8"])
+def test_a_power_on_a_prime_ring_is_the_square_and_multiply_power(ring):
+    """On Z/b a power is Python's modular power; it agrees with _power for
+    every element and e = 0..200, and for negative e on every unit."""
+    for a in ring.elements():
+        for e in range(201):
+            assert a ** e == gfield._power(a, e, ring.one), (a, e)
+        if a.is_unit():
+            inv = a.inverse()
+            for e in range(1, 201):
+                assert a ** -e == gfield._power(inv, e, ring.one), (a, e)
+
+
 @pytest.mark.parametrize("p, m", [(2, 10), (3, 6)])
 def test_inverse_is_the_power_q_minus_2_on_large_fields(p, m):
     field = gf_create(p, m)

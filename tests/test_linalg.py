@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from resform import linalg
-from resform.errors import NonUnit, NotIsolated
+from resform.errors import NonUnit, ResourceLimit
 from resform.gfield import gf_create
 from resform.linalg import coded, det_expand, det_ring, solve_ring
 from resform.milnor import milnor_algebra
@@ -237,11 +237,12 @@ def test_a_bounded_inverse_memo_changes_no_result(monkeypatch):
 def test_an_elimination_holds_its_relation_matrix_once():
     """rref reduces the caller's array in place: the scan of this 4-variable
     input to the cap of 12 peaked at 52.5 MB of tracemalloc when rref
-    copied its 25.6 MB largest matrix first."""
-    f = parse_poly("x^3*y+x^2*z^2+z^5+w^2", gf_create(7, 1), ["x", "y", "z", "w"])
+    copied its 25.6 MB largest matrix first.  The x^3*w term couples the
+    variables, so f is scanned whole, not block by block."""
+    f = parse_poly("x^3*y+x^3*w+x^2*z^2+z^5+w^2", gf_create(7, 1), ["x", "y", "z", "w"])
     tracemalloc.start()
     try:
-        with pytest.raises(NotIsolated):
+        with pytest.raises(ResourceLimit):
             milnor_algebra(f, cap=12)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -1,13 +1,14 @@
 import json
 import random
 import time
+import tracemalloc
 from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 from test_linalg import ref_rref
 
-from resform import cli, linalg, milnor
+from resform import cli, linalg, milnor, mpoly
 from resform.epsilon import verify_identity
 from resform.errors import NotFlat, NotIsolated, OddProduct, ResourceLimit
 from resform.gfield import DigitElem, gf_create
@@ -302,6 +303,42 @@ def test_verify_and_the_gram_det_of_a_split_sum_build_no_product_basis(monkeypat
     assert built == [f.n_vars, "forms"] * 2
 
 
+def _count_splits_and_products(monkeypatch):
+    """Record every split computed afresh and every call that composes a
+    product algebra, in order."""
+    seen = []
+    split, product = mpoly._disjoint_blocks, milnor._product
+
+    def counting_split(f):
+        seen.append("split")
+        return split(f)
+
+    def counting_product(f, cap):
+        seen.append("product")
+        return product(f, cap)
+
+    monkeypatch.setattr(mpoly, "_disjoint_blocks", counting_split)
+    monkeypatch.setattr(milnor, "_product", counting_product)
+    return seen
+
+
+@pytest.mark.parametrize("p, m, names, text", SPLIT_SUMS)
+def test_a_warm_verify_of_a_split_sum_splits_once_and_composes_once(monkeypatch, p, m, names, text):
+    """With its blocks eliminated, a verify reads f's algebra once, so it
+    composes one product, and the algebra and the catalog share one split
+    of f.  The split is kept on f: a second verify of the same f splits
+    nothing, and a fresh f equal to it splits afresh."""
+    verify_identity(_parse_case(p, m, names, text))
+    f = _parse_case(p, m, names, text)
+    seen = _count_splits_and_products(monkeypatch)
+    report = verify_identity(f)
+    assert seen == ["product", "split"]
+    assert verify_identity(f) == report
+    assert seen == ["product", "split", "product"]
+    assert verify_identity(_parse_case(p, m, names, text)) == report
+    assert seen == ["product", "split", "product", "product", "split"]
+
+
 def test_the_arf_of_a_split_sum_reads_no_product_basis(monkeypatch):
     """The W_3 lift splits like the field algebra, so arf compares the two
     bases block by block and builds neither product basis; verify reads
@@ -385,7 +422,8 @@ def test_a_lower_cap_still_rejects_after_success():
     f7 = gf_create(7, 1)
     f = parse_poly("x^3+y^3", f7, ["x", "y"])
     assert milnor_algebra(f).D == 3
-    with pytest.raises(NotIsolated):
+    # the blocks' D = 2 fit the cap, their product's D = 3 does not
+    with pytest.raises(ResourceLimit, match="truncation degree 3, above DEGREE_CAP = 2$"):
         milnor_algebra(f, cap=2)
     assert milnor_algebra(f, cap=3).D == 3
 
@@ -594,19 +632,24 @@ def test_initial_forms_off_a_regular_sequence_start_at_the_least_order(p, m, nam
     assert alg.basis == _d_minus_one_presentation(f, D)[0]
 
 
-@pytest.mark.parametrize("p, names, text, n_vars_scanned, message", [
-    # the block y^2*z^2 is not isolated, so f's own scan runs and stops at
-    # f's Bezout bound 2*3*3, not the block's 3*3
-    (7, "x,y,z", "x^3+y^2*z^2", {1, 2, 3},
-     "Jacobian ideal is not monomial-cofinite below degree 18, the Bezout bound on the Milnor "
+@pytest.mark.parametrize("p, names, text, n_vars_scanned, error, message", [
+    # the block y^2*z^2 is not isolated: its scan stops at its own Bezout
+    # bound 3*3, and f ends there without a scan of its own
+    (7, "x,y,z", "x^3+y^2*z^2", {1, 2}, NotIsolated,
+     "Jacobian ideal is not monomial-cofinite below degree 9, the Bezout bound on the Milnor "
      "number"),
     # x^14 has D = 13, so the product has D = 13 + 13 - 1 = 25, past the cap;
     # only the block is scanned
-    (13, "x,y", "x^14+y^14", {1},
-     "Jacobian ideal is not monomial-cofinite below degree 24"),
+    (13, "x,y", "x^14+y^14", {1}, ResourceLimit,
+     "the product of the blocks' algebras has truncation degree 25, above DEGREE_CAP = 24"),
+    # the block's scan stops at the cap without a proof, and f ends there;
+    # f's own four-variable scan would stop at the cell bound
+    (7, "x,y,z,w", "x^3*y+x^2*z^2+z^5+w^2", {3}, ResourceLimit,
+     "no degree up to DEGREE_CAP = 24 certifies the Jacobian ideal, and its Bezout bound 36 "
+     "lies above the cap"),
 ])
-def test_a_separable_input_that_fails_keeps_the_message_of_its_own_scan(
-        monkeypatch, p, names, text, n_vars_scanned, message):
+def test_a_separable_input_that_fails_ends_at_its_block(
+        monkeypatch, p, names, text, n_vars_scanned, error, message):
     seen = []
     eliminate = milnor._eliminate
 
@@ -616,17 +659,38 @@ def test_a_separable_input_that_fails_keeps_the_message_of_its_own_scan(
 
     monkeypatch.setattr(milnor, "_eliminate", counting)
     f = parse_poly(text, gf_create(p, 1), names.split(","))
-    with pytest.raises(NotIsolated) as err:
+    with pytest.raises(error) as err:
         milnor_algebra(f)
     assert str(err.value) == message
     assert set(seen) == n_vars_scanned
 
 
-def test_a_derivative_of_order_past_the_cap_keeps_the_cap_message():
-    """x^27 over F_2 has D0 = s = 26, past the cap of 24."""
-    with pytest.raises(NotIsolated) as err:
+def test_a_separable_sum_with_a_block_past_the_cap_ends_quickly():
+    """The block x^4*y+x^2*z^3+z^7 stops at the cap, so f ends with its
+    ResourceLimit and never scans four variables, whose matrices the cell
+    bound alone would stop only at 184 MB."""
+    f = parse_poly("x^4*y+x^2*z^3+z^7+w^2", gf_create(13, 1), ["x", "y", "z", "w"])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="DEGREE_CAP = 24"):
+        milnor_algebra(f)
+    assert time.perf_counter() - start < 2.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="DEGREE_CAP = 24"):
+            milnor_algebra(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000_000, peak
+
+
+def test_a_derivative_of_order_past_the_cap_is_a_resource_limit():
+    """x^27 over F_2 is isolated with D0 = s = 26, past the cap of 24, and
+    its Bezout bound 26 proves nothing below the cap."""
+    with pytest.raises(ResourceLimit) as err:
         milnor_algebra(parse_poly("x^27", gf_create(2, 1), ["x"]))
-    assert str(err.value) == "Jacobian ideal is not monomial-cofinite below degree 24"
+    assert str(err.value) == ("no degree up to DEGREE_CAP = 24 certifies the Jacobian ideal, "
+                              "and its Bezout bound 26 lies above the cap")
 
 
 def _random_poly(rng, field, n):
@@ -655,7 +719,7 @@ def test_the_scan_finds_the_least_degree(p, m):
         f = _random_poly(rng, field, rng.randint(1, 3))
         try:
             alg = milnor_algebra(f, cap=10)
-        except NotIsolated:
+        except (NotIsolated, ResourceLimit):
             continue
         isolated += 1
         orders = [g.low_degree() for g in partials(f)]
@@ -705,7 +769,7 @@ def test_the_w3_algebra_matches_the_elimination_at_3_d0_minus_1(m):
         f = _random_poly(rng, field, n)
         try:
             D0 = milnor_algebra(f, cap=5).D
-        except NotIsolated:
+        except (NotIsolated, ResourceLimit):
             continue
         g = _random_poly(rng, field, n)
         for f_w in (witt_lift(f), witt_lift(f) + g.map_coeffs(ring, ring).scale(2)):

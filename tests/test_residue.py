@@ -382,7 +382,7 @@ def test_a_non_symmetric_bezoutian_is_refused(monkeypatch):
     for _ in range(2):
         with pytest.raises(SingularBezoutian, match="^gram matrix is not symmetric$"):
             gram_matrix(f, 1)
-    assert milnor_algebra(f).bezoutian_det is None
+    assert milnor_algebra(f).inv_bezoutian_det is None
 
 
 def _count_solves(monkeypatch):
@@ -538,7 +538,7 @@ def test_a_bezoutian_singular_over_w3_is_not_invertible(monkeypatch):
     for _ in range(2):
         with pytest.raises(SingularBezoutian, match="^bezoutian matrix is not invertible$"):
             gram_matrix(f, 1)
-    assert milnor_algebra(f).bezoutian_det is None
+    assert milnor_algebra(f).inv_bezoutian_det is None
 
 
 def _count_bezoutians(monkeypatch):
@@ -646,18 +646,19 @@ def _bound_slots(alg):
 
 
 def _eliminated(alg):
-    """The eliminated algebras that keep det C for alg: a product's blocks'
+    """The eliminated algebras that keep 1/det C for alg: a product's blocks'
     algebras, or alg itself."""
     return [a for _, _, a in alg.blocks] if alg.blocks else [alg]
 
 
 @pytest.mark.parametrize("p, m, names, poly", STORE_CASES, ids=[c[3] + "/" + str(c[0]) for c in STORE_CASES])
 def test_a_stored_det_is_the_det_of_the_solved_matrix(monkeypatch, p, m, names, poly):
-    """det G read at scales 1, -1 and 3 off a stored det C is the
+    """det G read at scales 1, -1 and 3 off a stored 1/det C is the
     determinant of the matrix solved from f's own Bezoutian; no Bezoutian
-    is built for it, and the algebra keeps a ring element.  A split sum's
-    det C is the Kronecker product of its blocks' stored ones: the product
-    stores none, and its blocks' cached algebras hold them."""
+    is built for it, and the algebra keeps a ring element, the inverse of
+    its Bezoutian's det.  A split sum's 1/det C is the Kronecker product of
+    its blocks' stored ones: the product stores none, and its blocks'
+    cached algebras hold them."""
     f = _store_case(p, m, names, poly)
     ring = f.ring
     first = gram_matrix(f, 1)
@@ -676,16 +677,17 @@ def test_a_stored_det_is_the_det_of_the_solved_matrix(monkeypatch, p, m, names, 
     # rebound or newly bound
     assert [_bound_slots(a) for a in kept] == slots
     if alg.blocks:
-        assert alg.bezoutian_det is None
-    for a in kept:
+        assert alg.inv_bezoutian_det is None
+    for g, a in [(block, a) for _, block, a in alg.blocks] if alg.blocks else [(f, alg)]:
         assert a.blocks is None
-        assert type(a.bezoutian_det) is type(ring.one) and a.bezoutian_det.ring == ring
+        assert type(a.inv_bezoutian_det) is type(ring.one) and a.inv_bezoutian_det.ring == ring
+        assert a.inv_bezoutian_det * det_ring(ring, residue.bezoutian(g)) == ring.one
 
 
 def test_errors_are_raised_anew_on_every_call():
     """A non-unit scale raises its message before and after the algebra
-    holds det C, over a field, for a split sum and over W_3; a split sum's
-    det C is held by its blocks' algebras."""
+    holds 1/det C, over a field, for a split sum and over W_3; a split sum's
+    1/det C is held by its blocks' algebras."""
     f7 = gf_create(7, 1)
     cases = [(parse_poly("x^4+y^3+x^2*y", f7, ["x", "y"]), 7, "0"),
              (parse_poly("x^4+y^3", f7, ["x", "y"]), 14, "0"),
@@ -698,15 +700,15 @@ def test_errors_are_raised_anew_on_every_call():
                 with pytest.raises(NonUnitScale, match=f"^scale {shown} is not a unit$"):
                     gram_matrix(f, scale)
         alg = milnor_algebra(f)
-        assert all(a.bezoutian_det is not None for a in _eliminated(alg))
+        assert all(a.inv_bezoutian_det is not None for a in _eliminated(alg))
         if alg.blocks:
-            assert alg.bezoutian_det is None
+            assert alg.inv_bezoutian_det is None
 
 
 def test_a_cold_non_unit_scale_builds_no_bezoutian(monkeypatch):
     """The scale is checked once, before any branch: a cold gram_matrix at
     a non-unit scale expands no Bezoutian, over a field, for a split sum
-    and over W_3, and stores no det C."""
+    and over W_3, and stores no 1/det C."""
     expanded = []
     det_expand = residue.det_expand
 
@@ -723,7 +725,7 @@ def test_a_cold_non_unit_scale_builds_no_bezoutian(monkeypatch):
         with pytest.raises(NonUnitScale, match=f"^scale {shown} is not a unit$"):
             gram_matrix(f, scale)
         alg = milnor_algebra(f)
-        assert all(a.bezoutian_det is None for a in [alg] + _eliminated(alg))
+        assert all(a.inv_bezoutian_det is None for a in [alg] + _eliminated(alg))
     assert expanded == []
 
 
