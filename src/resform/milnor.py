@@ -50,11 +50,14 @@ so m^D lies in J.  Over a field D is also the least D0, as some monomial of
 degree D_i - 1 survives in each block and the product of their normal forms
 is nonzero, as a tensor product of nonzero vectors over a field is.  Morse
 and smooth points are not split: their scan is already one small
-elimination.  Over a field a block that raises NotIsolated or
-ResourceLimit ends f with its error: a block that is not isolated makes
-the tensor product infinite, and f's own scan would have to pass the
-block's degree in more variables.  So does a product whose D passes the
-cap, as D is then f's least D0.
+elimination, at D = 1, and a Morse point's also gives its Bezoutian
+determinant, read off its pivot values (_morse_inv_bezoutian_det), so the
+residue engine builds no Bezoutian for it unless the Gram matrix itself is
+read.  A W_3 lift certified at degree 1 gets it the same way.  Over a
+field a block that raises NotIsolated or ResourceLimit ends f with its
+error: a block that is not isolated makes the tensor product infinite, and
+f's own scan would have to pass the block's degree in more variables.  So
+does a product whose D passes the cap, as D is then f's least D0.
 
 The Witt lift of a separable characteristic-2 input splits the same way,
 once its reduction's algebra is a product: it is then the tensor product
@@ -163,9 +166,9 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
     written as digits straight into the kernel's array.  With lo = upto the
     rows are the degree-upto multiples of the partials' initial forms.
     Columns run from the highest degree down; returns (columns, reduced
-    digit array, pivot columns, stuck column or None).  A matrix of more
-    than MAX_RELATION_CELLS digits raises ResourceLimit before it is
-    allocated.
+    digit array, pivot columns, stuck column or None, pivot values), the
+    last three as CodedOps.rref gives them.  A matrix of more than
+    MAX_RELATION_CELLS digits raises ResourceLimit before it is allocated.
     """
     _, cols, col_index = _monomials(n_vars, upto, lo)
     shifts = [(g, _monomials(n_vars, upto - g.low_degree(), lo - g.low_degree())[0])
@@ -185,7 +188,7 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
                 if sum(shifted) <= upto:
                     A[r, col_index[shifted]] = c.coeffs
             r += 1
-    return (cols, *coded(ring).rref(A)[:3])
+    return (cols, *coded(ring).rref(A))
 
 
 def _certified(cols, red, pivots, d):
@@ -234,8 +237,9 @@ def _scan(f: MultiPoly, orders, cap: int):
 
     By graded Nakayama this certifies m^{D0} inside the Jacobian ideal of
     the complete local ring at the origin.  The certifying elimination also
-    presents the algebra (_certified).  Returns (D0, columns, reduced digit
-    rows, pivots) of that presentation.
+    presents the algebra (_certified).  Returns D0, the (columns, reduced
+    digit rows, pivots) of that presentation, and the certifying
+    elimination's pivot values.
 
     The search starts at a lower bound.  Let k_i be the order of the i-th
     partial and s = 1 + sum(k_i - 1).  When every k_i >= 1 and
@@ -273,16 +277,18 @@ def _scan(f: MultiPoly, orders, cap: int):
     s = 1 + sum(k - 1 for k in orders)
     cone = False  # a cone that is not isolated: no degree certifies
     if min(orders) >= 1 and s > start + 1:
-        cols, _, pivots, _ = _eliminate(grads, f.ring, f.n_vars, s, lo=s)
+        cols, _, pivots, _, _ = _eliminate(grads, f.ring, f.n_vars, s, lo=s)
         if len(pivots) == len(cols):
             start = s
         else:
             cone = all(g.total_degree() == k for g, k in zip(grads, orders))
     if not cone:
         for d0 in range(start, min(cap, bezout) + 1):
-            certified = _certified(*_eliminate(grads, f.ring, f.n_vars, d0)[:3], d0)
+            cols, red, pivots, _, values = _eliminate(grads, f.ring, f.n_vars, d0)
+            certified = _certified(cols, red, pivots, d0)
             if certified is not None:
-                return (d0, *certified)
+                return d0, certified, values
+            del red  # not held while the next degree's matrix is built
     if bezout < cap:
         raise NotIsolated(
             f"Jacobian ideal is not monomial-cofinite below degree {bezout}, "
@@ -296,6 +302,34 @@ def _scan(f: MultiPoly, orders, cap: int):
     )
 
 
+def _morse_inv_bezoutian_det(ring, n_vars: int, values):
+    """1/det C for a Morse point, from the pivot values of the elimination
+    that certified D = 1 and mu = 1.
+
+    Let L_ij be the x_j-coefficient of d_i f, the Hessian at the origin.
+    Over a field, D = 1 and mu = 1 make every partial of order 1: one of
+    higher order adds no row in degree 1, so the n degree-1 columns could
+    not all be pivots, and one with a constant term makes the unit monomial
+    a pivot too.  Over W_3 the reduction's partials are of order 1, and a partial
+    may have a constant term c, a multiple of 2; its shifted rows hold no
+    unit and are never pivots, and c leaves L^-1 c in the unit column of the
+    pivot rows, where the certificate needs 0.  So in both cases the
+    certifying matrix is the n x (n+1) matrix of rows d_0 f, ..., d_{n-1} f
+    on columns x_{n-1}, ..., x_0, 1, its first n columns are the pivots, and
+    the product of the pivot values is the determinant of that n x n block:
+    L with its columns reversed.  Reversing n columns is a permutation with
+    n(n-1)/2 inversions, so the product is (-1)^(n(n-1)/2) * det L.  The
+    Bezoutian matrix C is 1 x 1: every monomial of degree >= 1 has normal
+    form 0, so C holds the constant term of the divided-difference
+    determinant, det L.  C is symmetric, and det L is a unit as every pivot
+    is, so the checks residue._inv_bezoutian_det makes hold.
+    """
+    det = coded(ring).product(values)
+    if n_vars * (n_vars - 1) // 2 % 2:
+        det = -det
+    return det.inverse()
+
+
 class MilnorAlgebra:
     """Finite free presentation of R[x]/J on standard monomials.
 
@@ -305,11 +339,13 @@ class MilnorAlgebra:
     D from its blocks; its `basis`, `basis_index` and normal forms are
     built on the first read of any of them or of `nf_monomial`.
     `inv_bezoutian_det` is 1/det C for f's Bezoutian matrix C, the Gram
-    determinant of the residue form for dt; residue.gram_matrix sets it on
-    an eliminated algebra once C is checked symmetric and invertible, so
-    every consumer of f shares one elimination of C and one inverse.  A
-    product, composed afresh on each call, keeps none: its 1/det C is read
-    off its blocks' algebras.
+    determinant of the residue form for dt.  On a Morse point's algebra,
+    D = 1 and mu = 1 over a field or over W_3, milnor_algebra sets it from
+    the certifying elimination's pivot values; on any other eliminated
+    algebra residue.gram_matrix sets it once C is checked symmetric and
+    invertible, so every consumer of f shares one elimination of C and one
+    inverse.  A product, composed afresh on each call, keeps none: its
+    1/det C is read off its blocks' algebras.
     """
 
     __slots__ = ("ring", "n_vars", "D", "mu", "blocks", "inv_bezoutian_det",
@@ -486,16 +522,16 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
         alg = MilnorAlgebra(ring, n, *product)
     else:
         if field:
-            D, *presented = _scan(f, orders, cap)
+            D, presented, values = _scan(f, orders, cap)
         else:
             # the residue field's D0 certifies most lifts; the rest take 3*D0
             D = reduced.D
             grads = partials(f)
-            cols, red, pivots, stuck = _eliminate(grads, ring, n, D)
+            cols, red, pivots, stuck, values = _eliminate(grads, ring, n, D)
             presented = _certified(cols, red, pivots, D)
             if presented is None:
                 D *= 3
-                cols, red, pivots, stuck = _eliminate(grads, ring, n, D - 1)
+                cols, red, pivots, stuck, values = _eliminate(grads, ring, n, D - 1)
                 presented = cols, red, pivots
             if stuck is not None:
                 raise NotFlat(
@@ -506,6 +542,8 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
             raise NotFlat("Witt-lift basis does not match its mod-2 reduction")
         alg = MilnorAlgebra(ring, n, D, len(basis))
         alg._present(basis, nf)
+        if D == 1 and alg.mu == 1:
+            alg.inv_bezoutian_det = _morse_inv_bezoutian_det(ring, n, values)
     if ring.residue == 2 and n % 2 == 1 and alg.mu % 2 == 1:
         raise OddProduct(
             f"parity violated: odd mu={alg.mu} with odd n_vars={n} in characteristic 2"

@@ -26,13 +26,16 @@ basis is read, and once for both.
 1/det C, the Gram determinant for dt, is kept on the Milnor algebra of an
 elimination, which milnor_algebra caches and shares among the consumers of
 one polynomial or block, and only once C is checked symmetric and
-invertible; the scale alpha enters det G by the known power
-alpha^(n*mu).  So verify, disc, arf, a split sum's blocks and the Witt lift
-that arf and verify both build eliminate and invert det C once, at any unit
-scale, and an error is raised anew on every call.  A split sum's algebra is
-composed afresh on each call and keeps no 1/det C: it lists its blocks'
-algebras, which keep theirs.  Neither C nor the solved matrix is kept
-anywhere.
+invertible; the scale alpha enters det G by the known power alpha^(n*mu).
+So verify, disc, arf, a split sum's blocks and the Witt lift that arf and
+verify both build eliminate and invert det C once, at any unit scale, and
+an error is raised anew on every call.  A Morse point's algebra (D = 1,
+mu = 1) holds 1/det C from the start: its C is the 1 x 1 matrix
+[det Hess f(0)], which the elimination that certifies D = 1 already
+computes (milnor), so its Bezoutian is built only when the Gram matrix
+itself is read.  A split sum's algebra is composed afresh on each call and
+keeps no 1/det C: it lists its blocks' algebras, which keep theirs.
+Neither C nor the solved matrix is kept anywhere.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ def _inv_bezoutian_det(f: MultiPoly, alg):
     if alg.inv_bezoutian_det is not None:
         return alg.inv_bezoutian_det, None
     ring = f.ring
-    C = bezoutian(f)
+    C = _bezoutian(f, alg)
     inv_det_c = ring.one
     if alg.mu:
         ops = coded(ring)

@@ -726,7 +726,7 @@ def test_the_scan_finds_the_least_degree(p, m):
         s = 1 + sum(k - 1 for k in orders)
         at_s += min(orders) >= 1 and s >= min(orders) + 2 and alg.D == s
         if alg.D > 1:
-            cols, red, pivots, _ = milnor._eliminate(partials(f), field, f.n_vars, alg.D - 1)
+            cols, red, pivots, _, _ = milnor._eliminate(partials(f), field, f.n_vars, alg.D - 1)
             top = sum(1 for e in cols if sum(e) == alg.D - 1)
             assert pivots[:top] != list(range(top)) or red[:top, top:].any(), f
         basis, nf = _d_minus_one_presentation(f, alg.D)
@@ -740,7 +740,7 @@ def _raw_presentation(f_w, upto):
     """Basis and normal forms read off one elimination of the relation
     matrix at degree upto, with no certificate and no slicing."""
     ring, n = f_w.ring, f_w.n_vars
-    cols, red, pivots, stuck = milnor._eliminate(partials(f_w), ring, n, upto)
+    cols, red, pivots, stuck, _ = milnor._eliminate(partials(f_w), ring, n, upto)
     assert stuck is None
     pivot_set = set(pivots)
     free = [j for j in range(len(cols)) if j not in pivot_set]

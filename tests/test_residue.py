@@ -370,15 +370,15 @@ def test_a_non_symmetric_bezoutian_is_refused(monkeypatch):
     """The inverse of a non-symmetric Bezoutian matrix is not symmetric."""
     f7 = gf_create(7, 1)
     f = parse_poly("x^3+y^3", f7, ["x", "y"])
-    real = residue.bezoutian
+    real = residue._bezoutian
 
-    def skewed(f):
-        C = [list(row) for row in real(f)]
+    def skewed(f, alg):
+        C = [list(row) for row in real(f, alg)]
         C[0][1] = C[0][1] + f7(1)
         assert C[0][1] != C[1][0]
         return C
 
-    monkeypatch.setattr(residue, "bezoutian", skewed)
+    monkeypatch.setattr(residue, "_bezoutian", skewed)
     for _ in range(2):
         with pytest.raises(SingularBezoutian, match="^gram matrix is not symmetric$"):
             gram_matrix(f, 1)
@@ -449,18 +449,18 @@ def test_a_separable_verify_and_disc_eliminate_only_a_block(monkeypatch, capsys)
     of that block alone, once, never f's: the four blocks share one
     algebra, and disc's scale 1 moves verify's det G for -1."""
     eliminated, bezoutians = [], []
-    eliminate, bezoutian = milnor._eliminate, residue.bezoutian
+    eliminate, bezoutian = milnor._eliminate, residue._bezoutian
 
     def counting_eliminate(grads, ring, n_vars, upto, lo=0):
         eliminated.append(n_vars)
         return eliminate(grads, ring, n_vars, upto, lo)
 
-    def counting_bezoutian(f):
+    def counting_bezoutian(f, alg):
         bezoutians.append(f.n_vars)
-        return bezoutian(f)
+        return bezoutian(f, alg)
 
     monkeypatch.setattr(milnor, "_eliminate", counting_eliminate)
-    monkeypatch.setattr(residue, "bezoutian", counting_bezoutian)
+    monkeypatch.setattr(residue, "_bezoutian", counting_bezoutian)
     argv = ["--p", "11", "--vars", "x,y,z,w", "--poly", "x^5+y^5+z^5+w^5", "--json"]
     assert cli.main(["verify"] + argv) == 0
     assert json.loads(capsys.readouterr().out)["mu"] == 256
@@ -526,13 +526,13 @@ def test_a_bezoutian_singular_over_w3_is_not_invertible(monkeypatch):
     column: det_ring calls that a non-unit, the engine a singular C."""
     f = witt_lift(parse_poly("x^3+y^3", gf_create(2, 1), ["x", "y"]))
     ring = f.ring
-    real = residue.bezoutian
+    real = residue._bezoutian
 
-    def even(f):
+    def even(f, alg):
         return [[c * 2 if 0 in (i, j) else c for j, c in enumerate(row)]
-                for i, row in enumerate(real(f))]
+                for i, row in enumerate(real(f, alg))]
 
-    monkeypatch.setattr(residue, "bezoutian", even)
+    monkeypatch.setattr(residue, "_bezoutian", even)
     with pytest.raises(NonUnit):
         det_ring(ring, residue.bezoutian(f))
     for _ in range(2):
@@ -542,36 +542,179 @@ def test_a_bezoutian_singular_over_w3_is_not_invertible(monkeypatch):
 
 
 def _count_bezoutians(monkeypatch):
-    """Record (ring, n_vars) of every Bezoutian matrix built, and count the
-    eliminations that read a determinant off it."""
+    """Record (ring, n_vars) of every Bezoutian matrix built, for its
+    determinant or for a solved Gram matrix, and count the eliminations
+    that read a determinant off it."""
     built, dets = [], [0]
-    bezoutian, det = residue.bezoutian, residue.unit_det
+    bezoutian, det = residue._bezoutian, residue.unit_det
 
-    def counting_bezoutian(f):
+    def counting_bezoutian(f, alg):
         built.append((f.ring, f.n_vars))
-        return bezoutian(f)
+        return bezoutian(f, alg)
 
     def counting_det(ops, digits):
         dets[0] += 1
         return det(ops, digits)
 
-    monkeypatch.setattr(residue, "bezoutian", counting_bezoutian)
+    monkeypatch.setattr(residue, "_bezoutian", counting_bezoutian)
     monkeypatch.setattr(residue, "unit_det", counting_det)
     return built, dets
 
 
-def test_arf_then_verify_build_the_witt_bezoutian_once(monkeypatch):
-    """arf_invariant and then verify_identity of x^2+x*y+g*y^2 over F_16
-    read det G of one Witt lift: one Bezoutian and one elimination."""
+def _arf_then_verify(monkeypatch, poly):
+    """Bezoutians built and determinant eliminations by arf_invariant,
+    verify_identity and arf_invariant again of poly over F_16, with the
+    verdict; the two arf classes must agree."""
     field = gf_create(2, 4)
-    f = parse_poly("x^2+x*y+g*y^2", field, ["x", "y"], {"g": field.gen()})
+    f = parse_poly(poly, field, ["x", "y"], {"g": field.gen()})
     built, dets = _count_bezoutians(monkeypatch)
     first = arf_invariant(f)
     report = verify_identity(f)
-    assert report["verdict"] == "PASS"
     assert arf_invariant(f) == first
-    assert built == [(gr_create(field), 2)]
+    return report["verdict"], built, dets
+
+
+def test_arf_then_verify_build_the_witt_bezoutian_once(monkeypatch):
+    """arf_invariant and then verify_identity of x^3+g*x^2*y+y^3 over F_16
+    (mu = 4) read det G of one Witt lift: one Bezoutian and one
+    elimination."""
+    verdict, built, dets = _arf_then_verify(monkeypatch, "x^3+g*x^2*y+y^3")
+    assert verdict == "GEOMETRIC_ONLY"
+    assert built == [(gr_create(gf_create(2, 4)), 2)]
     assert dets == [1]
+
+
+def test_arf_then_verify_of_a_morse_point_build_no_bezoutian(monkeypatch):
+    """The Morse x^2+x*y+g*y^2 over F_16 reads det G of its Witt lift off
+    the elimination that certifies the lift at D = 1: no Bezoutian and no
+    elimination of one."""
+    verdict, built, dets = _arf_then_verify(monkeypatch, "x^2+x*y+g*y^2")
+    assert verdict == "PASS"
+    assert built == [] and dets == [0]
+
+
+def _random_morse(rng, field, n):
+    """A quadratic part with random coefficients plus one to three terms of
+    degree 3 or 4: a Morse point whenever its Hessian is invertible."""
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            terms[tuple((k == i) + (k == j) for k in range(n))] = field.decode(
+                rng.randrange(field.q))
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * n
+        for _ in range(rng.choice([3, 4])):
+            e[rng.randrange(n)] += 1
+        terms[tuple(e)] = field.decode(rng.randrange(1, field.q))
+    return MultiPoly(field, n, {e: c for e, c in terms.items() if not c.is_zero()})
+
+
+def test_a_morse_algebra_holds_the_inverse_det_of_its_bezoutian():
+    """On random Morse points over F_q, and on their W_3 lifts with and
+    without a 2*g perturbation in characteristic 2, the algebra holds
+    1/det C as soon as it is built, read off the elimination that
+    certified D = 1, and it is the inverse of the det of the Bezoutian
+    matrix built over that algebra.  Every other algebra holds none until
+    a Gram form asks.  A perturbation with a linear term moves the lift
+    off D = 1."""
+    rng = random.Random(25)
+    fields = [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3),
+              (2, 1), (2, 2), (2, 3), (2, 4)]
+    seen, others = set(), 0
+    for _ in range(160):
+        p, m = rng.choice(fields)
+        field = gf_create(p, m)
+        n = rng.choice([2, 4] if p == 2 else [1, 2, 3, 4])
+        f = _random_morse(rng, field, n)
+        cases = [("field", f)]
+        if p == 2:
+            ring = gr_create(field)
+            g = _random_morse(rng, field, n)
+            if rng.random() < 0.3:
+                g = g + MultiPoly(field, n, {tuple(int(k == 0) for k in range(n)): field.one})
+            cases += [("lift", witt_lift(f)),
+                      ("perturbed", witt_lift(f) + g.map_coeffs(ring, ring).scale(2))]
+        for kind, h in cases:
+            try:
+                alg = milnor_algebra(h, cap=4)
+            except ResformError:
+                continue
+            if (alg.D, alg.mu) != (1, 1):
+                assert alg.inv_bezoutian_det is None, h
+                others += 1
+                continue
+            C = residue._bezoutian(h, alg)
+            assert alg.inv_bezoutian_det == det_ring(h.ring, C).inverse(), h
+            seen.add((p == 2, kind, n))
+    assert {(False, "field", n) for n in (1, 2, 3, 4)} <= seen
+    assert {(True, kind, n) for kind in ("field", "lift", "perturbed") for n in (2, 4)} <= seen
+    assert others >= 5
+
+
+MORSE_CASES = [
+    ("7", "1", "x,y", "x^2+3*x*y+y^2+x^3"),
+    ("5", "2", "x,y,z", "x^2+g*y^2+2*z^2+x*y*z"),
+    ("3", "1", "x,y,z,w", "x^2+y^2+z*w+x^2*y"),
+    ("2", "2", "x,y", "x^2+x*y+g*y^2"),
+    ("2", "1", "x,y,z,w", "x*y+z*w+x^3+z^2"),
+]
+
+
+@pytest.mark.parametrize("p, m, names, poly", MORSE_CASES, ids=[c[3] + "/" + c[0] for c in MORSE_CASES])
+def test_a_cold_morse_point_builds_a_bezoutian_only_for_its_gram_matrix(
+        monkeypatch, capsys, p, m, names, poly):
+    """A cold verify, disc and arf of a Morse point read det G off the one
+    elimination per ring that certifies D = 1, and build no Bezoutian;
+    gram --json reads the matrix, so it builds exactly one."""
+    field = gf_create(int(p), int(m))
+    rings = [field] + ([gr_create(field)] if field.p == 2 else [])
+    eliminated = []
+    eliminate = milnor._eliminate
+
+    def counting(grads, ring, n_vars, upto, lo=0):
+        eliminated.append((ring, upto))
+        return eliminate(grads, ring, n_vars, upto, lo)
+
+    def refused(f, alg):
+        raise AssertionError("a Morse point built its Bezoutian")
+
+    monkeypatch.setattr(milnor, "_eliminate", counting)
+    monkeypatch.setattr(residue, "_bezoutian", refused)
+    argv = ["--p", p, "--m", m, "--vars", names, "--poly", poly, "--json"]
+    for cmd in ("verify", "disc") + (("arf",) if field.p == 2 else ()):
+        monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+        eliminated.clear()
+        assert cli.main([cmd] + argv) == 0
+        capsys.readouterr()
+        assert eliminated == [(ring, 1) for ring in rings], cmd
+    monkeypatch.undo()
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    built, _ = _count_bezoutians(monkeypatch)
+    assert cli.main(["gram"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] == 1
+    assert built == [(rings[-1], len(names.split(",")))]
+
+
+def test_a_lift_moved_off_degree_1_reads_the_same_arf_class(monkeypatch, capsys):
+    """The perturbation x moves the lift of x^2+x*y+g*y^2 over F_4 from
+    D = 1 to D = 3, so its 1/det C comes from a Bezoutian, built once; the
+    class is the unperturbed lift's, read off its elimination: trace bit 1."""
+    field = gf_create(2, 2)
+    ring = gr_create(field)
+    f = parse_poly("x^2+x*y+g*y^2", field, ["x", "y"], {"g": field.gen()})
+    x = parse_poly("x", field, ["x", "y"])
+    lifts = [milnor_algebra(witt_lift(f)),
+             milnor_algebra(witt_lift(f) + x.map_coeffs(ring, ring).scale(2))]
+    assert [(a.D, a.mu) for a in lifts] == [(1, 1), (3, 1)]
+    assert lifts[0].inv_bezoutian_det is not None and lifts[1].inv_bezoutian_det is None
+    built, _ = _count_bezoutians(monkeypatch)
+    argv = ["--p", "2", "--m", "2", "--vars", "x,y", "--poly", "x^2+x*y+g*y^2", "--json"]
+    classes = []
+    for extra in ([], ["--lift-perturbation", "x"]):
+        assert cli.main(["arf"] + argv + extra) == 0
+        classes.append(json.loads(capsys.readouterr().out)["arf"])
+    assert classes[0] == classes[1] and classes[0]["trace_bit"] == 1
+    assert built == [(ring, 2)]
 
 
 STORE_CASES = [
