@@ -69,7 +69,7 @@ def _geometric_side(f: MultiPoly, convention: str):
     n = f.n_vars
     n_mu = n * alg.mu
     if field.p == 2:
-        sign = -1 if arf_invariant(f).trace_bit else 1
+        sign = -1 if arf_invariant(f, alg=alg).trace_bit else 1
         return EpsilonValue(field, sign, 0, Fraction(n_mu if n % 2 else -n_mu, 2)), alg.mu
     G = _gram_matrix(f, alg, -1)
     sign = legendre(G.det) if G.mu else 1

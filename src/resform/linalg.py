@@ -14,12 +14,16 @@ them to the pivot row.  Callers that build their matrix as digits (the
 Milnor relation matrices) call CodedOps.rref on it directly, so rref is the
 one elimination loop.  It reduces its argument in place: every caller
 builds the array for that one call.
-unit_det reads a determinant off rref's pivots: det_ring applies it to an
-encoded element matrix, and the residue engine to the encoded Bezoutian
-matrix, whose determinant is all the discriminant needs.  solve_ring takes
-its right-hand side as n x k rows: one elimination of [M | B] gives the
-whole solution (the residue engine inverts the Bezoutian matrix this way,
-with B a multiple of I, only when the Gram matrix itself is asked for).
+unit_det reads a determinant off rref's pivots: det_ring multiplies the
+pivot values of an encoded element matrix, and the residue engine the pivot
+inverses of the encoded Bezoutian matrix, whose inverse determinant is all
+the discriminant needs.  A pivot's inverse is the one its scaling step
+already uses (row 0 of its memoised multiplication matrix), so 1/det costs
+products only; the Milnor scan reads a Morse point's 1/det C the same way.
+solve_ring takes its right-hand side as n x k rows: one elimination of
+[M | B] gives the whole solution (the residue engine inverts the Bezoutian
+matrix this way, with B a multiple of I, only when the Gram matrix itself is
+asked for).
 
 Row reduction only ever uses unit pivots.  Over a field that loses nothing.
 Over the truncated Witt ring a column whose remaining entries are nonzero
@@ -115,7 +119,8 @@ class CodedOps:
         return math.prod((self._elem(self.ring, v) for v in values), start=self.ring.one)
 
     def rref(self, A):
-        """Reduce A in place; returns (A, pivot cols, stuck col, pivot values).
+        """Reduce A in place; returns (A, pivot cols, stuck col, pivot
+        values, pivot inverses).
 
         Each pivot step moves the first row with a unit in the column up,
         scales it to 1 there and clears the column from the other rows,
@@ -124,12 +129,15 @@ class CodedOps:
         ends up in the leftover rows, and a nonzero leftover row is what
         certifies a non-free quotient.  The pivot values are digit lists,
         negated after a row swap, so their product is the determinant of
-        the pivot block.
+        the pivot block.  The scaling step already forms each value's
+        inverse: row 0 of its multiplication matrix is the inverse's digits,
+        negated with the value, so the product of the pivot inverses is
+        1/det of the pivot block, with no inverse() of its own.
         """
         nrows, ncols, _ = A.shape
         # over a field every nonzero entry is a unit
         field = self.residue == self.base
-        pivots, values = [], []
+        pivots, values, inverses = [], [], []
         prow = 0
         for col in range(ncols):
             if prow == nrows:
@@ -142,8 +150,13 @@ class CodedOps:
             if r != prow:
                 A[[prow, r]] = A[[r, prow]]
             P = A[prow]
-            values.append((P[col] if r == prow else -P[col] % self.base).tolist())
-            P[:] = self._reduce(P @ self._inverse_times(P[col]))
+            M = self._inverse_times(P[col])
+            value, inverse = P[col], M[0]
+            if r != prow:
+                value, inverse = -value % self.base, -inverse % self.base
+            values.append(value.tolist())
+            inverses.append(inverse.tolist())
+            P[:] = self._reduce(P @ M)
             nz = A[:, col].any(axis=1)
             nz[prow] = False
             rows = nz.nonzero()[0]
@@ -156,7 +169,7 @@ class CodedOps:
             prow += 1
         leftover = A[prow:].any(axis=(0, 2)).nonzero()[0]
         stuck = int(leftover[0]) if leftover.size else None
-        return A, pivots, stuck, values
+        return A, pivots, stuck, values, inverses
 
 
 def coded(ring):
@@ -168,12 +181,13 @@ def coded(ring):
 
 
 def unit_det(ops, A):
-    """rref of the square digit array A; returns (reduced, k, det), k the
-    first column without a unit pivot (len(A) when there is none) and det the
-    product of the pivot values when k == len(A), else None."""
-    R, pivots, _, values = ops.rref(A)
+    """rref of the square digit array A; returns (reduced, k, values,
+    inverses), k the first column without a unit pivot (len(A) when there
+    is none).  When k == len(A) the products of rref's pivot values and of
+    its pivot inverses are det A and 1/det A."""
+    R, pivots, _, values, inverses = ops.rref(A)
     k = next((j for j, c in enumerate(pivots) if j != c), len(pivots))
-    return R, k, (ops.product(values) if k == len(A) else None)
+    return R, k, values, inverses
 
 
 def det_ring(ring, mat):
@@ -183,9 +197,9 @@ def det_ring(ring, mat):
     if not mat:
         return ring(1)
     ops = coded(ring)
-    R, k, det = unit_det(ops, ops.encode_matrix(mat))
-    if det is not None:
-        return det
+    R, k, values, _ = unit_det(ops, ops.encode_matrix(mat))
+    if k == len(mat):
+        return ops.product(values)
     if R[k:, k].any():
         raise NonUnit("determinant is divisible by 2")
     return ring.zero
@@ -199,7 +213,7 @@ def solve_ring(ring, mat, rhs):
         return []
     ops = coded(ring)
     aug = ops.encode_matrix([list(row) + list(b) for row, b in zip(mat, rhs)])
-    A, pivots, _, _ = ops.rref(aug)
+    A, pivots, _, _, _ = ops.rref(aug)
     if pivots[:n] != list(range(n)):
         return None
     return [ops.decode_row(row) for row in A[:n, n:]]

@@ -6,8 +6,33 @@ with m^{D0} contained in the Jacobian ideal.  Over the length-3 Witt ring,
 with D0 that of the residue field, one elimination at D0 is tried first:
 graded Nakayama holds there too, as the variables lie in the maximal ideal
 (2, x), so the field scan's certificate on it proves m^{D0} inside J and
-D = D0.  When it fails, the bound 3*D0 works, because (J + (2))^3 lies in
-J + (8) = J, and one elimination at 3*D0 - 1 presents the algebra.
+D = D0.  When it fails, the same elimination proves D = 3*D0 - 2k
+(_lift_degree), and one elimination at D - 1 presents the algebra.
+
+The bound.  Write (x)^N for the ideal of the degree-N monomials in
+R[[x]], R = W_3.  Mod 2 the elimination at D0 performs the residue field's
+pivot steps on the residue field's rows: the rows W_3 adds, shifts of a
+partial whose lowest degree drops below its reduction's, are 0 mod 2, and
+stay so.  The field certifies D0, so the degree-D0 columns are unit pivots,
+and the rest of their rows is even.  Let k be the least degree of a column
+outside that block holding a nonzero entry in those rows, and s = D0 - k.
+Each row is a degree-D0 monomial plus twice terms of degree k..D0-1, and
+lies in J + (x)^(D0+1), so
+
+    (x)^D0 lies in J + 2(x)^k + (x)^(D0+1).
+
+Multiplied by (x)^(N-D0), for N >= D0, this reads: (x)^N lies in
+J + 2(x)^(N-s) + (x)^(N+1).  Put into its own last term again and again, it
+gives (x)^N inside J + 2(x)^(N-s) + (x)^M for every M, and Krull's
+intersection theorem in the Noetherian local ring R[[x]] leaves (x)^N inside
+J + 2(x)^(N-s).  Applied once more to (x)^(N-s), when N - s >= D0, it puts
+(x)^N inside J + 4(x)^(N-2s); and the field certificate, (x)^D0 inside
+J + 2R[[x]], puts it inside J + 8R[[x]] = J once N - 2s >= D0.  So
+D = D0 + 2s = 3*D0 - 2k, with D0 + 2 <= D <= 3*D0 when D0 fails.  k = 0 is
+the bound 3*D0 that (J + (2))^3 inside J + (8) = J gives without reading
+the rows, and _lift_degree takes it should the top block not be unit
+pivots or a tail digit be odd, which the field's certificate rules out.
+The fallback's stuck column and the basis check still decide NotFlat.
 
 The search for D0 starts at a proven lower bound.  The orders k_i of the
 partials are read off f's exponents (_orders), so an input that does not
@@ -51,7 +76,7 @@ degree D_i - 1 survives in each block and the product of their normal forms
 is nonzero, as a tensor product of nonzero vectors over a field is.  Morse
 and smooth points are not split: their scan is already one small
 elimination, at D = 1, and a Morse point's also gives its Bezoutian
-determinant, read off its pivot values (_morse_inv_bezoutian_det), so the
+determinant, read off its pivot inverses (_morse_inv_bezoutian_det), so the
 residue engine builds no Bezoutian for it unless the Gram matrix itself is
 read.  A W_3 lift certified at degree 1 gets it the same way.  Over a
 field a block that raises NotIsolated or ResourceLimit ends f with its
@@ -68,7 +93,7 @@ coefficients vanish mod 8 is a zero normal form, not a failure.  The same
 argument shows that D = sum D_i - (k - 1) is a certified truncation degree
 over W_3: m^{D_i} lies in J_i for each block, so m^D lies in J.  It need
 not be least, as a W_3 D never was, and it may exceed the cap, which the
-whole lift's 3*D0 is not held to either.  A lift whose blocks are not
+whole lift's 3*D0 - 2k is not held to either.  A lift whose blocks are not
 those of a split reduction (a lift perturbation may couple variables), or
 one with a block that raises, is eliminated whole, so its errors and
 their messages are its own.
@@ -83,11 +108,13 @@ disjoint sum are the products of the blocks', so once every block of the
 lift has the basis of its own reduction, the lift has its reduction's.
 
 A W_3 lift that is eliminated whole and fails the D0 certificate pays a
-second elimination at 3*D0 - 1.  A scan upward from D0 + 1 to the least
-certified degree would cost more.  Of the 540 a7 lifts of the char2-witt
+second elimination at 3*D0 - 2k - 1.  A scan upward from D0 + 1 to the
+least certified degree would cost more.  On the a7 lifts of the char2-witt
 benchmark (the first 60 pool entries per slot, each with both lift
-perturbations), 371 are eliminated whole and 197 of those fail at D0; the
-scan would eliminate 9356 columns in total on them, the fallback 5178.
+perturbations, the algebra cache cleared per entry), 266 W_3 eliminations
+fail at D0; the scan would eliminate 10388 columns in total on them, the
+fallback 3828 (5547 at 3*D0 - 1), and its D is the least certified degree
+for 164 of them.
 """
 
 from __future__ import annotations
@@ -166,7 +193,7 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
     written as digits straight into the kernel's array.  With lo = upto the
     rows are the degree-upto multiples of the partials' initial forms.
     Columns run from the highest degree down; returns (columns, reduced
-    digit array, pivot columns, stuck column or None, pivot values), the
+    digit array, pivot columns, stuck column or None, pivot inverses), the
     last three as CodedOps.rref gives them.  A matrix of more than
     MAX_RELATION_CELLS digits raises ResourceLimit before it is allocated.
     """
@@ -188,7 +215,8 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
                 if sum(shifted) <= upto:
                     A[r, col_index[shifted]] = c.coeffs
             r += 1
-    return (cols, *coded(ring).rref(A))
+    A, pivots, stuck, _, inverses = coded(ring).rref(A)
+    return cols, A, pivots, stuck, inverses
 
 
 def _certified(cols, red, pivots, d):
@@ -204,6 +232,26 @@ def _certified(cols, red, pivots, d):
     if pivots[:top] != list(range(top)) or red[:top, top:].any():
         return None
     return cols[top:], red[top:, top:], [c - top for c in pivots[top:]]
+
+
+def _lift_degree(cols, red, pivots, d0: int) -> int:
+    """The truncation degree 3*d0 - 2k that a W_3 lift's elimination at its
+    reduction's D0 = d0 proves when it does not certify d0.
+
+    Mod 2 this elimination is the reduction's, which certifies d0, so the
+    degree-d0 columns are unit pivots and the rest of their rows is even;
+    k is the least degree of a column holding a nonzero entry there (module
+    docstring).  Should the pivots or the parity say otherwise, k = 0, as
+    3*d0 always holds.
+    """
+    top = sum(1 for e in cols if sum(e) == d0)
+    tail = red[:top, top:]
+    if pivots[:top] != list(range(top)) or (tail & 1).any():
+        return 3 * d0
+    # the certificate failed, so the tail holds a nonzero entry; columns run
+    # from the highest degree down, so the last such column has the least
+    last = tail.any(axis=(0, 2)).nonzero()[0][-1]
+    return 3 * d0 - 2 * sum(cols[top + last])
 
 
 def _orders(f: MultiPoly):
@@ -239,7 +287,7 @@ def _scan(f: MultiPoly, orders, cap: int):
     the complete local ring at the origin.  The certifying elimination also
     presents the algebra (_certified).  Returns D0, the (columns, reduced
     digit rows, pivots) of that presentation, and the certifying
-    elimination's pivot values.
+    elimination's pivot inverses.
 
     The search starts at a lower bound.  Let k_i be the order of the i-th
     partial and s = 1 + sum(k_i - 1).  When every k_i >= 1 and
@@ -284,10 +332,10 @@ def _scan(f: MultiPoly, orders, cap: int):
             cone = all(g.total_degree() == k for g, k in zip(grads, orders))
     if not cone:
         for d0 in range(start, min(cap, bezout) + 1):
-            cols, red, pivots, _, values = _eliminate(grads, f.ring, f.n_vars, d0)
+            cols, red, pivots, _, inverses = _eliminate(grads, f.ring, f.n_vars, d0)
             certified = _certified(cols, red, pivots, d0)
             if certified is not None:
-                return d0, certified, values
+                return d0, certified, inverses
             del red  # not held while the next degree's matrix is built
     if bezout < cap:
         raise NotIsolated(
@@ -302,8 +350,8 @@ def _scan(f: MultiPoly, orders, cap: int):
     )
 
 
-def _morse_inv_bezoutian_det(ring, n_vars: int, values):
-    """1/det C for a Morse point, from the pivot values of the elimination
+def _morse_inv_bezoutian_det(ring, n_vars: int, inverses):
+    """1/det C for a Morse point, from the pivot inverses of the elimination
     that certified D = 1 and mu = 1.
 
     Let L_ij be the x_j-coefficient of d_i f, the Hessian at the origin.
@@ -318,16 +366,15 @@ def _morse_inv_bezoutian_det(ring, n_vars: int, values):
     on columns x_{n-1}, ..., x_0, 1, its first n columns are the pivots, and
     the product of the pivot values is the determinant of that n x n block:
     L with its columns reversed.  Reversing n columns is a permutation with
-    n(n-1)/2 inversions, so the product is (-1)^(n(n-1)/2) * det L.  The
+    n(n-1)/2 inversions, so the product is (-1)^(n(n-1)/2) * det L, and the
+    product of the pivot inverses is (-1)^(n(n-1)/2) / det L.  The
     Bezoutian matrix C is 1 x 1: every monomial of degree >= 1 has normal
     form 0, so C holds the constant term of the divided-difference
     determinant, det L.  C is symmetric, and det L is a unit as every pivot
     is, so the checks residue._inv_bezoutian_det makes hold.
     """
-    det = coded(ring).product(values)
-    if n_vars * (n_vars - 1) // 2 % 2:
-        det = -det
-    return det.inverse()
+    inv_det = coded(ring).product(inverses)
+    return -inv_det if n_vars * (n_vars - 1) // 2 % 2 else inv_det
 
 
 class MilnorAlgebra:
@@ -341,10 +388,10 @@ class MilnorAlgebra:
     `inv_bezoutian_det` is 1/det C for f's Bezoutian matrix C, the Gram
     determinant of the residue form for dt.  On a Morse point's algebra,
     D = 1 and mu = 1 over a field or over W_3, milnor_algebra sets it from
-    the certifying elimination's pivot values; on any other eliminated
-    algebra residue.gram_matrix sets it once C is checked symmetric and
-    invertible, so every consumer of f shares one elimination of C and one
-    inverse.  A product, composed afresh on each call, keeps none: its
+    the certifying elimination's pivot inverses; on any other eliminated
+    algebra residue.gram_matrix sets it, from the pivot inverses of one
+    elimination of C, once C is checked symmetric and invertible, so every
+    consumer of f shares that elimination.  A product, composed afresh on each call, keeps none: its
     1/det C is read off its blocks' algebras.
     """
 
@@ -488,7 +535,7 @@ _ALGEBRAS: dict = {}
 _ALGEBRAS_MAX = 256
 
 
-def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
+def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP, reduced=None) -> MilnorAlgebra:
     """Quotient by the Jacobian ideal, presented below the truncation degree.
 
     One elimination per polynomial and cap, shared by every consumer.  A sum
@@ -497,11 +544,13 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     at a Morse or a smooth point, where the scan is already one small
     elimination, and over W_3 when the residue field's algebra is such a
     product.  A W_3 lift eliminated whole has the truncation degree D of the
-    residue field's D0 when one elimination at D0 certifies it, and 3*D0
-    otherwise, and raises NotFlat unless its basis is the residue field's; a
-    split lift has that check from its blocks.  NotIsolated means a proof
-    that f is not isolated; a truncation degree past the cap, unproved,
-    raises ResourceLimit.
+    residue field's D0 when one elimination at D0 certifies it, and the
+    3*D0 - 2k that elimination proves otherwise, and raises NotFlat unless
+    its basis is the residue field's; a split lift has that check from its
+    blocks.  reduced, for a W_3 lift, is the algebra of its reduction mod 2
+    at the same cap when the caller has read it (verify has); it is read
+    afresh otherwise.  NotIsolated means a proof that f is not isolated; a
+    truncation degree past the cap, unproved, raises ResourceLimit.
     """
     ring = f.ring
     n = f.n_vars
@@ -515,23 +564,26 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
         orders = _orders(f)
         split = min(orders) >= 1 and max(orders) >= 2  # neither smooth nor Morse
     else:
-        reduced = milnor_algebra(f.map_coeffs(lambda c: c.reduce(), ring.field), cap=cap)
+        if reduced is None:
+            reduced = milnor_algebra(f.map_coeffs(lambda c: c.reduce(), ring.field), cap=cap)
         split = reduced.blocks is not None
     product = _product(f, cap) if split else None
     if product is not None:
         alg = MilnorAlgebra(ring, n, *product)
     else:
         if field:
-            D, presented, values = _scan(f, orders, cap)
+            D, presented, inverses = _scan(f, orders, cap)
         else:
-            # the residue field's D0 certifies most lifts; the rest take 3*D0
+            # the residue field's D0 certifies most lifts; the rest take the
+            # degree their elimination at D0 proves
             D = reduced.D
             grads = partials(f)
-            cols, red, pivots, stuck, values = _eliminate(grads, ring, n, D)
+            cols, red, pivots, stuck, inverses = _eliminate(grads, ring, n, D)
             presented = _certified(cols, red, pivots, D)
             if presented is None:
-                D *= 3
-                cols, red, pivots, stuck, values = _eliminate(grads, ring, n, D - 1)
+                D = _lift_degree(cols, red, pivots, D)
+                del red  # not held while the fallback's matrix is built
+                cols, red, pivots, stuck, inverses = _eliminate(grads, ring, n, D - 1)
                 presented = cols, red, pivots
             if stuck is not None:
                 raise NotFlat(
@@ -543,7 +595,7 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
         alg = MilnorAlgebra(ring, n, D, len(basis))
         alg._present(basis, nf)
         if D == 1 and alg.mu == 1:
-            alg.inv_bezoutian_det = _morse_inv_bezoutian_det(ring, n, values)
+            alg.inv_bezoutian_det = _morse_inv_bezoutian_det(ring, n, inverses)
     if ring.residue == 2 and n % 2 == 1 and alg.mu % 2 == 1:
         raise OddProduct(
             f"parity violated: odd mu={alg.mu} with odd n_vars={n} in characteristic 2"

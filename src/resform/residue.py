@@ -28,11 +28,13 @@ elimination, which milnor_algebra caches and shares among the consumers of
 one polynomial or block, and only once C is checked symmetric and
 invertible; the scale alpha enters det G by the known power alpha^(n*mu).
 So verify, disc, arf, a split sum's blocks and the Witt lift that arf and
-verify both build eliminate and invert det C once, at any unit scale, and
-an error is raised anew on every call.  A Morse point's algebra (D = 1,
-mu = 1) holds 1/det C from the start: its C is the 1 x 1 matrix
-[det Hess f(0)], which the elimination that certifies D = 1 already
-computes (milnor), so its Bezoutian is built only when the Gram matrix
+verify both build eliminate C once, at any unit scale, and an error is
+raised anew on every call.  No determinant is inverted: 1/det C is the
+product of the inverses of that elimination's pivots, which the kernel forms
+to scale each pivot row (linalg.CodedOps.rref).  A Morse point's algebra
+(D = 1, mu = 1) holds 1/det C from the start: its C is the 1 x 1 matrix
+[det Hess f(0)], whose pivot inverses the elimination that certifies D = 1
+already holds (milnor), so its Bezoutian is built only when the Gram matrix
 itself is read.  A split sum's algebra is composed afresh on each call and
 keeps no 1/det C: it lists its blocks' algebras, which keep theirs.
 Neither C nor the solved matrix is kept anywhere.
@@ -190,8 +192,9 @@ def _inv_bezoutian_det(f: MultiPoly, alg):
     and C when this call built it (None when alg already held 1/det C).
 
     C is symmetric exactly when its inverse is, so the symmetry check reads
-    C's digits; det C comes from one elimination of C alone, and its
-    inverse is kept on alg only once both checks pass.
+    C's digits; 1/det C is the product of the pivot inverses of one
+    elimination of C alone, so no determinant is inverted, and it is kept
+    on alg only once both checks pass.
     """
     if alg.inv_bezoutian_det is not None:
         return alg.inv_bezoutian_det, None
@@ -203,15 +206,15 @@ def _inv_bezoutian_det(f: MultiPoly, alg):
         digits = ops.encode_matrix(C)
         if not (digits == digits.swapaxes(0, 1)).all():
             raise SingularBezoutian("gram matrix is not symmetric")
-        det_c = unit_det(ops, digits)[2]
-        if det_c is None:
+        _, k, _, inverses = unit_det(ops, digits)
+        if k < alg.mu:
             raise SingularBezoutian("bezoutian matrix is not invertible")
-        inv_det_c = det_c.inverse()
+        inv_det_c = ops.product(inverses)
     alg.inv_bezoutian_det = inv_det_c
     return inv_det_c, C
 
 
-def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
+def gram_matrix(f: MultiPoly, scale=1, reduced=None) -> GramForm:
     """Gram matrix of the pairing for the differential scale*dt: alpha^n
     times the inverse of the Bezoutian matrix, alpha = scale.
 
@@ -219,9 +222,11 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     only when it is read.  When the Milnor algebra is a tensor product of
     blocks' algebras, 1/det C = prod (1/det C_i)^(mu/mu_i) is read off the
     blocks' algebras by the Kronecker law, with their checks.  The scale is
-    checked once, after f's algebra and before any Bezoutian.
+    checked once, after f's algebra and before any Bezoutian.  reduced, for
+    a Witt lift, is its reduction's algebra when the caller holds it
+    (milnor_algebra).
     """
-    return _gram_matrix(f, milnor_algebra(f), scale)
+    return _gram_matrix(f, milnor_algebra(f, reduced=reduced), scale)
 
 
 def _gram_matrix(f: MultiPoly, alg, scale) -> GramForm:
@@ -349,7 +354,8 @@ def witt_lift(f: MultiPoly) -> MultiPoly:
     return MultiPoly(ring, f.n_vars, {e: teichmuller(ring, c) for e, c in f.terms.items()})
 
 
-def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None) -> ArfClass:
+def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None,
+                  alg=None) -> ArfClass:
     """Arf class of an isolated characteristic-2 singularity at the origin.
 
     The default lift takes Teichmueller representatives of the coefficients;
@@ -357,7 +363,9 @@ def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None) -> A
     depend on that choice, which the test suite exercises directly.  The
     class is read off det G of the lift at scale 1; milnor_algebra checks
     the lift's basis against its reduction's, and n_vars*mu is even, as it
-    refuses an odd mu in an odd number of variables.
+    refuses an odd mu in an odd number of variables.  Every lift reduces to
+    f, so alg, f's Milnor algebra when the caller has read it, is the
+    lift's reduction's, and is not read again.
     """
     field = f.ring
     if not isinstance(field, Field) or field.p != 2:
@@ -369,5 +377,5 @@ def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None) -> A
         if g.ring != ring:
             g = g.map_coeffs(lambda c: ring(c), ring)
         f_w = f_w + g.scale(2)
-    G = gram_matrix(f_w, 1)
+    G = gram_matrix(f_w, 1, reduced=alg)
     return arf_from_unit(G.det, f.n_vars * G.mu // 2)

@@ -164,7 +164,9 @@ def square_class_normalize(u: GaloisRingElem) -> WittSquareClass:
     red = u.reduce()
     if red.is_zero():
         raise NonUnit("square classes are defined for units only")
-    u1 = u * teichmuller(ring, red).inverse()
+    # [red]^-1 = [red^-1], as Teichmueller lifts are multiplicative: a field
+    # inverse, with no Hensel step
+    u1 = u * teichmuller(ring, red.inverse())
     w = _half([(c - o) % 8 for c, o in zip(u1.coeffs, ring.one.coeffs)])  # mod 4
     a = FieldElem(field, [c % 2 for c in w])
     ta = teichmuller(ring, a)

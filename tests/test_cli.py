@@ -383,14 +383,16 @@ def test_an_expansion_past_the_cap_is_refused_quickly(capsys):
 
 @pytest.mark.parametrize("argv, shape", [
     (["arf", "--p", "2", "--m", "2", "--vars", "x,y,z,w", "--poly", "x^5+y^5+z^3+w^3",
-      "--lift-perturbation", "x*y*z*w"], (26, "76050 x 27405 x 2")),
+      "--lift-perturbation", "x*y*z*w+x"], (24, "63025 x 20475 x 2")),
     (["verify", "--p", "7", "--vars", "x,y,z,w", "--poly", "x^3*y+x^3*w+x^2*z^2+z^5+w^2"],
      (16, "11016 x 4845 x 1")),
 ], ids=["whole-w3-lift", "field-scan"])
 def test_a_relation_matrix_past_the_cell_bound_is_refused(capsys, argv, shape):
-    """A coupled W_3 lift at 3*D0 - 1 and a four-variable scan of an input
-    that does not split would each ask numpy for gigabytes; both end in
-    ResourceLimit, exit 2, before the matrix is allocated."""
+    """A coupled W_3 lift whose elimination at D0 = 9 leaves a tail in
+    degree 1, so that its fallback runs at 3*9 - 2*1 - 1 = 24, and a
+    four-variable scan of an input that does not split would each ask numpy
+    for gigabytes; both end in ResourceLimit, exit 2, before the matrix is
+    allocated."""
     start = time.perf_counter()
     code, payload = run_json(capsys, *argv)
     assert time.perf_counter() - start < 30
@@ -399,3 +401,17 @@ def test_a_relation_matrix_past_the_cell_bound_is_refused(capsys, argv, shape):
     assert payload == {"error": "ResourceLimit", "message":
                        f"the relation matrix in degree {degree} would hold {dims} digits, "
                        "more than MAX_RELATION_CELLS = 33554432"}
+
+
+def test_a_coupled_lift_reads_the_arf_class_of_the_plain_lift(capsys):
+    """x*y*z*w couples the blocks of x^5+y^5+z^3+w^3, so its lift is
+    eliminated whole; its elimination at D0 = 9 leaves a tail in degree 8,
+    and the fallback at 3*9 - 2*8 - 1 = 10 is small enough to run.  The Arf
+    class does not depend on the lift."""
+    argv = ["arf", "--p", "2", "--m", "2", "--vars", "x,y,z,w", "--poly", "x^5+y^5+z^3+w^3"]
+    start = time.perf_counter()
+    code, coupled = run_json(capsys, *argv, "--lift-perturbation", "x*y*z*w")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert run_json(capsys, *argv) == (0, coupled)
+    assert coupled["arf"] == {"value": [0, 0], "trace_bit": 0}

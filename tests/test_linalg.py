@@ -75,7 +75,7 @@ def ref_det(ring, mat):
 
 def _kernel_rref(ring, mat):
     ops = coded(ring)
-    A, pivots, stuck, _ = ops.rref(ops.encode_matrix(mat))
+    A, pivots, stuck, _, _ = ops.rref(ops.encode_matrix(mat))
     return [ops.decode_row(row) for row in A], pivots, stuck
 
 
@@ -152,7 +152,7 @@ def einsum_rref(ring, A):
         return np.einsum("cj,ijk->ick", row, S).reshape(m, -1)
 
     nrows, ncols, _ = A.shape
-    pivots, values = [], []
+    pivots, values, inverses = [], [], []
     prow = 0
     for col in range(ncols):
         if prow == nrows:
@@ -166,6 +166,7 @@ def einsum_rref(ring, A):
             A[[prow, r]] = A[[r, prow]]
         P = A[prow]
         inv = type(ring.one)(ring, P[col].tolist()).inverse()
+        inverses.append(list((inv if r == prow else -inv).coeffs))
         P[:] = (P @ row_times(np.array([inv.coeffs]))) % b
         rows = [k for k in range(nrows) if k != prow and A[k, col].any()]
         if rows:
@@ -174,7 +175,7 @@ def einsum_rref(ring, A):
         pivots.append(col)
         prow += 1
     leftover = np.flatnonzero(A[prow:].any(axis=(0, 2)))
-    return A, pivots, int(leftover[0]) if leftover.size else None, values
+    return A, pivots, int(leftover[0]) if leftover.size else None, values, inverses
 
 
 KERNEL_RINGS = [
@@ -193,7 +194,8 @@ KERNEL_RINGS = [
 def test_kernel_matches_the_einsum_formulation(name, make):
     """Seeded random digit matrices, sparse and dense, some with repeated
     rows and over W_3 some with columns of non-units only: the reduced
-    matrix, pivots, stuck column and pivot values are the reference's."""
+    matrix, pivots, stuck column, pivot values and their inverses are the
+    reference's."""
     ring = make()
     witt = ring.b != ring.residue
     ops = coded(ring)

@@ -89,7 +89,9 @@ def test_witt_lift_structure_constants():
     f = MultiPoly(ring, 1, {(2,): ring(1), (3,): ring(1)})
     alg = milnor_algebra(f)
     assert alg.basis == [(0,), (1,)]
-    assert alg.D == 6
+    # D0 = 2 fails: the elimination at 2 leaves u^2 + 6u, a tail in degree
+    # k = 1, so D = 3*2 - 2*1; it is least, as u^3 = 4u below is not 0
+    assert alg.D == 4
     assert alg.nf_monomial((2,)) == {1: ring(2)}
     # u^3 = u * u^2 = 2u^2 = 4u
     assert alg.nf_monomial((3,)) == {1: ring(4)}
@@ -305,16 +307,19 @@ def test_verify_and_the_gram_det_of_a_split_sum_build_no_product_basis(monkeypat
 
 def _count_splits_and_products(monkeypatch):
     """Record every split computed afresh and every call that composes a
-    product algebra, in order."""
+    product algebra, in order; a Witt lift's are marked "W3"."""
     seen = []
     split, product = mpoly._disjoint_blocks, milnor._product
 
+    def label(kind, f):
+        return kind if f.ring.b == f.ring.residue else f"W3 {kind}"
+
     def counting_split(f):
-        seen.append("split")
+        seen.append(label("split", f))
         return split(f)
 
     def counting_product(f, cap):
-        seen.append("product")
+        seen.append(label("product", f))
         return product(f, cap)
 
     monkeypatch.setattr(mpoly, "_disjoint_blocks", counting_split)
@@ -322,21 +327,26 @@ def _count_splits_and_products(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("p, m, names, text", SPLIT_SUMS)
+@pytest.mark.parametrize("p, m, names, text", SPLIT_SUMS + [(2, 2, "x,y", "x^3+y^5")])
 def test_a_warm_verify_of_a_split_sum_splits_once_and_composes_once(monkeypatch, p, m, names, text):
     """With its blocks eliminated, a verify reads f's algebra once, so it
     composes one product, and the algebra and the catalog share one split
     of f.  The split is kept on f: a second verify of the same f splits
-    nothing, and a fresh f equal to it splits afresh."""
+    nothing, and a fresh f equal to it splits afresh.  In characteristic 2
+    the Witt lift, a new polynomial on every verify, is split and composed
+    once too, and its reduction's algebra is the one verify read."""
     verify_identity(_parse_case(p, m, names, text))
     f = _parse_case(p, m, names, text)
     seen = _count_splits_and_products(monkeypatch)
+    lift = ["W3 product", "W3 split"] if p == 2 else []
     report = verify_identity(f)
-    assert seen == ["product", "split"]
+    assert seen == ["product", "split"] + lift
+    seen.clear()
     assert verify_identity(f) == report
-    assert seen == ["product", "split", "product"]
+    assert seen == ["product"] + lift
+    seen.clear()
     assert verify_identity(_parse_case(p, m, names, text)) == report
-    assert seen == ["product", "split", "product", "product", "split"]
+    assert seen == ["product", "split"] + lift
 
 
 def test_the_arf_of_a_split_sum_reads_no_product_basis(monkeypatch):
@@ -468,7 +478,8 @@ def test_repeated_arf_scans_the_residue_field_once(monkeypatch):
     assert milnor_algebra(f).D == 4
     assert scans == 1
     # these lifts do not certify at D0 = 4, so each distinct lift makes two
-    # W_3 eliminations: the one at D0 and the fallback at 3*D0 - 1
+    # W_3 eliminations: the one at D0 and the fallback at the 3*D0 - 2k - 1
+    # that the first proves
     assert len(seen) == scans + 2
     perturbations = ["u^3", "u^4", "u^3+u^4"]
     for text in perturbations:
@@ -753,17 +764,30 @@ def _raw_presentation(f_w, upto):
     return basis, nf
 
 
+def _least_w3_scan_degree(f_w, lo, hi):
+    """The least degree in lo..hi whose W_3 elimination certifies, or None."""
+    grads = partials(f_w)
+    for d in range(lo, hi + 1):
+        cols, red, pivots, _, _ = milnor._eliminate(grads, f_w.ring, f_w.n_vars, d)
+        if milnor._certified(cols, red, pivots, d) is not None:
+            return d
+    return None
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_the_w3_algebra_matches_the_elimination_at_3_d0_minus_1(m):
     """Teichmueller lifts and 2*g perturbations of seeded isolated inputs:
-    whether D0 certifies, the 3*D0 - 1 fallback runs or the lift splits
-    into blocks, the basis and every normal form up to degree 3*D0 (and up
-    to a product's D, which may lie above it) are those of one plain
-    elimination at 3*D0 - 1."""
+    whether D0 certifies, the fallback at the proven 3*D0 - 2k runs or the
+    lift splits into blocks, the basis and every normal form up to degree
+    3*D0 (and up to a product's D, which may lie above it) are those of one
+    plain elimination at 3*D0 - 1.  A lift eliminated whole has
+    D0 <= D <= 3*D0, and one that fails at D0 has a D that a W_3 scan
+    upward from D0 + 1 reaches: D is never below the least certified
+    degree, and some draws take a D below 3*D0."""
     field = gf_create(2, m)
     ring = gr_create(field)
     rng = random.Random(f"w3-oracle/{m}")
-    lifts = certified = split = 0
+    lifts = certified = split = below = 0
     for _ in range(40):
         n = rng.randint(1, 3)
         f = _random_poly(rng, field, n)
@@ -776,7 +800,10 @@ def test_the_w3_algebra_matches_the_elimination_at_3_d0_minus_1(m):
             alg = milnor_algebra(f_w, cap=5)
             basis, nf = _raw_presentation(f_w, 3 * D0 - 1)
             if alg.blocks is None:
-                assert alg.D in (D0, 3 * D0), f_w
+                assert D0 <= alg.D <= 3 * D0, f_w
+                if alg.D > D0:
+                    assert _least_w3_scan_degree(f_w, D0 + 1, alg.D) is not None, f_w
+                    below += alg.D < 3 * D0
             else:
                 blocks = [milnor_algebra(block, cap=5).D for _, block, _ in alg.blocks]
                 assert alg.D == sum(blocks) - len(blocks) + 1, f_w
@@ -786,7 +813,7 @@ def test_the_w3_algebra_matches_the_elimination_at_3_d0_minus_1(m):
             lifts += 1
             certified += alg.D == D0
             split += alg.blocks is not None
-    assert lifts >= 10 and 0 < certified < lifts and split
+    assert lifts >= 10 and 0 < certified < lifts and split and below
 
 
 def test_arf_of_the_fermat_quintic_over_f4_eliminates_once_over_w3(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -891,8 +892,9 @@ def test_an_evicted_polynomial_recomputes_the_same_det(monkeypatch):
 @pytest.mark.parametrize("case", ["field", "witt"])
 def test_a_cold_gram_matrix_inverts_only_the_pivots(monkeypatch, case):
     """With f's algebra built, a cold Gram form asks the pivot-inverse memo
-    once per pivot of the Bezoutian's elimination; det C is inverted as an
-    element, outside the memo.  Neither f is a sum of blocks."""
+    once per pivot of the Bezoutian's elimination, and nothing else: 1/det C
+    is the product of those pivots' inverses.  Neither f is a sum of
+    blocks."""
     if case == "field":
         f = parse_poly("x^4+y^3+x^2*y", gf_create(7, 1), ["x", "y"])
     else:
@@ -909,6 +911,40 @@ def test_a_cold_gram_matrix_inverts_only_the_pivots(monkeypatch, case):
     monkeypatch.setattr(CodedOps, "_inverse_times", counting)
     gram_matrix(f, 1)
     assert len(calls) == mu
+
+
+@pytest.mark.parametrize("p, m, names, text, op", [
+    (7, 1, "x,y", "x^2+x*y+3*y^2", "verify"),
+    (5, 2, "x,y,z", "g*x^2+x*y+y^2+y*z+z^2", "verify"),
+    (2, 2, "x,y", "x^2+x*y+g*y^2", "verify"),
+    (2, 4, "x,y", "x^3+g*x^2*y+y^3", "arf"),
+    (2, 2, "u", "u^2+u^5", "arf"),
+], ids=["morse-F7", "morse-F25", "morse-F4", "witt-F16", "witt-fallback-F4"])
+def test_a_cold_engine_inverts_no_determinant(monkeypatch, p, m, names, text, op):
+    """A cold verify of a Morse point, in odd characteristic and in
+    characteristic 2, and a cold arf of a lift that certifies at D0 and of
+    one that takes the fallback elimination: every inverse of the ring the
+    determinant lives in (F_q, or W_3 for a lift) is a miss of the
+    pivot-inverse memo.  1/det C is the product of pivot inverses, and the
+    square class divides by a Teichmueller lift through a field inverse."""
+    f = _parse_case(p, m, names, text)
+    ring = gr_create(f.ring) if p == 2 else f.ring
+    elem = type(ring.one)
+    callers = []
+    inverse = elem.inverse
+
+    def recording(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return inverse(self)
+
+    monkeypatch.setattr(linalg, "_CODED_CACHE", {})
+    monkeypatch.setattr(elem, "inverse", recording)
+    if op == "verify":
+        assert verify_identity(f)["mu"] == 1
+    else:
+        arf_invariant(f)
+    assert callers and set(callers) == {"_inverse_times"}
+    assert len(callers) == len(linalg.coded(ring)._inv)
 
 
 def _separable(rng, field):
