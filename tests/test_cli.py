@@ -1,10 +1,11 @@
+import hashlib
 import json
 import pathlib
 import time
 
 import pytest
 
-from resform import catalog, cli, corpus
+from resform import catalog, cli, corpus, milnor
 
 
 def run(capsys, *argv):
@@ -275,6 +276,21 @@ def test_corpus_details_match_their_record(capsys):
     with open(pathlib.Path(__file__).with_name("corpus_details.json")) as fh:
         record = json.load(fh)
     assert [[r["name"], r["ok"], r["detail"]] for r in payload["results"]] == record
+
+
+def test_engine_outputs_match_their_record(capsys):
+    """Every call recorded in tests/cli_outputs.json (make_cli_outputs.py)
+    prints the same JSON with the same exit code, run forward and then
+    reversed, each pass from an empty Milnor algebra cache, so an output
+    does not depend on what the calls before it left cached."""
+    with open(pathlib.Path(__file__).with_name("cli_outputs.json")) as fh:
+        record = json.load(fh)
+    assert len(record) > 100
+    for calls in (record, record[::-1]):
+        milnor._ALGEBRAS.clear()
+        for argv, code, digest in calls:
+            got, out = run(capsys, *argv)
+            assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
 
 
 def test_corpus_rejects_convention():
