@@ -21,7 +21,8 @@ from .mpoly import MultiPoly, variable_blocks
 
 
 # CPython's default limit on the digits of an int it prints: a longer
-# witness could not be written into a report, so the report gives none.
+# witness could not be written into a report, so the report gives none
+# (homog.fermat_formulas refuses a longer closed form).
 WITNESS_DIGITS = 4300
 _WITNESS_BOUND = 10 ** WITNESS_DIGITS
 

@@ -4,9 +4,9 @@ The geometric side reads the local epsilon constant off the residue form:
 the discriminant of the Gram matrix in odd characteristic, the Arf class in
 characteristic 2.  verify_identity compares it with the catalog answer of
 catalog.arithmetic_sides, an independent route, for every twist of the
-additive character.  It reads f's Milnor algebra once, for mu and the
-geometric side together, and the catalog reuses the split of f that the
-algebra made.
+additive character.  It reads mu off f's Milnor algebra, and the
+geometric side reads the same algebra, which milnor_algebra keeps on f;
+the catalog reuses the split of f that the algebra made.
 
 In odd characteristic the discriminant is read for the volume form -dt and
 corrected by legendre(2)^(e*n*mu), a power of 2 the sources leave open.
@@ -30,7 +30,7 @@ from .errors import CatalogMiss
 from .gfield import legendre
 from .milnor import milnor_algebra
 from .mpoly import MultiPoly
-from .residue import _gram_matrix, arf_invariant
+from .residue import arf_invariant, gram_matrix
 
 
 CALIBRATED_EXPONENT = 1
@@ -46,19 +46,12 @@ def geometric_side(f: MultiPoly, convention: str = "calibrated") -> EpsilonValue
 
     Odd characteristic reads the discriminant of the Gram matrix for -dt
     and a power of the Gauss sum; characteristic 2 reads the Arf bit and a
-    half-integral power of q.
+    half-integral power of q.  f's Milnor algebra is read first, so an
+    input's first error is the algebra's and an unknown convention is
+    refused after it; in characteristic 2 the field algebra is read before
+    the Witt lift's.
     """
-    return _geometric_side(f, convention)[0]
-
-
-def _geometric_side(f: MultiPoly, convention: str):
-    """(geometric_side, mu) from one read of f's Milnor algebra.
-
-    The algebra is read first, so an input's first error is the algebra's
-    and an unknown convention is refused after it; in characteristic 2 the
-    field algebra is read before the Witt lift's.
-    """
-    alg = milnor_algebra(f)
+    mu = milnor_algebra(f).mu
     if convention == "calibrated":
         exponent = CALIBRATED_EXPONENT
     elif convention == "literal":
@@ -67,15 +60,15 @@ def _geometric_side(f: MultiPoly, convention: str):
         raise ValueError(f"unknown convention {convention!r}")
     field = f.ring
     n = f.n_vars
-    n_mu = n * alg.mu
+    n_mu = n * mu
     if field.p == 2:
-        sign = -1 if arf_invariant(f, alg=alg).trace_bit else 1
-        return EpsilonValue(field, sign, 0, Fraction(n_mu if n % 2 else -n_mu, 2)), alg.mu
-    G = _gram_matrix(f, alg, -1)
+        sign = -1 if arf_invariant(f).trace_bit else 1
+        return EpsilonValue(field, sign, 0, Fraction(n_mu if n % 2 else -n_mu, 2))
+    G = gram_matrix(f, -1)
     sign = legendre(G.det) if G.mu else 1
     if (exponent * n_mu) % 2:
         sign *= legendre(field(2))
-    return EpsilonValue(field, sign, n_mu if n % 2 else -n_mu, 0), alg.mu
+    return EpsilonValue(field, sign, n_mu if n % 2 else -n_mu, 0)
 
 
 def verify_identity(f: MultiPoly, convention: str = "calibrated", var_names=None) -> dict:
@@ -83,13 +76,14 @@ def verify_identity(f: MultiPoly, convention: str = "calibrated", var_names=None
 
     The report renders f with var_names (x0, x1, ... by default), and the
     catalog names a missed block's variables by them.  mu and the geometric
-    side come from one read of f's Milnor algebra.  The catalog side uses
+    side come from the one Milnor algebra kept on f.  The catalog side uses
     the same split of f into blocks, then classifies every block afresh for
     each twist, so the loop genuinely re-tests the identity rather than
     multiplying both sides by the same character value.
     """
     field = f.ring
-    geo1, mu = _geometric_side(f, convention)
+    mu = milnor_algebra(f).mu
+    geo1 = geometric_side(f, convention)
     dimtot = dimtot_from_mu(f.n_vars, mu)
     twists = list(range(1, field.p)) if field.p != 2 else [1]
     arith1 = None

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import NonIntegral, OddCharacteristic, SingularForm
+from .catalog import WITNESS_DIGITS
+from .errors import NonIntegral, OddCharacteristic, ResourceLimit, SingularForm
 from .gfield import Field
 from .linalg import det_expand, det_ring
 from .mpoly import ZZ, MultiPoly, _czero
@@ -154,11 +155,32 @@ def divided_disc_binary(F: BinaryForm):
     return acc
 
 
+def _printable(name: str, *powers) -> int:
+    """The product of the (base, exponent) powers, refused with
+    ResourceLimit when it has more than WITNESS_DIGITS decimal digits, which
+    CPython would not print.
+
+    Each power is bounded before it is formed: |base|^k >= 2^(k*(bits - 1))
+    and 2^(4*WITNESS_DIGITS) > 10^WITNESS_DIGITS, so past that exponent the
+    power is refused unformed; below it each factor has fewer than
+    8*WITNESS_DIGITS bits.
+    """
+    if all(k * (abs(base).bit_length() - 1) < 4 * WITNESS_DIGITS for base, k in powers):
+        value = math.prod(base ** k for base, k in powers)
+        if abs(value) < 10 ** WITNESS_DIGITS:
+            return value
+    raise ResourceLimit(f"{name} has more than WITNESS_DIGITS = {WITNESS_DIGITS} "
+                        "decimal digits, more than a report can print")
+
+
 def fermat_formulas(d: int, n: int, a_list) -> dict:
     """Closed forms for the diagonal form a_0*T_0^d + ... + a_{n+1}*T_{n+1}^d.
 
     Returns integer values: the divided discriminant of the form, the
-    discriminant of the residue pairing for dt, and the Milnor number.
+    discriminant of the residue pairing for dt, and the Milnor number.  A
+    value of more than WITNESS_DIGITS digits raises ResourceLimit, decided
+    from the exponents before any power is formed; mu = (d-1)^(n+2) is
+    bounded before a_exponent forms it again.
     """
     nu = n + 2
     a_list = [int(a) for a in a_list]
@@ -169,12 +191,13 @@ def fermat_formulas(d: int, n: int, a_list) -> dict:
     prod_a = 1
     for a in a_list:
         prod_a *= a
-    mu = (d - 1) ** nu
+    mu = _printable("mu", (d - 1, nu))
     half = (d - 2) * mu * nu
     if half % 2:
         raise NonIntegral("sign exponent is not integral")
-    disc_d = d ** (nu * (d - 1) ** (nu - 1) - a_exponent(n, d)) * prod_a ** ((d - 1) ** (nu - 1))
-    disc_b = (-1) ** (half // 2) * d ** (mu * nu) * prod_a ** mu
+    disc_d = _printable("disc_d", (d, nu * (d - 1) ** (nu - 1) - a_exponent(n, d)),
+                        (prod_a, (d - 1) ** (nu - 1)))
+    disc_b = (-1) ** (half // 2) * _printable("disc_B_value", (d, mu * nu), (prod_a, mu))
     return {"d": d, "n": n, "mu": mu, "disc_d": disc_d, "disc_B_value": disc_b}
 
 

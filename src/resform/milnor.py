@@ -56,18 +56,19 @@ A Thom-Sebastiani sum f = f_1 + ... + f_k, k >= 2, of polynomials in
 pairwise disjoint sets of variables (a constant term belongs to none) has
 J(f) = J(f_1) + ... + J(f_k), so its algebra is the tensor product of
 theirs (Sebastiani-Thom, Un resultat sur la monodromie, Invent. Math.
-1971), composed from the blocks' cached algebras without eliminating f's
-own relation matrix.  Only eliminations are cached: a product is composed
-afresh on every call and is not kept, so it never pushes the blocks it is
-built from out of the cache, and the cache's bound counts
-eliminations.  The split itself is kept on f (mpoly.variable_blocks), and
-verify reads f's algebra once, so a verify of a split sum whose blocks are
-cached splits f once and composes one product.  Composing is cheap, as the
-product's standard monomials are the products of the blocks': each such
-product is standard, and there are mu = prod mu_i of them.  They are
-enumerated and sorted only on the first read of the basis, its index or a
-normal form, once per composed algebra, as mu, D and the Gram determinant
-need none of them.  A monomial's normal
+1971), composed from the blocks' algebras without eliminating f's own
+relation matrix.  Every algebra is kept on its polynomial (MultiPoly's
+_algebra), but only eliminations are cached: a product lives on f alone,
+so it never pushes the blocks it is built from out of the cache, and the
+cache's bound counts eliminations.  The split is kept on f too
+(mpoly.variable_blocks), so every consumer of one polynomial shares one
+split and one product: a verify of a split sum whose blocks are cached
+splits f once and composes one product, and a second verify of the same f
+does neither.  Composing is cheap, as the product's standard monomials are
+the products of the blocks': each such product is standard, and there are
+mu = prod mu_i of them.  They are enumerated and sorted only on the first
+read of the basis, its index or a normal form, once per composed algebra,
+as mu, D and the Gram determinant need none of them.  A monomial's normal
 form is the product of its block parts' forms, computed on first
 request.  The truncation degree is D = sum D_i - (k - 1): every monomial of
 that degree has some block part of degree at least D_i, which lies in J_i,
@@ -391,7 +392,7 @@ class MilnorAlgebra:
     the certifying elimination's pivot inverses; on any other eliminated
     algebra residue.gram_matrix sets it, from the pivot inverses of one
     elimination of C, once C is checked symmetric and invertible, so every
-    consumer of f shares that elimination.  A product, composed afresh on each call, keeps none: its
+    consumer of f shares that elimination.  A product keeps none: its
     1/det C is read off its blocks' algebras.
     """
 
@@ -526,46 +527,51 @@ def _product_presentation(blocks, n_vars: int):
 
 
 # Most recently used last.  Only algebras that an elimination built are
-# kept: a field scan's and a whole W_3 lift's.  A product is composed from
-# its blocks' kept algebras on every call, so the bound counts eliminations
-# and the inverse Bezoutian determinants stored on them; it is a bound
-# rather than a clear so that a call costs the same however many
-# polynomials came before it.
+# kept: a field scan's and a whole W_3 lift's.  A product is kept on its
+# polynomial alone, so the bound counts eliminations and the inverse
+# Bezoutian determinants stored on them; it is a bound rather than a clear
+# so that a call costs the same however many polynomials came before it.
 _ALGEBRAS: dict = {}
 _ALGEBRAS_MAX = 256
 
 
-def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP, reduced=None) -> MilnorAlgebra:
+def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     """Quotient by the Jacobian ideal, presented below the truncation degree.
 
-    One elimination per polynomial and cap, shared by every consumer.  A sum
-    of blocks in disjoint variables gets the tensor product of the blocks'
-    algebras, composed afresh on each call and not kept: over a field except
-    at a Morse or a smooth point, where the scan is already one small
-    elimination, and over W_3 when the residue field's algebra is such a
-    product.  A W_3 lift eliminated whole has the truncation degree D of the
-    residue field's D0 when one elimination at D0 certifies it, and the
-    3*D0 - 2k that elimination proves otherwise, and raises NotFlat unless
-    its basis is the residue field's; a split lift has that check from its
-    blocks.  reduced, for a W_3 lift, is the algebra of its reduction mod 2
-    at the same cap when the caller has read it (verify has); it is read
-    afresh otherwise.  NotIsolated means a proof that f is not isolated; a
-    truncation degree past the cap, unproved, raises ResourceLimit.
+    One elimination per polynomial and cap, shared by every consumer.  The
+    algebra is kept on f with its cap, so every later read of f at that cap
+    returns it at once; an equal polynomial shares an eliminated algebra
+    through the cache.  A sum of blocks in disjoint variables gets the
+    tensor product of the blocks' algebras, composed from theirs and kept
+    on f alone: over a field except at a Morse or a smooth point, where the
+    scan is already one small elimination, and over W_3 when the residue
+    field's algebra is such a product.  A W_3 lift eliminated whole has the
+    truncation degree D of the residue field's D0 when one elimination at
+    D0 certifies it, and the 3*D0 - 2k that elimination proves otherwise,
+    and raises NotFlat unless its basis is the residue field's; a split lift
+    has that check from its blocks.  A W_3 lift that misses the cache reads
+    its reduction's algebra first, at the same cap.  NotIsolated means a
+    proof that f is not isolated; a truncation degree past the cap,
+    unproved, raises ResourceLimit.  No error is kept: each read raises it
+    anew.
     """
+    held = f._algebra
+    if held is not None and held[0] == cap:
+        return held[1]
     ring = f.ring
     n = f.n_vars
     key = (ring, n, frozenset(f.terms.items()), cap)
     alg = _ALGEBRAS.pop(key, None)
     if alg is not None:
         _ALGEBRAS[key] = alg
+        f._algebra = cap, alg
         return alg
     field = ring.b == ring.residue  # over W_3 the scan runs mod 2
     if field:
         orders = _orders(f)
         split = min(orders) >= 1 and max(orders) >= 2  # neither smooth nor Morse
     else:
-        if reduced is None:
-            reduced = milnor_algebra(f.map_coeffs(lambda c: c.reduce(), ring.field), cap=cap)
+        reduced = milnor_algebra(f.map_coeffs(lambda c: c.reduce(), ring.field), cap=cap)
         split = reduced.blocks is not None
     product = _product(f, cap) if split else None
     if product is not None:
@@ -604,6 +610,7 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP, reduced=None) -> MilnorA
         if len(_ALGEBRAS) >= _ALGEBRAS_MAX:
             del _ALGEBRAS[next(iter(_ALGEBRAS))]
         _ALGEBRAS[key] = alg
+    f._algebra = cap, alg
     return alg
 
 

@@ -87,10 +87,11 @@ class MultiPoly:
 
     Terms are never changed after construction: every operation builds the
     dict of a new polynomial.  So variable_blocks splits a polynomial once
-    and keeps the split in `_split`.
+    and keeps the split in `_split`, and milnor.milnor_algebra keeps the
+    (cap, algebra) pair it last returned in `_algebra`.
     """
 
-    __slots__ = ("ring", "n_vars", "terms", "_split")
+    __slots__ = ("ring", "n_vars", "terms", "_split", "_algebra")
 
     def __init__(self, ring, n_vars: int, terms=None):
         self.ring = ring
@@ -102,6 +103,7 @@ class MultiPoly:
                     clean[tuple(exps)] = c
         self.terms = clean
         self._split = None
+        self._algebra = None
 
     @classmethod
     def zero(cls, ring, n_vars: int) -> "MultiPoly":

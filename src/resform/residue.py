@@ -23,21 +23,23 @@ from the product normal forms of the algebra the form holds, when it is
 read; that algebra builds its product basis only then, or when the form's
 basis is read, and once for both.
 
-1/det C, the Gram determinant for dt, is kept on the Milnor algebra of an
-elimination, which milnor_algebra caches and shares among the consumers of
-one polynomial or block, and only once C is checked symmetric and
-invertible; the scale alpha enters det G by the known power alpha^(n*mu).
-So verify, disc, arf, a split sum's blocks and the Witt lift that arf and
-verify both build eliminate C once, at any unit scale, and an error is
-raised anew on every call.  No determinant is inverted: 1/det C is the
-product of the inverses of that elimination's pivots, which the kernel forms
-to scale each pivot row (linalg.CodedOps.rref).  A Morse point's algebra
-(D = 1, mu = 1) holds 1/det C from the start: its C is the 1 x 1 matrix
-[det Hess f(0)], whose pivot inverses the elimination that certifies D = 1
-already holds (milnor), so its Bezoutian is built only when the Gram matrix
-itself is read.  A split sum's algebra is composed afresh on each call and
-keeps no 1/det C: it lists its blocks' algebras, which keep theirs.
-Neither C nor the solved matrix is kept anywhere.
+Every entry point reads f's Milnor algebra itself: milnor_algebra keeps it
+on f, so the reads after the first cost nothing.  1/det C, the Gram
+determinant for dt, is kept on the Milnor algebra of an elimination, which
+milnor_algebra also caches for equal polynomials, and only once C is
+checked symmetric and invertible; the scale alpha enters det G by the known
+power alpha^(n*mu).  So verify, disc, arf, a split sum's blocks and the
+Witt lift that arf and verify both build eliminate C once, at any unit
+scale, and an error is raised anew on every call.  No determinant is
+inverted: 1/det C is the product of the inverses of that elimination's
+pivots, which the kernel forms to scale each pivot row
+(linalg.CodedOps.rref).  A Morse point's algebra (D = 1, mu = 1) holds
+1/det C from the start: its C is the 1 x 1 matrix [det Hess f(0)], whose
+pivot inverses the elimination that certifies D = 1 already holds
+(milnor), so its Bezoutian is built only when the Gram matrix itself is
+read.  A split sum's algebra, kept on f alone, keeps no 1/det C: it lists
+its blocks' algebras, which keep theirs.  Neither C nor the solved matrix
+is kept anywhere.
 """
 
 from __future__ import annotations
@@ -153,12 +155,9 @@ class GramForm:
 
 
 def bezoutian(f: MultiPoly):
-    """Matrix of the Bezoutian class in A tensor A over the basis pairs."""
-    return _bezoutian(f, milnor_algebra(f))
-
-
-def _bezoutian(f: MultiPoly, alg):
-    """The Bezoutian matrix of f over the basis pairs of alg, f's algebra."""
+    """Matrix of the Bezoutian class in A tensor A over the basis pairs of
+    f's Milnor algebra A."""
+    alg = milnor_algebra(f)
     n = f.n_vars
     grads = partials(f)
     dd = [[divided_difference(grads[i], j) for j in range(n)] for i in range(n)]
@@ -187,19 +186,21 @@ def residue_functional(f: MultiPoly):
     return G.matrix[G.basis.index((0,) * f.n_vars)] if G.mu else []
 
 
-def _inv_bezoutian_det(f: MultiPoly, alg):
-    """1/det C for f's Bezoutian matrix C over alg, f's eliminated algebra,
-    and C when this call built it (None when alg already held 1/det C).
+def _inv_bezoutian_det(f: MultiPoly):
+    """1/det C for the Bezoutian matrix C of f, whose Milnor algebra was
+    eliminated, and C when this call built it (None when the algebra
+    already held 1/det C).
 
     C is symmetric exactly when its inverse is, so the symmetry check reads
     C's digits; 1/det C is the product of the pivot inverses of one
     elimination of C alone, so no determinant is inverted, and it is kept
-    on alg only once both checks pass.
+    on the algebra only once both checks pass.
     """
+    alg = milnor_algebra(f)
     if alg.inv_bezoutian_det is not None:
         return alg.inv_bezoutian_det, None
     ring = f.ring
-    C = _bezoutian(f, alg)
+    C = bezoutian(f)
     inv_det_c = ring.one
     if alg.mu:
         ops = coded(ring)
@@ -214,7 +215,7 @@ def _inv_bezoutian_det(f: MultiPoly, alg):
     return inv_det_c, C
 
 
-def gram_matrix(f: MultiPoly, scale=1, reduced=None) -> GramForm:
+def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     """Gram matrix of the pairing for the differential scale*dt: alpha^n
     times the inverse of the Bezoutian matrix, alpha = scale.
 
@@ -222,30 +223,24 @@ def gram_matrix(f: MultiPoly, scale=1, reduced=None) -> GramForm:
     only when it is read.  When the Milnor algebra is a tensor product of
     blocks' algebras, 1/det C = prod (1/det C_i)^(mu/mu_i) is read off the
     blocks' algebras by the Kronecker law, with their checks.  The scale is
-    checked once, after f's algebra and before any Bezoutian.  reduced, for
-    a Witt lift, is its reduction's algebra when the caller holds it
-    (milnor_algebra).
+    checked once, after f's algebra and before any Bezoutian.
     """
-    return _gram_matrix(f, milnor_algebra(f, reduced=reduced), scale)
-
-
-def _gram_matrix(f: MultiPoly, alg, scale) -> GramForm:
-    """gram_matrix on alg, f's Milnor algebra as milnor_algebra returns it."""
+    alg = milnor_algebra(f)
     ring, mu = f.ring, alg.mu
     alpha = ring(scale)
     if not alpha.is_unit():
         raise NonUnitScale(f"scale {alpha!r} is not a unit")
     C = None
     if alg.blocks:
-        inv_det_c = math.prod((_inv_bezoutian_det(block, a)[0] ** (mu // a.mu)
+        inv_det_c = math.prod((_inv_bezoutian_det(block)[0] ** (mu // a.mu)
                                for _, block, a in alg.blocks), start=ring.one)
     else:
-        inv_det_c, C = _inv_bezoutian_det(f, alg)
+        inv_det_c, C = _inv_bezoutian_det(f)
     factor = alpha ** f.n_vars
 
     def solve():
         eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
-        return solve_ring(ring, _bezoutian(f, alg) if C is None else C, eye)
+        return solve_ring(ring, bezoutian(f) if C is None else C, eye)
 
     return GramForm(ring, f.n_vars, mu, lambda: list(alg.basis), solve, alpha,
                     factor ** mu * inv_det_c)
@@ -354,8 +349,7 @@ def witt_lift(f: MultiPoly) -> MultiPoly:
     return MultiPoly(ring, f.n_vars, {e: teichmuller(ring, c) for e, c in f.terms.items()})
 
 
-def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None,
-                  alg=None) -> ArfClass:
+def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None) -> ArfClass:
     """Arf class of an isolated characteristic-2 singularity at the origin.
 
     The default lift takes Teichmueller representatives of the coefficients;
@@ -363,9 +357,8 @@ def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None,
     depend on that choice, which the test suite exercises directly.  The
     class is read off det G of the lift at scale 1; milnor_algebra checks
     the lift's basis against its reduction's, and n_vars*mu is even, as it
-    refuses an odd mu in an odd number of variables.  Every lift reduces to
-    f, so alg, f's Milnor algebra when the caller has read it, is the
-    lift's reduction's, and is not read again.
+    refuses an odd mu in an odd number of variables; a lift that misses
+    the cache reads its reduction's field algebra, f's, before its own.
     """
     field = f.ring
     if not isinstance(field, Field) or field.p != 2:
@@ -377,5 +370,5 @@ def arf_invariant(f: MultiPoly, lift_perturbation: MultiPoly | None = None,
         if g.ring != ring:
             g = g.map_coeffs(lambda c: ring(c), ring)
         f_w = f_w + g.scale(2)
-    G = gram_matrix(f_w, 1, reduced=alg)
+    G = gram_matrix(f_w, 1)
     return arf_from_unit(G.det, f.n_vars * G.mu // 2)

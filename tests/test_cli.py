@@ -115,6 +115,34 @@ def test_fermat_command(capsys):
     assert payload == {"d": 3, "n": 0, "mu": 4, "disc_d": 27, "disc_B_value": 6561}
 
 
+@pytest.mark.parametrize("d, n, value", [
+    (3, 8, "disc_B_value"),
+    (7, 2, "disc_B_value"),
+    (40, 0, "disc_B_value"),
+    (3, 30, "disc_d"),
+])
+def test_fermat_values_past_the_printable_digits_are_refused(capsys, d, n, value):
+    """A closed form of more than WITNESS_DIGITS digits could not be
+    printed; it is refused from its exponents, exit 2, before any power is
+    formed."""
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "fermat", "--d", str(d), "--n", str(n),
+                             "--a", ",".join(["1"] * (n + 2)))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert payload == {"error": "ResourceLimit", "message":
+                       f"{value} has more than WITNESS_DIGITS = {catalog.WITNESS_DIGITS} "
+                       "decimal digits, more than a report can print"}
+
+
+def test_fermat_refuses_a_coefficient_count_at_once(capsys):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "fermat", "--d", "3", "--n", "1000000000", "--a", "1,1")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert payload == {"error": "ValueError", "message": "need 1000000002 coefficients for n=1000000000"}
+
+
 def test_homog2_default_variables(capsys):
     code, payload = run_json(capsys, "homog2", "--p", "2",
                              "--poly", "T0^3+T0*T1^2+T1^3")

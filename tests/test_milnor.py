@@ -285,9 +285,10 @@ def _parse_case(p, m, names, text):
 @pytest.mark.parametrize("p, m, names, text", SPLIT_SUMS)
 def test_verify_and_the_gram_det_of_a_split_sum_build_no_product_basis(monkeypatch, p, m, names, text):
     """verify, the Gram determinant at two scales and the discriminant read
-    mu, D and det G off the blocks.  A product is composed on every call
-    and kept nowhere, so G's algebra and alg are two; each enumerates its
-    product basis once, on the first read of a basis, and never again."""
+    mu, D and det G off the blocks.  A product is composed once per
+    polynomial and kept on it alone, so G's algebra is alg; it enumerates
+    its product basis once, on the first read of a basis, and never again.
+    A fresh, equal polynomial composes its own, which builds its own."""
     f = _parse_case(p, m, names, text)
     built = _count_product_presentations(monkeypatch)
     report = verify_identity(f)
@@ -299,9 +300,11 @@ def test_verify_and_the_gram_det_of_a_split_sum_build_no_product_basis(monkeypat
     assert all(kept.blocks is None for kept in milnor._ALGEBRAS.values())
     assert built == []
     assert G.basis == alg.basis
-    assert built == [f.n_vars, "forms"] * 2
+    assert built == [f.n_vars, "forms"]
     alg.nf_monomial((1,) * f.n_vars)
     assert alg.basis_index[G.basis[-1]] == alg.mu - 1
+    assert built == [f.n_vars, "forms"]
+    assert milnor_algebra(_parse_case(p, m, names, text)).basis == G.basis
     assert built == [f.n_vars, "forms"] * 2
 
 
@@ -329,21 +332,22 @@ def _count_splits_and_products(monkeypatch):
 
 @pytest.mark.parametrize("p, m, names, text", SPLIT_SUMS + [(2, 2, "x,y", "x^3+y^5")])
 def test_a_warm_verify_of_a_split_sum_splits_once_and_composes_once(monkeypatch, p, m, names, text):
-    """With its blocks eliminated, a verify reads f's algebra once, so it
-    composes one product, and the algebra and the catalog share one split
-    of f.  The split is kept on f: a second verify of the same f splits
-    nothing, and a fresh f equal to it splits afresh.  In characteristic 2
-    the Witt lift, a new polynomial on every verify, is split and composed
-    once too, and its reduction's algebra is the one verify read."""
+    """With its blocks eliminated, a verify of a fresh f composes one
+    product, and the algebra and the catalog share one split of f.  Both
+    are kept on f: a second verify of the same f splits and composes
+    nothing, and a fresh f equal to it does both afresh.  In characteristic
+    2 the Witt lift, a new polynomial on every verify, is split and
+    composed once too, and reads its reduction's algebra off a new
+    polynomial, which is split and composed once more."""
     verify_identity(_parse_case(p, m, names, text))
     f = _parse_case(p, m, names, text)
     seen = _count_splits_and_products(monkeypatch)
-    lift = ["W3 product", "W3 split"] if p == 2 else []
+    lift = ["product", "split", "W3 product", "W3 split"] if p == 2 else []
     report = verify_identity(f)
     assert seen == ["product", "split"] + lift
     seen.clear()
     assert verify_identity(f) == report
-    assert seen == ["product"] + lift
+    assert seen == lift
     seen.clear()
     assert verify_identity(_parse_case(p, m, names, text)) == report
     assert seen == ["product", "split"] + lift
@@ -490,16 +494,91 @@ def test_repeated_arf_scans_the_residue_field_once(monkeypatch):
 
 
 def test_algebra_cache_drops_the_least_recently_used(monkeypatch):
+    """Each read is of a fresh parse, so it reaches the cache, not the
+    algebra kept on a polynomial."""
     monkeypatch.setattr(milnor, "_ALGEBRAS_MAX", 3)
     f7 = gf_create(7, 1)
-    a, b, c, d = (parse_poly(f"{k}*x^3", f7, ["x"]) for k in range(1, 5))
-    alg_a, alg_b = milnor_algebra(a), milnor_algebra(b)
-    milnor_algebra(c)
-    assert milnor_algebra(a) is alg_a
-    milnor_algebra(d)
+
+    def read(k):
+        return milnor_algebra(parse_poly(f"{k}*x^3", f7, ["x"]))
+
+    alg_a, alg_b = read(1), read(2)
+    read(3)
+    assert read(1) is alg_a
+    read(4)
     assert len(milnor._ALGEBRAS) == 3
-    assert milnor_algebra(a) is alg_a
-    assert milnor_algebra(b) is not alg_b
+    assert read(1) is alg_a
+    assert read(2) is not alg_b
+
+
+def _count_cache_lookups(monkeypatch):
+    """Record the key of every lookup in the algebra cache."""
+    keys = []
+
+    class Recording(dict):
+        def pop(self, key, default):
+            keys.append(key)
+            return super().pop(key, default)
+
+    monkeypatch.setattr(milnor, "_ALGEBRAS", Recording())
+    return keys
+
+
+@pytest.mark.parametrize("p, m, names, text", [
+    (7, 1, "x,y", "x^4+y^3+x^2*y"),
+    (13, 1, "x,y,z", "2*x^2+y^3+5*z^4"),
+    (2, 2, "x,y", "x^3+g*x^2*y+y^3"),
+    (2, 2, "x,y", "x^3+y^5"),
+])
+def test_a_polynomial_keeps_its_algebra(monkeypatch, p, m, names, text):
+    """A second read of f at the same cap returns the algebra the first
+    returned without looking up the cache, for an elimination, a product
+    and a Witt lift alike, even once the cache has dropped it.  A fresh,
+    equal polynomial shares an eliminated algebra through the cache, and
+    composes its own product; a read at another cap recomputes."""
+    keys = _count_cache_lookups(monkeypatch)
+    f = _parse_case(p, m, names, text)
+    polys = [f, witt_lift(f)] if p == 2 else [f]
+    algs = [milnor_algebra(g) for g in polys]
+    seen = _count_eliminations(monkeypatch)
+    keys.clear()
+    assert all(milnor_algebra(g) is alg for g, alg in zip(polys, algs))
+    assert keys == [] and seen == []
+    fresh = milnor_algebra(_parse_case(p, m, names, text))
+    assert (fresh is algs[0]) == (algs[0].blocks is None)
+    assert fresh.basis == algs[0].basis
+    milnor._ALGEBRAS.clear()
+    seen.clear()
+    assert all(milnor_algebra(g) is alg for g, alg in zip(polys, algs)) and seen == []
+    low = milnor_algebra(f, cap=algs[0].D)
+    assert low is not algs[0] and (low.mu, low.D) == (algs[0].mu, algs[0].D)
+    assert milnor_algebra(f, cap=algs[0].D) is low and seen
+
+
+def test_an_error_is_raised_anew_on_every_read(monkeypatch):
+    """A polynomial keeps no error: each read of one that raises eliminates
+    again and raises again, and a read at a cap that fails after one that
+    succeeded leaves the kept algebra to the cap it was read at."""
+    f7 = gf_create(7, 1)
+    seen = _count_eliminations(monkeypatch)
+    flat = parse_poly("x^2*y", f7, ["x", "y"])
+    counts = []
+    for _ in range(2):
+        with pytest.raises(NotIsolated):
+            milnor_algebra(flat)
+        counts.append(len(seen))
+    assert counts[0] > 0 and counts[1] == 2 * counts[0]
+    assert flat._algebra is None
+    scan = parse_poly("x^3+y^4+x*y^2", f7, ["x", "y"])
+    for _ in range(2):
+        seen.clear()
+        with pytest.raises(ResourceLimit):
+            milnor_algebra(scan, cap=2)
+        assert seen
+    alg = milnor_algebra(scan)
+    with pytest.raises(ResourceLimit):
+        milnor_algebra(scan, cap=2)
+    assert milnor_algebra(scan) is alg
 
 
 def test_parity_violation_is_a_structured_error(monkeypatch, capsys):

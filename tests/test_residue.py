@@ -371,15 +371,15 @@ def test_a_non_symmetric_bezoutian_is_refused(monkeypatch):
     """The inverse of a non-symmetric Bezoutian matrix is not symmetric."""
     f7 = gf_create(7, 1)
     f = parse_poly("x^3+y^3", f7, ["x", "y"])
-    real = residue._bezoutian
+    real = residue.bezoutian
 
-    def skewed(f, alg):
-        C = [list(row) for row in real(f, alg)]
+    def skewed(f):
+        C = [list(row) for row in real(f)]
         C[0][1] = C[0][1] + f7(1)
         assert C[0][1] != C[1][0]
         return C
 
-    monkeypatch.setattr(residue, "_bezoutian", skewed)
+    monkeypatch.setattr(residue, "bezoutian", skewed)
     for _ in range(2):
         with pytest.raises(SingularBezoutian, match="^gram matrix is not symmetric$"):
             gram_matrix(f, 1)
@@ -450,18 +450,18 @@ def test_a_separable_verify_and_disc_eliminate_only_a_block(monkeypatch, capsys)
     of that block alone, once, never f's: the four blocks share one
     algebra, and disc's scale 1 moves verify's det G for -1."""
     eliminated, bezoutians = [], []
-    eliminate, bezoutian = milnor._eliminate, residue._bezoutian
+    eliminate, bezoutian = milnor._eliminate, residue.bezoutian
 
     def counting_eliminate(grads, ring, n_vars, upto, lo=0):
         eliminated.append(n_vars)
         return eliminate(grads, ring, n_vars, upto, lo)
 
-    def counting_bezoutian(f, alg):
+    def counting_bezoutian(f):
         bezoutians.append(f.n_vars)
-        return bezoutian(f, alg)
+        return bezoutian(f)
 
     monkeypatch.setattr(milnor, "_eliminate", counting_eliminate)
-    monkeypatch.setattr(residue, "_bezoutian", counting_bezoutian)
+    monkeypatch.setattr(residue, "bezoutian", counting_bezoutian)
     argv = ["--p", "11", "--vars", "x,y,z,w", "--poly", "x^5+y^5+z^5+w^5", "--json"]
     assert cli.main(["verify"] + argv) == 0
     assert json.loads(capsys.readouterr().out)["mu"] == 256
@@ -527,13 +527,13 @@ def test_a_bezoutian_singular_over_w3_is_not_invertible(monkeypatch):
     column: det_ring calls that a non-unit, the engine a singular C."""
     f = witt_lift(parse_poly("x^3+y^3", gf_create(2, 1), ["x", "y"]))
     ring = f.ring
-    real = residue._bezoutian
+    real = residue.bezoutian
 
-    def even(f, alg):
+    def even(f):
         return [[c * 2 if 0 in (i, j) else c for j, c in enumerate(row)]
-                for i, row in enumerate(real(f, alg))]
+                for i, row in enumerate(real(f))]
 
-    monkeypatch.setattr(residue, "_bezoutian", even)
+    monkeypatch.setattr(residue, "bezoutian", even)
     with pytest.raises(NonUnit):
         det_ring(ring, residue.bezoutian(f))
     for _ in range(2):
@@ -547,17 +547,17 @@ def _count_bezoutians(monkeypatch):
     determinant or for a solved Gram matrix, and count the eliminations
     that read a determinant off it."""
     built, dets = [], [0]
-    bezoutian, det = residue._bezoutian, residue.unit_det
+    bezoutian, det = residue.bezoutian, residue.unit_det
 
-    def counting_bezoutian(f, alg):
+    def counting_bezoutian(f):
         built.append((f.ring, f.n_vars))
-        return bezoutian(f, alg)
+        return bezoutian(f)
 
     def counting_det(ops, digits):
         dets[0] += 1
         return det(ops, digits)
 
-    monkeypatch.setattr(residue, "_bezoutian", counting_bezoutian)
+    monkeypatch.setattr(residue, "bezoutian", counting_bezoutian)
     monkeypatch.setattr(residue, "unit_det", counting_det)
     return built, dets
 
@@ -644,7 +644,7 @@ def test_a_morse_algebra_holds_the_inverse_det_of_its_bezoutian():
                 assert alg.inv_bezoutian_det is None, h
                 others += 1
                 continue
-            C = residue._bezoutian(h, alg)
+            C = residue.bezoutian(h)
             assert alg.inv_bezoutian_det == det_ring(h.ring, C).inverse(), h
             seen.add((p == 2, kind, n))
     assert {(False, "field", n) for n in (1, 2, 3, 4)} <= seen
@@ -676,11 +676,11 @@ def test_a_cold_morse_point_builds_a_bezoutian_only_for_its_gram_matrix(
         eliminated.append((ring, upto))
         return eliminate(grads, ring, n_vars, upto, lo)
 
-    def refused(f, alg):
+    def refused(f):
         raise AssertionError("a Morse point built its Bezoutian")
 
     monkeypatch.setattr(milnor, "_eliminate", counting)
-    monkeypatch.setattr(residue, "_bezoutian", refused)
+    monkeypatch.setattr(residue, "bezoutian", refused)
     argv = ["--p", p, "--m", m, "--vars", names, "--poly", poly, "--json"]
     for cmd in ("verify", "disc") + (("arf",) if field.p == 2 else ()):
         monkeypatch.setattr(milnor, "_ALGEBRAS", {})
@@ -761,7 +761,8 @@ def test_a_split_sum_builds_its_product_basis_on_first_read(monkeypatch, read, p
     f = _parse_case(p, m, names, poly)
     built = _count_product_presentations(monkeypatch)
     G = gram_matrix(f, 3)
-    alg = milnor_algebra(f)
+    # a fresh parse, so alg is composed apart from G's algebra
+    alg = milnor_algebra(_parse_case(p, m, names, poly))
     assert alg.blocks is not None and built == []
     first, composed = FIRST_READS[read]
     first(alg, G)
@@ -875,17 +876,20 @@ def test_a_cold_non_unit_scale_builds_no_bezoutian(monkeypatch):
 
 def test_an_evicted_polynomial_recomputes_the_same_det(monkeypatch):
     """With room for three algebras, the first of four polynomials is
-    evicted; its next Gram form builds its Bezoutian again, with the same
-    det, while a warm one builds none."""
+    evicted; the Gram form of a fresh parse of it builds its Bezoutian
+    again, with the same det, while a warm one builds none."""
     monkeypatch.setattr(milnor, "_ALGEBRAS_MAX", 3)
     f7 = gf_create(7, 1)
-    polys = [parse_poly(f"x^4+y^3+{k}*x^2*y", f7, ["x", "y"]) for k in range(1, 5)]
+
+    def parse(k):
+        return parse_poly(f"x^4+y^3+{k}*x^2*y", f7, ["x", "y"])
+
     built, _ = _count_bezoutians(monkeypatch)
-    first = [gram_matrix(f, 3).det for f in polys]
+    first = [gram_matrix(parse(k), 3).det for k in range(1, 5)]
     assert len(built) == 4
-    assert gram_matrix(polys[-1], 3).det == first[-1]
+    assert gram_matrix(parse(4), 3).det == first[-1]
     assert len(built) == 4
-    assert gram_matrix(polys[0], 3).det == first[0]
+    assert gram_matrix(parse(1), 3).det == first[0]
     assert len(built) == 5
 
 
