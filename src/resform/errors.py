@@ -62,7 +62,8 @@ class NotIsolated(ResformError):
 
 class ResourceLimit(ResformError):
     """A computation would hold more than the package allows itself, such
-    as a relation matrix past milnor.MAX_RELATION_CELLS."""
+    as a relation matrix or a product's normal-form matrix past
+    milnor.MAX_RELATION_CELLS."""
 
 
 class NotFlat(ResformError):

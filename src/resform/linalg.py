@@ -13,17 +13,25 @@ products, one for the multipliers of the rows it clears and one applying
 them to the pivot row.  Callers that build their matrix as digits (the
 Milnor relation matrices) call CodedOps.rref on it directly, so rref is the
 one elimination loop.  It reduces its argument in place: every caller
-builds the array for that one call.
+builds the array for that one call.  CodedOps.matmul is the one matrix
+product on digits, the same trick once more: the multiplication matrices of
+B's entries, laid side by side, turn A @ B into one integer matrix product
+with inner dimension k*m, accumulated in int64 and reduced once.  The
+residue engine forms the Bezoutian matrix C = N_x^T * Delta * N_y with it,
+and milnor the normal forms of a tensor product from its blocks';
+CodedOps.fold turns the coefficients of a polynomial in the generator x,
+such as the Bezoutian's unpacked ones, into digits.
 unit_det reads a determinant off rref's pivots: det_ring multiplies the
 pivot values of an encoded element matrix, and the residue engine the pivot
-inverses of the encoded Bezoutian matrix, whose inverse determinant is all
-the discriminant needs.  A pivot's inverse is the one its scaling step
-already uses (row 0 of its memoised multiplication matrix), so 1/det costs
-products only; the Milnor scan reads a Morse point's 1/det C the same way.
-solve_ring takes its right-hand side as n x k rows: one elimination of
-[M | B] gives the whole solution (the residue engine inverts the Bezoutian
-matrix this way, with B a multiple of I, only when the Gram matrix itself is
-asked for).
+inverses of the Bezoutian matrix, built as digits, whose inverse
+determinant is all the discriminant needs.  A pivot's inverse is the one
+its scaling step already uses (row 0 of its memoised multiplication
+matrix), so 1/det costs products only; the Milnor scan reads a Morse
+point's 1/det C the same way.  solve_coded eliminates a digit [M | B]
+whose first n columns are M, so one elimination gives the whole solution,
+and decodes only X; solve_ring encodes element rows for it.  The residue
+engine inverts the Bezoutian matrix with solve_coded, B a multiple of I,
+only when the Gram matrix itself is asked for.
 
 Row reduction only ever uses unit pivots.  Over a field that loses nothing.
 Over the truncated Witt ring a column whose remaining entries are nonzero
@@ -31,14 +39,17 @@ but all divisible by 2 cannot be cleared that way; we report the column and
 let the caller decide what that means (for Milnor algebras it means the
 quotient is not free, for determinants it means the result is not a unit).
 
-Matrices whose entries are integers or polynomials (the Bezoutian, the
-Sylvester matrices over Z[c_0..c_d]) have one determinant, det_expand, a
-memoised minor expansion that never divides.
+Matrices whose entries are integers or polynomials (the divided
+differences behind the Bezoutian, the Sylvester matrices over Z[c_0..c_d])
+have one determinant, det_expand, a memoised minor expansion that never
+divides.  Its caller may hand it the product to use, as the Bezoutian does
+to drop the terms whose normal form is zero as soon as they are formed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -58,7 +69,7 @@ class CodedOps:
     two digits times a table digit.
     """
 
-    __slots__ = ("ring", "size", "base", "residue", "_mask", "_elem", "_S", "_inv")
+    __slots__ = ("ring", "size", "base", "residue", "_mask", "_elem", "_S", "_inv", "_powers")
 
     def __init__(self, ring):
         m = ring.m
@@ -78,6 +89,7 @@ class CodedOps:
         # d @ _S is the multiplication matrix of d, flattened (_times)
         self._S = red[np.add.outer(np.arange(m), np.arange(m))].reshape(m, m * m)
         self._inv: dict = {}
+        self._powers = red.astype(np.int64)  # digits of x^0..x^(2m-2), for fold
 
     def encode_matrix(self, rows):
         return np.array([[x.coeffs for x in row] for row in rows], dtype=np.int32)
@@ -113,6 +125,31 @@ class CodedOps:
             inv = self._elem(self.ring, d.tolist()).inverse()
             M = self._inv[key] = self._times(np.array(inv.coeffs, dtype=np.int32))
         return M
+
+    def fold(self, R):
+        """Digits of sum_k R[:, k] * x^k for residues R (T, K) mod b, as a
+        (T, m) array: column k adds its multiples of the digits of x^k mod
+        h.  Past x^(2m-2) they are read off the ring's reduction."""
+        K = R.shape[1]
+        powers = self._powers
+        if K > len(powers):
+            powers = np.array([self.ring([0] * k + [1]).coeffs for k in range(K)],
+                              dtype=np.int64)
+        return self._reduce(R @ powers[:K]).astype(np.int32)
+
+    def matmul(self, A, B):
+        """A @ B for digit matrices A (r, k, m) and B (k, c, m), reduced.
+
+        Row (k, u) of the flattened multiplication matrices of B holds the
+        digits of x^u * B[k, j] for every j, so the digits of A's row i
+        against them sum to the product's row i.  Each sum has k*m terms
+        below b^2, accumulated in int64, so no inner dimension overflows.
+        """
+        r, k, m = A.shape
+        c = B.shape[1]
+        T = self._reduce(self._times(B)).transpose(0, 2, 1, 3).reshape(k * m, c * m)
+        X = A.reshape(r, k * m).astype(np.int64) @ T
+        return self._reduce(X).astype(np.int32).reshape(r, c, m)
 
     def product(self, values):
         """Product of digit lists, such as rref's pivot values, as an element."""
@@ -208,25 +245,33 @@ def det_ring(ring, mat):
 def solve_ring(ring, mat, rhs):
     """Solve mat * X = rhs for an n x k rhs given as rows; returns X as
     rows, or None when the matrix is not invertible."""
-    n = len(mat)
-    if n == 0:
+    if not mat:
         return []
     ops = coded(ring)
     aug = ops.encode_matrix([list(row) + list(b) for row, b in zip(mat, rhs)])
+    return solve_coded(ops, aug, len(mat))
+
+
+def solve_coded(ops, aug, n):
+    """Solve M * X = B from the digit array [M | B], M its first n columns,
+    in place; returns X's rows as elements, or None when M is not
+    invertible."""
     A, pivots, _, _, _ = ops.rref(aug)
     if pivots[:n] != list(range(n)):
         return None
     return [ops.decode_row(row) for row in A[:n, n:]]
 
 
-def det_expand(mat):
+def det_expand(mat, mul=operator.mul):
     """Determinant of a square matrix of integers or polynomials, without
     division, so it holds over Z, a field or W_3 alike.
 
     Expands along the rows top-down and memoises each minor on its column
     tuple (the row is implied by the tuple's length).  Zero entries are
     skipped and a zero minor is absent, so a dense n x n matrix costs
-    n*2^(n-1) products and a diagonal one n.
+    n*2^(n-1) products and a diagonal one n.  Every product of an entry and
+    a minor is mul(entry, minor); a mul that drops the terms of an ideal
+    gives the determinant modulo that ideal.
     """
     n = len(mat)
     if n == 0:
@@ -246,7 +291,9 @@ def det_expand(mat):
             sub = minor(cols[:i] + cols[i + 1:])
             if sub is None:
                 continue
-            term = row[j] * sub if i % 2 == 0 else -(row[j] * sub)
+            term = mul(row[j], sub)
+            if i % 2:
+                term = -term
             acc = term if acc is None else acc + term
         if acc is not None and _czero(acc):
             acc = None

@@ -49,8 +49,12 @@ NotIsolated.
 
 The relation matrix stays in the elimination kernel's digit form from build
 to normal forms: it is written as a (rows, cols, m) integer array, reduced
-there, certified there, and only the nonzero normal-form coefficients
-become ring elements.
+there and certified there, and the normal forms are kept as the reduced
+digit matrix N over the monomials below D (NormalForms): a pivot column's
+row holds its pivot row's negated entries on the free columns, a basis
+monomial's row is its unit vector.  N is built on its first read; the
+residue engine reads it as digits, and a monomial's normal form becomes
+ring elements only when nf_monomial reads it.
 
 A Thom-Sebastiani sum f = f_1 + ... + f_k, k >= 2, of polynomials in
 pairwise disjoint sets of variables (a constant term belongs to none) has
@@ -69,10 +73,12 @@ the products of the blocks': each such product is standard, and there are
 mu = prod mu_i of them.  They are enumerated and sorted only on the first
 read of the basis, its index or a normal form, once per composed algebra,
 as mu, D and the Gram determinant need none of them.  A monomial's normal
-form is the product of its block parts' forms, computed on first
-request.  The truncation degree is D = sum D_i - (k - 1): every monomial of
-that degree has some block part of degree at least D_i, which lies in J_i,
-so m^D lies in J.  Over a field D is also the least D0, as some monomial of
+form is the product of its block parts' forms, so the product's N is the
+Kronecker product of the blocks' N in the kernel's digits, built on the
+first read of a normal form or of the Bezoutian (_product_forms).  The
+truncation degree is D = sum D_i - (k - 1): every monomial of that degree
+has some block part of degree at least D_i, which lies in J_i, so m^D lies
+in J.  Over a field D is also the least D0, as some monomial of
 degree D_i - 1 survives in each block and the product of their normal forms
 is nonzero, as a tensor product of nonzero vectors over a field is.  Morse
 and smooth points are not split: their scan is already one small
@@ -120,6 +126,7 @@ for 164 of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -132,8 +139,9 @@ from .mpoly import MultiPoly, partials, variable_blocks
 from . import unipoly
 
 DEGREE_CAP = 24
-# digits one relation matrix may hold, 128 MiB as int32; the largest matrix
-# of the test suite and the corpus holds 6.4M
+# digits one relation matrix, or a product's normal-form matrix, may hold,
+# 128 MiB as int32; the largest matrix of the test suite and the corpus
+# holds 6.4M
 MAX_RELATION_CELLS = 2 ** 25
 
 
@@ -384,8 +392,10 @@ class MilnorAlgebra:
     `blocks` holds the (variables, block, block algebra) triples of f's
     variable-disjoint summands when the algebra was built as the tensor
     product of theirs, and is None otherwise.  Such a product knows mu and
-    D from its blocks; its `basis`, `basis_index` and normal forms are
-    built on the first read of any of them or of `nf_monomial`.
+    D from its blocks; its `basis`, `basis_index` and `forms` are built on
+    the first read of any of them or of `nf_monomial`.  `forms` holds the
+    normal forms as the digit matrix N (NormalForms), which the residue
+    engine reads as it is.
     `inv_bezoutian_det` is 1/det C for f's Bezoutian matrix C, the Gram
     determinant of the residue form for dt.  On a Morse point's algebra,
     D = 1 and mu = 1 over a field or over W_3, milnor_algebra sets it from
@@ -397,7 +407,7 @@ class MilnorAlgebra:
     """
 
     __slots__ = ("ring", "n_vars", "D", "mu", "blocks", "inv_bezoutian_det",
-                 "basis", "basis_index", "_nf")
+                 "basis", "basis_index", "forms")
 
     def __init__(self, ring, n_vars, D, mu, blocks=None):
         self.ring = ring
@@ -407,15 +417,15 @@ class MilnorAlgebra:
         self.blocks = blocks
         self.inv_bezoutian_det = None
 
-    def _present(self, basis, nf):
+    def _present(self, basis, forms):
         self.basis = basis
         self.basis_index = {e: i for i, e in enumerate(basis)}
-        self._nf = nf
+        self.forms = forms
 
     def __getattr__(self, name):
         # reached only when a slot is unset: a product's presentation before
         # its first read
-        if name not in ("basis", "basis_index", "_nf") or self.blocks is None:
+        if name not in ("basis", "basis_index", "forms") or self.blocks is None:
             raise AttributeError(name)
         self._present(*_product_presentation(self.blocks, self.n_vars))
         return getattr(self, name)
@@ -425,7 +435,7 @@ class MilnorAlgebra:
         e = tuple(exps)
         if sum(e) >= self.D:
             return {}
-        return self._nf[e]
+        return self.forms[e]
 
     def to_json(self) -> dict:
         return {"mu": self.mu, "basis": [list(e) for e in self.basis],
@@ -435,45 +445,66 @@ class MilnorAlgebra:
         return f"MilnorAlgebra(mu={self.mu}, D={self.D}, over {self.ring!r})"
 
 
-def _presentation(ring, cols, red, pivots):
-    """Basis and normal forms read off a reduced relation matrix."""
-    pivot_set = set(pivots)
-    free = [j for j in range(len(cols)) if j not in pivot_set]
-    basis = sorted((cols[j] for j in free), key=mono_key)
-    basis_index = {e: i for i, e in enumerate(basis)}
-    nf: dict = {e: {basis_index[e]: ring(1)} for e in basis}
-    free_index = [basis_index[cols[j]] for j in free]
-    # a pivot row reads e = -sum(row[j] * basis[j]) over the free columns
-    neg = -red[:len(pivots)][:, free] % ring.b
-    for c, row in zip(pivots, neg):
-        nf[cols[c]] = {free_index[j]: ring(row[j].tolist())
-                       for j in np.flatnonzero(row.any(axis=1))}
-    return basis, nf
+class NormalForms(dict):
+    """Normal forms over the basis, kept as the digit matrix N.
 
-
-class _ProductForms(dict):
-    """Normal forms of a tensor product of algebras, keyed by monomial.
-
-    A monomial's form is the product of its block parts' forms, without the
-    coefficients that vanish; it is computed on first request and kept.
+    Row rows[e] of `digits` (shape (len(monomials), mu, m)) holds the
+    digits of the normal form of the monomial e = monomials[row]; a
+    monomial below D that has no row has normal form 0.  `build`, a
+    function of no arguments, makes N on the first read of `digits`, so an
+    algebra whose forms are never read (a Witt lift's reduction, a Morse
+    point) makes none.  As a dict, a monomial's sparse form
+    {basis index: element} is decoded from its row on first request and
+    kept.
     """
 
-    def __init__(self, blocks, index):
+    def __init__(self, ring, monomials, build):
         super().__init__()
-        self._blocks = blocks  # (variables, block, block algebra) triples
-        self._index = index  # block basis indices -> product basis index
+        self.ring = ring
+        self.monomials = monomials
+        self._build = build
+
+    @functools.cached_property
+    def digits(self):
+        digits, self._build = self._build(), None
+        return digits
+
+    @functools.cached_property
+    def rows(self):
+        return {e: r for r, e in enumerate(self.monomials)}
 
     def __missing__(self, e):
-        forms = [alg.nf_monomial(tuple(e[v] for v in vs)) for vs, _, alg in self._blocks]
+        r = self.rows.get(e)
         value = {}
-        if all(forms):
-            terms = {(i,): c for i, c in forms[0].items()}
-            for nf in forms[1:]:
-                terms = {key + (i,): c * ci for key, c in terms.items() for i, ci in nf.items()}
-            # over W_3 a product of nonzero coefficients can vanish
-            value = {self._index[key]: c for key, c in terms.items() if not c.is_zero()}
+        if r is not None:
+            row, ring = self.digits[r], self.ring
+            elem = type(ring.one)
+            value = {int(i): elem(ring, row[i].tolist()) for i in np.flatnonzero(row.any(axis=1))}
         self[e] = value
         return value
+
+
+def _presentation(ring, cols, red, pivots):
+    """Basis and normal forms read off a reduced relation matrix.
+
+    Every monomial below D is a column.  A pivot column's row of N holds
+    the negated entries of its pivot row on the free columns, as the row
+    reads e = -sum(row[j] * cols[j]); a free column's row is the unit vector
+    of its basis monomial.  Columns run from the highest mono_key down, so
+    the free ones, reversed, are the sorted basis.  Only the pivot rows'
+    free entries are kept from red until N is built.
+    """
+    pivot_set = set(pivots)
+    free = [j for j in range(len(cols)) if j not in pivot_set][::-1]
+    neg = -red[:len(pivots)][:, free] % ring.b
+
+    def build():
+        N = np.zeros((len(cols), len(free), ring.m), dtype=np.int32)
+        N[free, np.arange(len(free)), 0] = 1
+        N[pivots] = neg
+        return N
+
+    return [cols[j] for j in free], NormalForms(ring, cols, build)
 
 
 def _product(f: MultiPoly, cap: int):
@@ -512,18 +543,60 @@ def _product(f: MultiPoly, cap: int):
     return D, math.prod(alg.mu for _, _, alg in blocks), blocks
 
 
+def _joined(blocks, n_vars: int, parts):
+    """The monomial in n_vars variables whose block parts are parts."""
+    e = [0] * n_vars
+    for (vs, _, _), part in zip(blocks, parts):
+        for v, k in zip(vs, part):
+            e[v] = k
+    return tuple(e)
+
+
 def _product_presentation(blocks, n_vars: int):
-    """Sorted basis and normal forms of a tensor product of algebras."""
-    monos = []
-    for combo in itertools.product(*(enumerate(alg.basis) for _, _, alg in blocks)):
-        e = [0] * n_vars
-        for (vs, _, _), (_, b) in zip(blocks, combo):
-            for v, k in zip(vs, b):
-                e[v] = k
-        monos.append((tuple(e), tuple(i for i, _ in combo)))
-    monos.sort(key=lambda t: mono_key(t[0]))
-    index = {key: j for j, (_, key) in enumerate(monos)}
-    return [e for e, _ in monos], _ProductForms(blocks, index)
+    """Sorted basis and normal forms of a tensor product of algebras.
+
+    The products of the blocks' basis monomials are enumerated in the
+    order of their block basis indices, the order of the Kronecker
+    product's columns, and sorted with their position there.
+    """
+    monos = sorted(((_joined(blocks, n_vars, parts), j) for j, parts in
+                    enumerate(itertools.product(*(alg.basis for _, _, alg in blocks)))),
+                   key=lambda t: mono_key(t[0]))
+    return [e for e, _ in monos], _product_forms(blocks, n_vars, [j for _, j in monos])
+
+
+def _product_forms(blocks, n_vars: int, order):
+    """Normal forms of a tensor product: N is the Kronecker product of the
+    blocks' N, as a monomial's form is the product of its block parts'.
+
+    Its rows are the products of the blocks' monomials with a row, and
+    every other monomial below D has some block part of degree at least
+    D_i, so form 0.  Column order[j] of the Kronecker product is basis
+    monomial j.  Over W_3 a product of nonzero coefficients can vanish; its
+    digits are then zero.  An N of more than MAX_RELATION_CELLS digits
+    raises ResourceLimit before it is built, on every read.
+    """
+    ring = blocks[0][2].ring
+
+    def build():
+        ops, m = coded(ring), ring.m
+        shape = (len(monomials), len(order), m)
+        if math.prod(shape) > MAX_RELATION_CELLS:
+            raise ResourceLimit(
+                f"the normal forms of the product would hold {' x '.join(map(str, shape))} "
+                f"digits, more than MAX_RELATION_CELLS = {MAX_RELATION_CELLS}"
+            )
+        N = np.array([[ring.one.coeffs]], dtype=np.int32)
+        for _, _, alg in blocks:
+            B = alg.forms.digits
+            (r, c), (rb, cb) = N.shape[:2], B.shape[:2]
+            N = ops.matmul(N.reshape(r * c, 1, m), B.reshape(1, rb * cb, m))
+            N = N.reshape(r, c, rb, cb, m).transpose(0, 2, 1, 3, 4).reshape(r * rb, c * cb, m)
+        return np.ascontiguousarray(N[:, order])
+
+    monomials = [_joined(blocks, n_vars, parts) for parts in
+                 itertools.product(*(alg.forms.monomials for _, _, alg in blocks))]
+    return NormalForms(ring, monomials, build)
 
 
 # Most recently used last.  Only algebras that an elimination built are
@@ -595,11 +668,11 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
                 raise NotFlat(
                     f"monomial {cols[stuck]} carries a non-unit relation; quotient is not free"
                 )
-        basis, nf = _presentation(ring, *presented)
+        basis, forms = _presentation(ring, *presented)
         if not field and basis != reduced.basis:
             raise NotFlat("Witt-lift basis does not match its mod-2 reduction")
         alg = MilnorAlgebra(ring, n, D, len(basis))
-        alg._present(basis, nf)
+        alg._present(basis, forms)
         if D == 1 and alg.mu == 1:
             alg.inv_bezoutian_det = _morse_inv_bezoutian_det(ring, n, inverses)
     if ring.residue == 2 and n % 2 == 1 and alg.mu % 2 == 1:

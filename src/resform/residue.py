@@ -10,6 +10,19 @@ det G come the discriminant square class and the Arf invariant of
 characteristic-2 singularities via the length-3 Witt lift; from G the
 tensor and trace-pushforward laws.
 
+C runs on the kernel's digits from start to finish.  The determinant of
+the divided differences is expanded over Z, on the ring's coefficients
+packed into integers, with a product that drops every term whose x-part or
+y-part has degree at least D, since its normal form is 0.  The surviving
+coefficients, reduced to digits, form the digit matrix Delta over the
+x-parts and y-parts that occur; with N_x and N_y the rows of the algebra's
+normal-form matrix N (milnor.NormalForms) at those parts,
+C = N_x^T * Delta * N_y is two coded products (linalg.CodedOps.matmul).
+C's digits go to the elimination that reads 1/det C as they are, and the
+solve of G eliminates the digits [C | alpha^n * I]; only 1/det C and G are
+decoded to elements.  On a homogeneous f of degree d the determinant has
+degree n(d-2), below D, so the truncation drops nothing there.
+
 When the Milnor algebra of f is the tensor product of its blocks' (f a sum
 of polynomials f_i in n_i disjoint variables, see milnor), so is the
 Bezoutian: the matrix of divided differences is block-diagonal up to one
@@ -19,9 +32,10 @@ basis.  So det C = prod det(C_i)^(mu/mu_i), over any commutative ring:
 over a field and for the W_3 lift of a separable characteristic-2 input
 alike.  C is symmetric or invertible exactly when every C_i is, so the
 blocks' checks are f's.  G itself is still solved from f's own C, built
-from the product normal forms of the algebra the form holds, when it is
-read; that algebra builds its product basis only then, or when the form's
-basis is read, and once for both.
+from the normal forms of the algebra the form holds, whose N is the
+Kronecker product of the blocks', when it is read; that algebra builds its
+product basis and N only then, or when the form's basis is read, and once
+for both.
 
 Every entry point reads f's Milnor algebra itself: milnor_algebra keeps it
 on f, so the reads after the first cost nothing.  1/det C, the Gram
@@ -45,6 +59,9 @@ is kept anywhere.
 from __future__ import annotations
 
 import math
+from operator import add
+
+import numpy as np
 
 from .errors import (
     EvenCharacteristic,
@@ -55,9 +72,9 @@ from .errors import (
     SingularBezoutian,
 )
 from .gfield import Field, legendre
-from .linalg import coded, det_expand, det_ring, solve_ring, unit_det
+from .linalg import coded, det_expand, det_ring, solve_coded, solve_ring, unit_det
 from .milnor import milnor_algebra, mono_key
-from .mpoly import MultiPoly, divided_difference, partials
+from .mpoly import ZZ, MultiPoly, divided_difference, partials
 from .unipoly import QuotientField
 from .wittring import (
     ArfClass,
@@ -154,29 +171,107 @@ class GramForm:
         return f"GramForm(mu={self.mu}, scale={self.scale!r}, over {self.ring!r})"
 
 
+def _truncated_product(n: int, D: int):
+    """The product of two polynomials in the doubled variables x, y without
+    the terms whose x-part or y-part has degree at least D.
+
+    Those terms span an ideal, and their normal forms in A tensor A are 0,
+    as m^D lies in J; so they are dropped as soon as they are formed, and
+    the determinant expansion never carries them on.
+    """
+
+    def product(a, b):
+        right = [(e, c, sum(e[:n]), sum(e[n:])) for e, c in b.terms.items()]
+        out: dict = {}
+        for e1, c1 in a.terms.items():
+            dx, dy = D - sum(e1[:n]), D - sum(e1[n:])
+            for e2, c2, dx2, dy2 in right:
+                if dx2 < dx and dy2 < dy:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+        return MultiPoly(a.ring, a.n_vars, out)
+
+    return product
+
+
+def _packed_over_z(f: MultiPoly):
+    """f with each coefficient's digits packed into one integer, as a
+    polynomial over Z, and the width of a slot.
+
+    Digit i sits in slot i, the coefficient of X^i for X = 2^width, so a
+    product of packed integers is the product of the coefficients in
+    Z[x] (Kronecker substitution), and sums and negation are exact too.
+    The slots of the Bezoutian's determinant are below 2^(width - 1) in
+    absolute value: each of its n! products of n divided differences, each
+    entry of at most T terms with slots below deg(f) * b, convolves n
+    digit vectors of length m.
+    """
+    ring, n = f.ring, f.n_vars
+    deg = f.total_degree()
+    terms = len(f.terms) * deg
+    bound = math.factorial(n) * (terms * deg * ring.b) ** n * ring.m ** (n - 1)
+    width = bound.bit_length() + 2
+
+    def pack(c):
+        v = 0
+        for d in reversed(c.coeffs):
+            v = (v << width) | d
+        return v
+
+    return f.map_coeffs(pack, ZZ), width
+
+
+def _slot_residues(values, slots: int, width: int, b: int):
+    """The slots of packed integers over Z, mod b, as a (len(values), slots)
+    array.  A slot is read in the balanced range, so a negative one borrows
+    from the next."""
+    full = 1 << width
+    mask, half = full - 1, full >> 1
+    out = []
+    for v in values:
+        for _ in range(slots):
+            s = v & mask
+            if s >= half:
+                s -= full
+            out.append(s % b)
+            v = (v - s) >> width
+    return np.array(out, dtype=np.int64).reshape(-1, slots)
+
+
 def bezoutian(f: MultiPoly):
-    """Matrix of the Bezoutian class in A tensor A over the basis pairs of
-    f's Milnor algebra A."""
+    """Digits of the matrix of the Bezoutian class in A tensor A over the
+    basis pairs of f's Milnor algebra A, shape (mu, mu, m).
+
+    The determinant of the divided differences is expanded over Z, on
+    packed coefficients (_packed_over_z), without the terms whose normal
+    form is 0.  Its surviving coefficients, reduced to digits and written
+    as the digit matrix Delta over the x-parts and y-parts that occur, give
+    C = N_x^T * Delta * N_y, N_x and N_y the rows of the normal-form matrix
+    N at those parts: two coded products, and no element is built.
+    """
     alg = milnor_algebra(f)
-    n = f.n_vars
-    grads = partials(f)
-    dd = [[divided_difference(grads[i], j) for j in range(n)] for i in range(n)]
-    delta = det_expand(dd)
-    mu = alg.mu
-    zero = f.ring.zero
-    C = [[zero] * mu for _ in range(mu)]
-    for e, c in delta.terms.items():
-        nx = alg.nf_monomial(e[:n])
-        if not nx:
-            continue
-        ny = alg.nf_monomial(e[n:])
-        for i, cx in nx.items():
-            cc = c * cx
-            for j, cy in ny.items():
-                C[i][j] = C[i][j] + cc * cy
+    n, mu, ring = f.n_vars, alg.mu, f.ring
     if mu and (0,) * n not in alg.basis_index:
         raise SingularBezoutian("the unit monomial is not a standard monomial")
-    return C
+    packed, width = _packed_over_z(f)
+    grads = partials(packed)
+    dd = [[divided_difference(grads[i], j) for j in range(n)] for i in range(n)]
+    delta = det_expand(dd, _truncated_product(n, alg.D))
+    rows = alg.forms.rows
+    xs: dict = {}  # row of N -> row of Delta
+    ys: dict = {}  # row of N -> column of Delta
+    ix, iy, values = [], [], []
+    for e, v in delta.terms.items():
+        rx, ry = rows.get(e[:n]), rows.get(e[n:])
+        if rx is not None and ry is not None:
+            ix.append(xs.setdefault(rx, len(xs)))
+            iy.append(ys.setdefault(ry, len(ys)))
+            values.append(v)
+    ops = coded(ring)
+    Delta = np.zeros((len(xs), len(ys), ring.m), dtype=np.int32)
+    Delta[ix, iy] = ops.fold(_slot_residues(values, n * (ring.m - 1) + 1, width, ring.b))
+    N = alg.forms.digits
+    return ops.matmul(N[list(xs)].transpose(1, 0, 2), ops.matmul(Delta, N[list(ys)]))
 
 
 def residue_functional(f: MultiPoly):
@@ -188,13 +283,13 @@ def residue_functional(f: MultiPoly):
 
 def _inv_bezoutian_det(f: MultiPoly):
     """1/det C for the Bezoutian matrix C of f, whose Milnor algebra was
-    eliminated, and C when this call built it (None when the algebra
-    already held 1/det C).
+    eliminated, and C's digits when this call built them (None when the
+    algebra already held 1/det C).
 
     C is symmetric exactly when its inverse is, so the symmetry check reads
     C's digits; 1/det C is the product of the pivot inverses of one
-    elimination of C alone, so no determinant is inverted, and it is kept
-    on the algebra only once both checks pass.
+    elimination of a copy of C alone, so no determinant is inverted, and it
+    is kept on the algebra only once both checks pass.
     """
     alg = milnor_algebra(f)
     if alg.inv_bezoutian_det is not None:
@@ -203,11 +298,10 @@ def _inv_bezoutian_det(f: MultiPoly):
     C = bezoutian(f)
     inv_det_c = ring.one
     if alg.mu:
-        ops = coded(ring)
-        digits = ops.encode_matrix(C)
-        if not (digits == digits.swapaxes(0, 1)).all():
+        if not (C == C.swapaxes(0, 1)).all():
             raise SingularBezoutian("gram matrix is not symmetric")
-        _, k, _, inverses = unit_det(ops, digits)
+        ops = coded(ring)
+        _, k, _, inverses = unit_det(ops, C.copy())
         if k < alg.mu:
             raise SingularBezoutian("bezoutian matrix is not invertible")
         inv_det_c = ops.product(inverses)
@@ -220,10 +314,12 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     times the inverse of the Bezoutian matrix, alpha = scale.
 
     det G = alpha^(n*mu) / det C at every scale, and the matrix is solved
-    only when it is read.  When the Milnor algebra is a tensor product of
-    blocks' algebras, 1/det C = prod (1/det C_i)^(mu/mu_i) is read off the
-    blocks' algebras by the Kronecker law, with their checks.  The scale is
-    checked once, after f's algebra and before any Bezoutian.
+    only when it is read, by one elimination of the digits
+    [C | alpha^n * I], whose right half alone is decoded.  When the Milnor
+    algebra is a tensor product of blocks' algebras,
+    1/det C = prod (1/det C_i)^(mu/mu_i) is read off the blocks' algebras by
+    the Kronecker law, with their checks.  The scale is checked once, after
+    f's algebra and before any Bezoutian.
     """
     alg = milnor_algebra(f)
     ring, mu = f.ring, alg.mu
@@ -239,8 +335,10 @@ def gram_matrix(f: MultiPoly, scale=1) -> GramForm:
     factor = alpha ** f.n_vars
 
     def solve():
-        eye = [[factor if i == j else ring.zero for j in range(mu)] for i in range(mu)]
-        return solve_ring(ring, bezoutian(f) if C is None else C, eye)
+        aug = np.zeros((mu, 2 * mu, ring.m), dtype=np.int32)
+        aug[:, :mu] = bezoutian(f) if C is None else C
+        aug[np.arange(mu), mu + np.arange(mu)] = factor.coeffs
+        return solve_coded(coded(ring), aug, mu)
 
     return GramForm(ring, f.n_vars, mu, lambda: list(alg.basis), solve, alpha,
                     factor ** mu * inv_det_c)

@@ -74,6 +74,20 @@ REFUSALS = [
      "--lift-perturbation", "z"],
 ]
 
+# Bezoutians of unsplit, non-Morse inputs with mu > 4, recorded after the
+# calls above: coordinate changes f o A of Fermat sums (mu 9 and 8), and
+# a7-shaped lifts over F_2 whose elimination at D0 fails, perturbed (mu 4)
+# or not (mu 8)
+FERMAT_CHANGES = [
+    (13, "x,y", "(x+2*y)^4+(3*x+y)^4"),
+    (7, "x,y,z", "(x+y)^3+(y+2*z)^3+(x+3*z)^3"),
+]
+FERMAT_COMMANDS = [["gram"], ["disc"], ["verify"]]
+A7_LIFTS = [
+    ("x,y", "x^3+y^3+x*y^2", "x"),
+    ("x,y", "x^3+y^5+x^2*y", "y"),
+]
+
 
 def argvs():
     """Every recorded argv, each ending in --json."""
@@ -86,6 +100,12 @@ def argvs():
         out += [cmd + field for cmd in CHAR2_COMMANDS]
         out.append(["arf"] + field + ["--lift-perturbation", lift])
     out += REFUSALS
+    for p, names, poly in FERMAT_CHANGES:
+        out += [cmd + ["--p", str(p), "--vars", names, "--poly", poly]
+                for cmd in FERMAT_COMMANDS]
+    for names, poly, lift in A7_LIFTS:
+        field = ["--p", "2", "--vars", names, "--poly", poly]
+        out += [["gram"] + field, ["arf"] + field + ["--lift-perturbation", lift]]
     return [argv + ["--json"] for argv in out]
 
 

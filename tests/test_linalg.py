@@ -218,6 +218,44 @@ def test_kernel_matches_the_einsum_formulation(name, make):
         assert stuck_seen == {True, False}
 
 
+PRODUCT_RINGS = [
+    ("F_13", lambda: gf_create(13, 1)),
+    ("F_13^10", lambda: gf_create(13, 10)),
+    ("F_2^10", lambda: gf_create(2, 10)),
+    ("F_3^5", lambda: gf_create(3, 5)),
+    ("W3(F_2)", lambda: gr_create(gf_create(2, 1))),
+    ("W3(F_8)", lambda: gr_create(gf_create(2, 3))),
+    ("W3(F_1024)", lambda: gr_create(gf_create(2, 10))),
+]
+
+
+@pytest.mark.parametrize("name, make", PRODUCT_RINGS, ids=[name for name, _ in PRODUCT_RINGS])
+def test_the_coded_product_is_the_element_product(name, make):
+    """CodedOps.matmul against sums of element products: small random
+    shapes, a shape with an empty side, and an inner dimension of 4096
+    whose entries are mostly the largest digits, where a sum of products
+    kept in int32 would overflow."""
+    ring = make()
+    ops = coded(ring)
+    rng = random.Random(f"matmul/{name}")
+    top = [ring.b - 1] * ring.m
+
+    def draw(rows, cols, full=0.0):
+        return [[ring(top if rng.random() < full else
+                      [rng.randrange(ring.b) for _ in range(ring.m)])
+                 for _ in range(cols)] for _ in range(rows)]
+
+    for (r, k, c), full in [((3, 5, 4), 0.0), ((1, 7, 1), 0.0), ((4, 0, 3), 0.0),
+                            ((2, 4096, 3), 0.9)]:
+        A, B = draw(r, k, full), draw(k, c, full)
+        got = ops.matmul(ops.encode_matrix(A).reshape(r, k, ring.m),
+                         ops.encode_matrix(B).reshape(k, c, ring.m))
+        want = [[sum((A[i][t] * B[t][j] for t in range(k)), ring.zero) for j in range(c)]
+                for i in range(r)]
+        assert got.shape == (r, c, ring.m)
+        assert [ops.decode_row(row) for row in got] == want
+
+
 def test_a_bounded_inverse_memo_changes_no_result(monkeypatch):
     """With room for two pivot inverses per ring, rref drops the oldest and
     recomputes it when asked again: every result is the unbounded one's."""

@@ -250,21 +250,20 @@ def test_scan_presentation_matches_a_fresh_elimination_below_D(monkeypatch, p, m
 
 def _count_product_presentations(monkeypatch):
     """Record n_vars of every product basis enumerated, and "forms" for
-    every _ProductForms made."""
+    every product's normal-form matrix made."""
     built = []
-    present, forms = milnor._product_presentation, milnor._ProductForms
+    present, forms = milnor._product_presentation, milnor._product_forms
 
-    class CountingForms(forms):
-        def __init__(self, parts, index):
-            built.append("forms")
-            super().__init__(parts, index)
+    def counting_forms(blocks, n_vars, keys):
+        built.append("forms")
+        return forms(blocks, n_vars, keys)
 
     def counting(parts, n_vars):
         built.append(n_vars)
         return present(parts, n_vars)
 
     monkeypatch.setattr(milnor, "_product_presentation", counting)
-    monkeypatch.setattr(milnor, "_ProductForms", CountingForms)
+    monkeypatch.setattr(milnor, "_product_forms", counting_forms)
     return built
 
 
@@ -384,6 +383,11 @@ def test_a_split_quartic_in_eleven_variables_verifies_quickly(monkeypatch):
     assert report["geometric"]["witness"] is None
 
 
+def _normal_forms(alg):
+    """Every normal form below D, by monomial."""
+    return {e: alg.nf_monomial(e) for e in monomials_upto(alg.n_vars, alg.D - 1)}
+
+
 def test_eliminations_share_one_bounded_monomial_memo(monkeypatch):
     """Columns and shift lists come from one memo keyed by (n_vars, upto, lo):
     each key is enumerated once while it is held, the memo never holds more
@@ -406,13 +410,13 @@ def test_eliminations_share_one_bounded_monomial_memo(monkeypatch):
     monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     again = milnor_algebra(f)
     assert len(enumerated) == len(milnor._MONOMIALS)
-    assert again.basis == alg.basis and again._nf == alg._nf
+    assert again.basis == alg.basis and _normal_forms(again) == _normal_forms(alg)
     monkeypatch.setattr(milnor, "_MONOMIALS_MAX", 12)
     monkeypatch.setattr(milnor, "_MONOMIALS", {})
     monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     small = milnor_algebra(f)
     assert sum(len(monos) for monos, _, _ in milnor._MONOMIALS.values()) <= 12
-    assert small.basis == alg.basis and small._nf == alg._nf
+    assert small.basis == alg.basis and _normal_forms(small) == _normal_forms(alg)
 
 
 def test_a_relation_matrix_past_the_bound_is_refused(monkeypatch):
@@ -430,6 +434,23 @@ def test_a_relation_matrix_past_the_bound_is_refused(monkeypatch):
         milnor_algebra(f)
     monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", 60)
     assert (milnor_algebra(f).mu, milnor_algebra(f).D) == (4, 3)
+
+
+def test_a_product_past_the_bound_builds_no_normal_forms(monkeypatch):
+    """A product's normal-form matrix is held to the relation matrices'
+    bound: a read of a normal form raises ResourceLimit, naming the shape,
+    on every read, and its basis and mu are still read.  x^3+y^4 has
+    blocks of 2 and 3 monomials below D, mu 2 and 3."""
+    f = parse_poly("x^3+y^4", gf_create(7, 1), ["x", "y"])
+    alg = milnor_algebra(f)
+    monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", 35)
+    for _ in range(2):
+        with pytest.raises(ResourceLimit, match="^the normal forms of the product would hold "
+                                                "6 x 6 x 1 digits, more than MAX_RELATION_CELLS = 35$"):
+            alg.nf_monomial((1, 1))
+    assert alg.mu == len(alg.basis) == 6
+    monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", 36)
+    assert alg.nf_monomial((1, 1)) == {alg.basis_index[(1, 1)]: gf_create(7, 1).one}
 
 
 def test_a_lower_cap_still_rejects_after_success():

@@ -12,8 +12,9 @@ from test_milnor import (
     _parse_case,
     _random_poly,
 )
+from test_path_agreement import ODD_SHAPES, SHAPES, _compose
 
-from resform import cli, linalg, milnor, residue
+from resform import cli, corpus, linalg, milnor, residue
 from resform.catalog import arithmetic_side
 from resform.epsilon import verify_identity
 from resform.errors import (
@@ -26,14 +27,14 @@ from resform.errors import (
     SingularBezoutian,
 )
 from resform.gfield import gf_create
-from resform.linalg import CodedOps, det_ring
+from resform.linalg import CodedOps, coded, det_expand, det_ring
 from resform.milnor import milnor_algebra, monomials_upto
-from resform.mpoly import MultiPoly, parse_poly
+from resform.homog import BinaryForm, divided_disc_binary
+from resform.mpoly import MultiPoly, divided_difference, parse_poly, partials
 from resform.residue import (
     GramForm,
     SquareClass,
     arf_invariant,
-    bezoutian,
     disc_square_class,
     extension_disc,
     global_univariate_functional,
@@ -48,10 +49,17 @@ from resform.unipoly import QuotientField, deriv_p, irreducible_poly
 from resform.wittring import ArfClass, WittSquareClass, gr_create, square_class_normalize
 
 
+def _bezoutian_rows(f):
+    """The Bezoutian matrix the engine builds as digits (through a
+    monkeypatch of residue.bezoutian too), decoded to rows of elements."""
+    ops = coded(f.ring)
+    return [ops.decode_row(row) for row in residue.bezoutian(f)]
+
+
 def test_cusp_frozen_matrices():
     f7 = gf_create(7, 1)
     f = parse_poly("x^3", f7, ["x"])
-    assert bezoutian(f) == [[f7(0), f7(3)], [f7(3), f7(0)]]
+    assert _bezoutian_rows(f) == [[f7(0), f7(3)], [f7(3), f7(0)]]
     assert residue_functional(f) == [f7(0), f7(5)]
     G = gram_matrix(f, 1)
     assert G.matrix == [[f7(0), f7(5)], [f7(5), f7(0)]]
@@ -98,7 +106,7 @@ def test_char2_field_disc_refuses():
 def test_witt_frozen_matrices():
     ring = gr_create(gf_create(2, 1))
     f = MultiPoly(ring, 1, {(2,): ring(1), (3,): ring(1)})
-    assert bezoutian(f) == [[ring(2), ring(3)], [ring(3), ring(0)]]
+    assert _bezoutian_rows(f) == [[ring(2), ring(3)], [ring(3), ring(0)]]
     assert residue_functional(f) == [ring(0), ring(3)]
     G = gram_matrix(f, 1)
     assert G.matrix == [[ring(0), ring(3)], [ring(3), ring(6)]]
@@ -297,13 +305,141 @@ def test_ring_kind_decides_each_route(name, poly, want):
             assert type(call()) is expect
 
 
+def _object_bezoutian(f):
+    """The Bezoutian matrix on element objects, built the way the engine
+    built it before it worked on digits: the whole determinant of the
+    divided differences, and C accumulated one product at a time over the
+    normal forms of a plain-Python elimination below D."""
+    alg = milnor_algebra(f)
+    n, mu, ring = f.n_vars, alg.mu, f.ring
+    _, nf = _d_minus_one_presentation(f, alg.D)
+    grads = partials(f)
+    dd = [[divided_difference(grads[i], j) for j in range(n)] for i in range(n)]
+    C = [[ring.zero] * mu for _ in range(mu)]
+    for e, c in det_expand(dd).terms.items():
+        ny = nf.get(e[n:], {})
+        for i, cx in nf.get(e[:n], {}).items():
+            for j, cy in ny.items():
+                C[i][j] = C[i][j] + c * cx * cy
+    return C
+
+
+def _coordinate_changes(rng):
+    """Item 5's sample: the path-agreement shapes moved by a seeded A in
+    GL_n(F_q), over odd prime fields and, lifted to W_3, over F_{2^m}."""
+    out = []
+    for shapes, fields in ((ODD_SHAPES, [(5, 1), (7, 1), (11, 1), (13, 1)]),
+                           (SHAPES, [(2, 1), (2, 2), (2, 3)])):
+        for names, text, _ in shapes:
+            for p, m in fields:
+                field = gf_create(p, m)
+                units = [e for e in field.elements() if not e.is_zero()]
+                f = parse_poly(text, field, names.split(","),
+                               constants={"a": rng.choice(units), "c": rng.choice(units)})
+                # over an odd field a degree p divides has a vanishing
+                # partial; the W_3 lift of a characteristic-2 input keeps it
+                if p > 2 and any(k % p == 0 for e in f.terms for k in e if k):
+                    continue
+                while True:
+                    A = [[rng.choice(units + [field.zero]) for _ in range(f.n_vars)]
+                         for _ in range(f.n_vars)]
+                    if not det_ring(field, A).is_zero():
+                        break
+                fa = _compose(f, A)
+                out.append(witt_lift(fa) if p == 2 else fa)
+    return out
+
+
+def _corpus_bezoutians(monkeypatch):
+    """Every polynomial the corpus builds a Bezoutian of, once each; undoes
+    the test's monkeypatches."""
+    seen = {}
+    real = residue.bezoutian
+
+    def recording(f):
+        seen.setdefault((f.ring, f.n_vars, frozenset(f.terms.items())), f)
+        return real(f)
+
+    monkeypatch.setattr(residue, "bezoutian", recording)
+    assert all(r.ok for r in corpus.run_corpus())
+    monkeypatch.undo()
+    return list(seen.values())
+
+
+def _char2_lifts():
+    """a7-shaped lifts over F_2 and F_4, plain and perturbed by 2*g, and the
+    lifts of a13's binary cubics over F_2, F_4 and F_8."""
+    out = []
+    for m, text, g in [(1, "x^3+y^3+x*y^2", "x"), (1, "x^3+y^5+x^2*y", "y"),
+                       (2, "x^3+g*y^3+x*y^2", "x*y"), (2, "x^5+x^2*y+y^3", "x+y^2"),
+                       (2, "g*u^3+u^5", "u^2")]:
+        field = gf_create(2, m)
+        names = ["u"] if "u" in text else ["x", "y"]
+        constants = {"g": field.gen()} if m > 1 else None
+        f = parse_poly(text, field, names, constants=constants)
+        ring = gr_create(field)
+        lift = witt_lift(f)
+        out += [lift, lift + parse_poly(g, field, names, constants).map_coeffs(ring, ring).scale(2)]
+    rng = random.Random("a13-lifts")
+    for m in (1, 2, 3):
+        field = gf_create(2, m)
+        found = 0
+        while found < 3:
+            F = BinaryForm(field, 3, [field.decode(rng.randrange(field.q)) for _ in range(4)])
+            if divided_disc_binary(F).is_zero():
+                continue
+            out.append(witt_lift(F.as_poly()))
+            found += 1
+    return out
+
+
+def test_the_digit_bezoutian_is_the_object_construction(monkeypatch):
+    """C built as digits, truncated as it is expanded, equals the object
+    construction entry for entry: on item 5's coordinate changes in both
+    characteristics, on every input the corpus builds a Bezoutian of, on
+    a7 and a13 lifts (two of which fail at their reduction's D0), on split
+    sums whose C is read for gram --json, and on the CLI record's
+    coordinate changes of Fermat sums."""
+    hits = []
+    lift_degree = milnor._lift_degree
+
+    def recording(*args):
+        hits.append(args[-1])
+        return lift_degree(*args)
+
+    monkeypatch.setattr(milnor, "_lift_degree", recording)
+    cases = _coordinate_changes(random.Random("guard")) + _char2_lifts()
+    field7, field13 = gf_create(7, 1), gf_create(13, 1)
+    for text, field, names in [("x^3+2*y^4+z^3", field7, "x,y,z"),
+                               ("(x+y)^3+(y+2*z)^3+(x+3*z)^3", field7, "x,y,z"),
+                               ("(x+2*y)^4+(3*x+y)^4", field13, "x,y"),
+                               ("x^2*y+y^3+x^4", field7, "x,y")]:
+        cases.append(parse_poly(text, field, names.split(",")))
+    cases.append(witt_lift(parse_poly("x^3+y^3+z^5", gf_create(2, 1), ["x", "y", "z"])))
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    built = split = 0
+    for f in cases:
+        try:
+            alg = milnor_algebra(f)
+        except ResformError:
+            continue
+        assert _bezoutian_rows(f) == _object_bezoutian(f), f
+        built += 1
+        split += alg.blocks is not None
+    assert len(hits) >= 2 and built >= 40 and split >= 3
+    corpus_cases = _corpus_bezoutians(monkeypatch)
+    assert len(corpus_cases) >= 10
+    for f in corpus_cases:
+        assert _bezoutian_rows(f) == _object_bezoutian(f), f
+
+
 def _reference_gram(f, scale):
     """The pairing by the route that reads it off the functional: solve
     C^T lam = e_1 with the plain-Python eliminator, then take
     alpha^n * lam(b_i * b_j) from the multiplication table."""
     alg = milnor_algebra(f)
     ring, mu = f.ring, alg.mu
-    C = bezoutian(f)
+    C = _object_bezoutian(f)
     one_at = alg.basis_index[(0,) * f.n_vars]
     rows = [[C[j][i] for j in range(mu)] + [ring(int(i == one_at))] for i in range(mu)]
     reduced, pivots, _ = ref_rref(rows)
@@ -374,9 +510,9 @@ def test_a_non_symmetric_bezoutian_is_refused(monkeypatch):
     real = residue.bezoutian
 
     def skewed(f):
-        C = [list(row) for row in real(f)]
-        C[0][1] = C[0][1] + f7(1)
-        assert C[0][1] != C[1][0]
+        C = real(f)
+        C[0, 1] = (C[0, 1] + f7(1).coeffs) % 7
+        assert (C[0, 1] != C[1, 0]).any()
         return C
 
     monkeypatch.setattr(residue, "bezoutian", skewed)
@@ -387,10 +523,10 @@ def test_a_non_symmetric_bezoutian_is_refused(monkeypatch):
 
 
 def _count_solves(monkeypatch):
-    """Count linalg.solve_ring calls (under both names it goes by) and
+    """Count linalg.solve_coded calls (under both names it goes by) and
     CodedOps.decode_row calls."""
     counts = {"solve": 0, "decode": 0}
-    solve, decode = linalg.solve_ring, CodedOps.decode_row
+    solve, decode = linalg.solve_coded, CodedOps.decode_row
 
     def counting_solve(*args):
         counts["solve"] += 1
@@ -400,8 +536,8 @@ def _count_solves(monkeypatch):
         counts["decode"] += 1
         return decode(self, row)
 
-    monkeypatch.setattr(linalg, "solve_ring", counting_solve)
-    monkeypatch.setattr(residue, "solve_ring", counting_solve)
+    monkeypatch.setattr(linalg, "solve_coded", counting_solve)
+    monkeypatch.setattr(residue, "solve_coded", counting_solve)
     monkeypatch.setattr(CodedOps, "decode_row", counting_decode)
     return counts
 
@@ -510,7 +646,7 @@ def test_the_lazy_matrix_inverts_the_bezoutian():
     checked = set()
     for p, m, f, scales in cases:
         ring = f.ring
-        C = bezoutian(f)
+        C = _bezoutian_rows(f)
         for alpha in map(ring, scales):
             G = gram_matrix(f, alpha)
             factor = alpha ** f.n_vars
@@ -530,12 +666,14 @@ def test_a_bezoutian_singular_over_w3_is_not_invertible(monkeypatch):
     real = residue.bezoutian
 
     def even(f):
-        return [[c * 2 if 0 in (i, j) else c for j, c in enumerate(row)]
-                for i, row in enumerate(real(f))]
+        C = real(f)
+        C[0] *= 2
+        C[1:, 0] *= 2
+        return C % 8
 
     monkeypatch.setattr(residue, "bezoutian", even)
     with pytest.raises(NonUnit):
-        det_ring(ring, residue.bezoutian(f))
+        det_ring(ring, _bezoutian_rows(f))
     for _ in range(2):
         with pytest.raises(SingularBezoutian, match="^bezoutian matrix is not invertible$"):
             gram_matrix(f, 1)
@@ -644,7 +782,7 @@ def test_a_morse_algebra_holds_the_inverse_det_of_its_bezoutian():
                 assert alg.inv_bezoutian_det is None, h
                 others += 1
                 continue
-            C = residue.bezoutian(h)
+            C = _bezoutian_rows(h)
             assert alg.inv_bezoutian_det == det_ring(h.ring, C).inverse(), h
             seen.add((p == 2, kind, n))
     assert {(False, "field", n) for n in (1, 2, 3, 4)} <= seen
@@ -826,7 +964,7 @@ def test_a_stored_det_is_the_det_of_the_solved_matrix(monkeypatch, p, m, names, 
     for g, a in [(block, a) for _, block, a in alg.blocks] if alg.blocks else [(f, alg)]:
         assert a.blocks is None
         assert type(a.inv_bezoutian_det) is type(ring.one) and a.inv_bezoutian_det.ring == ring
-        assert a.inv_bezoutian_det * det_ring(ring, residue.bezoutian(g)) == ring.one
+        assert a.inv_bezoutian_det * det_ring(ring, _bezoutian_rows(g)) == ring.one
 
 
 def test_errors_are_raised_anew_on_every_call():
@@ -857,9 +995,9 @@ def test_a_cold_non_unit_scale_builds_no_bezoutian(monkeypatch):
     expanded = []
     det_expand = residue.det_expand
 
-    def counting_det_expand(mat):
+    def counting_det_expand(mat, mul):
         expanded.append(len(mat))
-        return det_expand(mat)
+        return det_expand(mat, mul)
 
     monkeypatch.setattr(residue, "det_expand", counting_det_expand)
     f7 = gf_create(7, 1)
