@@ -89,7 +89,8 @@ class CodedOps:
         # d @ _S is the multiplication matrix of d, flattened (_times)
         self._S = red[np.add.outer(np.arange(m), np.arange(m))].reshape(m, m * m)
         self._inv: dict = {}
-        self._powers = red.astype(np.int64)  # digits of x^0..x^(2m-2), for fold
+        # digits of x^0, x^1, ..., for fold, which extends them past x^(2m-2)
+        self._powers = red.astype(np.int64)
 
     def encode_matrix(self, rows):
         return np.array([[x.coeffs for x in row] for row in rows], dtype=np.int32)
@@ -129,13 +130,12 @@ class CodedOps:
     def fold(self, R):
         """Digits of sum_k R[:, k] * x^k for residues R (T, K) mod b, as a
         (T, m) array: column k adds its multiples of the digits of x^k mod
-        h.  Past x^(2m-2) they are read off the ring's reduction."""
+        h.  Past x^(2m-2) they are read off the ring's reduction and kept."""
         K = R.shape[1]
-        powers = self._powers
-        if K > len(powers):
-            powers = np.array([self.ring([0] * k + [1]).coeffs for k in range(K)],
-                              dtype=np.int64)
-        return self._reduce(R @ powers[:K]).astype(np.int32)
+        if K > len(self._powers):
+            self._powers = np.array([self.ring([0] * k + [1]).coeffs for k in range(K)],
+                                    dtype=np.int64)
+        return self._reduce(R @ self._powers[:K]).astype(np.int32)
 
     def matmul(self, A, B):
         """A @ B for digit matrices A (r, k, m) and B (k, c, m), reduced.
