@@ -50,11 +50,11 @@ NotIsolated.
 The relation matrix stays in the elimination kernel's digit form from build
 to normal forms: it is written as a (rows, cols, m) integer array, reduced
 there and certified there, and the normal forms are kept as the reduced
-digit matrix N over the monomials below D (NormalForms): a pivot column's
-row holds its pivot row's negated entries on the free columns, a basis
-monomial's row is its unit vector.  N is built on its first read; the
-residue engine reads it as digits, and a monomial's normal form becomes
-ring elements only when nf_monomial reads it.
+digit matrix N over the monomials below D (MilnorAlgebra.normal_forms): a
+pivot column's row holds its pivot row's negated entries on the free
+columns, a basis monomial's row is its unit vector.  N is built on its
+first read; the residue engine reads it as digits, and a monomial's normal
+form becomes ring elements only when nf_monomial reads it.
 
 A Thom-Sebastiani sum f = f_1 + ... + f_k, k >= 2, of polynomials in
 pairwise disjoint sets of variables (a constant term belongs to none) has
@@ -71,11 +71,11 @@ splits f once and composes one product, and a second verify of the same f
 does neither.  Composing is cheap, as the product's standard monomials are
 the products of the blocks': each such product is standard, and there are
 mu = prod mu_i of them.  They are enumerated and sorted only on the first
-read of the basis, its index or a normal form, once per composed algebra,
-as mu, D and the Gram determinant need none of them.  A monomial's normal
-form is the product of its block parts' forms, so the product's N is the
-Kronecker product of the blocks' N in the kernel's digits, built on the
-first read of a normal form or of the Bezoutian (_product_forms).  The
+read of the basis, its index or N, once per composed algebra, as mu, D and
+the Gram determinant need none of them.  A monomial's normal form is the
+product of its block parts' forms, so the product's N is the Kronecker
+product of the blocks' N in the kernel's digits, built on the first read
+of a normal form with a row or of the Bezoutian (ProductAlgebra).  The
 truncation degree is D = sum D_i - (k - 1): every monomial of that degree
 has some block part of degree at least D_i, which lies in J_i, so m^D lies
 in J.  Over a field D is also the least D0, as some monomial of
@@ -185,11 +185,12 @@ def _monomials(n_vars: int, upto: int, lo: int):
         monos = [e for e in monomials_upto(n_vars, upto) if sum(e) >= lo]
         cols = sorted(monos, key=mono_key, reverse=True)
         hit = monos, cols, {e: j for j, e in enumerate(cols)}
-    if len(hit[0]) <= _MONOMIALS_MAX:
-        _MONOMIALS[key] = hit
-    held = sum(len(monos) for monos, _, _ in _MONOMIALS.values())
-    while held > _MONOMIALS_MAX:
-        held -= len(_MONOMIALS.pop(next(iter(_MONOMIALS)))[0])
+        if len(monos) > _MONOMIALS_MAX:
+            return hit
+        held = len(monos) + sum(len(kept) for kept, _, _ in _MONOMIALS.values())
+        while held > _MONOMIALS_MAX:
+            held -= len(_MONOMIALS.pop(next(iter(_MONOMIALS)))[0])
+    _MONOMIALS[key] = hit
     return hit
 
 
@@ -387,55 +388,73 @@ def _morse_inv_bezoutian_det(ring, n_vars: int, inverses):
 
 
 class MilnorAlgebra:
-    """Finite free presentation of R[x]/J on standard monomials.
+    """Finite free presentation of R[x]/J on standard monomials, read off a
+    reduced relation matrix.
 
-    `blocks` holds the (variables, block, block algebra) triples of f's
-    variable-disjoint summands when the algebra was built as the tensor
-    product of theirs, and is None otherwise.  Such a product knows mu and
-    D from its blocks; its `basis`, `basis_index` and `forms` are built on
-    the first read of any of them or of `nf_monomial`.  `forms` holds the
-    normal forms as the digit matrix N (NormalForms), which the residue
-    engine reads as it is.
-    `inv_bezoutian_det` is 1/det C for f's Bezoutian matrix C, the Gram
-    determinant of the residue form for dt.  On a Morse point's algebra,
-    D = 1 and mu = 1 over a field or over W_3, milnor_algebra sets it from
-    the certifying elimination's pivot inverses; on any other eliminated
-    algebra residue.gram_matrix sets it, from the pivot inverses of one
-    elimination of C, once C is checked symmetric and invertible, so every
-    consumer of f shares that elimination.  A product keeps none: its
-    1/det C is read off its blocks' algebras.
+    Every monomial below D is a column of `monomials`, which run from the
+    highest mono_key down, so the free ones, reversed, are the sorted
+    basis.  The normal forms are the digit matrix N (`normal_forms`, shape
+    (len(monomials), mu, m)): row `rows[e]` holds the digits of the normal
+    form of e, and a monomial below D without a row has normal form 0.  A
+    pivot column's row holds the negated entries of its pivot row on the
+    free columns, as the row reads e = -sum(row[j] * monomials[j]); a basis
+    monomial's row is its unit vector.  Only the pivot rows' free entries
+    are kept until N is built, on its first read, so an algebra whose
+    normal forms are never read (a Witt lift's reduction, a Morse point)
+    builds none; the residue engine reads N as digits.
+
+    `blocks` holds the (variables, block, block algebra) triples of a
+    product (ProductAlgebra), and is None here.  `inv_bezoutian_det` is
+    1/det C for f's Bezoutian matrix C, the Gram determinant of the residue
+    form for dt.  On a Morse point's algebra, D = 1 and mu = 1 over a field
+    or over W_3, milnor_algebra sets it from the certifying elimination's
+    pivot inverses; on any other eliminated algebra residue.gram_matrix sets
+    it, from the pivot inverses of one elimination of C, once C is checked
+    symmetric and invertible, so every consumer of f shares that
+    elimination.  A product keeps none: its 1/det C is read off its blocks'
+    algebras.
     """
 
-    __slots__ = ("ring", "n_vars", "D", "mu", "blocks", "inv_bezoutian_det",
-                 "basis", "basis_index", "forms")
+    blocks = None
 
-    def __init__(self, ring, n_vars, D, mu, blocks=None):
+    def __init__(self, ring, n_vars, D, cols, red, pivots):
         self.ring = ring
         self.n_vars = n_vars
         self.D = D
-        self.mu = mu
-        self.blocks = blocks
         self.inv_bezoutian_det = None
+        self.monomials = cols
+        pivot_set = set(pivots)
+        free = [j for j in range(len(cols)) if j not in pivot_set][::-1]
+        self.basis = [cols[j] for j in free]
+        self.mu = len(free)
+        self._pivots = pivots
+        self._neg = -red[:len(pivots)][:, free] % ring.b
 
-    def _present(self, basis, forms):
-        self.basis = basis
-        self.basis_index = {e: i for i, e in enumerate(basis)}
-        self.forms = forms
+    @functools.cached_property
+    def basis_index(self):
+        return {e: i for i, e in enumerate(self.basis)}
 
-    def __getattr__(self, name):
-        # reached only when a slot is unset: a product's presentation before
-        # its first read
-        if name not in ("basis", "basis_index", "forms") or self.blocks is None:
-            raise AttributeError(name)
-        self._present(*_product_presentation(self.blocks, self.n_vars))
-        return getattr(self, name)
+    @functools.cached_property
+    def rows(self):
+        return {e: r for r, e in enumerate(self.monomials)}
+
+    @functools.cached_property
+    def normal_forms(self):
+        N = np.zeros((len(self.monomials), self.mu, self.ring.m), dtype=np.int32)
+        N[[self.rows[e] for e in self.basis], np.arange(self.mu), 0] = 1
+        N[self._pivots] = self._neg
+        del self._pivots, self._neg
+        return N
 
     def nf_monomial(self, exps) -> dict:
-        """Sparse coefficient vector of a monomial over the basis."""
-        e = tuple(exps)
-        if sum(e) >= self.D:
+        """Sparse coefficient vector of a monomial over the basis, decoded
+        from its row of N."""
+        r = self.rows.get(tuple(exps))
+        if r is None:
             return {}
-        return self.forms[e]
+        row, ring = self.normal_forms[r], self.ring
+        elem = type(ring.one)
+        return {int(i): elem(ring, row[i].tolist()) for i in np.flatnonzero(row.any(axis=1))}
 
     def to_json(self) -> dict:
         return {"mu": self.mu, "basis": [list(e) for e in self.basis],
@@ -445,75 +464,77 @@ class MilnorAlgebra:
         return f"MilnorAlgebra(mu={self.mu}, D={self.D}, over {self.ring!r})"
 
 
-class NormalForms(dict):
-    """Normal forms over the basis, kept as the digit matrix N.
+class ProductAlgebra(MilnorAlgebra):
+    """The tensor product of the algebras of f's variable-disjoint blocks.
 
-    Row rows[e] of `digits` (shape (len(monomials), mu, m)) holds the
-    digits of the normal form of the monomial e = monomials[row]; a
-    monomial below D that has no row has normal form 0.  `build`, a
-    function of no arguments, makes N on the first read of `digits`, so an
-    algebra whose forms are never read (a Witt lift's reduction, a Morse
-    point) makes none.  As a dict, a monomial's sparse form
-    {basis index: element} is decoded from its row on first request and
-    kept.
+    mu and D come from the blocks.  The basis is the products of the
+    blocks' basis monomials, sorted; `monomials` are the products of the
+    blocks' monomials with a row, and every other monomial below D has some
+    block part of degree at least D_i, so form 0.  N is the Kronecker
+    product of the blocks' N, as a monomial's form is the product of its
+    block parts'.  Each is built on its first read.
     """
 
-    def __init__(self, ring, monomials, build):
-        super().__init__()
+    def __init__(self, ring, n_vars, D, blocks):
         self.ring = ring
-        self.monomials = monomials
-        self._build = build
+        self.n_vars = n_vars
+        self.D = D
+        self.blocks = blocks
+        self.mu = math.prod(alg.mu for _, _, alg in blocks)
+        self.inv_bezoutian_det = None
+
+    def _joined(self, parts):
+        """The monomial in n_vars variables whose block parts are parts."""
+        e = [0] * self.n_vars
+        for (vs, _, _), part in zip(self.blocks, parts):
+            for v, k in zip(vs, part):
+                e[v] = k
+        return tuple(e)
 
     @functools.cached_property
-    def digits(self):
-        digits, self._build = self._build(), None
-        return digits
+    def basis(self):
+        return sorted((self._joined(parts) for parts in
+                       itertools.product(*(alg.basis for _, _, alg in self.blocks))), key=mono_key)
 
     @functools.cached_property
-    def rows(self):
-        return {e: r for r, e in enumerate(self.monomials)}
+    def monomials(self):
+        return [self._joined(parts) for parts in
+                itertools.product(*(alg.monomials for _, _, alg in self.blocks))]
 
-    def __missing__(self, e):
-        r = self.rows.get(e)
-        value = {}
-        if r is not None:
-            row, ring = self.digits[r], self.ring
-            elem = type(ring.one)
-            value = {int(i): elem(ring, row[i].tolist()) for i in np.flatnonzero(row.any(axis=1))}
-        self[e] = value
-        return value
-
-
-def _presentation(ring, cols, red, pivots):
-    """Basis and normal forms read off a reduced relation matrix.
-
-    Every monomial below D is a column.  A pivot column's row of N holds
-    the negated entries of its pivot row on the free columns, as the row
-    reads e = -sum(row[j] * cols[j]); a free column's row is the unit vector
-    of its basis monomial.  Columns run from the highest mono_key down, so
-    the free ones, reversed, are the sorted basis.  Only the pivot rows'
-    free entries are kept from red until N is built.
-    """
-    pivot_set = set(pivots)
-    free = [j for j in range(len(cols)) if j not in pivot_set][::-1]
-    neg = -red[:len(pivots)][:, free] % ring.b
-
-    def build():
-        N = np.zeros((len(cols), len(free), ring.m), dtype=np.int32)
-        N[free, np.arange(len(free)), 0] = 1
-        N[pivots] = neg
-        return N
-
-    return [cols[j] for j in free], NormalForms(ring, cols, build)
+    @functools.cached_property
+    def normal_forms(self):
+        """Column j of the blocks' Kronecker product is the basis monomial
+        whose block parts have the block basis indices that j's mixed-radix
+        digits name, so N takes those columns in basis order.  Over W_3 a
+        product of nonzero coefficients can vanish; its digits are then
+        zero.  An N of more than MAX_RELATION_CELLS digits raises
+        ResourceLimit before it is built, on every read."""
+        ring = self.ring
+        ops, m = coded(ring), ring.m
+        shape = (len(self.monomials), self.mu, m)
+        if math.prod(shape) > MAX_RELATION_CELLS:
+            raise ResourceLimit(
+                f"the normal forms of the product would hold {' x '.join(map(str, shape))} "
+                f"digits, more than MAX_RELATION_CELLS = {MAX_RELATION_CELLS}"
+            )
+        N = np.array([[ring.one.coeffs]], dtype=np.int32)
+        order = [0] * self.mu
+        for vs, _, alg in self.blocks:
+            B = alg.normal_forms
+            (r, c), (rb, cb) = N.shape[:2], B.shape[:2]
+            N = ops.matmul(N.reshape(r * c, 1, m), B.reshape(1, rb * cb, m))
+            N = N.reshape(r, c, rb, cb, m).transpose(0, 2, 1, 3, 4).reshape(r * rb, c * cb, m)
+            index = alg.basis_index
+            order = [j * alg.mu + index[tuple(e[v] for v in vs)] for j, e in zip(order, self.basis)]
+        return np.ascontiguousarray(N[:, order])
 
 
 def _product(f: MultiPoly, cap: int):
     """f's algebra as the tensor product of its blocks' algebras.
 
-    Returns (D, mu, blocks), blocks the (variables, block, block algebra)
-    triples, or None when f is a single block or a block raises another
-    error; the caller then presents f whole, so those errors and their
-    messages are its own.  Over a field a block's NotIsolated or
+    Returns the ProductAlgebra, or None when f is a single block or a block
+    raises another error; the caller then presents f whole, so those errors
+    and their messages are its own.  Over a field a block's NotIsolated or
     ResourceLimit ends f: a block that is not isolated makes the tensor
     product infinite, and f's own scan would need a degree at least the
     block's.  A block's OddProduct says nothing of f's parity, and a W_3
@@ -540,63 +561,7 @@ def _product(f: MultiPoly, cap: int):
             f"the product of the blocks' algebras has truncation degree {D}, "
             f"above DEGREE_CAP = {cap}"
         )
-    return D, math.prod(alg.mu for _, _, alg in blocks), blocks
-
-
-def _joined(blocks, n_vars: int, parts):
-    """The monomial in n_vars variables whose block parts are parts."""
-    e = [0] * n_vars
-    for (vs, _, _), part in zip(blocks, parts):
-        for v, k in zip(vs, part):
-            e[v] = k
-    return tuple(e)
-
-
-def _product_presentation(blocks, n_vars: int):
-    """Sorted basis and normal forms of a tensor product of algebras.
-
-    The products of the blocks' basis monomials are enumerated in the
-    order of their block basis indices, the order of the Kronecker
-    product's columns, and sorted with their position there.
-    """
-    monos = sorted(((_joined(blocks, n_vars, parts), j) for j, parts in
-                    enumerate(itertools.product(*(alg.basis for _, _, alg in blocks)))),
-                   key=lambda t: mono_key(t[0]))
-    return [e for e, _ in monos], _product_forms(blocks, n_vars, [j for _, j in monos])
-
-
-def _product_forms(blocks, n_vars: int, order):
-    """Normal forms of a tensor product: N is the Kronecker product of the
-    blocks' N, as a monomial's form is the product of its block parts'.
-
-    Its rows are the products of the blocks' monomials with a row, and
-    every other monomial below D has some block part of degree at least
-    D_i, so form 0.  Column order[j] of the Kronecker product is basis
-    monomial j.  Over W_3 a product of nonzero coefficients can vanish; its
-    digits are then zero.  An N of more than MAX_RELATION_CELLS digits
-    raises ResourceLimit before it is built, on every read.
-    """
-    ring = blocks[0][2].ring
-
-    def build():
-        ops, m = coded(ring), ring.m
-        shape = (len(monomials), len(order), m)
-        if math.prod(shape) > MAX_RELATION_CELLS:
-            raise ResourceLimit(
-                f"the normal forms of the product would hold {' x '.join(map(str, shape))} "
-                f"digits, more than MAX_RELATION_CELLS = {MAX_RELATION_CELLS}"
-            )
-        N = np.array([[ring.one.coeffs]], dtype=np.int32)
-        for _, _, alg in blocks:
-            B = alg.forms.digits
-            (r, c), (rb, cb) = N.shape[:2], B.shape[:2]
-            N = ops.matmul(N.reshape(r * c, 1, m), B.reshape(1, rb * cb, m))
-            N = N.reshape(r, c, rb, cb, m).transpose(0, 2, 1, 3, 4).reshape(r * rb, c * cb, m)
-        return np.ascontiguousarray(N[:, order])
-
-    monomials = [_joined(blocks, n_vars, parts) for parts in
-                 itertools.product(*(alg.forms.monomials for _, _, alg in blocks))]
-    return NormalForms(ring, monomials, build)
+    return ProductAlgebra(f.ring, f.n_vars, D, blocks)
 
 
 # Most recently used last.  Only algebras that an elimination built are
@@ -648,7 +613,7 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
         split = reduced.blocks is not None
     product = _product(f, cap) if split else None
     if product is not None:
-        alg = MilnorAlgebra(ring, n, *product)
+        alg = product
     else:
         if field:
             D, presented, inverses = _scan(f, orders, cap)
@@ -668,11 +633,9 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
                 raise NotFlat(
                     f"monomial {cols[stuck]} carries a non-unit relation; quotient is not free"
                 )
-        basis, forms = _presentation(ring, *presented)
-        if not field and basis != reduced.basis:
+        alg = MilnorAlgebra(ring, n, D, *presented)
+        if not field and alg.basis != reduced.basis:
             raise NotFlat("Witt-lift basis does not match its mod-2 reduction")
-        alg = MilnorAlgebra(ring, n, D, len(basis))
-        alg._present(basis, forms)
         if D == 1 and alg.mu == 1:
             alg.inv_bezoutian_det = _morse_inv_bezoutian_det(ring, n, inverses)
     if ring.residue == 2 and n % 2 == 1 and alg.mu % 2 == 1:

@@ -16,7 +16,7 @@ packed into integers, with a product that drops every term whose x-part or
 y-part has degree at least D, since its normal form is 0.  The surviving
 coefficients, reduced to digits, form the digit matrix Delta over the
 x-parts and y-parts that occur; with N_x and N_y the rows of the algebra's
-normal-form matrix N (milnor.NormalForms) at those parts,
+normal-form matrix N (milnor.MilnorAlgebra.normal_forms) at those parts,
 C = N_x^T * Delta * N_y is two coded products (linalg.CodedOps.matmul).
 C's digits go to the elimination that reads 1/det C as they are, and the
 solve of G eliminates the digits [C | alpha^n * I]; only 1/det C and G are
@@ -34,8 +34,8 @@ alike.  C is symmetric or invertible exactly when every C_i is, so the
 blocks' checks are f's.  G itself is still solved from f's own C, built
 from the normal forms of the algebra the form holds, whose N is the
 Kronecker product of the blocks', when it is read; that algebra builds its
-product basis and N only then, or when the form's basis is read, and once
-for both.
+product basis on the first read of the form's basis or matrix, and N only
+on the first read of the matrix.
 
 Every entry point reads f's Milnor algebra itself: milnor_algebra keeps it
 on f, so the reads after the first cost nothing.  1/det C, the Gram
@@ -58,6 +58,7 @@ is kept anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import add
 
@@ -126,11 +127,9 @@ class GramForm:
     and the matrix rows; each runs on the first read of `basis` or `matrix`,
     and its result is kept.  So a split sum's product basis, built on the
     first read of the Milnor algebra's, is built only when a form's basis,
-    matrix or JSON is read.
+    matrix or JSON is read.  `solve` is dropped once the matrix is read, so
+    nothing it holds, a Bezoutian matrix say, is kept.
     """
-
-    __slots__ = ("ring", "n_vars", "mu", "scale", "det", "_read_basis", "_basis",
-                 "_solve", "_matrix")
 
     def __init__(self, ring, n_vars, mu, basis, solve, scale, det):
         if not det.is_unit():
@@ -140,24 +139,18 @@ class GramForm:
         self.mu = mu
         self.scale = scale
         self.det = det
-        self._read_basis = basis
-        self._basis = None
+        self._basis = basis
         self._solve = solve
-        self._matrix = None
 
-    @property
+    @functools.cached_property
     def basis(self):
-        if self._basis is None:
-            self._basis = self._read_basis()
-            self._read_basis = None
-        return self._basis
+        return self._basis()
 
-    @property
+    @functools.cached_property
     def matrix(self):
-        if self._matrix is None:
-            self._matrix = self._solve()
-            self._solve = None
-        return self._matrix
+        matrix = self._solve()
+        del self._solve
+        return matrix
 
     def to_json(self) -> dict:
         return {
@@ -257,7 +250,7 @@ def bezoutian(f: MultiPoly):
     grads = partials(packed)
     dd = [[divided_difference(grads[i], j) for j in range(n)] for i in range(n)]
     delta = det_expand(dd, _truncated_product(n, alg.D))
-    rows = alg.forms.rows
+    rows = alg.rows
     xs: dict = {}  # row of N -> row of Delta
     ys: dict = {}  # row of N -> column of Delta
     ix, iy, values = [], [], []
@@ -270,7 +263,7 @@ def bezoutian(f: MultiPoly):
     ops = coded(ring)
     Delta = np.zeros((len(xs), len(ys), ring.m), dtype=np.int32)
     Delta[ix, iy] = ops.fold(_slot_residues(values, n * (ring.m - 1) + 1, width, ring.b))
-    N = alg.forms.digits
+    N = alg.normal_forms
     return ops.matmul(N[list(xs)].transpose(1, 0, 2), ops.matmul(Delta, N[list(ys)]))
 
 

@@ -243,27 +243,30 @@ def test_scan_presentation_matches_a_fresh_elimination_below_D(monkeypatch, p, m
     assert built == []
     basis, nf = _d_minus_one_presentation(f, alg.D)
     assert alg.basis == basis
-    assert built == ([f.n_vars, "forms"] if separable else [])
+    assert built == ([f.n_vars] if separable else [])
     for e in monomials_upto(f.n_vars, alg.D - 1):
         assert alg.nf_monomial(e) == nf[e], e
+    assert built == ([f.n_vars, "forms"] if separable else [])
 
 
 def _count_product_presentations(monkeypatch):
     """Record n_vars of every product basis enumerated, and "forms" for
-    every product's normal-form matrix made."""
+    every product's normal-form matrix N built."""
     built = []
-    present, forms = milnor._product_presentation, milnor._product_forms
+    basis, forms = milnor.ProductAlgebra.basis.func, milnor.ProductAlgebra.normal_forms.func
 
-    def counting_forms(blocks, n_vars, keys):
+    def counting(alg):
+        enumerated = basis(alg)
+        built.append(alg.n_vars)
+        return enumerated
+
+    def counting_forms(alg):
+        N = forms(alg)
         built.append("forms")
-        return forms(blocks, n_vars, keys)
+        return N
 
-    def counting(parts, n_vars):
-        built.append(n_vars)
-        return present(parts, n_vars)
-
-    monkeypatch.setattr(milnor, "_product_presentation", counting)
-    monkeypatch.setattr(milnor, "_product_forms", counting_forms)
+    monkeypatch.setattr(milnor.ProductAlgebra.basis, "func", counting)
+    monkeypatch.setattr(milnor.ProductAlgebra.normal_forms, "func", counting_forms)
     return built
 
 
@@ -299,12 +302,12 @@ def test_verify_and_the_gram_det_of_a_split_sum_build_no_product_basis(monkeypat
     assert all(kept.blocks is None for kept in milnor._ALGEBRAS.values())
     assert built == []
     assert G.basis == alg.basis
-    assert built == [f.n_vars, "forms"]
-    alg.nf_monomial((1,) * f.n_vars)
+    assert built == [f.n_vars]
+    alg.nf_monomial(alg.monomials[0])
     assert alg.basis_index[G.basis[-1]] == alg.mu - 1
     assert built == [f.n_vars, "forms"]
     assert milnor_algebra(_parse_case(p, m, names, text)).basis == G.basis
-    assert built == [f.n_vars, "forms"] * 2
+    assert built == [f.n_vars, "forms", f.n_vars]
 
 
 def _count_splits_and_products(monkeypatch):
@@ -679,13 +682,14 @@ def test_a_lift_off_its_reductions_basis_is_not_flat_for_every_command(monkeypat
     gram and disc all refuse the lift with one message, on every call: the
     check sits where the lift's algebra is built.  x^2*y+x*y^2 is lifted
     whole; x^3+y^3 meets the check in its blocks and then whole."""
-    presentation = milnor._presentation
+    init = milnor.MilnorAlgebra.__init__
 
-    def reversed_over_w3(ring, *args):
-        basis, nf = presentation(ring, *args)
-        return (basis[::-1] if ring.b != ring.residue else basis), nf
+    def reversed_over_w3(alg, ring, *args):
+        init(alg, ring, *args)
+        if ring.b != ring.residue:
+            alg.basis = alg.basis[::-1]
 
-    monkeypatch.setattr(milnor, "_presentation", reversed_over_w3)
+    monkeypatch.setattr(milnor.MilnorAlgebra, "__init__", reversed_over_w3)
     argv = ["--p", "2", "--vars", "x,y", "--poly", poly]
     for cmd in ("arf", "gram", "disc", "arf"):
         assert cli.main([cmd] + argv) == 2

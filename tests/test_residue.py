@@ -1,8 +1,10 @@
+import functools
 import json
 import random
 import re
 import sys
 import time
+from collections import Counter
 
 import pytest
 from test_linalg import ref_det, ref_rref
@@ -870,17 +872,21 @@ def _store_case(p, m, names, poly):
     return witt_lift(f) if p == 2 else f
 
 
-# each first read, and how many composed algebras it presents: G's basis is
-# its algebra's, and G's matrix is solved from the Bezoutian over that same
-# algebra
+# each first read, and what it builds on the composed algebras it reads: a
+# product basis ("basis") and N ("forms").  G's basis is its algebra's, and
+# G's matrix is solved from the Bezoutian over that same algebra; a
+# monomial of degree D - 1 in one variable has a block part of degree at
+# least that block's D_i, so it has no row of N and normal form 0
 FIRST_READS = {
-    "algebra basis": (lambda alg, G: alg.basis, 1),
-    "basis index": (lambda alg, G: alg.basis_index, 1),
-    "normal form": (lambda alg, G: alg.nf_monomial((1,) * alg.n_vars), 1),
-    "algebra json": (lambda alg, G: alg.to_json(), 1),
-    "form basis": (lambda alg, G: G.basis, 1),
-    "form matrix": (lambda alg, G: G.matrix, 1),
-    "form json": (lambda alg, G: G.to_json(), 1),
+    "algebra basis": (lambda alg, G: alg.basis, ["basis"]),
+    "basis index": (lambda alg, G: alg.basis_index, ["basis"]),
+    "normal form": (lambda alg, G: alg.nf_monomial(alg.monomials[0]), ["basis", "forms"]),
+    "zero normal form": (lambda alg, G: alg.nf_monomial((alg.D - 1,) + (0,) * (alg.n_vars - 1)),
+                         []),
+    "algebra json": (lambda alg, G: alg.to_json(), ["basis"]),
+    "form basis": (lambda alg, G: G.basis, ["basis"]),
+    "form matrix": (lambda alg, G: G.matrix, ["basis", "forms"]),
+    "form json": (lambda alg, G: G.to_json(), ["basis", "forms"]),
 }
 LAZY_CASES = [
     (5, 2, "x,y", "g*x^3+y^4"),
@@ -892,40 +898,37 @@ LAZY_CASES = [
 @pytest.mark.parametrize("read", FIRST_READS)
 @pytest.mark.parametrize("p, m, names, poly", LAZY_CASES, ids=[c[3] for c in LAZY_CASES])
 def test_a_split_sum_builds_its_product_basis_on_first_read(monkeypatch, read, p, m, names, poly):
-    """Whichever read comes first builds a product basis, once per composed
-    algebra it reads, and the basis, every normal form below D and the
-    solved G equal the eager references: a plain elimination of f below D,
-    and G read off the residue functional."""
+    """Whichever read comes first builds what it reads of a product basis
+    and N, once on the one composed algebra it reads, and the basis, every
+    normal form below D and the solved G equal the eager references: a
+    plain elimination of f below D, and G read off the residue
+    functional."""
     f = _parse_case(p, m, names, poly)
     built = _count_product_presentations(monkeypatch)
     G = gram_matrix(f, 3)
     # a fresh parse, so alg is composed apart from G's algebra
     alg = milnor_algebra(_parse_case(p, m, names, poly))
     assert alg.blocks is not None and built == []
-    first, composed = FIRST_READS[read]
+    first, builds = FIRST_READS[read]
     first(alg, G)
-    assert built == [f.n_vars, "forms"] * composed
+    assert built == [f.n_vars if b == "basis" else b for b in builds]
     basis, nf = _d_minus_one_presentation(f, alg.D)
     assert alg.basis == G.basis == basis
     for e in monomials_upto(f.n_vars, alg.D - 1):
         assert alg.nf_monomial(e) == nf[e], e
     matrix = G.matrix
     # alg and G's algebra, which G's Bezoutian reads too: once each
-    assert built == [f.n_vars, "forms"] * 2
+    assert Counter(built) == Counter([f.n_vars, "forms"] * 2)
     assert matrix == _reference_gram(f, 3)[1]
     assert G.det == det_ring(f.ring, G.matrix)
 
 
-def _bound_slots(alg):
-    """id of every slot value the algebra has bound, read without building
-    a product's presentation."""
-    bound = {}
-    for name in type(alg).__slots__:
-        try:
-            bound[name] = id(object.__getattribute__(alg, name))
-        except AttributeError:
-            pass
-    return bound
+def _bound_state(alg):
+    """id of every value the algebra has bound, its cached presentation and
+    the inputs that build it aside."""
+    return {name: id(value) for name, value in vars(alg).items()
+            if not name.startswith("_")
+            and not isinstance(getattr(type(alg), name, None), functools.cached_property)}
 
 
 def _eliminated(alg):
@@ -948,23 +951,46 @@ def test_a_stored_det_is_the_det_of_the_solved_matrix(monkeypatch, p, m, names, 
     alg = milnor_algebra(f)
     kept = _eliminated(alg)
     assert all(milnor_algebra(block) is a for _, block, a in alg.blocks or ())
-    slots = [_bound_slots(a) for a in kept]
+    state = [_bound_state(a) for a in kept]
     built, dets = _count_bezoutians(monkeypatch)
     forms = [gram_matrix(f, s) for s in (1, -1, 3, -1)]
     assert built == [] and dets == [0]
-    assert [_bound_slots(a) for a in kept] == slots
+    assert [_bound_state(a) for a in kept] == state
     forms.append(first)
     for G in forms:
         assert G.det == det_ring(ring, G.matrix)
-    # solving G builds a Bezoutian; no slot of an eliminated algebra is
+    # solving G builds a Bezoutian; no value of an eliminated algebra is
     # rebound or newly bound
-    assert [_bound_slots(a) for a in kept] == slots
+    assert [_bound_state(a) for a in kept] == state
     if alg.blocks:
         assert alg.inv_bezoutian_det is None
     for g, a in [(block, a) for _, block, a in alg.blocks] if alg.blocks else [(f, alg)]:
         assert a.blocks is None
         assert type(a.inv_bezoutian_det) is type(ring.one) and a.inv_bezoutian_det.ring == ring
         assert a.inv_bezoutian_det * det_ring(ring, _bezoutian_rows(g)) == ring.one
+
+
+def test_reads_that_need_no_normal_forms_build_none(monkeypatch):
+    """verify and disc of a Morse point read 1/det C off its certifying
+    elimination, and arf and verify of a Witt lift eliminated whole read
+    only the basis of its reduction's algebra: none of these builds that
+    algebra's normal-form matrix N.  Reading the Morse point's Gram matrix
+    builds its Bezoutian, and so its N."""
+    monkeypatch.setattr(milnor, "_ALGEBRAS", {})
+    f = parse_poly("x^2+3*y^2", gf_create(7, 1), ["x", "y"])
+    verify_identity(f)
+    disc_square_class(gram_matrix(f, 1))
+    alg = milnor_algebra(f)
+    assert (alg.D, alg.mu) == (1, 1) and alg.inv_bezoutian_det is not None
+    assert "normal_forms" not in vars(alg)
+    assert gram_matrix(f, 1).matrix == [[alg.inv_bezoutian_det]]
+    assert "normal_forms" in vars(alg)
+    g = parse_poly("x^2*y+x*y^2", gf_create(2, 1), ["x", "y"])
+    arf_invariant(g)
+    verify_identity(g)
+    assert milnor_algebra(witt_lift(g)).blocks is None
+    assert "normal_forms" in vars(milnor_algebra(witt_lift(g)))
+    assert "normal_forms" not in vars(milnor_algebra(g))
 
 
 def test_errors_are_raised_anew_on_every_call():
