@@ -151,17 +151,15 @@ def mono_key(e):
 
 
 def monomials_upto(n_vars: int, max_deg: int):
-    """All exponent tuples with total degree <= max_deg."""
-
-    def gen(k, budget):
-        if k == 0:
-            yield ()
-            return
-        for head in range(budget + 1):
-            for rest in gen(k - 1, budget - head):
-                yield (head,) + rest
-
-    return list(gen(n_vars, max_deg))
+    """All exponent tuples with total degree <= max_deg, in lexicographic order."""
+    if n_vars == 0:
+        return [()]
+    # tails[b]: the tuples in the last k variables of degree <= b, in order
+    tails = [[()]] * (max_deg + 1)
+    for _ in range(n_vars - 1):
+        tails = [[(h,) + t for h in range(b + 1) for t in tails[b - h]]
+                 for b in range(max_deg + 1)]
+    return [(h,) + t for h in range(max_deg + 1) for t in tails[max_deg - h]]
 
 
 # Most recently used last.  The bound counts monomials, not entries, so the
