@@ -61,13 +61,6 @@ _CODED_CACHE: dict = {}
 # every distinct pivot value it meets.
 _INVERSES_MAX = 1024
 
-# Past this many columns right of a pivot, rref clears only its row's span of
-# nonzero digits: a few dozen of a Milnor relation matrix's thousands.
-_SPAN_COLS = 64
-# A field matrix of more rows reads which rows are nonzero in each column off
-# a block of _SPAN_COLS columns at once, where a row's digits lie side by side.
-_BLOCK_ROWS = 2048
-
 
 class CodedOps:
     """Digit-plane arithmetic and elimination for one ring (Z/b)[x]/(h).
@@ -168,8 +161,8 @@ class CodedOps:
 
         Each pivot step moves the first row with a unit in the column up,
         scales it to 1 there and clears the column from the other rows,
-        touching only the rows with a nonzero entry in it and, in a wide
-        matrix, only the pivot row's nonzero span.  Columns without
+        touching only the rows with a nonzero entry in it and only the
+        pivot row's span of nonzero entries.  Columns without
         a unit entry are skipped; over a local ring their non-unit residue
         ends up in the leftover rows, and a nonzero leftover row is what
         certifies a non-free quotient.  The pivot values are digit lists,
@@ -182,30 +175,22 @@ class CodedOps:
         nrows, ncols, _ = A.shape
         # over a field every nonzero entry is a unit
         field = self.residue == self.base
-        blocks = field and nrows > _BLOCK_ROWS
         pivots, values, inverses = [], [], []
-        prow = end = 0
+        prow = 0
         for col in range(ncols):
             if prow == nrows:
                 break
-            if blocks and col == end:
-                # Z[j] marks the rows nonzero in column start + j; swaps and
-                # clearing steps keep it up to date, and unit scaling keeps zeros
-                start, end = col, min(col + _SPAN_COLS, ncols)
-                Z = A[:, start:end].any(axis=2).T.copy()
-            if field:
-                # one read of the column finds the pivot and the rows to clear
-                rows = (Z[col - start] if blocks else A[:, col].any(axis=1)).nonzero()[0]
-                units = rows[rows.searchsorted(prow):]
-            else:
-                units = prow + (A[prow:, col] % self.residue).any(axis=1).nonzero()[0]
+            # one read of the column finds the pivot and the rows to clear
+            C = A[:, col]
+            nz = C.any(axis=1)
+            units = (nz[prow:] if field else (C[prow:] % self.residue).any(axis=1)).nonzero()[0]
             if not units.size:
                 continue
-            r = int(units[0])
+            r = prow + int(units[0])
             if r != prow:
                 A[[prow, r]] = A[[r, prow]]
-                if blocks:
-                    Z[:, [prow, r]] = Z[:, [r, prow]]
+                nz[r] = nz[prow]  # the flags follow the rows
+            nz[prow] = False
             P = A[prow]
             M = self._inverse_times(P[col])
             value, inverse = P[col], M[0]
@@ -213,24 +198,15 @@ class CodedOps:
                 value, inverse = -value % self.base, -inverse % self.base
             values.append(value.tolist())
             inverses.append(inverse.tolist())
-            # over a field the pivot row is zero left of col; over the Witt
-            # ring skipped columns there may hold non-units
-            lo, hi = (col if field else 0), ncols
-            if hi - lo > _SPAN_COLS:
-                span = P.any(axis=1).nonzero()[0]
-                lo, hi = span[0], span[-1] + 1
+            # the pivot row's nonzero span: a few dozen of a Milnor relation
+            # matrix's thousands of columns; over the Witt ring it may start
+            # left of col, at a non-unit in a skipped column
+            span = P.any(axis=1).nonzero()[0]
+            lo, hi = span[0], span[-1] + 1
             P[lo:hi] = self._reduce(P[lo:hi] @ M)
-            if field:
-                # rows prow..r-1 are zero in col: after the swap, so is row r
-                rows = rows[rows != r]
-            else:
-                nz = A[:, col].any(axis=1)
-                nz[prow] = False
-                rows = nz.nonzero()[0]
+            rows = nz.nonzero()[0]
             if rows.size:
                 A[rows, lo:hi] = self._reduce(A[rows, lo:hi] - P[lo:hi] @ self._times(A[rows, col]))
-                if blocks:
-                    Z[:, rows] = A[rows, start:end].any(axis=2).T
             pivots.append(col)
             prow += 1
         leftover = A[prow:].any(axis=(0, 2)).nonzero()[0]

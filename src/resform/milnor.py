@@ -151,15 +151,17 @@ def mono_key(e):
 
 
 def monomials_upto(n_vars: int, max_deg: int):
-    """All exponent tuples with total degree <= max_deg, in lexicographic order."""
-    if n_vars == 0:
-        return [()]
-    # tails[b]: the tuples in the last k variables of degree <= b, in order
-    tails = [[()]] * (max_deg + 1)
-    for _ in range(n_vars - 1):
-        tails = [[(h,) + t for h in range(b + 1) for t in tails[b - h]]
-                 for b in range(max_deg + 1)]
-    return [(h,) + t for h in range(max_deg + 1) for t in tails[max_deg - h]]
+    """All exponent tuples with total degree <= max_deg."""
+
+    def gen(k, budget):
+        if k == 0:
+            yield ()
+            return
+        for head in range(budget + 1):
+            for rest in gen(k - 1, budget - head):
+                yield (head,) + rest
+
+    return list(gen(n_vars, max_deg))
 
 
 # Most recently used last.  The bound counts monomials, not entries, so the
@@ -416,17 +418,18 @@ class MilnorAlgebra:
     blocks = None
 
     def __init__(self, ring, n_vars, D, cols, red, pivots):
-        self.ring = ring
-        self.n_vars = n_vars
-        self.D = D
-        self.inv_bezoutian_det = None
-        self.monomials = cols
         pivot_set = set(pivots)
         free = [j for j in range(len(cols)) if j not in pivot_set][::-1]
+        self._init(ring, n_vars, D, len(free))
+        self.monomials = cols
         self.basis = [cols[j] for j in free]
-        self.mu = len(free)
         self._pivots = pivots
         self._neg = -red[:len(pivots)][:, free] % ring.b
+
+    def _init(self, ring, n_vars, D, mu):
+        """The fields every algebra sets, eliminated or a product."""
+        self.ring, self.n_vars, self.D, self.mu = ring, n_vars, D, mu
+        self.inv_bezoutian_det = None
 
     @functools.cached_property
     def basis_index(self):
@@ -470,16 +473,13 @@ class ProductAlgebra(MilnorAlgebra):
     blocks' monomials with a row, and every other monomial below D has some
     block part of degree at least D_i, so form 0.  N is the Kronecker
     product of the blocks' N, as a monomial's form is the product of its
-    block parts'.  Each is built on its first read.
+    block parts'.  Each is built on its first read, as a cached property
+    in place of the attribute MilnorAlgebra.__init__ sets.
     """
 
     def __init__(self, ring, n_vars, D, blocks):
-        self.ring = ring
-        self.n_vars = n_vars
-        self.D = D
+        self._init(ring, n_vars, D, math.prod(alg.mu for _, _, alg in blocks))
         self.blocks = blocks
-        self.mu = math.prod(alg.mu for _, _, alg in blocks)
-        self.inv_bezoutian_det = None
 
     def _joined(self, parts):
         """The monomial in n_vars variables whose block parts are parts."""

@@ -196,21 +196,6 @@ def test_kernel_matches_the_einsum_formulation(name, make):
     rows and over W_3 some with columns of non-units only: the reduced
     matrix, pivots, stuck column, pivot values and their inverses are the
     reference's."""
-    _check_against_einsum(name, make)
-
-
-@pytest.mark.parametrize("name, make", KERNEL_RINGS, ids=[name for name, _ in KERNEL_RINGS])
-def test_span_and_column_blocks_match_the_einsum_formulation(monkeypatch, name, make):
-    """The same draws with a pivot row's span taken past 3 columns and, over
-    a field, the nonzero rows read off blocks of 3 columns at any height:
-    the paths a wide or tall Milnor relation matrix takes give the
-    reference's results too."""
-    monkeypatch.setattr(linalg, "_SPAN_COLS", 3)
-    monkeypatch.setattr(linalg, "_BLOCK_ROWS", 0)
-    _check_against_einsum(name, make)
-
-
-def _check_against_einsum(name, make):
     ring = make()
     witt = ring.b != ring.residue
     ops = coded(ring)
