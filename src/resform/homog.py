@@ -27,7 +27,9 @@ class BinaryForm:
 
     def __init__(self, ring, d: int, coeffs):
         coeffs = list(coeffs)
-        if d < 1 or len(coeffs) != d + 1:
+        if d < 1:
+            raise ValueError("degree must be at least 1")
+        if len(coeffs) != d + 1:
             raise ValueError(f"degree-{d} form needs {d + 1} coefficients")
         if ring is not None:
             coeffs = [ring(c) for c in coeffs]

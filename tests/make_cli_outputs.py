@@ -1,4 +1,4 @@
-"""Record the engine's CLI JSON for tests/cli_outputs.json.
+"""Record the engine's CLI output for tests/cli_outputs.json.
 
     PYTHONPATH=src python3 tests/make_cli_outputs.py
 
@@ -88,9 +88,50 @@ A7_LIFTS = [
     ("x,y", "x^3+y^5+x^2*y", "y"),
 ]
 
+# fermat and homog2, and homog2's refusals: zero, inhomogeneous,
+# three-variable, singular, even-degree and constant forms, and p = 3
+CLOSED_FORMS = [
+    ["fermat", "--d", "3", "--n", "0", "--a", "1,1"],
+    ["fermat", "--d", "4", "--n", "1", "--a", "1,2,3"],
+    ["fermat", "--d", "3", "--n", "0", "--a", "1,,2"],
+    ["homog2", "--p", "2", "--poly", "T0^3+T0*T1^2+T1^3"],
+    ["homog2", "--p", "2", "--m", "2", "--vars", "x,y", "--poly", "x^2*y+x*y^2"],
+    ["homog2", "--p", "2", "--poly", "0*T0+0*T1"],
+    ["homog2", "--p", "2", "--poly", "T0^3+T1^2"],
+    ["homog2", "--p", "2", "--vars", "x,y,z", "--poly", "x^3+y^3+z^3"],
+    ["homog2", "--p", "2", "--poly", "T0^3"],
+    ["homog2", "--p", "2", "--poly", "T0^2+T0*T1+T1^2"],
+    ["homog2", "--p", "2", "--poly", "1"],
+    ["homog2", "--p", "3", "--poly", "T0^3+T1^3"],
+]
+
+# Which refusal comes first: the characteristic, then --poly, then --vars
+MISSING = [
+    ["verify", "--p", "7"],
+    ["milnor", "--p", "7", "--poly", "x^2"],
+    ["arf", "--p", "3"],
+    ["homog2", "--p", "3"],
+]
+
+# Flat key: value output, without --json: a PASS and a FAIL verify, and a
+# refusal
+TEXT = [
+    ["milnor", "--p", "7", "--vars", "x,y", "--poly", "x^3+y^4"],
+    ["gram", "--p", "7", "--vars", "x", "--poly", "x^3", "--scale", "3"],
+    ["disc", "--p", "5", "--m", "2", "--vars", "x,y", "--poly", "x^3+g*y^4"],
+    ["arf", "--p", "2", "--vars", "x,y", "--poly", "x^2+x*y+y^2",
+     "--lift-perturbation", "x*y+1"],
+    ["epsilon", "--p", "3", "--vars", "x,y", "--poly", "x^2+y^2"],
+    ["verify", "--p", "3", "--vars", "x,y", "--poly", "x^2+y^2"],
+    ["verify", "--p", "5", "--vars", "t", "--poly", "t^2", "--convention", "literal"],
+    ["fermat", "--d", "3", "--n", "0", "--a", "1,1"],
+    ["homog2", "--p", "2", "--poly", "T0^3+T0*T1^2+T1^3"],
+    ["homog2", "--p", "2", "--poly", "1"],
+]
+
 
 def argvs():
-    """Every recorded argv, each ending in --json."""
+    """Every recorded argv: the --json calls, then the TEXT calls."""
     out = []
     for p, m, names, poly in ODD:
         field = ["--p", str(p), "--m", str(m), "--vars", names, "--poly", poly]
@@ -106,7 +147,8 @@ def argvs():
     for names, poly, lift in A7_LIFTS:
         field = ["--p", "2", "--vars", names, "--poly", poly]
         out += [["gram"] + field, ["arf"] + field + ["--lift-perturbation", lift]]
-    return [argv + ["--json"] for argv in out]
+    out += CLOSED_FORMS + MISSING
+    return [argv + ["--json"] for argv in out] + TEXT
 
 
 def run(argv):

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+import make_cli_outputs
 from resform import catalog, cli, corpus, milnor
+from resform.mpoly import MultiPoly
 
 
 def run(capsys, *argv):
@@ -321,6 +323,29 @@ def test_engine_outputs_match_their_record(capsys):
             assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
 
 
+def test_the_record_holds_exactly_the_generators_calls():
+    """tests/cli_outputs.json records the argvs make_cli_outputs.argvs()
+    lists, in its order, so neither can gain a call the other lacks."""
+    with open(pathlib.Path(__file__).with_name("cli_outputs.json")) as fh:
+        record = json.load(fh)
+    assert [argv for argv, _, _ in record] == make_cli_outputs.argvs()
+
+
+def test_a_cli_verify_renders_its_input_once(capsys, monkeypatch):
+    """verify_identity renders f for the report; the CLI adds no render."""
+    calls = []
+    real = MultiPoly.render
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "render", counting)
+    code, payload = run_json(capsys, "verify", "--p", "3", "--vars", "x,y", "--poly", "x^2+y^2")
+    assert (code, payload["verdict"], payload["input"]) == (0, "PASS", "x^2 + y^2")
+    assert len(calls) == 1
+
+
 def test_corpus_rejects_convention():
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["corpus", "--convention", "literal"])
@@ -384,6 +409,12 @@ def test_fermat_rejects_degree_below_one(capsys):
     code, payload = run_json(capsys, "fermat", "--d", "1", "--n", "0", "--a", "1,1")
     assert code == 0
     assert payload["mu"] == 0
+
+
+def test_homog2_constant_form(capsys):
+    code, payload = run_json(capsys, "homog2", "--p", "2", "--poly", "1")
+    assert code == 2
+    assert payload == {"error": "ValueError", "message": "degree must be at least 1"}
 
 
 def test_homog2_zero_form(capsys):

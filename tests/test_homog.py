@@ -33,6 +33,9 @@ def test_binary_form_validation():
         BinaryForm(f2, 3, [1, 0, 1])
     with pytest.raises(ValueError):
         BinaryForm(f2, 2, [0, 0, 0])
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
+            BinaryForm(f2, d, [1])
     F = BinaryForm(f2, 3, [1, 0, 1, 1])
     assert F.as_poly().terms == {(3, 0): f2(1), (1, 2): f2(1), (0, 3): f2(1)}
 
