@@ -3,6 +3,13 @@
 Every subcommand prints a JSON object with --json, or a flat key: value
 listing without it.  Exit code 0 means all requested checks passed, 1 means
 a verification ran and failed, 2 means the input could not be processed.
+
+Each handler returns only its report, and main alone picks the exit code:
+2 for a ResformError or ValueError, 1 for a report whose verdict is FAIL or
+whose ok is false, 0 otherwise.  A handler reads its polynomial and variable
+names once, through _read; milnor, gram, disc, arf and epsilon open their
+report with the _head of the input, verify with the input verify_identity
+renders.
 """
 
 from __future__ import annotations
@@ -22,111 +29,87 @@ from .mpoly import parse_poly
 from .residue import arf_invariant, disc_square_class, gram_matrix, witt_lift
 
 
-def _build_field(args):
-    modulus = None
-    if args.modulus:
-        modulus = tuple(int(c) for c in args.modulus.split(","))
+def _field(args):
+    modulus = tuple(int(c) for c in args.modulus.split(",")) if args.modulus else None
     return gf_create(args.p, args.m, modulus)
 
 
-def _var_list(args):
-    if not args.vars:
-        raise PolySyntaxError("variable names are required; use --vars")
-    return [v.strip() for v in args.vars.split(",") if v.strip()]
-
-
-def _parse_over(args, field, text=None):
+def _read(args, field, text=None):
+    """text, --poly by default, read over field, and the --vars names it is
+    written in."""
     text = text if text is not None else args.poly
     if not text:
         raise PolySyntaxError("no polynomial given; use --poly")
-    names = _var_list(args)
+    if not args.vars:
+        raise PolySyntaxError("variable names are required; use --vars")
+    names = [v.strip() for v in args.vars.split(",") if v.strip()]
     constants = {field.gen_symbol: field.gen()} if field.m > 1 else None
-    return parse_poly(text, field, names, constants=constants)
+    return parse_poly(text, field, names, constants=constants), names
+
+
+def _head(field, f, names):
+    """The first keys of a milnor, gram, disc, arf or epsilon report."""
+    return {"input": f.render(names), "field": field.to_json()}
 
 
 def _cmd_milnor(args):
-    field = _build_field(args)
-    f = _parse_over(args, field)
-    alg = milnor_algebra(f)
-    out = {"input": f.render(_var_list(args)), "field": field.to_json(), "n_vars": f.n_vars}
-    out.update(alg.to_json())
-    return 0, out
+    field = _field(args)
+    f, names = _read(args, field)
+    return {**_head(field, f, names), "n_vars": f.n_vars, **milnor_algebra(f).to_json()}
 
 
 def _gram_form(args):
-    """The parsed input and its Gram form at --scale; in characteristic 2
-    the form of the Witt lift."""
-    field = _build_field(args)
-    f = _parse_over(args, field)
-    return field, f, gram_matrix(witt_lift(f) if field.p == 2 else f, args.scale)
+    """The report head of the input and its Gram form at --scale; in
+    characteristic 2 the form of the Witt lift."""
+    field = _field(args)
+    f, names = _read(args, field)
+    return _head(field, f, names), gram_matrix(witt_lift(f) if field.p == 2 else f, args.scale)
 
 
 def _cmd_gram(args):
-    field, f, G = _gram_form(args)
-    out = {"input": f.render(_var_list(args)), "field": field.to_json()}
-    out.update(G.to_json())
-    out["det"] = repr(G.det)
-    return 0, out
+    head, G = _gram_form(args)
+    return {**head, **G.to_json(), "det": repr(G.det)}
 
 
 def _cmd_disc(args):
-    field, f, G = _gram_form(args)
-    cls = disc_square_class(G)
-    return 0, {
-        "input": f.render(_var_list(args)),
-        "field": field.to_json(),
-        "mu": G.mu,
-        "scale": repr(G.scale),
-        "det": repr(G.det),
-        "class": cls.to_json(),
-    }
+    head, G = _gram_form(args)
+    return {**head, "mu": G.mu, "scale": repr(G.scale), "det": repr(G.det),
+            "class": disc_square_class(G).to_json()}
 
 
 def _cmd_arf(args):
-    field = _build_field(args)
+    field = _field(args)
     if field.p != 2:
         raise OddCharacteristic("the Arf invariant needs characteristic 2")
-    f = _parse_over(args, field)
-    g = None
-    if args.lift_perturbation:
-        g = _parse_over(args, field, args.lift_perturbation)
-    arf = arf_invariant(f, lift_perturbation=g)
-    out = {"input": f.render(_var_list(args)), "field": field.to_json()}
-    out["arf"] = arf.to_json()
-    return 0, out
+    f, names = _read(args, field)
+    g = _read(args, field, args.lift_perturbation)[0] if args.lift_perturbation else None
+    return {**_head(field, f, names), "arf": arf_invariant(f, lift_perturbation=g).to_json()}
 
 
 def _cmd_epsilon(args):
-    field = _build_field(args)
-    f = _parse_over(args, field)
-    eps, dimtot = arithmetic_side(f, var_names=_var_list(args))
-    return 0, {
-        "input": f.render(_var_list(args)),
-        "field": field.to_json(),
-        "epsilon": eps.to_json(),
-        "dimtot": dimtot,
-    }
+    field = _field(args)
+    f, names = _read(args, field)
+    eps, dimtot = arithmetic_side(f, var_names=names)
+    return {**_head(field, f, names), "epsilon": eps.to_json(), "dimtot": dimtot}
 
 
 def _cmd_verify(args):
-    field = _build_field(args)
-    f = _parse_over(args, field)
-    report = verify_identity(f, args.convention, _var_list(args))
-    return (1 if report["verdict"] == "FAIL" else 0), report
+    field = _field(args)
+    f, names = _read(args, field)
+    return verify_identity(f, args.convention, names)
 
 
 def _cmd_fermat(args):
-    a_list = [int(c) for c in args.a.split(",")]
-    return 0, fermat_formulas(args.d, args.n, a_list)
+    return fermat_formulas(args.d, args.n, [int(c) for c in args.a.split(",")])
 
 
 def _cmd_homog2(args):
-    field = _build_field(args)
+    field = _field(args)
     if field.p != 2:
         raise OddCharacteristic("this identity check is for characteristic 2")
     if not args.vars:
         args.vars = "T0,T1"
-    f = _parse_over(args, field)
+    f, _ = _read(args, field)
     if f.n_vars != 2:
         raise PolySyntaxError("a binary form needs exactly two variables")
     if not f.terms:
@@ -135,19 +118,13 @@ def _cmd_homog2(args):
     if any(sum(e) != d for e in f.terms):
         raise PolySyntaxError("the form is not homogeneous")
     coeffs = [f.terms.get((d - i, i), field.zero) for i in range(d + 1)]
-    report = verify_homog_char2(BinaryForm(field, d, coeffs))
-    return (1 if report["verdict"] == "FAIL" else 0), report
+    return verify_homog_char2(BinaryForm(field, d, coeffs))
 
 
 def _cmd_corpus(args):
     results = run_corpus(args.seed)
-    ok = all(r.ok for r in results)
-    payload = {
-        "seed": args.seed,
-        "ok": ok,
-        "results": [r.to_json() for r in results],
-    }
-    return (0 if ok else 1), payload
+    return {"seed": args.seed, "ok": all(r.ok for r in results),
+            "results": [r.to_json() for r in results]}
 
 
 def _emit(payload: dict, as_json: bool):
@@ -230,7 +207,8 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        code, payload = args.handler(args)
+        payload = args.handler(args)
+        code = 1 if payload.get("verdict") == "FAIL" or payload.get("ok") is False else 0
     except (ResformError, ValueError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         code = 2
