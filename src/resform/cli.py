@@ -1,15 +1,12 @@
 """Command line front end.
 
 Every subcommand prints a JSON object with --json, or a flat key: value
-listing without it.  Exit code 0 means all requested checks passed, 1 means
-a verification ran and failed, 2 means the input could not be processed.
-
-Each handler returns only its report, and main alone picks the exit code:
-2 for a ResformError or ValueError, 1 for a report whose verdict is FAIL or
-whose ok is false, 0 otherwise.  A handler reads its polynomial and variable
-names once, through _read; milnor, gram, disc, arf and epsilon open their
-report with the _head of the input, verify with the input verify_identity
-renders.
+listing without it.  Each handler returns only its report, and main alone
+picks the exit code: 2 when the input could not be processed (a ResformError
+or ValueError), 1 when a verification ran and failed (a report whose verdict
+is FAIL or whose ok is false), 0 otherwise.  _read parses a handler's
+polynomial and variable names once; milnor, gram, disc, arf and epsilon open
+their report with _head, verify with the input verify_identity renders.
 """
 
 from __future__ import annotations
