@@ -12,6 +12,7 @@ number is read off its derivative, never from the Milnor engine.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (CatalogMiss, CheckFailed, EvenCharacteristic, FieldMismatch,
@@ -25,6 +26,22 @@ from .mpoly import MultiPoly, variable_blocks
 # (homog.fermat_formulas refuses a longer closed form).
 WITNESS_DIGITS = 4300
 _WITNESS_BOUND = 10 ** WITNESS_DIGITS
+
+
+def printable_product(*powers):
+    """The product of the (base, exponent) powers when it has at most
+    WITNESS_DIGITS decimal digits, and None when it has more.
+
+    Each power is bounded before it is formed: |base|^k >= 2^(k*(bits - 1))
+    and 2^(4*WITNESS_DIGITS) > 10^WITNESS_DIGITS, so past that exponent the
+    power is refused unformed; below it each factor has fewer than
+    8*WITNESS_DIGITS bits.
+    """
+    if all(k * (abs(base).bit_length() - 1) < 4 * WITNESS_DIGITS for base, k in powers):
+        value = math.prod(base ** k for base, k in powers)
+        if abs(value) < _WITNESS_BOUND:
+            return value
+    return None
 
 
 class EpsilonValue:
@@ -96,22 +113,13 @@ class EpsilonValue:
 
     def witness(self):
         """The value as an exact cyclotomic integer, when it is one and every
-        coefficient has at most WITNESS_DIGITS decimal digits."""
-        if self.field.p == 2:
+        coefficient has at most WITNESS_DIGITS decimal digits.  Its
+        coefficients are sign * q^k times those of 1 or of the Gauss sum."""
+        if self.field.p == 2 or self.q2 % 2 or self.q2 < 0:
             return None
-        if self.q2 % 2 or self.q2 < 0:
-            return None
-        k, q = self.q2 // 2, self.field.q
-        # some coefficient is at least q^k >= 2^(k*(bits - 1)) in size, and
-        # 2^(4*WITNESS_DIGITS) > 10^WITNESS_DIGITS: refuse before the power
-        if k * (q.bit_length() - 1) >= 4 * WITNESS_DIGITS:
-            return None
-        w = CycloInt.from_int(self.field.p, self.sign * q ** k)
-        if self.tau_exp:
-            w = w * gauss_sum(self.field)
-        if any(abs(c) >= _WITNESS_BOUND for c in w.coeffs):
-            return None
-        return w
+        tau = gauss_sum(self.field).coeffs if self.tau_exp else (1,)
+        coeffs = [printable_product((self.field.q, self.q2 // 2), (self.sign * c, 1)) for c in tau]
+        return None if None in coeffs else CycloInt(self.field.p, coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, EpsilonValue):

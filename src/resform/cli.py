@@ -26,8 +26,20 @@ from .mpoly import parse_poly
 from .residue import arf_invariant, disc_square_class, gram_matrix, witt_lift
 
 
+def _ints(option: str, text: str):
+    """The integers of a comma separated option value; an entry that is not
+    one is refused with a ValueError that names the option and the entry."""
+    out = []
+    for entry in text.split(","):
+        try:
+            out.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--{option} takes comma separated integers, not {entry!r}") from None
+    return out
+
+
 def _field(args):
-    modulus = tuple(int(c) for c in args.modulus.split(",")) if args.modulus else None
+    modulus = tuple(_ints("modulus", args.modulus)) if args.modulus else None
     return gf_create(args.p, args.m, modulus)
 
 
@@ -97,7 +109,7 @@ def _cmd_verify(args):
 
 
 def _cmd_fermat(args):
-    return fermat_formulas(args.d, args.n, [int(c) for c in args.a.split(",")])
+    return fermat_formulas(args.d, args.n, _ints("a", args.a))
 
 
 def _cmd_homog2(args):

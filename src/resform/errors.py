@@ -62,8 +62,9 @@ class NotIsolated(ResformError):
 
 class ResourceLimit(ResformError):
     """A computation would hold more than the package allows itself, such
-    as a relation matrix or a product's normal-form matrix past
-    milnor.MAX_RELATION_CELLS."""
+    as a relation matrix, or a product's normal-form matrix, basis or
+    monomials, past milnor.MAX_RELATION_CELLS, or a truncation-degree scan
+    past milnor.DEGREE_CAP."""
 
 
 class NotFlat(ResformError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .catalog import WITNESS_DIGITS
+from .catalog import WITNESS_DIGITS, printable_product
 from .errors import NonIntegral, OddCharacteristic, ResourceLimit, SingularForm
 from .gfield import Field
 from .linalg import det_expand, det_ring
@@ -160,19 +160,12 @@ def divided_disc_binary(F: BinaryForm):
 def _printable(name: str, *powers) -> int:
     """The product of the (base, exponent) powers, refused with
     ResourceLimit when it has more than WITNESS_DIGITS decimal digits, which
-    CPython would not print.
-
-    Each power is bounded before it is formed: |base|^k >= 2^(k*(bits - 1))
-    and 2^(4*WITNESS_DIGITS) > 10^WITNESS_DIGITS, so past that exponent the
-    power is refused unformed; below it each factor has fewer than
-    8*WITNESS_DIGITS bits.
-    """
-    if all(k * (abs(base).bit_length() - 1) < 4 * WITNESS_DIGITS for base, k in powers):
-        value = math.prod(base ** k for base, k in powers)
-        if abs(value) < 10 ** WITNESS_DIGITS:
-            return value
-    raise ResourceLimit(f"{name} has more than WITNESS_DIGITS = {WITNESS_DIGITS} "
-                        "decimal digits, more than a report can print")
+    CPython would not print (catalog.printable_product)."""
+    value = printable_product(*powers)
+    if value is None:
+        raise ResourceLimit(f"{name} has more than WITNESS_DIGITS = {WITNESS_DIGITS} "
+                            "decimal digits, more than a report can print")
+    return value
 
 
 def fermat_formulas(d: int, n: int, a_list) -> dict:

@@ -42,10 +42,13 @@ regular sequence, J's initial ideal is theirs and D0 = s (Valla; Fulton,
 Intersection Theory, Cor. 12.4), so the scan starts there; otherwise, or
 when s is at most min k_i + 1, it starts at min k_i, since J lies in
 m^{min k_i}.  A cone whose partials are homogeneous and fail that test is
-not isolated, and is rejected without a scan.  So is an input whose scan
-fails at every degree up to the Bezout bound on mu.  A scan that reaches
-the cap DEGREE_CAP first has proved nothing, and raises ResourceLimit, not
-NotIsolated.
+not isolated, and is not scanned.  The cap DEGREE_CAP bounds the scan and
+nothing else, and the scan ends in one of three ways, each named by its
+own proof: when the Bezout bound on mu is at most the cap, failing every
+degree up to it proves f not isolated (a cone is reported so too); above
+it a cone raises NotIsolated naming the degree s its partials miss; any
+other scan that reaches the cap has proved nothing, and raises
+ResourceLimit.
 
 The relation matrix stays in the elimination kernel's digit form from build
 to normal forms: it is written as a (rows, cols, m) integer array, reduced
@@ -61,7 +64,8 @@ pairwise disjoint sets of variables (a constant term belongs to none) has
 J(f) = J(f_1) + ... + J(f_k), so its algebra is the tensor product of
 theirs (Sebastiani-Thom, Un resultat sur la monodromie, Invent. Math.
 1971), composed from the blocks' algebras without eliminating f's own
-relation matrix.  Every algebra is kept on its polynomial (MultiPoly's
+relation matrix.  An algebra belongs to its polynomial alone, whatever cap
+it was read at: every algebra is kept on its polynomial (MultiPoly's
 _algebra), but only eliminations are cached: a product lives on f alone,
 so it never pushes the blocks it is built from out of the cache, and the
 cache's bound counts eliminations.  The split is kept on f too
@@ -88,8 +92,11 @@ residue engine builds no Bezoutian for it unless the Gram matrix itself is
 read.  A W_3 lift certified at degree 1 gets it the same way.  Over a
 field a block that raises NotIsolated or ResourceLimit ends f with its
 error: a block that is not isolated makes the tensor product infinite, and
-f's own scan would have to pass the block's degree in more variables.  So
-does a product whose D passes the cap, as D is then f's least D0.
+f's own scan would have to pass the block's degree in more variables.  A
+product is bounded by what it builds, not by the cap: its D may pass the
+cap, and its basis, its monomials and N are each held to
+MAX_RELATION_CELLS, their sizes read off the blocks, before any of them is
+enumerated.
 
 The Witt lift of a separable characteristic-2 input splits the same way,
 once its reduction's algebra is a product: it is then the tensor product
@@ -99,8 +106,7 @@ monomials are a basis and normal forms multiply; a product whose
 coefficients vanish mod 8 is a zero normal form, not a failure.  The same
 argument shows that D = sum D_i - (k - 1) is a certified truncation degree
 over W_3: m^{D_i} lies in J_i for each block, so m^D lies in J.  It need
-not be least, as a W_3 D never was, and it may exceed the cap, which the
-whole lift's 3*D0 - 2k is not held to either.  A lift whose blocks are not
+not be least, as a W_3 D never was.  A lift whose blocks are not
 those of a split reduction (a lift perturbation may couple variables), or
 one with a block that raises, is eliminated whole, so its errors and
 their messages are its own.
@@ -141,8 +147,20 @@ from . import unipoly
 DEGREE_CAP = 24
 # digits one relation matrix, or a product's normal-form matrix, may hold,
 # 128 MiB as int32; the largest matrix of the test suite and the corpus
-# holds 6.4M
+# holds 6.4M.  A product's basis or monomials count 8 digits an exponent:
+# a listed exponent takes about 26 bytes, an int32 digit 4.
 MAX_RELATION_CELLS = 2 ** 25
+
+
+def _within_cells(what: str, shape):
+    """Raise ResourceLimit, naming what and its shape, when an array of
+    that shape would hold more than MAX_RELATION_CELLS digits; called before
+    it is built."""
+    if math.prod(shape) > MAX_RELATION_CELLS:
+        raise ResourceLimit(
+            f"{what} would hold {' x '.join(map(str, shape))} digits, "
+            f"more than MAX_RELATION_CELLS = {MAX_RELATION_CELLS}"
+        )
 
 
 def mono_key(e):
@@ -211,11 +229,7 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
     shifts = [(g, _monomials(n_vars, upto - g.low_degree(), lo - g.low_degree())[0])
               for g in grads]
     shape = (sum(len(alphas) for _, alphas in shifts), len(cols), ring.m)
-    if math.prod(shape) > MAX_RELATION_CELLS:
-        raise ResourceLimit(
-            f"the relation matrix in degree {upto} would hold {' x '.join(map(str, shape))} "
-            f"digits, more than MAX_RELATION_CELLS = {MAX_RELATION_CELLS}"
-        )
+    _within_cells(f"the relation matrix in degree {upto}", shape)
     A = np.zeros(shape, dtype=np.int32)
     r = 0
     for g, alphas in shifts:
@@ -323,14 +337,12 @@ def _scan(f: MultiPoly, orders, cap: int):
     The search stops at the product of the partials' degrees: for an
     isolated singularity D0 <= mu, and mu is at most that product by the
     refined Bezout theorem.  Failing every degree up to it proves f is not
-    isolated, as the cone test does, and both raise NotIsolated.  A scan
-    that stops at the cap first has proved nothing, and raises
-    ResourceLimit.
+    isolated, and raises NotIsolated whenever that bound is at most the
+    cap; above it a cone raises NotIsolated naming s, and a scan that stops
+    at the cap has proved nothing, and raises ResourceLimit.
     """
     grads = partials(f)
-    bezout = 1
-    for g in grads:
-        bezout *= max(g.total_degree(), 1)
+    bezout = math.prod(max(g.total_degree(), 1) for g in grads)
     start = max(1, min(orders))
     s = 1 + sum(k - 1 for k in orders)
     cone = False  # a cone that is not isolated: no degree certifies
@@ -347,13 +359,16 @@ def _scan(f: MultiPoly, orders, cap: int):
             if certified is not None:
                 return d0, certified, inverses
             del red  # not held while the next degree's matrix is built
-    if bezout < cap:
+    if bezout <= cap:
         raise NotIsolated(
             f"Jacobian ideal is not monomial-cofinite below degree {bezout}, "
             "the Bezout bound on the Milnor number"
         )
-    if cone or bezout == cap:
-        raise NotIsolated(f"Jacobian ideal is not monomial-cofinite below degree {cap}")
+    if cone:
+        raise NotIsolated(
+            f"the partials are homogeneous and miss a monomial of degree {s}, "
+            "so the Jacobian ideal is not monomial-cofinite"
+        )
     raise ResourceLimit(
         f"no degree up to DEGREE_CAP = {cap} certifies the Jacobian ideal, "
         f"and its Bezout bound {bezout} lies above the cap"
@@ -474,7 +489,9 @@ class ProductAlgebra(MilnorAlgebra):
     block part of degree at least D_i, so form 0.  N is the Kronecker
     product of the blocks' N, as a monomial's form is the product of its
     block parts'.  Each is built on its first read, as a cached property
-    in place of the attribute MilnorAlgebra.__init__ sets.
+    in place of the attribute MilnorAlgebra.__init__ sets, and each raises
+    ResourceLimit on every read whose list or matrix would hold more than
+    MAX_RELATION_CELLS digits, its size read off the blocks first.
     """
 
     def __init__(self, ring, n_vars, D, blocks):
@@ -489,15 +506,20 @@ class ProductAlgebra(MilnorAlgebra):
                 e[v] = k
         return tuple(e)
 
+    def _enumerated(self, name):
+        """The products of the blocks' lists `name`, held to the cell bound
+        at 8 digits an exponent before they are enumerated."""
+        lists = [getattr(alg, name) for _, _, alg in self.blocks]
+        _within_cells(f"the {name} of the product", (math.prod(map(len, lists)), self.n_vars, 8))
+        return map(self._joined, itertools.product(*lists))
+
     @functools.cached_property
     def basis(self):
-        return sorted((self._joined(parts) for parts in
-                       itertools.product(*(alg.basis for _, _, alg in self.blocks))), key=mono_key)
+        return sorted(self._enumerated("basis"), key=mono_key)
 
     @functools.cached_property
     def monomials(self):
-        return [self._joined(parts) for parts in
-                itertools.product(*(alg.monomials for _, _, alg in self.blocks))]
+        return list(self._enumerated("monomials"))
 
     @functools.cached_property
     def normal_forms(self):
@@ -509,12 +531,7 @@ class ProductAlgebra(MilnorAlgebra):
         ResourceLimit before it is built, on every read."""
         ring = self.ring
         ops, m = coded(ring), ring.m
-        shape = (len(self.monomials), self.mu, m)
-        if math.prod(shape) > MAX_RELATION_CELLS:
-            raise ResourceLimit(
-                f"the normal forms of the product would hold {' x '.join(map(str, shape))} "
-                f"digits, more than MAX_RELATION_CELLS = {MAX_RELATION_CELLS}"
-            )
+        _within_cells("the normal forms of the product", (len(self.monomials), self.mu, m))
         N = np.array([[ring.one.coeffs]], dtype=np.int32)
         order = [0] * self.mu
         for vs, _, alg in self.blocks:
@@ -528,7 +545,8 @@ class ProductAlgebra(MilnorAlgebra):
 
 
 def _product(f: MultiPoly, cap: int):
-    """f's algebra as the tensor product of its blocks' algebras.
+    """f's algebra as the tensor product of its blocks' algebras, each read
+    at cap.
 
     Returns the ProductAlgebra, or None when f is a single block or a block
     raises another error; the caller then presents f whole, so those errors
@@ -537,7 +555,8 @@ def _product(f: MultiPoly, cap: int):
     product infinite, and f's own scan would need a degree at least the
     block's.  A block's OddProduct says nothing of f's parity, and a W_3
     lift is eliminated whole on any block error.  Every variable lies in
-    some block, as no partial of f vanishes.
+    some block, as no partial of f vanishes.  The product's own D is not
+    held to the cap; what it builds is held to the cell bound.
     """
     split = variable_blocks(f)
     if len(split) < 2:
@@ -552,13 +571,6 @@ def _product(f: MultiPoly, cap: int):
     except ResformError:
         return None
     D = sum(alg.D for _, _, alg in blocks) - len(blocks) + 1
-    if D > cap and field:
-        # D is f's least D0, so f's own scan stops at the cap too; a W_3
-        # lift's whole elimination is never held to the cap
-        raise ResourceLimit(
-            f"the product of the blocks' algebras has truncation degree {D}, "
-            f"above DEGREE_CAP = {cap}"
-        )
     return ProductAlgebra(f.ring, f.n_vars, D, blocks)
 
 
@@ -574,10 +586,12 @@ _ALGEBRAS_MAX = 256
 def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     """Quotient by the Jacobian ideal, presented below the truncation degree.
 
-    One elimination per polynomial and cap, shared by every consumer.  The
-    algebra is kept on f with its cap, so every later read of f at that cap
-    returns it at once; an equal polynomial shares an eliminated algebra
-    through the cache.  A sum of blocks in disjoint variables gets the
+    One elimination per polynomial, shared by every consumer.  The algebra
+    belongs to f alone: it is kept on f, so every later read of f, at any
+    cap, returns it at once, and an equal polynomial shares an eliminated
+    algebra through the cache.  The cap bounds only a scan that has not
+    yet run, and is passed on to a split sum's blocks and to a Witt lift's
+    reduction.  A sum of blocks in disjoint variables gets the
     tensor product of the blocks' algebras, composed from theirs and kept
     on f alone: over a field except at a Morse or a smooth point, where the
     scan is already one small elimination, and over W_3 when the residue
@@ -587,20 +601,16 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     and raises NotFlat unless its basis is the residue field's; a split lift
     has that check from its blocks.  A W_3 lift that misses the cache reads
     its reduction's algebra first, at the same cap.  NotIsolated means a
-    proof that f is not isolated; a truncation degree past the cap,
-    unproved, raises ResourceLimit.  No error is kept: each read raises it
-    anew.
+    proof that f is not isolated; a scan past the cap, unproved, raises
+    ResourceLimit.  No error is kept: each read raises it anew.
     """
-    held = f._algebra
-    if held is not None and held[0] == cap:
-        return held[1]
-    ring = f.ring
-    n = f.n_vars
-    key = (ring, n, frozenset(f.terms.items()), cap)
+    if f._algebra is not None:
+        return f._algebra
+    ring, n = f.ring, f.n_vars
+    key = (ring, n, frozenset(f.terms.items()))
     alg = _ALGEBRAS.pop(key, None)
     if alg is not None:
-        _ALGEBRAS[key] = alg
-        f._algebra = cap, alg
+        _ALGEBRAS[key] = f._algebra = alg
         return alg
     field = ring.b == ring.residue  # over W_3 the scan runs mod 2
     if field:
@@ -644,7 +654,7 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
         if len(_ALGEBRAS) >= _ALGEBRAS_MAX:
             del _ALGEBRAS[next(iter(_ALGEBRAS))]
         _ALGEBRAS[key] = alg
-    f._algebra = cap, alg
+    f._algebra = alg
     return alg
 
 

@@ -88,7 +88,7 @@ class MultiPoly:
     Terms are never changed after construction: every operation builds the
     dict of a new polynomial.  So variable_blocks splits a polynomial once
     and keeps the split in `_split`, and milnor.milnor_algebra keeps the
-    (cap, algebra) pair it last returned in `_algebra`.
+    polynomial's Milnor algebra in `_algebra`, whatever cap it was read at.
     """
 
     __slots__ = ("ring", "n_vars", "terms", "_split", "_algebra")

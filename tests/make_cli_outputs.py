@@ -59,12 +59,16 @@ REFUSALS = [
     ["milnor", "--p", "7", "--vars", "x,y,z,w", "--poly", "x^5*y+z^5+w^5"],
     ["verify", "--p", "5", "--vars", "x,y", "--poly", "x^2*y"],
     ["arf", "--p", "2", "--vars", "x,y", "--poly", "x^2+y^2"],
-    # ResourceLimit at DEGREE_CAP: a scan, and a product's degree
+    # ResourceLimit at DEGREE_CAP, for a scan
     ["verify", "--p", "2", "--vars", "x", "--poly", "x^27"],
-    ["verify", "--p", "13", "--vars", "x,y", "--poly", "x^14+y^14"],
-    # ResourceLimit at the cell bound, for a coupled W_3 lift
+    # ResourceLimit at the cell bound, for a coupled W_3 lift and for the
+    # basis of a product with mu = 2^23
     ["arf", "--p", "2", "--m", "2", "--vars", "x,y,z,w", "--poly", "x^5+y^5+z^3+w^3",
      "--lift-perturbation", "x*y*z*w+x"],
+    ["milnor", "--p", "7", "--vars", ",".join(f"x{i}" for i in range(23)),
+     "--poly", "+".join(f"x{i}^3" for i in range(23))],
+    # ValueError naming a list option's bad entry
+    ["verify", "--p", "3", "--m", "2", "--modulus", "1,,1", "--vars", "x", "--poly", "x^2"],
     # NonUnitScale
     ["gram", "--p", "7", "--vars", "x", "--poly", "x^3", "--scale", "7"],
     ["disc", "--p", "7", "--vars", "x,y", "--poly", "x^3+y^4", "--scale", "0"],
@@ -72,6 +76,11 @@ REFUSALS = [
     ["verify", "--p", "7", "--vars", "x,y", "--poly", "x^2+z^2"],
     ["arf", "--p", "2", "--vars", "x,y", "--poly", "x^2+x*y+y^2",
      "--lift-perturbation", "z"],
+]
+
+# A product whose D = 25 passes DEGREE_CAP, which bounds only a scan
+PAST_THE_CAP = [
+    ["verify", "--p", "13", "--vars", "x,y", "--poly", "x^14+y^14"],
 ]
 
 # Bezoutians of unsplit, non-Morse inputs with mu > 4, recorded after the
@@ -140,7 +149,7 @@ def argvs():
         field = ["--p", "2", "--m", str(m), "--vars", names, "--poly", poly]
         out += [cmd + field for cmd in CHAR2_COMMANDS]
         out.append(["arf"] + field + ["--lift-perturbation", lift])
-    out += REFUSALS
+    out += REFUSALS + PAST_THE_CAP
     for p, names, poly in FERMAT_CHANGES:
         out += [cmd + ["--p", str(p), "--vars", names, "--poly", poly]
                 for cmd in FERMAT_COMMANDS]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import time
+import tracemalloc
 
 import pytest
 
@@ -231,21 +232,24 @@ def test_a_catalog_miss_names_the_block_by_the_callers_variables(capsys, argv, b
 
 
 def test_milnor_rejects_a_non_isolated_four_variable_cone(capsys):
-    """The homogeneous partials of x^5*y+z^5+w^5 fail the initial-form test,
-    so the cone ends at once with the cap's message."""
+    """The homogeneous partials of the block x^5*y of x^5*y+z^5+w^5 fail the
+    initial-form test in degree 9, so the cone ends at once with its own
+    message, naming that degree."""
     code, payload = run_json(capsys, "milnor", "--p", "7", "--vars", "x,y,z,w",
                              "--poly", "x^5*y+z^5+w^5")
     assert code == 2
     assert payload == {"error": "NotIsolated", "message":
-                       "Jacobian ideal is not monomial-cofinite below degree 24"}
+                       "the partials are homogeneous and miss a monomial of degree 9, "
+                       "so the Jacobian ideal is not monomial-cofinite"}
 
 
 @pytest.mark.parametrize("p, names, poly, message", [
     # isolated with mu = 26, but D0 = 26 lies past the cap
     (2, "x", "x^27", "no degree up to DEGREE_CAP = 24 certifies the Jacobian ideal, and its "
                      "Bezout bound 26 lies above the cap"),
-    (13, "x,y", "x^14+y^14",
-     "the product of the blocks' algebras has truncation degree 25, above DEGREE_CAP = 24"),
+    # a block whose D0 = 25 lies past the cap ends its sum
+    (7, "x,y", "x^26+y^26", "no degree up to DEGREE_CAP = 24 certifies the Jacobian ideal, and "
+                            "its Bezout bound 25 lies above the cap"),
 ])
 def test_a_scan_stopped_at_the_cap_is_a_resource_limit(capsys, p, names, poly, message):
     """Reaching the cap proves nothing about isolation, so verify ends in
@@ -254,6 +258,53 @@ def test_a_scan_stopped_at_the_cap_is_a_resource_limit(capsys, p, names, poly, m
     code, payload = run_json(capsys, "verify", "--p", str(p), "--vars", names, "--poly", poly)
     assert code == 2
     assert payload == {"error": "ResourceLimit", "message": message}
+
+
+def test_a_product_past_the_cap_answers(capsys):
+    """x^14+y^14 over F_13 has D = 13 + 13 - 1 = 25, past the cap, which
+    bounds a scan and not a product composed from its blocks."""
+    code, payload = run_json(capsys, "verify", "--p", "13", "--vars", "x,y", "--poly",
+                             "x^14+y^14")
+    assert code == 0
+    assert payload["mu"] == 169
+
+
+WIDE = [",".join(f"x{i}" for i in range(23)), "+".join(f"x{i}^3" for i in range(23))]
+
+
+@pytest.mark.parametrize("command", ["milnor", "gram"])
+def test_a_wide_split_sum_is_refused_before_its_basis_is_listed(capsys, command):
+    """x0^3+...+x22^3 over F_7 has D = 24 and mu = 2^23: milnor and gram
+    refuse its product basis from the blocks' sizes before listing it, in
+    bounded time and memory."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, payload = run_json(capsys, command, "--p", "7", "--vars", WIDE[0],
+                                 "--poly", WIDE[1])
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0 and peak < 200_000_000, (elapsed, peak)
+    assert code == 2
+    assert payload == {"error": "ResourceLimit", "message":
+                       "the basis of the product would hold 8388608 x 23 x 8 digits, "
+                       "more than MAX_RELATION_CELLS = 33554432"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fermat", "--d", "3", "--n", "0", "--a", "1,,2"],
+     "--a takes comma separated integers, not ''"),
+    (["fermat", "--d", "3", "--n", "0", "--a", "1,x"],
+     "--a takes comma separated integers, not 'x'"),
+    (["verify", "--p", "3", "--m", "2", "--modulus", "1,,1", "--vars", "x", "--poly", "x^2"],
+     "--modulus takes comma separated integers, not ''"),
+])
+def test_a_list_option_names_its_bad_entry(capsys, argv, message):
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload == {"error": "ValueError", "message": message}
 
 
 def test_plain_output_is_flat_key_values(capsys):
