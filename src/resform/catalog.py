@@ -114,12 +114,16 @@ class EpsilonValue:
     def witness(self):
         """The value as an exact cyclotomic integer, when it is one and every
         coefficient has at most WITNESS_DIGITS decimal digits.  Its
-        coefficients are sign * q^k times those of 1 or of the Gauss sum."""
+        coefficients are sign * q^k times those of 1 or of the Gauss sum, so
+        the largest is q^k times the largest of those."""
         if self.field.p == 2 or self.q2 % 2 or self.q2 < 0:
             return None
-        tau = gauss_sum(self.field).coeffs if self.tau_exp else (1,)
-        coeffs = [printable_product((self.field.q, self.q2 // 2), (self.sign * c, 1)) for c in tau]
-        return None if None in coeffs else CycloInt(self.field.p, coeffs)
+        k, q = self.q2 // 2, self.field.q
+        gauss = gauss_sum(self.field) if self.tau_exp else None
+        if printable_product((q, k), (max(map(abs, gauss.coeffs)) if gauss else 1, 1)) is None:
+            return None
+        w = CycloInt.from_int(self.field.p, self.sign * q ** k)
+        return w * gauss if gauss else w
 
     def __eq__(self, other):
         if not isinstance(other, EpsilonValue):

@@ -157,10 +157,8 @@ def _within_cells(what: str, shape):
     that shape would hold more than MAX_RELATION_CELLS digits; called before
     it is built."""
     if math.prod(shape) > MAX_RELATION_CELLS:
-        raise ResourceLimit(
-            f"{what} would hold {' x '.join(map(str, shape))} digits, "
-            f"more than MAX_RELATION_CELLS = {MAX_RELATION_CELLS}"
-        )
+        raise ResourceLimit(f"{what} would hold {' x '.join(map(str, shape))} digits, "
+                            f"more than MAX_RELATION_CELLS = {MAX_RELATION_CELLS}")
 
 
 def mono_key(e):
@@ -570,8 +568,7 @@ def _product(f: MultiPoly, cap: int):
         return None
     except ResformError:
         return None
-    D = sum(alg.D for _, _, alg in blocks) - len(blocks) + 1
-    return ProductAlgebra(f.ring, f.n_vars, D, blocks)
+    return ProductAlgebra(f.ring, f.n_vars, sum(alg.D - 1 for _, _, alg in blocks) + 1, blocks)
 
 
 # Most recently used last.  Only algebras that an elimination built are

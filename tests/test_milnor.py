@@ -748,8 +748,9 @@ def test_a_lift_off_its_reductions_basis_is_not_flat_for_every_command(monkeypat
 
 
 def test_a_non_isolated_three_variable_cone_is_rejected_in_bounded_time():
-    """x^5*y + z^5 is singular along the y-axis and its Bezout bound is 100,
-    so the scan runs all the way to the cap of 24."""
+    """x^5*y + z^5 is singular along the y-axis.  Its block x^5*y is a cone
+    whose partials miss y^9, and its Bezout bound 25 lies past the cap, so
+    the block ends f with the cone's NotIsolated, and nothing is scanned."""
     f = parse_poly("x^5*y+z^5", gf_create(7, 1), ["x", "y", "z"])
     start = time.perf_counter()
     with pytest.raises(NotIsolated):
