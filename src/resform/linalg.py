@@ -26,12 +26,13 @@ pivot values of an encoded element matrix, and the residue engine the pivot
 inverses of the Bezoutian matrix, built as digits, whose inverse
 determinant is all the discriminant needs.  A pivot's inverse is the one
 its scaling step already uses (row 0 of its memoised multiplication
-matrix), so 1/det costs products only; the Milnor scan reads a Morse
-point's 1/det C the same way.  solve_coded eliminates a digit [M | B]
-whose first n columns are M, so one elimination gives the whole solution,
-and decodes only X; solve_ring encodes element rows for it.  The residue
-engine inverts the Bezoutian matrix with solve_coded, B a multiple of I,
-only when the Gram matrix itself is asked for.
+matrix), so 1/det costs products only; milnor reads a Morse point's
+1/det C the same way, off unit_det of its n x n Hessian.  solve_coded
+eliminates a digit [M | B] whose first n columns are M, so one
+elimination gives the whole solution, and decodes only X; solve_ring
+encodes element rows for it.  The residue engine inverts the Bezoutian
+matrix with solve_coded, B a multiple of I, only when the Gram matrix
+itself is asked for.
 
 Row reduction only ever uses unit pivots.  Over a field that loses nothing.
 Over the truncated Witt ring a column whose remaining entries are nonzero

@@ -42,13 +42,14 @@ regular sequence, J's initial ideal is theirs and D0 = s (Valla; Fulton,
 Intersection Theory, Cor. 12.4), so the scan starts there; otherwise, or
 when s is at most min k_i + 1, it starts at min k_i, since J lies in
 m^{min k_i}.  A cone whose partials are homogeneous and fail that test is
-not isolated, and is not scanned.  The cap DEGREE_CAP bounds the scan and
-nothing else, and the scan ends in one of three ways, each named by its
-own proof: when the Bezout bound on mu is at most the cap, failing every
-degree up to it proves f not isolated (a cone is reported so too); above
-it a cone raises NotIsolated naming the degree s its partials miss; any
-other scan that reaches the cap has proved nothing, and raises
-ResourceLimit.
+not isolated, and is not scanned.  A degree whose relation matrix has
+fewer rows than it has monomials of that degree cannot certify, and is
+skipped unbuilt.  The cap DEGREE_CAP bounds the scan and nothing else,
+and the scan ends in one of three ways, each named by its own proof: when
+the Bezout bound on mu is at most the cap, failing every degree up to it
+proves f not isolated (a cone is reported so too); above it a cone raises
+NotIsolated naming the degree s its partials miss; any other scan that
+reaches the cap has proved nothing, and raises ResourceLimit.
 
 The relation matrix stays in the elimination kernel's digit form from build
 to normal forms: it is written as a (rows, cols, m) integer array, reduced
@@ -85,14 +86,20 @@ has some block part of degree at least D_i, which lies in J_i, so m^D lies
 in J.  Over a field D is also the least D0, as some monomial of
 degree D_i - 1 survives in each block and the product of their normal forms
 is nonzero, as a tensor product of nonzero vectors over a field is.  Morse
-and smooth points are not split: their scan is already one small
-elimination, at D = 1, and a Morse point's also gives its Bezoutian
-determinant, read off its pivot inverses (_morse_inv_bezoutian_det), so the
-residue engine builds no Bezoutian for it unless the Gram matrix itself is
-read.  A W_3 lift certified at degree 1 gets it the same way.  Over a
-field a block that raises NotIsolated or ResourceLimit ends f with its
-error: a block that is not isolated makes the tensor product infinite, and
-f's own scan would have to pass the block's degree in more variables.  A
+and smooth points are not split.  A smooth point's scan is one small
+elimination, at D = 1.  A Morse point, every partial of order 1, is
+presented by no relation matrix at all: one linalg.unit_det of its n x n
+Hessian L, written from f's degree-2 terms, certifies D = 1 and mu = 1
+exactly when L is invertible, and its pivot inverses give 1/det L, the
+inverse Bezoutian determinant (_morse), so the residue engine builds no
+Bezoutian for it unless the Gram matrix itself is read.  A singular L
+proves D0 >= 2, and the scan starts there.  The W_3 lift of a Morse point
+without a degree-1 term is presented by its Hessian too, which is a unit
+mod 2; a lift with a linear term has D = 3 (below), eliminated at once at
+degree 2.  Over a field a block that raises NotIsolated or ResourceLimit
+ends f with its error: a block that is not isolated makes the tensor
+product infinite, and f's own scan would have to pass the block's degree
+in more variables.  A
 product is bounded by what it builds, not by the cap: its D may pass the
 cap, and its basis, its monomials and N are each held to
 MAX_RELATION_CELLS, their sizes read off the blocks, before any of them is
@@ -120,14 +127,17 @@ blocks is a union of the reduction's blocks; the standard monomials of a
 disjoint sum are the products of the blocks', so once every block of the
 lift has the basis of its own reduction, the lift has its reduction's.
 
-A W_3 lift that is eliminated whole and fails the D0 certificate pays a
-second elimination at 3*D0 - 2k - 1.  A scan upward from D0 + 1 to the
-least certified degree would cost more.  On the a7 lifts of the char2-witt
-benchmark (the first 60 pool entries per slot, each with both lift
-perturbations, the algebra cache cleared per entry), 266 W_3 eliminations
-fail at D0; the scan would eliminate 10388 columns in total on them, the
-fallback 3828 (5547 at 3*D0 - 1), and its D is the least certified degree
-for 164 of them.
+A linear term 2c of a Morse point's lift makes the elimination at D0 = 1
+fail: the pivot rows keep L^-1 * 2c != 0 in the constant column, the one
+column below degree 1, so k = 0 and D = 3 for every such lift, and the
+lift skips that elimination.  Any other W_3 lift that is eliminated whole
+and fails the D0 certificate pays a second elimination at 3*D0 - 2k - 1.
+A scan upward from D0 + 1 to the least certified degree would cost more.
+On the a7 lifts of the char2-witt benchmark (the first 60 pool entries per
+slot, each with both lift perturbations, the algebra cache cleared per
+entry), 266 W_3 eliminations fail at D0; the scan would eliminate 10388
+columns in total on them, the fallback 3828 (5547 at 3*D0 - 1), and its D
+is the least certified degree for 164 of them.
 """
 
 from __future__ import annotations
@@ -140,7 +150,7 @@ import numpy as np
 
 from .errors import (DegenerateFiber, NotFlat, NotIsolated, OddProduct, ResformError,
                      ResourceLimit)
-from .linalg import coded
+from .linalg import coded, unit_det
 from .mpoly import MultiPoly, partials, variable_blocks
 from . import unipoly
 
@@ -215,9 +225,11 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
 
     Each row is x^alpha * g for a partial g of order k and
     lo - k <= |alpha| <= upto - k, so its terms start in degree lo or above;
-    it is truncated above upto, where its lowest term always survives, and
-    written as digits straight into the kernel's array.  With lo = upto the
-    rows are the degree-upto multiples of the partials' initial forms.
+    it is truncated above upto, where its lowest term always survives, by
+    comparing each term's degree, read once per partial, with
+    upto - |alpha|, and written as digits straight into the kernel's array.
+    With lo = upto the rows are the degree-upto multiples of the partials'
+    initial forms.
     Columns run from the highest degree down; returns (columns, reduced
     digit array, pivot columns, stuck column or None, pivot inverses), the
     last three as CodedOps.rref gives them.  A matrix of more than
@@ -231,11 +243,12 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
     A = np.zeros(shape, dtype=np.int32)
     r = 0
     for g, alphas in shifts:
+        terms = [(sum(e), e, c.coeffs) for e, c in g.terms.items()]
         for alpha in alphas:
-            for e, c in g.terms.items():
-                shifted = tuple(a + b for a, b in zip(e, alpha))
-                if sum(shifted) <= upto:
-                    A[r, col_index[shifted]] = c.coeffs
+            room = upto - sum(alpha)
+            for d, e, c in terms:
+                if d <= room:
+                    A[r, col_index[tuple(a + b for a, b in zip(e, alpha))]] = c
             r += 1
     A, pivots, stuck, _, inverses = coded(ring).rref(A)
     return cols, A, pivots, stuck, inverses
@@ -307,9 +320,8 @@ def _scan(f: MultiPoly, orders, cap: int):
 
     By graded Nakayama this certifies m^{D0} inside the Jacobian ideal of
     the complete local ring at the origin.  The certifying elimination also
-    presents the algebra (_certified).  Returns D0, the (columns, reduced
-    digit rows, pivots) of that presentation, and the certifying
-    elimination's pivot inverses.
+    presents the algebra (_certified).  Returns D0 and the (columns, reduced
+    digit rows, pivots) of that presentation.
 
     The search starts at a lower bound.  Let k_i be the order of the i-th
     partial and s = 1 + sum(k_i - 1).  When every k_i >= 1 and
@@ -321,12 +333,19 @@ def _scan(f: MultiPoly, orders, cap: int):
     function of a complete intersection, nonzero in degree s - 1 and zero
     in degree s, so m^{s-1} is not in J and m^s is: D0 = s, and the scan
     starts there.  Otherwise it starts at max(1, min k_i), which is a lower
-    bound because J lies in m^{min k_i}.  The certificate is still checked
+    bound because J lies in m^{min k_i}; when every k_i = 1 it starts at 2,
+    as milnor_algebra scans such an f only once its Hessian is singular
+    (_morse), which proves D0 >= 2.  The certificate is still checked
     at the start, so a wrong start could only skip a smaller D0, never
     certify a wrong one.  A constant partial (k_i = 0, a smooth point)
     makes J the unit ideal; s means nothing there and the scan starts at 1.
     At s = min k_i + 1 the test would at best replace the one elimination
     at min k_i, and it has more pivots than that one, so it is skipped.
+
+    A degree d whose relation matrix has fewer rows,
+    sum_i C(d - k_i + n, n), than its C(d + n - 1, n - 1) degree-d columns
+    cannot make every one of them a pivot, so it is skipped unbuilt: the
+    degree-2 step of a binary cubic is one.
 
     If the test fails and every partial is homogeneous, J is its own
     initial ideal and misses a degree-s monomial, so it is not m-primary:
@@ -341,21 +360,25 @@ def _scan(f: MultiPoly, orders, cap: int):
     """
     grads = partials(f)
     bezout = math.prod(max(g.total_degree(), 1) for g in grads)
-    start = max(1, min(orders))
+    n = f.n_vars
+    start = 2 if min(orders) == max(orders) == 1 else max(1, min(orders))
     s = 1 + sum(k - 1 for k in orders)
     cone = False  # a cone that is not isolated: no degree certifies
     if min(orders) >= 1 and s > start + 1:
-        cols, _, pivots, _, _ = _eliminate(grads, f.ring, f.n_vars, s, lo=s)
+        cols, _, pivots, _, _ = _eliminate(grads, f.ring, n, s, lo=s)
         if len(pivots) == len(cols):
             start = s
         else:
             cone = all(g.total_degree() == k for g, k in zip(grads, orders))
     if not cone:
         for d0 in range(start, min(cap, bezout) + 1):
-            cols, red, pivots, _, inverses = _eliminate(grads, f.ring, f.n_vars, d0)
+            rows = sum(math.comb(d0 - k + n, n) for k in orders if k <= d0)
+            if rows < math.comb(d0 + n - 1, n - 1):
+                continue
+            cols, red, pivots, _, _ = _eliminate(grads, f.ring, n, d0)
             certified = _certified(cols, red, pivots, d0)
             if certified is not None:
-                return d0, certified, inverses
+                return d0, certified
             del red  # not held while the next degree's matrix is built
     if bezout <= cap:
         raise NotIsolated(
@@ -373,31 +396,49 @@ def _scan(f: MultiPoly, orders, cap: int):
     )
 
 
-def _morse_inv_bezoutian_det(ring, n_vars: int, inverses):
-    """1/det C for a Morse point, from the pivot inverses of the elimination
-    that certified D = 1 and mu = 1.
+def _morse(f: MultiPoly):
+    """f's algebra at a Morse point, with D = 1, mu = 1 and basis [1], or
+    None when the Hessian L of f at the origin is singular.
 
-    Let L_ij be the x_j-coefficient of d_i f, the Hessian at the origin.
-    Over a field, D = 1 and mu = 1 make every partial of order 1: one of
-    higher order adds no row in degree 1, so the n degree-1 columns could
-    not all be pivots, and one with a constant term makes the unit monomial
-    a pivot too.  Over W_3 the reduction's partials are of order 1, and a partial
-    may have a constant term c, a multiple of 2; its shifted rows hold no
-    unit and are never pivots, and c leaves L^-1 c in the unit column of the
-    pivot rows, where the certificate needs 0.  So in both cases the
-    certifying matrix is the n x (n+1) matrix of rows d_0 f, ..., d_{n-1} f
-    on columns x_{n-1}, ..., x_0, 1, its first n columns are the pivots, and
-    the product of the pivot values is the determinant of that n x n block:
-    L with its columns reversed.  Reversing n columns is a permutation with
-    n(n-1)/2 inversions, so the product is (-1)^(n(n-1)/2) * det L, and the
-    product of the pivot inverses is (-1)^(n(n-1)/2) / det L.  The
-    Bezoutian matrix C is 1 x 1: every monomial of degree >= 1 has normal
-    form 0, so C holds the constant term of the divided-difference
-    determinant, det L.  C is symmetric, and det L is a unit as every pivot
-    is, so the checks residue._inv_bezoutian_det makes hold.
+    L_ij is the x_j-coefficient of d_i f: L_ii is twice the coefficient of
+    x_i^2 and L_ij, i != j, the coefficient of x_i*x_j.  Its digits are
+    written straight from f's degree-2 terms; the constant term and the
+    terms of degree 3 or more do not enter it.  milnor_algebra calls this
+    over a field when every partial has order 1, and on a W_3 lift of a
+    Morse point that has no degree-1 term.  Either way no partial has a
+    constant term and each has order 1, so the elimination at degree 1 would
+    be the n x (n+1) matrix of the partials truncated above degree 1, on
+    columns x_{n-1}, ..., x_0, 1: L with its columns reversed, beside a zero
+    constant column.  It certifies D = 1 exactly when its n degree-1
+    columns are unit pivots, that is when L is invertible, and then the
+    unit monomial is the one standard monomial.  Over W_3 L reduces to the
+    Morse point's Hessian, so it is a unit.  When L is singular over a
+    field, D0 >= 2 (_scan).
+
+    The Bezoutian matrix C is 1 x 1: every monomial of degree >= 1 has
+    normal form 0, so C holds the constant term of the divided-difference
+    determinant, det L.  So 1/det C is the product of the pivot inverses of
+    the one elimination of L (linalg.unit_det), kept on the algebra, and
+    the residue engine builds no Bezoutian unless the Gram matrix itself is
+    read.  C is symmetric, and det L is a unit as every pivot is, so the
+    checks residue._inv_bezoutian_det makes hold.
     """
-    inv_det = coded(ring).product(inverses)
-    return -inv_det if n_vars * (n_vars - 1) // 2 % 2 else inv_det
+    ring, n = f.ring, f.n_vars
+    L = np.zeros((n, n, ring.m), dtype=np.int32)
+    for e, c in f.terms.items():
+        if sum(e) == 2:
+            i, j = [v for v, k in enumerate(e) for _ in range(k)]
+            if i == j:
+                L[i, i] = [2 * d % ring.b for d in c.coeffs]
+            else:
+                L[i, j] = L[j, i] = c.coeffs
+    ops = coded(ring)
+    _, k, _, inverses = unit_det(ops, L)
+    if k < n:
+        return None
+    alg = MilnorAlgebra(ring, n, 1, [(0,) * n], np.zeros((0, 1, ring.m), dtype=np.int32), [])
+    alg.inv_bezoutian_det = ops.product(inverses)
+    return alg
 
 
 class MilnorAlgebra:
@@ -414,14 +455,16 @@ class MilnorAlgebra:
     monomial's row is its unit vector.  Only the pivot rows' free entries
     are kept until N is built, on its first read, so an algebra whose
     normal forms are never read (a Witt lift's reduction, a Morse point)
-    builds none; the residue engine reads N as digits.
+    builds none; the residue engine reads N as digits.  A Morse point's
+    algebra (_morse) has the one monomial 1, a basis monomial, and no
+    pivot rows.
 
     `blocks` holds the (variables, block, block algebra) triples of a
     product (ProductAlgebra), and is None here.  `inv_bezoutian_det` is
     1/det C for f's Bezoutian matrix C, the Gram determinant of the residue
     form for dt.  On a Morse point's algebra, D = 1 and mu = 1 over a field
-    or over W_3, milnor_algebra sets it from the certifying elimination's
-    pivot inverses; on any other eliminated algebra residue.gram_matrix sets
+    or over W_3, _morse sets it from the pivot inverses of the unit_det of
+    the Hessian; on any other eliminated algebra residue.gram_matrix sets
     it, from the pivot inverses of one elimination of C, once C is checked
     symmetric and invertible, so every consumer of f shares that
     elimination.  A product keeps none: its 1/det C is read off its blocks'
@@ -588,18 +631,22 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     cap, returns it at once, and an equal polynomial shares an eliminated
     algebra through the cache.  The cap bounds only a scan that has not
     yet run, and is passed on to a split sum's blocks and to a Witt lift's
-    reduction.  A sum of blocks in disjoint variables gets the
-    tensor product of the blocks' algebras, composed from theirs and kept
-    on f alone: over a field except at a Morse or a smooth point, where the
-    scan is already one small elimination, and over W_3 when the residue
-    field's algebra is such a product.  A W_3 lift eliminated whole has the
-    truncation degree D of the residue field's D0 when one elimination at
-    D0 certifies it, and the 3*D0 - 2k that elimination proves otherwise,
-    and raises NotFlat unless its basis is the residue field's; a split lift
-    has that check from its blocks.  A W_3 lift that misses the cache reads
-    its reduction's algebra first, at the same cap.  NotIsolated means a
-    proof that f is not isolated; a scan past the cap, unproved, raises
-    ResourceLimit.  No error is kept: each read raises it anew.
+    reduction.  A Morse point, every partial of order 1 over a field or the
+    lift of one without a linear term over W_3, is presented by one
+    unit_det of its Hessian and builds no partials; over a field a singular
+    Hessian sends f to the scan from degree 2.  A sum of blocks in disjoint
+    variables gets the tensor product of the blocks' algebras, composed
+    from theirs and kept on f alone: over a field except at a Morse or a
+    smooth point, and over W_3 when the residue field's algebra is such a
+    product.  A W_3 lift eliminated whole has the truncation degree D of
+    the residue field's D0 when one elimination at D0 certifies it, and the
+    3*D0 - 2k that elimination proves otherwise (3 at once for a Morse
+    point's lift with a linear term), and raises NotFlat unless its basis
+    is the residue field's; a split lift has that check from its blocks.  A
+    W_3 lift that misses the cache reads its reduction's algebra first, at
+    the same cap.  NotIsolated means a proof that f is not isolated; a scan
+    past the cap, unproved, raises ResourceLimit.  No error is kept: each
+    read raises it anew.
     """
     if f._algebra is not None:
         return f._algebra
@@ -610,29 +657,40 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
         _ALGEBRAS[key] = f._algebra = alg
         return alg
     field = ring.b == ring.residue  # over W_3 the scan runs mod 2
+    alg = None
     if field:
         orders = _orders(f)
-        split = min(orders) >= 1 and max(orders) >= 2  # neither smooth nor Morse
+        if min(orders) == max(orders) == 1:
+            alg = _morse(f)  # None: the Hessian is singular, so D0 >= 2
+        elif min(orders) >= 1:  # neither smooth nor Morse
+            alg = _product(f, cap)
     else:
         reduced = milnor_algebra(f.map_coeffs(lambda c: c.reduce(), ring.field), cap=cap)
-        split = reduced.blocks is not None
-    product = _product(f, cap) if split else None
-    if product is not None:
-        alg = product
-    else:
+        morse = (reduced.D, reduced.mu) == (1, 1)
+        if morse and not any(sum(e) == 1 for e in f.terms):
+            alg = _morse(f)
+        elif reduced.blocks is not None:
+            alg = _product(f, cap)
+    if alg is None:
         if field:
-            D, presented, inverses = _scan(f, orders, cap)
+            D, presented = _scan(f, orders, cap)
         else:
             # the residue field's D0 certifies most lifts; the rest take the
-            # degree their elimination at D0 proves
-            D = reduced.D
+            # degree their elimination at D0 proves, which is 3 for every
+            # Morse point's lift left here, one with a linear term (module
+            # docstring), so that elimination is skipped
+            D, presented = reduced.D, None
             grads = partials(f)
-            cols, red, pivots, stuck, inverses = _eliminate(grads, ring, n, D)
-            presented = _certified(cols, red, pivots, D)
+            if morse:
+                D = 3
+            else:
+                cols, red, pivots, stuck, _ = _eliminate(grads, ring, n, D)
+                presented = _certified(cols, red, pivots, D)
+                if presented is None:
+                    D = _lift_degree(cols, red, pivots, D)
+                    del red  # not held while the fallback's matrix is built
             if presented is None:
-                D = _lift_degree(cols, red, pivots, D)
-                del red  # not held while the fallback's matrix is built
-                cols, red, pivots, stuck, inverses = _eliminate(grads, ring, n, D - 1)
+                cols, red, pivots, stuck, _ = _eliminate(grads, ring, n, D - 1)
                 presented = cols, red, pivots
             if stuck is not None:
                 raise NotFlat(
@@ -641,13 +699,11 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
         alg = MilnorAlgebra(ring, n, D, *presented)
         if not field and alg.basis != reduced.basis:
             raise NotFlat("Witt-lift basis does not match its mod-2 reduction")
-        if D == 1 and alg.mu == 1:
-            alg.inv_bezoutian_det = _morse_inv_bezoutian_det(ring, n, inverses)
     if ring.residue == 2 and n % 2 == 1 and alg.mu % 2 == 1:
         raise OddProduct(
             f"parity violated: odd mu={alg.mu} with odd n_vars={n} in characteristic 2"
         )
-    if product is None:
+    if alg.blocks is None:
         if len(_ALGEBRAS) >= _ALGEBRAS_MAX:
             del _ALGEBRAS[next(iter(_ALGEBRAS))]
         _ALGEBRAS[key] = alg

@@ -48,10 +48,10 @@ scale, and an error is raised anew on every call.  No determinant is
 inverted: 1/det C is the product of the inverses of that elimination's
 pivots, which the kernel forms to scale each pivot row
 (linalg.CodedOps.rref).  A Morse point's algebra (D = 1, mu = 1) holds
-1/det C from the start: its C is the 1 x 1 matrix [det Hess f(0)], whose
-pivot inverses the elimination that certifies D = 1 already holds
-(milnor), so its Bezoutian is built only when the Gram matrix itself is
-read.  A split sum's algebra, kept on f alone, keeps no 1/det C: it lists
+1/det C from the start: its C is the 1 x 1 matrix [det Hess f(0)], and
+milnor reads 1/det C off the pivot inverses of the one unit_det of the
+Hessian that certifies D = 1, so its Bezoutian is built only when the
+Gram matrix itself is read.  A split sum's algebra, kept on f alone, keeps no 1/det C: it lists
 its blocks' algebras, which keep theirs.  Neither C nor the solved matrix
 is kept anywhere.
 """

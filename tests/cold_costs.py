@@ -5,13 +5,17 @@
 For each rung of the ladder (x^5+y^5+z^5 over F_11, x^6+y^6+z^6 over F_13,
 x^4+y^4+z^4+w^4 over F_13) a seeded A in GL_n(F_p) gives f o A, which does
 not split into blocks and is no Morse point, so its Milnor algebra is one
-elimination and verify builds its Bezoutian.  Each op parses f afresh and
-clears milnor._ALGEBRAS first, so it pays for the elimination and the
-Bezoutian; the best of K ops is printed, with the share of that op spent
-in residue.bezoutian, inside it in the determinant expansion
-(linalg.det_expand), and in the rest of the Bezoutian: the divided
-differences and C built from the determinant.  Pytest does not collect
-this file.
+elimination and verify builds its Bezoutian.  Two Morse rungs follow, of
+the shapes of the benchmark's quadratic-sweep slots c4-F13 and d3-F729: a
+coupled form in 4 variables over F_13 and a diagonal one in 3 variables
+over F_729.  Each is presented by one linalg.unit_det of its Hessian, and
+verify builds no Bezoutian for it.  Each op parses f afresh and clears
+milnor._ALGEBRAS first, so it pays for the elimination or the Hessian and
+for the Bezoutian; the best of K ops is printed, with the share of that op
+spent in residue.bezoutian, inside it in the determinant expansion
+(linalg.det_expand), in the rest of the Bezoutian (the divided differences
+and C built from the determinant), and in the Hessian's unit_det.  Pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -29,6 +33,11 @@ from resform.mpoly import parse_poly
 # (p, number of variables, degree)
 LADDER = [(11, 3, 5), (13, 3, 6), (13, 4, 4)]
 NAMES = "xyzw"
+# (p, m, Morse form in the first variables of NAMES, g the field's generator)
+MORSE = [
+    (13, 1, "2*x^2+5*x*y+y^2+3*y*z+7*z^2+z*w+4*w^2+6*x*w+x*z"),
+    (3, 6, "x^2+g*y^2+g^5*z^2"),
+]
 
 
 def fermat_change(rng, p, n, d):
@@ -65,15 +74,22 @@ class _Timer:
 
 
 def cold_op(field, names, text):
-    """(op seconds, Bezoutian seconds, det_expand seconds, mu) of one cold
-    verify."""
+    """(op seconds, Bezoutian seconds, det_expand seconds, Hessian unit_det
+    seconds, mu) of one cold verify."""
     milnor._ALGEBRAS.clear()
-    f = parse_poly(text, field, names)
-    with _Timer(residue, "bezoutian") as bez, _Timer(residue, "det_expand") as det:
+    f = parse_poly(text, field, names, {"g": field.gen()} if field.m > 1 else None)
+    with (_Timer(residue, "bezoutian") as bez, _Timer(residue, "det_expand") as det,
+          _Timer(milnor, "unit_det") as hess):
         start = time.perf_counter()
         report = verify_identity(f)
         op = time.perf_counter() - start
-    return op, bez.seconds, det.seconds, report["mu"]
+    return op, bez.seconds, det.seconds, hess.seconds, report["mu"]
+
+
+def _row(label, field, names, text, repeat):
+    op, bez, det, hess, mu = min(cold_op(field, names, text) for _ in range(repeat))
+    print(f"{label:<44} {mu:>4} {op:>8.4f} {bez / op:>10.1%} {det / op:>11.1%} "
+          f"{(bez - det) / op:>6.1%} {hess / op:>9.1%}")
 
 
 def main(argv=None):
@@ -82,16 +98,18 @@ def main(argv=None):
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
-    print(f"{'input':<44} {'mu':>4} {'op s':>8} {'bezoutian':>10} {'det_expand':>11} {'rest':>6}")
+    print(f"{'input':<44} {'mu':>4} {'op s':>8} {'bezoutian':>10} {'det_expand':>11} "
+          f"{'rest':>6} {'unit_det':>9}")
     for p, n, d in LADDER:
         text = fermat_change(rng, p, n, d)
-        field = gf_create(p, 1)
-        runs = [cold_op(field, list(NAMES[:n]), text) for _ in range(args.repeat)]
-        op, bez, det, mu = min(runs)
         label = f"{'+'.join(f'{v}^{d}' for v in NAMES[:n])} o A over F_{p}"
-        print(f"{label:<44} {mu:>4} {op:>8.4f} {bez / op:>10.1%} {det / op:>11.1%} "
-              f"{(bez - det) / op:>6.1%}")
+        _row(label, gf_create(p, 1), list(NAMES[:n]), text, args.repeat)
         print(f"  f o A = {text}")
+    for p, m, text in MORSE:
+        names = [v for v in NAMES if v in text]
+        _row(f"Morse, {len(names)} variables, over F_{p ** m}", gf_create(p, m), names, text,
+             args.repeat)
+        print(f"  f = {text}")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from test_linalg import ref_rref
@@ -425,16 +426,16 @@ def test_eliminations_share_one_bounded_monomial_memo(monkeypatch):
 def test_a_relation_matrix_past_the_bound_is_refused(monkeypatch):
     """With the bound below a scan's first matrix the scan raises
     ResourceLimit, naming the shape, the degree and the bound; a matrix of
-    exactly the bound is built.  x^3+y^4+x*y^2 starts its scan at degree 2
-    and certifies D0 = 3 on a 6 x 10 x 1 matrix."""
+    exactly the bound is built.  x^3+y^4+x*y^2 starts its scan at degree 2,
+    whose 2 rows cannot pivot its 3 degree-2 columns, so no matrix is built
+    there, and certifies D0 = 3 on a 6 x 10 x 1 matrix."""
     f = parse_poly("x^3+y^4+x*y^2", gf_create(7, 1), ["x", "y"])
-    monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", 5)
-    with pytest.raises(ResourceLimit, match="^the relation matrix in degree 2 would hold "
-                                            "2 x 6 x 1 digits, more than MAX_RELATION_CELLS = 5$"):
-        milnor_algebra(f)
-    monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", 59)
-    with pytest.raises(ResourceLimit, match="in degree 3 would hold 6 x 10 x 1 digits"):
-        milnor_algebra(f)
+    for bound in (5, 59):
+        monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", bound)
+        message = ("^the relation matrix in degree 3 would hold 6 x 10 x 1 digits, "
+                   f"more than MAX_RELATION_CELLS = {bound}$")
+        with pytest.raises(ResourceLimit, match=message):
+            milnor_algebra(f)
     monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", 60)
     assert (milnor_algebra(f).mu, milnor_algebra(f).D) == (4, 3)
 
@@ -533,15 +534,91 @@ def test_verify_runs_only_the_scan(monkeypatch):
     f7 = gf_create(7, 1)
     report = verify_identity(parse_poly("x^3+y^3+x^2*y", f7, ["x", "y"]))
     assert report["mu"] == 4
-    # the scan starts at the partials' order 2: one failed degree and the
+    # the scan starts at the partials' order 2, where 2 rows cannot pivot
+    # 3 columns, so it builds no matrix there: the one elimination is the
     # certificate at D0 = 3, none after the scan
-    assert len(seen) == 2
+    assert len(seen) == 1
     # x^3 + y^3 is the tensor square of the algebra of x^3, whose scan
     # certifies at its order 2; y^3 is the same one-variable block
     seen.clear()
     report = verify_identity(parse_poly("x^3+y^3", f7, ["x", "y"]))
     assert report["mu"] == 4
     assert len(seen) == 1
+
+
+def _count_degrees(monkeypatch):
+    """Record the (ring, degree) of every elimination milnor runs."""
+    seen = []
+    eliminate = milnor._eliminate
+
+    def counting(grads, ring, n_vars, upto, lo=0):
+        seen.append((ring, upto))
+        return eliminate(grads, ring, n_vars, upto, lo)
+
+    monkeypatch.setattr(milnor, "_eliminate", counting)
+    return seen
+
+
+def test_a_coupled_binary_cubic_eliminates_only_at_degree_3(monkeypatch):
+    """x^3+x*y^2+g*y^3 over F_4 has partials x^2+y^2 and g*y^2 of order 2:
+    the scan starts at degree 2, where its 2 rows cannot pivot the 3
+    degree-2 columns, so it builds no matrix there, and certifies D0 = 3."""
+    field = gf_create(2, 2)
+    f = parse_poly("x^3+x*y^2+g*y^3", field, ["x", "y"], {"g": field.gen()})
+    seen = _count_degrees(monkeypatch)
+    alg = milnor_algebra(f)
+    assert (alg.blocks, alg.mu, alg.D) == (None, 4, 3)
+    assert seen == [(field, 3)]
+
+
+@pytest.mark.parametrize("p, m, names, text, constant", [
+    (7, 1, "x,y", "x^2+3*x*y+y^2+x^3", "5"),
+    (5, 2, "x,y,z", "x^2+g*y^2+2*z^2+x*y*z", "g"),
+    (2, 2, "x,y", "x^2+x*y+g*y^2", "g"),
+])
+def test_a_morse_point_with_a_constant_term_is_presented_by_its_hessian(
+        monkeypatch, p, m, names, text, constant):
+    """The constant term does not enter the Hessian: f and f + c have one
+    algebra, D = 1, mu = 1 and basis [1], and one 1/det C, over the field
+    and over W_3, and neither eliminates a relation matrix."""
+    field = gf_create(p, m)
+    names = names.split(",")
+    consts = {"g": field.gen()} if m > 1 else None
+    seen = _count_degrees(monkeypatch)
+    pair = [parse_poly(t, field, names, consts) for t in (text, constant + "+" + text)]
+    if p == 2:
+        pair = [witt_lift(f) for f in pair]
+    algs = [milnor_algebra(f) for f in pair]
+    for alg in algs:
+        assert (alg.D, alg.mu, alg.basis) == (1, 1, [(0,) * len(names)])
+    assert algs[0].inv_bezoutian_det == algs[1].inv_bezoutian_det
+    assert seen == []
+
+
+def test_a_singular_hessian_scans_from_degree_2(monkeypatch):
+    """x^2+2*x*y+y^2+x^3 over F_7 has partials of order 1 and the Hessian
+    [[2, 2], [2, 2]], which is singular, so D0 >= 2: the scan never
+    eliminates at degree 1, and certifies D0 = 2 with mu = 2."""
+    f7 = gf_create(7, 1)
+    seen = _count_degrees(monkeypatch)
+    alg = milnor_algebra(parse_poly("x^2+2*x*y+y^2+x^3", f7, ["x", "y"]))
+    assert alg.to_json() == {"mu": 2, "basis": [[0, 0], [1, 0]], "D": 2}
+    assert alg.inv_bezoutian_det is None
+    assert seen == [(f7, 2)]
+
+
+def test_a_morse_lift_with_a_linear_term_has_d_3(monkeypatch):
+    """The lift of the Morse point x^2+x*y+g*y^2 over F_4 plus 2y has a
+    linear term, which the degree-1 certificate cannot absorb: D = 3, read
+    off one W_3 elimination at degree 2, and the Hessian is not read."""
+    field = gf_create(2, 2)
+    ring = gr_create(field)
+    f = witt_lift(parse_poly("x^2+x*y+g*y^2", field, ["x", "y"], {"g": field.gen()}))
+    seen = _count_degrees(monkeypatch)
+    alg = milnor_algebra(f + MultiPoly.var(ring, 2, 1).scale(2))
+    assert (alg.D, alg.mu, alg.basis) == (3, 1, [(0, 0)])
+    assert alg.inv_bezoutian_det is None
+    assert seen == [(ring, 2)]
 
 
 def test_repeated_arf_scans_the_residue_field_once(monkeypatch):
@@ -632,7 +709,8 @@ def test_a_polynomial_keeps_its_algebra(monkeypatch, p, m, names, text):
 def test_an_error_is_raised_anew_on_every_read(monkeypatch):
     """A polynomial keeps no error: each read of one that raises eliminates
     again and raises again.  Once a read succeeds, the algebra is f's, and a
-    read at the cap that failed before returns it without a scan."""
+    read at the cap that failed before returns it without a scan.
+    x^2+x*y^2+y^4 fails its one elimination at degree 2 and has D0 = 3."""
     f7 = gf_create(7, 1)
     seen = _count_eliminations(monkeypatch)
     flat = parse_poly("x^2*y", f7, ["x", "y"])
@@ -643,7 +721,7 @@ def test_an_error_is_raised_anew_on_every_read(monkeypatch):
         counts.append(len(seen))
     assert counts[0] > 0 and counts[1] == 2 * counts[0]
     assert flat._algebra is None
-    scan = parse_poly("x^3+y^4+x*y^2", f7, ["x", "y"])
+    scan = parse_poly("x^2+x*y^2+y^4", f7, ["x", "y"])
     for _ in range(2):
         seen.clear()
         with pytest.raises(ResourceLimit):
@@ -658,10 +736,11 @@ def test_an_error_is_raised_anew_on_every_read(monkeypatch):
 def test_parity_violation_is_a_structured_error(monkeypatch, capsys):
     """A broken parity reaches the CLI as OddProduct with exit code 2."""
     field = gf_create(2, 1)
-    # pretend the Jacobian ideal is (u): mu = 1 with one variable; the scan
-    # reads the partials, and their orders come from f's exponents
+    # pretend u^3 is a Morse point: mu = 1 with one variable, which no
+    # Hessian gives in characteristic 2
     monkeypatch.setattr(milnor, "_orders", lambda f: [1])
-    monkeypatch.setattr(milnor, "partials", lambda f: [MultiPoly.var(field, 1, 0)])
+    monkeypatch.setattr(milnor, "_morse", lambda f: milnor.MilnorAlgebra(
+        field, 1, 1, [(0,)], np.zeros((0, 1, 1), dtype=np.int32), []))
     with pytest.raises(OddProduct):
         milnor_algebra(parse_poly("u^3", field, ["u"]))
     code = cli.main(["milnor", "--p", "2", "--vars", "u", "--poly", "u^3", "--json"])
@@ -716,13 +795,16 @@ def test_only_the_normal_form_coefficients_are_built_as_elements(monkeypatch):
 
 def test_a_relation_without_a_unit_pivot_is_not_flat(monkeypatch):
     """Over F_2 the ideal is (x, y); its lift (2x, 2y) has no unit pivot, so
-    the quotient over W_3 is not free."""
+    the quotient over W_3 is not free.  The lift of x*y carries the linear
+    term 2x, so it is eliminated, at degree 2, and not presented by its
+    Hessian, which reads no partials."""
     field = gf_create(2, 1)
     monkeypatch.setattr(milnor, "partials", lambda f: [
         MultiPoly.var(f.ring, 2, i).scale(1 if f.ring == field else 2) for i in range(2)
     ])
+    f = _lift(field, "x*y", ["x", "y"])
     with pytest.raises(NotFlat) as err:
-        milnor_algebra(_lift(field, "x*y", ["x", "y"]))
+        milnor_algebra(f + MultiPoly.var(f.ring, 2, 0).scale(2))
     assert str(err.value) == "monomial (0, 2) carries a non-unit relation; quotient is not free"
 
 

@@ -17,11 +17,13 @@ import math
 
 from hypothesis import assume, given, settings, strategies as st
 
+from resform import milnor
 from resform.epsilon import verify_identity
+from resform.errors import NotIsolated
 from resform.gfield import gf_create, trace_bit
-from resform.linalg import det_expand, det_ring
-from resform.milnor import milnor_algebra
-from resform.mpoly import MultiPoly, parse_poly
+from resform.linalg import coded, det_expand, det_ring
+from resform.milnor import MilnorAlgebra, milnor_algebra
+from resform.mpoly import MultiPoly, parse_poly, partials
 from resform.residue import arf_invariant, disc_square_class, gram_matrix, witt_lift
 
 # (variables, polynomial, whether its Witt lift is split into blocks)
@@ -69,8 +71,8 @@ def test_a_char2_coordinate_change_keeps_mu_and_the_arf_class(case):
 
 
 # (variables, polynomial, whether its algebra is split into blocks) in odd
-# characteristic; the Morse shape is presented by the scan, and every mu is
-# at most 6, small enough to solve G
+# characteristic; the Morse shape is presented by its Hessian, and every mu
+# is at most 6, small enough to solve G
 ODD_SHAPES = [
     ("x,y", "a*x^3+c*y^4", True),
     ("x,y,z", "a*x^2+c*y^3+z^4", True),
@@ -113,3 +115,78 @@ def test_an_odd_coordinate_change_keeps_mu_and_the_discriminant(case):
         assert READS[read](fa) == READS[read](f), read
     G = gram_matrix(f, 1)
     assert det_ring(f.ring, G.matrix) == G.det
+
+
+def _degree_1_reference(f: MultiPoly):
+    """The presentation that the elimination at degree 1 certifies, with
+    1/det C read off its pivot inverses, or None when it certifies nothing.
+
+    The relation matrix is the partials' on columns x_{n-1}, ..., x_0, 1,
+    so its pivot block is the Hessian with its n columns reversed, a
+    permutation of sign (-1)^(n(n-1)/2)."""
+    n = f.n_vars
+    cols, red, pivots, _, inverses = milnor._eliminate(partials(f), f.ring, n, 1)
+    presented = milnor._certified(cols, red, pivots, 1)
+    if presented is None:
+        return None
+    inv_det = coded(f.ring).product(inverses)
+    return MilnorAlgebra(f.ring, n, 1, *presented), -inv_det if n * (n - 1) // 2 % 2 else inv_det
+
+
+@st.composite
+def _morse_inputs(draw):
+    """A quadratic form over F_q, n <= 4, with a constant term and terms of
+    degree 3 drawn too; in characteristic 2 with its Witt lift, perturbed
+    by twice a polynomial without a linear term."""
+    p, m = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2),
+                                 (2, 1), (2, 2), (2, 3)]))
+    field = gf_create(p, m)
+    n = draw(st.integers(1, 4))
+
+    def element():
+        return field.decode(draw(st.integers(0, field.q - 1)))
+
+    def exponent(*vs):
+        return tuple(sum(v == i for v in vs) for i in range(n))
+
+    def poly():
+        terms = {exponent(): element()}
+        for i in range(n):
+            for j in range(i, n):
+                terms[exponent(i, j)] = element()
+        for _ in range(draw(st.integers(0, 2))):
+            cubic = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3))
+            terms[exponent(*cubic)] = element()
+        return MultiPoly(field, n, terms)
+
+    f = poly()
+    if p != 2:
+        return [f]
+    lift = witt_lift(f)
+    return [f, lift, lift + poly().map_coeffs(lift.ring, lift.ring).scale(2)]
+
+
+@settings(max_examples=150)
+@given(_morse_inputs())
+def test_a_morse_point_read_off_its_hessian_is_the_degree_1_elimination(inputs):
+    """A field input whose partials all have order 1, and the Witt lifts of
+    such a Morse point, which have no linear term, get the algebra and the
+    1/det C that the certifying elimination at degree 1 gave; a Hessian
+    that certifies nothing is one that elimination does not certify
+    either."""
+    f = inputs[0]
+    try:
+        if milnor._orders(f) != [1] * f.n_vars:
+            return
+    except NotIsolated:
+        return
+    if _degree_1_reference(f) is None:
+        assert milnor._morse(f) is None, f
+        return
+    for h in inputs:
+        ref_alg, ref_inv_det = _degree_1_reference(h)
+        alg = milnor_algebra(h)
+        assert (alg.D, alg.mu) == (1, 1)
+        assert (alg.basis, alg.monomials) == (ref_alg.basis, ref_alg.monomials)
+        assert (alg.normal_forms == ref_alg.normal_forms).all()
+        assert alg.inv_bezoutian_det == ref_inv_det, h

@@ -804,29 +804,33 @@ MORSE_CASES = [
 def test_a_cold_morse_point_builds_a_bezoutian_only_for_its_gram_matrix(
         monkeypatch, capsys, p, m, names, poly):
     """A cold verify, disc and arf of a Morse point read det G off the one
-    elimination per ring that certifies D = 1, and build no Bezoutian;
-    gram --json reads the matrix, so it builds exactly one."""
+    unit_det of its n x n Hessian per ring, which certifies D = 1, and
+    build no partials, no relation matrix and no Bezoutian; gram --json
+    reads the matrix, so it builds exactly one Bezoutian."""
     field = gf_create(int(p), int(m))
     rings = [field] + ([gr_create(field)] if field.p == 2 else [])
-    eliminated = []
-    eliminate = milnor._eliminate
+    n = len(names.split(","))
+    hessians = []
+    det = milnor.unit_det
 
-    def counting(grads, ring, n_vars, upto, lo=0):
-        eliminated.append((ring, upto))
-        return eliminate(grads, ring, n_vars, upto, lo)
+    def counting(ops, A):
+        hessians.append((ops.ring, A.shape[:2]))
+        return det(ops, A)
 
-    def refused(f):
-        raise AssertionError("a Morse point built its Bezoutian")
+    def refused(*args, **kwargs):
+        raise AssertionError("a Morse point built its partials, a relation matrix or its Bezoutian")
 
-    monkeypatch.setattr(milnor, "_eliminate", counting)
+    monkeypatch.setattr(milnor, "unit_det", counting)
+    monkeypatch.setattr(milnor, "partials", refused)
+    monkeypatch.setattr(milnor, "_eliminate", refused)
     monkeypatch.setattr(residue, "bezoutian", refused)
     argv = ["--p", p, "--m", m, "--vars", names, "--poly", poly, "--json"]
     for cmd in ("verify", "disc") + (("arf",) if field.p == 2 else ()):
         monkeypatch.setattr(milnor, "_ALGEBRAS", {})
-        eliminated.clear()
+        hessians.clear()
         assert cli.main([cmd] + argv) == 0
         capsys.readouterr()
-        assert eliminated == [(ring, 1) for ring in rings], cmd
+        assert hessians == [(ring, (n, n)) for ring in rings], cmd
     monkeypatch.undo()
     monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     built, _ = _count_bezoutians(monkeypatch)
