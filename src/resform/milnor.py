@@ -95,11 +95,10 @@ inverse Bezoutian determinant (_morse), so the residue engine builds no
 Bezoutian for it unless the Gram matrix itself is read.  A singular L
 proves D0 >= 2, and the scan starts there.  The W_3 lift of a Morse point
 without a degree-1 term is presented by its Hessian too, which is a unit
-mod 2; a lift with a linear term has D = 3 (below), eliminated at once at
-degree 2.  Over a field a block that raises NotIsolated or ResourceLimit
-ends f with its error: a block that is not isolated makes the tensor
-product infinite, and f's own scan would have to pass the block's degree
-in more variables.  A
+mod 2; a lift with a linear term is eliminated whole (below).  Over a
+field a block that raises NotIsolated or ResourceLimit ends f with its
+error: a block that is not isolated makes the tensor product infinite, and
+f's own scan would have to pass the block's degree in more variables.  A
 product is bounded by what it builds, not by the cap: its D may pass the
 cap, and its basis, its monomials and N are each held to
 MAX_RELATION_CELLS, their sizes read off the blocks, before any of them is
@@ -127,17 +126,16 @@ blocks is a union of the reduction's blocks; the standard monomials of a
 disjoint sum are the products of the blocks', so once every block of the
 lift has the basis of its own reduction, the lift has its reduction's.
 
-A linear term 2c of a Morse point's lift makes the elimination at D0 = 1
-fail: the pivot rows keep L^-1 * 2c != 0 in the constant column, the one
-column below degree 1, so k = 0 and D = 3 for every such lift, and the
-lift skips that elimination.  Any other W_3 lift that is eliminated whole
-and fails the D0 certificate pays a second elimination at 3*D0 - 2k - 1.
-A scan upward from D0 + 1 to the least certified degree would cost more.
-On the a7 lifts of the char2-witt benchmark (the first 60 pool entries per
-slot, each with both lift perturbations, the algebra cache cleared per
-entry), 266 W_3 eliminations fail at D0; the scan would eliminate 10388
-columns in total on them, the fallback 3828 (5547 at 3*D0 - 1), and its D
-is the least certified degree for 164 of them.
+A W_3 lift that is eliminated whole and fails the D0 certificate pays a
+second elimination at 3*D0 - 2k - 1.  A scan upward from D0 + 1 to the
+least certified degree would cost more.  On the a7 lifts of the char2-witt
+benchmark (the first 60 pool entries per slot, each with both lift
+perturbations, the algebra cache cleared per entry), 266 W_3 eliminations
+fail at D0; the scan would eliminate 10388 columns in total on them, the
+fallback 3828 (5547 at 3*D0 - 1), and its D is the least certified degree
+for 164 of them.  A Morse point's lift with a linear term 2c always fails
+at D0 = 1: the pivot rows keep L^-1 * 2c != 0 in the constant column, the
+one column below degree 1, so k = 0 and D = 3.
 """
 
 from __future__ import annotations
@@ -225,11 +223,9 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
 
     Each row is x^alpha * g for a partial g of order k and
     lo - k <= |alpha| <= upto - k, so its terms start in degree lo or above;
-    it is truncated above upto, where its lowest term always survives, by
-    comparing each term's degree, read once per partial, with
-    upto - |alpha|, and written as digits straight into the kernel's array.
-    With lo = upto the rows are the degree-upto multiples of the partials'
-    initial forms.
+    it is truncated above upto, where its lowest term always survives, and
+    written as digits straight into the kernel's array.  With lo = upto the
+    rows are the degree-upto multiples of the partials' initial forms.
     Columns run from the highest degree down; returns (columns, reduced
     digit array, pivot columns, stuck column or None, pivot inverses), the
     last three as CodedOps.rref gives them.  A matrix of more than
@@ -243,12 +239,11 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
     A = np.zeros(shape, dtype=np.int32)
     r = 0
     for g, alphas in shifts:
-        terms = [(sum(e), e, c.coeffs) for e, c in g.terms.items()]
         for alpha in alphas:
-            room = upto - sum(alpha)
-            for d, e, c in terms:
-                if d <= room:
-                    A[r, col_index[tuple(a + b for a, b in zip(e, alpha))]] = c
+            for e, c in g.terms.items():
+                shifted = tuple(a + b for a, b in zip(e, alpha))
+                if sum(shifted) <= upto:
+                    A[r, col_index[shifted]] = c.coeffs
             r += 1
     A, pivots, stuck, _, inverses = coded(ring).rref(A)
     return cols, A, pivots, stuck, inverses
@@ -640,13 +635,12 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     smooth point, and over W_3 when the residue field's algebra is such a
     product.  A W_3 lift eliminated whole has the truncation degree D of
     the residue field's D0 when one elimination at D0 certifies it, and the
-    3*D0 - 2k that elimination proves otherwise (3 at once for a Morse
-    point's lift with a linear term), and raises NotFlat unless its basis
-    is the residue field's; a split lift has that check from its blocks.  A
-    W_3 lift that misses the cache reads its reduction's algebra first, at
-    the same cap.  NotIsolated means a proof that f is not isolated; a scan
-    past the cap, unproved, raises ResourceLimit.  No error is kept: each
-    read raises it anew.
+    3*D0 - 2k that elimination proves otherwise, and raises NotFlat unless
+    its basis is the residue field's; a split lift has that check from its
+    blocks.  A W_3 lift that misses the cache reads its reduction's algebra
+    first, at the same cap.  NotIsolated means a proof that f is not
+    isolated; a scan past the cap, unproved, raises ResourceLimit.  No
+    error is kept: each read raises it anew.
     """
     if f._algebra is not None:
         return f._algebra
@@ -666,8 +660,7 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
             alg = _product(f, cap)
     else:
         reduced = milnor_algebra(f.map_coeffs(lambda c: c.reduce(), ring.field), cap=cap)
-        morse = (reduced.D, reduced.mu) == (1, 1)
-        if morse and not any(sum(e) == 1 for e in f.terms):
+        if (reduced.D, reduced.mu) == (1, 1) and not any(sum(e) == 1 for e in f.terms):
             alg = _morse(f)
         elif reduced.blocks is not None:
             alg = _product(f, cap)
@@ -676,20 +669,14 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
             D, presented = _scan(f, orders, cap)
         else:
             # the residue field's D0 certifies most lifts; the rest take the
-            # degree their elimination at D0 proves, which is 3 for every
-            # Morse point's lift left here, one with a linear term (module
-            # docstring), so that elimination is skipped
-            D, presented = reduced.D, None
+            # degree their elimination at D0 proves
+            D = reduced.D
             grads = partials(f)
-            if morse:
-                D = 3
-            else:
-                cols, red, pivots, stuck, _ = _eliminate(grads, ring, n, D)
-                presented = _certified(cols, red, pivots, D)
-                if presented is None:
-                    D = _lift_degree(cols, red, pivots, D)
-                    del red  # not held while the fallback's matrix is built
+            cols, red, pivots, stuck, _ = _eliminate(grads, ring, n, D)
+            presented = _certified(cols, red, pivots, D)
             if presented is None:
+                D = _lift_degree(cols, red, pivots, D)
+                del red  # not held while the fallback's matrix is built
                 cols, red, pivots, stuck, _ = _eliminate(grads, ring, n, D - 1)
                 presented = cols, red, pivots
             if stuck is not None:
