@@ -99,17 +99,11 @@ class EpsilonValue:
 
     def twist(self, c: int) -> "EpsilonValue":
         """The same value for the character psi^c in place of psi."""
-        p = self.field.p
-        if p == 2:
-            if c % 2 == 0:
-                raise ZeroCoefficient("twist must be prime to the characteristic")
-            return self
-        if c % p == 0:
+        if c % self.field.p == 0:
             raise ZeroCoefficient("twist must be prime to the characteristic")
-        s = self.sign
-        if self.tau_exp:
-            s *= legendre(self.field(c))
-        return _epsilon(self.field, s, self.tau_exp, self.q2)
+        if not self.tau_exp:
+            return self
+        return _epsilon(self.field, self.sign * legendre(self.field(c)), self.tau_exp, self.q2)
 
     def witness(self):
         """The value as an exact cyclotomic integer, when it is one and every
@@ -257,8 +251,7 @@ def _classify_block(field, bp: MultiPoly, twist: int, names):
     if field.p != 2:
         if bp.n_vars == 1 and set(terms) == {(2,)}:
             return eps_quad_odd(terms[(2,)], field, twist), 1
-        raise CatalogMiss(f"no catalog entry for block {bp.render(names)}")
-    if bp.n_vars == 2:
+    elif bp.n_vars == 2:
         if set(terms) <= {(2, 0), (1, 1), (0, 2)} and terms.get((1, 1)) == one:
             c20 = terms.get((2, 0), field(0))
             c02 = terms.get((0, 2), field(0))
@@ -266,8 +259,7 @@ def _classify_block(field, bp: MultiPoly, twist: int, names):
                 return eps_ordquad_char2(c02, field), -1
             if c02 == one:
                 return eps_ordquad_char2(c20, field), -1
-        raise CatalogMiss(f"no catalog entry for block {bp.render(names)}")
-    if bp.n_vars == 1 and _mu_univariate_char2(bp) == 2:
+    elif bp.n_vars == 1 and _mu_univariate_char2(bp) == 2:
         return eps_wildquad_char2(field), 2
     raise CatalogMiss(f"no catalog entry for block {bp.render(names)}")
 

@@ -662,12 +662,14 @@ ACCEPTANCE = [
 ]
 
 
+def run_check(name: str, fn, seed: int) -> CheckResult:
+    """Run one acceptance check, handing it the seed when it takes one."""
+    if fn.__code__.co_argcount:
+        return _timed(name, lambda: fn(seed))
+    return _timed(name, fn)
+
+
 def run_corpus(seed: int = DEFAULT_SEED):
     """Run the example suite then the acceptance suite; returns CheckResults."""
-    results = [_timed(f"example:{name}", fn) for name, fn in EXAMPLES]
-    for name, fn in ACCEPTANCE:
-        if fn.__code__.co_argcount:
-            results.append(_timed(name, lambda f=fn: f(seed)))
-        else:
-            results.append(_timed(name, fn))
-    return results
+    return ([_timed(f"example:{name}", fn) for name, fn in EXAMPLES]
+            + [run_check(name, fn, seed) for name, fn in ACCEPTANCE])

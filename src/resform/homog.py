@@ -21,18 +21,17 @@ from .unipoly import ddf, degree, monic_p, trim
 
 
 class BinaryForm:
-    """Homogeneous binary form, coefficients listed from T0^d down to T1^d."""
+    """Homogeneous binary form over ring (mpoly.ZZ for integer forms), its
+    coefficients ring(c) listed from T0^d down to T1^d."""
 
     __slots__ = ("ring", "d", "coeffs")
 
     def __init__(self, ring, d: int, coeffs):
-        coeffs = list(coeffs)
+        coeffs = [ring(c) for c in coeffs]
         if d < 1:
             raise ValueError("degree must be at least 1")
         if len(coeffs) != d + 1:
             raise ValueError(f"degree-{d} form needs {d + 1} coefficients")
-        if ring is not None:
-            coeffs = [ring(c) for c in coeffs]
         if all(_czero(c) for c in coeffs):
             raise ValueError("the zero form has no degree")
         self.ring = ring
@@ -51,24 +50,15 @@ class BinaryForm:
 def sylvester_resultant(g, h, m: int, n: int):
     """Resultant of g and h with declared degree bounds m and n.
 
-    Coefficient lists are little-endian and may be integers, field
-    elements, or integer polynomials; shorter lists are padded.
+    Coefficient lists are little-endian, not both empty, and of one kind per
+    call: integers, elements of one field, or polynomials over Z.  Shorter
+    lists are padded with the first entry times 0.  Field entries take
+    det_ring, the others det_expand.
     """
     g, h = list(g), list(h)
     if len(g) > m + 1 or len(h) > n + 1:
         raise ValueError("coefficient list exceeds its declared bound")
-    probe = next((x for x in g + h if not isinstance(x, int)), None)
-    if probe is None:
-        zero = 0
-    elif isinstance(probe, MultiPoly):
-        zero = MultiPoly.zero(probe.ring, probe.n_vars)
-        g = [MultiPoly.const(probe.ring, probe.n_vars, x) if isinstance(x, int) else x for x in g]
-        h = [MultiPoly.const(probe.ring, probe.n_vars, x) if isinstance(x, int) else x for x in h]
-    else:
-        field = probe.ring
-        zero = field(0)
-        g = [field(x) if isinstance(x, int) else x for x in g]
-        h = [field(x) if isinstance(x, int) else x for x in h]
+    zero = (g + h)[0] * 0
     g = g + [zero] * (m + 1 - len(g))
     h = h + [zero] * (n + 1 - len(h))
     if m + n == 0:
@@ -77,9 +67,8 @@ def sylvester_resultant(g, h, m: int, n: int):
     hh = list(reversed(h))
     rows = [[zero] * i + gh + [zero] * (n - 1 - i) for i in range(n)]
     rows += [[zero] * i + hh + [zero] * (m - 1 - i) for i in range(m)]
-    if probe is not None and not isinstance(probe, MultiPoly):
-        return det_ring(probe.ring, rows)
-    return det_expand(rows)
+    ring = getattr(zero, "ring", ZZ)
+    return det_expand(rows) if ring == ZZ else det_ring(ring, rows)
 
 
 def a_exponent(n: int, d: int) -> int:
@@ -129,32 +118,24 @@ def generic_divided_disc(d: int) -> MultiPoly:
 def divided_disc_binary(F: BinaryForm):
     """Divided discriminant of a binary form, in its coefficient ring.
 
-    Integer forms and forms over fields where d is a unit take the direct
-    resultant route; otherwise the generic polynomial is specialized, which
-    is what keeps characteristic p | d cases meaningful.
+    Forms over ZZ and over fields where d is a unit take the direct
+    resultant route; otherwise (the characteristic divides d) the generic
+    polynomial is evaluated at F's coefficients, which is what keeps those
+    cases meaningful.
     """
     d = F.d
     ring = F.ring
     power = d ** max(d - 2, 0)
-    if ring is None or isinstance(F.coeffs[0], int):
+    if ring == ZZ:
         g, h = _partials_dehomog(F.coeffs, d)
-        res = sylvester_resultant(g, h, d - 1, d - 1)
-        q, r = divmod(res, power)
+        q, r = divmod(sylvester_resultant(g, h, d - 1, d - 1), power)
         if r:
             raise NonIntegral("resultant is not divisible by the forced power of d")
         return q
     if not ring(power).is_zero():
         g, h = _partials_dehomog(F.coeffs, d)
         return sylvester_resultant(g, h, d - 1, d - 1) / ring(power)
-    disc = generic_divided_disc(d)
-    acc = ring(0)
-    for e, c in disc.terms.items():
-        t = ring(c)
-        for i, k in enumerate(e):
-            if k:
-                t = t * F.coeffs[i] ** k
-        acc = acc + t
-    return acc
+    return ring(generic_divided_disc(d).evaluate(F.coeffs))
 
 
 def _printable(name: str, *powers) -> int:

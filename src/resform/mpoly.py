@@ -202,7 +202,7 @@ class MultiPoly:
                 continue
             ne = list(e)
             ne[i] = k - 1
-            nc = c * self.ring(k) if not isinstance(c, int) else c * k
+            nc = c * k
             ne = tuple(ne)
             terms[ne] = terms[ne] + nc if ne in terms else nc
         return MultiPoly(self.ring, self.n_vars, terms)
@@ -247,7 +247,7 @@ class MultiPoly:
                     factors.append(name)
                 elif k > 1:
                     factors.append(f"{name}^{k}")
-            cs = repr(c) if not isinstance(c, int) else str(c)
+            cs = repr(c)
             if factors and cs == "1":
                 parts.append("*".join(factors))
             elif factors:

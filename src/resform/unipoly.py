@@ -92,19 +92,17 @@ def gcd_p(a, b):
 
 
 def ext_gcd_p(field, a, b):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic or []."""
+    """Half-extended gcd: returns (g, s) with s*a = g mod b, g monic or []."""
     r0, r1 = trim(a), trim(b)
     s0, s1 = [field.one], []
-    t0, t1 = [], [field.one]
     while r1:
         q, r = divmod_p(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, sub_p(s0, mul_p(q, s1))
-        t0, t1 = t1, sub_p(t0, mul_p(q, t1))
     if r0:
         c = r0[-1].inverse()
-        return scale_p(r0, c), scale_p(s0, c), scale_p(t0, c)
-    return r0, s0, t0
+        return scale_p(r0, c), scale_p(s0, c)
+    return r0, s0
 
 
 def deriv_p(a):
@@ -298,10 +296,10 @@ class QFElem:
         return QFElem(self.ring, pow_mod(trim(self.coeffs), e, self.ring.modulus))
 
     def inverse(self):
-        g, s, _ = ext_gcd_p(self.ring.base, trim(self.coeffs), self.ring.modulus)
+        g, s = ext_gcd_p(self.ring.base, trim(self.coeffs), self.ring.modulus)
         if degree(g) != 0:
             raise ZeroDivisionError("inverting zero in a quotient field")
-        return QFElem(self.ring, scale_p(s, g[0].inverse()))
+        return QFElem(self.ring, s)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -339,13 +337,9 @@ class QuotientField:
             if value.ring is not self:
                 raise RingMismatch("element of a different quotient field")
             return value
-        if isinstance(value, int):
-            return QFElem(self, [self.base(value)])
         if isinstance(value, list):
             return QFElem(self, [self.base(c) for c in value])
-        if value.__class__.__name__ == "FieldElem":
-            return QFElem(self, [value])
-        raise TypeError(f"cannot coerce {value!r}")
+        return QFElem(self, [self.base(value)])
 
     def gen(self):
         return QFElem(self, [self.base.zero, self.base.one])

@@ -28,11 +28,7 @@ _CHECKS = dict(corpus.ACCEPTANCE)
 
 def _run(name: str):
     budget = BUDGETS[name]
-    fn = _CHECKS[name]
-    if fn.__code__.co_argcount:
-        r = corpus._timed(name, lambda: fn(corpus.DEFAULT_SEED))
-    else:
-        r = corpus._timed(name, fn)
+    r = corpus.run_check(name, _CHECKS[name], corpus.DEFAULT_SEED)
     ok = r.ok and r.elapsed < budget
     print(f"{name} {'PASS' if ok else 'FAIL'} ({r.elapsed:.2f}s, budget {budget:.0f}s) {r.detail}")
     assert r.ok, f"{name}: {r.detail}"

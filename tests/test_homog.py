@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from resform import homog
@@ -13,7 +15,7 @@ from resform.homog import (
     sylvester_resultant,
     verify_homog_char2,
 )
-from resform.mpoly import MultiPoly
+from resform.mpoly import ZZ, MultiPoly
 
 
 def test_sylvester_known_values():
@@ -50,7 +52,7 @@ def test_generic_quadratic_disc_frozen():
 def test_divided_disc_routes_agree():
     """Integer, unit-d field, and specialized-generic routes match."""
     ints = [1, 1, 1, 1]
-    z = divided_disc_binary(BinaryForm(None, 3, ints))
+    z = divided_disc_binary(BinaryForm(ZZ, 3, ints))
     # resultant normalization: (-1)^(d(d-1)/2) times the classical -16
     assert z == 16
     for p in (5, 7, 11):
@@ -63,15 +65,31 @@ def test_divided_disc_routes_agree():
 
 
 def test_divided_disc_detects_singular_forms():
-    assert divided_disc_binary(BinaryForm(None, 3, [0, 1, 0, 0])) == 0
+    assert divided_disc_binary(BinaryForm(ZZ, 3, [0, 1, 0, 0])) == 0
     f3 = gf_create(3, 1)
     assert divided_disc_binary(BinaryForm(f3, 3, [1, 0, 0, 1])).is_zero()
+
+
+def test_divided_disc_over_z_reduces_to_the_one_over_f_p():
+    """Every route agrees with reduction mod p: ZZ takes the integer
+    resultant, F_p the field resultant when p does not divide d and the
+    generic divided discriminant when it does."""
+    rng = random.Random(7)
+    for d in (2, 3, 4, 5):
+        for p in (2, 3, 5, 7):
+            field = gf_create(p, 1)
+            for _ in range(6):
+                coeffs = [rng.randrange(-9, 10) for _ in range(d + 1)]
+                if all(c % p == 0 for c in coeffs):
+                    coeffs[0] = 1
+                z = divided_disc_binary(BinaryForm(ZZ, d, coeffs))
+                assert divided_disc_binary(BinaryForm(field, d, coeffs)) == field(z), (d, p, coeffs)
 
 
 def test_fermat_evaluations_match_resultants():
     for d in (2, 3, 4, 5):
         coeffs = [1] + [0] * (d - 1) + [1]
-        direct = divided_disc_binary(BinaryForm(None, d, coeffs))
+        direct = divided_disc_binary(BinaryForm(ZZ, d, coeffs))
         assert direct == fermat_formulas(d, 0, [1, 1])["disc_d"]
 
 
@@ -105,7 +123,7 @@ def test_frobenius_sign_factor_patterns():
     with pytest.raises(ValueError):
         frobenius_sign_binary(BinaryForm(f2, 2, [1, 1, 1]))
     with pytest.raises(ValueError):
-        frobenius_sign_binary(BinaryForm(None, 3, [1, 0, 1, 1]))
+        frobenius_sign_binary(BinaryForm(ZZ, 3, [1, 0, 1, 1]))
 
 
 def _transformed_coeffs(field, coeffs, mat):
