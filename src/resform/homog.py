@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .catalog import WITNESS_DIGITS, printable_product
-from .errors import NonIntegral, OddCharacteristic, ResourceLimit, SingularForm
+from .errors import NonIntegral, NotIsolated, OddCharacteristic, ResourceLimit, SingularForm
 from .gfield import Field
 from .linalg import det_expand, det_ring
 from .mpoly import ZZ, MultiPoly, _czero
@@ -203,7 +203,10 @@ def verify_homog_char2(F: BinaryForm) -> dict:
     """Check Arf triviality against the Frobenius sign for odd-degree F.
 
     The comparison is epsilon(q, d) * frobenius sign == +1 exactly when
-    the Arf class of the affine cone vanishes.
+    the Arf class of the affine cone vanishes.  The Arf side runs first, so
+    its bounds refuse a large d before the Sylvester determinant and the
+    factor count; its NotIsolated is a repeated root, as at odd d Euler's
+    identity F = T0*F_0 + T1*F_1 makes the partials' common zeros F's.
     """
     field = F.ring
     if not isinstance(field, Field) or field.p != 2:
@@ -211,9 +214,12 @@ def verify_homog_char2(F: BinaryForm) -> dict:
     d = F.d
     if d % 2 == 0 or d < 3:
         raise ValueError("degree must be odd and at least 3")
+    try:
+        arf = arf_invariant(F.as_poly())
+    except NotIsolated as err:
+        raise SingularForm("form has a repeated root") from err
     sgn = frobenius_sign_binary(F)
     eps = (-1) ** ((d * d - 1) // 8) if field.m % 2 else 1
-    arf = arf_invariant(F.as_poly())
     ok = arf.is_trivial() == (eps * sgn == 1)
     return {
         "d": d,

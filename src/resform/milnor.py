@@ -51,14 +51,16 @@ proves f not isolated (a cone is reported so too); above it a cone raises
 NotIsolated naming the degree s its partials miss; any other scan that
 reaches the cap has proved nothing, and raises ResourceLimit.
 
-The relation matrix stays in the elimination kernel's digit form from build
-to normal forms: it is written as a (rows, cols, m) integer array, reduced
-there and certified there, and the normal forms are kept as the reduced
-digit matrix N over the monomials below D (MilnorAlgebra.normal_forms): a
-pivot column's row holds its pivot row's negated entries on the free
-columns, a basis monomial's row is its unit vector.  N is built on its
-first read; the residue engine reads it as digits, and a monomial's normal
-form becomes ring elements only when nf_monomial reads it.
+A relation matrix is sized before it is listed: its shape is counted from
+binomials (_count) and held to MAX_RELATION_CELLS, and its rows and columns
+list monomials in one order (_monomials).  It stays in the elimination
+kernel's digit form from build to normal forms: it is written as a
+(rows, cols, m) integer array, reduced and certified there, and the normal
+forms are kept as the reduced digit matrix N over the monomials below D
+(MilnorAlgebra.normal_forms): a pivot column's row holds its pivot row's
+negated entries on the free columns, a basis monomial's row is its unit
+vector.  N is built on its first read, and the residue engine reads it as
+digits; nf_monomial alone decodes a row into ring elements.
 
 A Thom-Sebastiani sum f = f_1 + ... + f_k, k >= 2, of polynomials in
 pairwise disjoint sets of variables (a constant term belongs to none) has
@@ -174,20 +176,6 @@ def mono_key(e):
     return (sum(e), tuple(reversed(e)))
 
 
-def monomials_upto(n_vars: int, max_deg: int):
-    """All exponent tuples with total degree <= max_deg."""
-
-    def gen(k, budget):
-        if k == 0:
-            yield ()
-            return
-        for head in range(budget + 1):
-            for rest in gen(k - 1, budget - head):
-                yield (head,) + rest
-
-    return list(gen(n_vars, max_deg))
-
-
 # Most recently used last.  The bound counts monomials, not entries, so the
 # memo stays this small however high a scan in many variables goes; a range
 # larger than the bound is not kept.
@@ -195,23 +183,31 @@ _MONOMIALS: dict = {}
 _MONOMIALS_MAX = 1024
 
 
-def _monomials(n_vars: int, upto: int, lo: int):
-    """The monomials of degree lo..upto in monomials_upto's order, the same
-    sorted from the highest degree down, and their index in that order.
+def _count(n_vars: int, upto: int, lo: int) -> int:
+    """The number of monomials in n_vars variables of degree lo..upto."""
+    lo = max(lo, 0)
+    return math.comb(upto + n_vars, n_vars) - math.comb(lo - 1 + n_vars, n_vars) if upto >= lo else 0
 
-    Shift lists keep the first order, so the relation rows, and over W_3
-    what a non-free elimination leaves over, are those of a fresh
-    enumeration; columns take the second.
+
+def _monomials(n_vars: int, upto: int, lo: int):
+    """The monomials of degree lo..upto from the highest mono_key down, one
+    degree at a time, and their index in that list.
+
+    Columns and shift lists take this one order.  Over a field the reduced
+    matrix does not depend on the rows' order.  Over W_3 the pivot columns,
+    the span of the leftover rows, the stuck column and a flat lift's pivot
+    rows do not; the tails _lift_degree reads at a failed D0 may, and so
+    may the D they prove, though every such D is proven.
     """
     key = (n_vars, upto, max(lo, 0))
     hit = _MONOMIALS.pop(key, None)
     if hit is None:
-        monos = [e for e in monomials_upto(n_vars, upto) if sum(e) >= lo]
-        cols = sorted(monos, key=mono_key, reverse=True)
-        hit = monos, cols, {e: j for j, e in enumerate(cols)}
-        if len(monos) > _MONOMIALS_MAX:
+        cols = [tuple(c.count(v) for v in range(n_vars)) for d in range(upto, key[2] - 1, -1)
+                for c in itertools.combinations_with_replacement(range(n_vars - 1, -1, -1), d)]
+        hit = cols, {e: j for j, e in enumerate(cols)}
+        if len(cols) > _MONOMIALS_MAX:
             return hit
-        held = len(monos) + sum(len(kept) for kept, _, _ in _MONOMIALS.values())
+        held = len(cols) + sum(len(kept) for kept, _ in _MONOMIALS.values())
         while held > _MONOMIALS_MAX:
             held -= len(_MONOMIALS.pop(next(iter(_MONOMIALS)))[0])
     _MONOMIALS[key] = hit
@@ -226,20 +222,20 @@ def _eliminate(grads, ring, n_vars: int, upto: int, lo: int = 0):
     it is truncated above upto, where its lowest term always survives, and
     written as digits straight into the kernel's array.  With lo = upto the
     rows are the degree-upto multiples of the partials' initial forms.
-    Columns run from the highest degree down; returns (columns, reduced
-    digit array, pivot columns, stuck column or None, pivot inverses), the
-    last three as CodedOps.rref gives them.  A matrix of more than
-    MAX_RELATION_CELLS digits raises ResourceLimit before it is allocated.
+    Columns, and each partial's shifts alpha, run in _monomials' order;
+    returns (columns, reduced digit array, pivot columns, stuck column or
+    None, pivot inverses), the last three as CodedOps.rref gives them.  A
+    shape (_count) of more than MAX_RELATION_CELLS digits raises
+    ResourceLimit before any monomial is listed.
     """
-    _, cols, col_index = _monomials(n_vars, upto, lo)
-    shifts = [(g, _monomials(n_vars, upto - g.low_degree(), lo - g.low_degree())[0])
-              for g in grads]
-    shape = (sum(len(alphas) for _, alphas in shifts), len(cols), ring.m)
+    orders = [g.low_degree() for g in grads]
+    shape = (sum(_count(n_vars, upto - k, lo - k) for k in orders), _count(n_vars, upto, lo), ring.m)
     _within_cells(f"the relation matrix in degree {upto}", shape)
+    cols, col_index = _monomials(n_vars, upto, lo)
     A = np.zeros(shape, dtype=np.int32)
     r = 0
-    for g, alphas in shifts:
-        for alpha in alphas:
+    for g, k in zip(grads, orders):
+        for alpha in _monomials(n_vars, upto - k, lo - k)[0]:
             for e, c in g.terms.items():
                 shifted = tuple(a + b for a, b in zip(e, alpha))
                 if sum(shifted) <= upto:
@@ -258,7 +254,7 @@ def _certified(cols, red, pivots, d):
     restricted to degree < d are the reduced echelon form of the relations
     there.  Returns (columns, reduced digit rows, pivots) below d, or None.
     """
-    top = sum(1 for e in cols if sum(e) == d)
+    top = _count(len(cols[0]), d, d)
     if pivots[:top] != list(range(top)) or red[:top, top:].any():
         return None
     return cols[top:], red[top:, top:], [c - top for c in pivots[top:]]
@@ -274,7 +270,7 @@ def _lift_degree(cols, red, pivots, d0: int) -> int:
     docstring).  Should the pivots or the parity say otherwise, k = 0, as
     3*d0 always holds.
     """
-    top = sum(1 for e in cols if sum(e) == d0)
+    top = _count(len(cols[0]), d0, d0)
     tail = red[:top, top:]
     if pivots[:top] != list(range(top)) or (tail & 1).any():
         return 3 * d0
@@ -337,10 +333,9 @@ def _scan(f: MultiPoly, orders, cap: int):
     At s = min k_i + 1 the test would at best replace the one elimination
     at min k_i, and it has more pivots than that one, so it is skipped.
 
-    A degree d whose relation matrix has fewer rows,
-    sum_i C(d - k_i + n, n), than its C(d + n - 1, n - 1) degree-d columns
-    cannot make every one of them a pivot, so it is skipped unbuilt: the
-    degree-2 step of a binary cubic is one.
+    A degree d whose relation matrix has fewer rows than degree-d columns,
+    both counted by _count, cannot make every one of them a pivot, so it is
+    skipped unbuilt: the degree-2 step of a binary cubic is one.
 
     If the test fails and every partial is homogeneous, J is its own
     initial ideal and misses a degree-s monomial, so it is not m-primary:
@@ -367,8 +362,7 @@ def _scan(f: MultiPoly, orders, cap: int):
             cone = all(g.total_degree() == k for g, k in zip(grads, orders))
     if not cone:
         for d0 in range(start, min(cap, bezout) + 1):
-            rows = sum(math.comb(d0 - k + n, n) for k in orders if k <= d0)
-            if rows < math.comb(d0 + n - 1, n - 1):
+            if sum(_count(n, d0 - k, 0) for k in orders) < _count(n, d0, d0):
                 continue
             cols, red, pivots, _, _ = _eliminate(grads, f.ring, n, d0)
             certified = _certified(cols, red, pivots, d0)

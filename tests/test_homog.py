@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from test_milnor import _ends_bounded
 
 from resform import homog
 from resform.errors import NonIntegral, OddCharacteristic, SingularForm
@@ -215,6 +216,8 @@ def test_generic_divided_disc_term_counts():
 
 
 def test_verify_homog_char2_takes_one_sylvester_determinant(monkeypatch):
+    """A nonsingular form takes one Sylvester determinant, on the Frobenius
+    side; a singular one ends at the Arf side's NotIsolated and takes none."""
     calls = []
     real = homog.det_ring
 
@@ -229,4 +232,12 @@ def test_verify_homog_char2_takes_one_sylvester_determinant(monkeypatch):
     calls.clear()
     with pytest.raises(SingularForm, match="^form has a repeated root$"):
         verify_homog_char2(BinaryForm(f4, 3, [1, 0, 0, 0]))
-    assert calls == [4]
+    assert calls == []
+
+
+def test_verify_homog_char2_refuses_a_large_degree_before_the_frobenius_side():
+    """T0^401 + T0*T1^400 + T1^401 over F_2 has D0 = 799, past DEGREE_CAP:
+    the Arf side refuses it before the Sylvester determinant and the factor
+    count are paid."""
+    F = BinaryForm(gf_create(2, 1), 401, [1] + [0] * 399 + [1, 1])
+    assert _ends_bounded(verify_homog_char2, F).startswith("no degree up to DEGREE_CAP = 24")

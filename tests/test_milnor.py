@@ -17,11 +17,25 @@ from resform.milnor import (
     family_milnor_profile,
     milnor_algebra,
     mono_key,
-    monomials_upto,
 )
 from resform.mpoly import MultiPoly, parse_poly, partials, variable_blocks
 from resform.residue import arf_invariant, disc_square_class, gram_matrix, witt_lift
 from resform.wittring import gr_create
+
+
+def monomials_upto(n_vars: int, max_deg: int):
+    """All exponent tuples with total degree <= max_deg, in lex order; the
+    seeded samplers and the plain-Python eliminations draw from it."""
+
+    def gen(k, budget):
+        if k == 0:
+            yield ()
+            return
+        for head in range(budget + 1):
+            for rest in gen(k - 1, budget - head):
+                yield (head,) + rest
+
+    return list(gen(n_vars, max_deg))
 
 
 def test_monomial_order_is_graded():
@@ -393,34 +407,89 @@ def _normal_forms(alg):
 
 
 def test_eliminations_share_one_bounded_monomial_memo(monkeypatch):
-    """Columns and shift lists come from one memo keyed by (n_vars, upto, lo):
-    each key is enumerated once while it is held, the memo never holds more
-    than _MONOMIALS_MAX monomials, and the algebra does not depend on what
-    it holds.  x^4+y^4+x^2*y^2 has partials of order 3, so its scan starts
-    with the degree-5 test of the initial forms (lo = 5)."""
+    """Columns and shift lists come from one memo keyed by (n_vars, upto, lo)
+    and holding (columns, index) pairs: each key's degrees are listed once
+    while it is held, the memo never holds more than _MONOMIALS_MAX
+    monomials, and the algebra does not depend on what it holds.
+    x^4+y^4+x^2*y^2 has partials of order 3, so its scan starts with the
+    degree-5 test of the initial forms (lo = 5)."""
     f = parse_poly("x^4+y^4+x^2*y^2", gf_create(7, 1), ["x", "y"])
-    enumerated = []
-    upto = milnor.monomials_upto
+    listed = []
+    combinations = milnor.itertools.combinations_with_replacement
 
-    def counting(n_vars, max_deg):
-        enumerated.append((n_vars, max_deg))
-        return upto(n_vars, max_deg)
+    def counting(variables, d):
+        listed.append(d)
+        return combinations(variables, d)
 
-    monkeypatch.setattr(milnor, "monomials_upto", counting)
+    def held_degrees():
+        return sum(max(upto - lo + 1, 0) for _, upto, lo in milnor._MONOMIALS)
+
+    monkeypatch.setattr(milnor.itertools, "combinations_with_replacement", counting)
     monkeypatch.setattr(milnor, "_MONOMIALS", {})
     alg = milnor_algebra(f)
     assert (2, 5, 5) in milnor._MONOMIALS
-    assert len(enumerated) == len(milnor._MONOMIALS)
+    assert len(listed) == held_degrees()
+    for cols, index in milnor._MONOMIALS.values():
+        assert index == {e: j for j, e in enumerate(cols)}
     monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     again = milnor_algebra(f)
-    assert len(enumerated) == len(milnor._MONOMIALS)
+    assert len(listed) == held_degrees()
     assert again.basis == alg.basis and _normal_forms(again) == _normal_forms(alg)
     monkeypatch.setattr(milnor, "_MONOMIALS_MAX", 12)
     monkeypatch.setattr(milnor, "_MONOMIALS", {})
     monkeypatch.setattr(milnor, "_ALGEBRAS", {})
     small = milnor_algebra(f)
-    assert sum(len(monos) for monos, _, _ in milnor._MONOMIALS.values()) <= 12
+    assert sum(len(cols) for cols, _ in milnor._MONOMIALS.values()) <= 12
     assert small.basis == alg.basis and _normal_forms(small) == _normal_forms(alg)
+
+
+def test_the_monomials_of_a_range_are_counted_and_listed_in_one_order(monkeypatch):
+    """_monomials lists _count's number of monomials, strictly falling under
+    mono_key, each monomial of degree lo..hi once; a range below degree 0
+    or with hi < lo is empty, and a negative lo means 0."""
+    monkeypatch.setattr(milnor, "_MONOMIALS", {})
+    for n in range(1, 5):
+        every = monomials_upto(n, 10)
+        for hi in range(11):
+            for lo in range(hi + 1):
+                cols, index = milnor._monomials(n, hi, lo)
+                assert len(cols) == milnor._count(n, hi, lo)
+                assert all(mono_key(a) > mono_key(b) for a, b in zip(cols, cols[1:]))
+                assert set(cols) == {e for e in every if lo <= sum(e) <= hi}
+                assert index == {e: j for j, e in enumerate(cols)}
+        assert milnor._count(n, 4, -3) == milnor._count(n, 4, 0)
+        assert milnor._count(n, 3, 4) == milnor._count(n, -1, 0) == 0
+        assert milnor._monomials(n, 3, 4)[0] == milnor._monomials(n, -1, -2)[0] == []
+
+
+def _ends_bounded(call, *args):
+    """The ResourceLimit that call(*args) ends in, asserted to come within
+    2 s and a 32 MB tracemalloc peak."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceLimit) as err:
+            call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    assert peak < 32_000_000, peak
+    return str(err.value)
+
+
+def test_a_relation_matrix_past_the_cell_bound_is_refused_before_it_is_listed():
+    """The initial-form test of these two inputs (degree 117 in four
+    variables, degree 11999 in two) would list millions of monomials; its
+    shape is counted from binomials and refused first."""
+    f = parse_poly("x^31+y^31+z^31+w^31+(x*y*z*w)^8", gf_create(7, 1), ["x", "y", "z", "w"])
+    assert _ends_bounded(milnor_algebra, f) == (
+        "the relation matrix in degree 117 would hold 469920 x 280840 x 1 digits, "
+        "more than MAX_RELATION_CELLS = 33554432")
+    f = parse_poly("x^6001+x*y^6000+y^6001", gf_create(2, 1), ["x", "y"])
+    assert _ends_bounded(milnor_algebra, f) == (
+        "the relation matrix in degree 11999 would hold 12000 x 12000 x 1 digits, "
+        "more than MAX_RELATION_CELLS = 33554432")
 
 
 def test_a_relation_matrix_past_the_bound_is_refused(monkeypatch):

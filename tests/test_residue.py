@@ -12,6 +12,7 @@ from test_milnor import (
     _d_minus_one_presentation,
     _parse_case,
     _random_poly,
+    monomials_upto,
 )
 from test_path_agreement import ODD_SHAPES, SHAPES, _compose
 
@@ -29,7 +30,7 @@ from resform.errors import (
 )
 from resform.gfield import gf_create
 from resform.linalg import CodedOps, coded, det_expand, det_ring
-from resform.milnor import milnor_algebra, monomials_upto
+from resform.milnor import milnor_algebra
 from resform.homog import BinaryForm, divided_disc_binary
 from resform.mpoly import MultiPoly, divided_difference, parse_poly, partials
 from resform.residue import (
