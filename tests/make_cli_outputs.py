@@ -83,6 +83,16 @@ PAST_THE_CAP = [
     ["verify", "--p", "13", "--vars", "x,y", "--poly", "x^14+y^14"],
 ]
 
+# Unsplit inputs over F_13 whose scans test the partials' initial forms in
+# degree s = 1 + sum(k_i - 1): a chain and a four-variable chain that fail
+# there and scan on to D0 = 9 and 8, and a loop that certifies D0 = s = 7
+SCANS = [
+    ("x,y,z", "x^3*y+y^4*z+z^5"),
+    ("x,y,z,w", "x^2*y+y^3*z+z^2*w+w^4"),
+    ("x,y,z", "x^3*y+y^3*z+z^3*x"),
+]
+SCAN_COMMANDS = [["milnor"], ["verify"]]
+
 # Bezoutians of unsplit, non-Morse inputs with mu > 4, recorded after the
 # calls above: coordinate changes f o A of Fermat sums (mu 9 and 8), and
 # a7-shaped lifts over F_2 whose elimination at D0 fails, perturbed (mu 4)
@@ -150,6 +160,8 @@ def argvs():
         out += [cmd + field for cmd in CHAR2_COMMANDS]
         out.append(["arf"] + field + ["--lift-perturbation", lift])
     out += REFUSALS + PAST_THE_CAP
+    for names, poly in SCANS:
+        out += [cmd + ["--p", "13", "--vars", names, "--poly", poly] for cmd in SCAN_COMMANDS]
     for p, names, poly in FERMAT_CHANGES:
         out += [cmd + ["--p", str(p), "--vars", names, "--poly", poly]
                 for cmd in FERMAT_COMMANDS]
