@@ -244,8 +244,9 @@ def _mu_univariate_char2(bp: MultiPoly) -> int:
 
 
 def _classify_block(field, bp: MultiPoly, twist: int, names):
-    """Catalog lookup for one block: (epsilon_0, dimtot).  A miss renders
-    the block with names, the names of its variables in f."""
+    """Catalog lookup for one block: (epsilon_0, dimtot).  A miss's
+    message renders the block with names, the names of its variables in f,
+    when it is read."""
     terms = bp.terms
     one = field(1)
     if field.p != 2:
@@ -261,7 +262,7 @@ def _classify_block(field, bp: MultiPoly, twist: int, names):
                 return eps_ordquad_char2(c20, field), -1
     elif bp.n_vars == 1 and _mu_univariate_char2(bp) == 2:
         return eps_wildquad_char2(field), 2
-    raise CatalogMiss(f"no catalog entry for block {bp.render(names)}")
+    raise CatalogMiss(lambda: f"no catalog entry for block {bp.render(names)}")
 
 
 def arithmetic_sides(f: MultiPoly, twists, var_names=None):

@@ -91,7 +91,14 @@ class ZeroCoefficient(ResformError):
 
 
 class CatalogMiss(ResformError):
-    """Input does not match any shape with a catalogued epsilon factor."""
+    """Input does not match any shape with a catalogued epsilon factor.
+    Its message may be a callable, called each time the message is read,
+    so a miss that no one reads renders nothing."""
+
+    def __str__(self):
+        if len(self.args) == 1 and callable(self.args[0]):
+            return self.args[0]()
+        return super().__str__()
 
 
 class SingularForm(ResformError):

@@ -178,25 +178,25 @@ def fermat_formulas(d: int, n: int, a_list) -> dict:
 
 
 def frobenius_sign_binary(F: BinaryForm) -> int:
-    """(-1)^(d - c) with c the number of irreducible factors over F_q.
-
-    Only distinct-degree splitting is needed because nonsingular forms are
-    squarefree; a vanished leading coefficient contributes the factor T1.
-    """
-    field = F.ring
-    if not isinstance(field, Field):
+    """(-1)^(d - c) with c the number of irreducible factors over F_q, for
+    a form of odd degree; a form with a repeated root raises SingularForm."""
+    if not isinstance(F.ring, Field):
         raise ValueError("frobenius sign needs a form over a finite field")
-    d = F.d
-    if d % 2 == 0:
+    if F.d % 2 == 0:
         raise ValueError("degree must be odd")
     if divided_disc_binary(F).is_zero():
         raise SingularForm("form has a repeated root")
+    return _frobenius_sign(F)
+
+
+def _frobenius_sign(F: BinaryForm) -> int:
+    """frobenius_sign_binary of a squarefree F, whose factors distinct-degree
+    splitting counts; a vanished leading coefficient is the factor T1."""
     le = trim(list(reversed(F.coeffs)))
-    c = 1 if len(le) < d + 1 else 0
-    f = monic_p(le)
-    for block_deg, prod in ddf(field, f):
+    c = 1 if len(le) < F.d + 1 else 0
+    for block_deg, prod in ddf(F.ring, monic_p(le)):
         c += degree(prod) // block_deg
-    return (-1) ** ((d - c) % 2)
+    return (-1) ** ((F.d - c) % 2)
 
 
 def verify_homog_char2(F: BinaryForm) -> dict:
@@ -204,9 +204,11 @@ def verify_homog_char2(F: BinaryForm) -> dict:
 
     The comparison is epsilon(q, d) * frobenius sign == +1 exactly when
     the Arf class of the affine cone vanishes.  The Arf side runs first, so
-    its bounds refuse a large d before the Sylvester determinant and the
-    factor count; its NotIsolated is a repeated root, as at odd d Euler's
-    identity F = T0*F_0 + T1*F_1 makes the partials' common zeros F's.
+    its bounds refuse a large d before the factor count; its NotIsolated is
+    a repeated root, as at odd d Euler's identity F = T0*F_0 + T1*F_1 makes
+    the partials' common zeros F's.  So a form it accepts is squarefree, and
+    its Frobenius sign is counted without the Sylvester determinant that
+    frobenius_sign_binary checks that with.
     """
     field = F.ring
     if not isinstance(field, Field) or field.p != 2:
@@ -218,7 +220,7 @@ def verify_homog_char2(F: BinaryForm) -> dict:
         arf = arf_invariant(F.as_poly())
     except NotIsolated as err:
         raise SingularForm("form has a repeated root") from err
-    sgn = frobenius_sign_binary(F)
+    sgn = _frobenius_sign(F)
     eps = (-1) ** ((d * d - 1) // 8) if field.m % 2 else 1
     ok = arf.is_trivial() == (eps * sgn == 1)
     return {

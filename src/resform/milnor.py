@@ -34,17 +34,13 @@ the rows, and _lift_degree takes it should the top block not be unit
 pivots or a tail digit be odd, which the field's certificate rules out.
 The fallback's stuck column and the basis check still decide NotFlat.
 
-The search for D0 starts at a proven lower bound.  The orders k_i of the
-partials are read off f's exponents (_orders), so an input that does not
-need its own scan never builds its partials.  When the initial forms of the
-partials span every monomial of degree s = 1 + sum(k_i - 1), they are a
-regular sequence, J's initial ideal is theirs and D0 = s (Valla; Fulton,
-Intersection Theory, Cor. 12.4), so the scan starts there; otherwise, or
-when s is at most min k_i + 1, it starts at min k_i, since J lies in
-m^{min k_i}.  A cone whose partials are homogeneous and fail that test is
-not isolated, and is not scanned.  A degree whose relation matrix has
-fewer rows than it has monomials of that degree cannot certify, and is
-skipped unbuilt.  The cap DEGREE_CAP bounds the scan and nothing else,
+The search for D0 starts at Wiebe's bound s = 1 + sum(k_i - 1), the k_i
+the orders of the partials, read off f's exponents (_orders), so an input
+that does not need its own scan never builds its partials.  When the
+partials' initial forms span degree s, D0 = s is proven before it is
+eliminated, and one elimination below it presents the algebra (_scan).  A
+cone whose partials are homogeneous and fail that test is not isolated,
+and is not scanned.  The cap DEGREE_CAP bounds the scan and nothing else,
 and the scan ends in one of three ways, each named by its own proof: when
 the Bezout bound on mu is at most the cap, failing every degree up to it
 proves f not isolated (a cone is reported so too); above it a cone raises
@@ -97,14 +93,14 @@ inverse Bezoutian determinant (_morse), so the residue engine builds no
 Bezoutian for it unless the Gram matrix itself is read.  A singular L
 proves D0 >= 2, and the scan starts there.  The W_3 lift of a Morse point
 without a degree-1 term is presented by its Hessian too, which is a unit
-mod 2; a lift with a linear term is eliminated whole (below).  Over a
-field a block that raises NotIsolated or ResourceLimit ends f with its
-error: a block that is not isolated makes the tensor product infinite, and
-f's own scan would have to pass the block's degree in more variables.  A
-product is bounded by what it builds, not by the cap: its D may pass the
-cap, and its basis, its monomials and N are each held to
-MAX_RELATION_CELLS, their sizes read off the blocks, before any of them is
-enumerated.
+mod 2; a lift with a linear term is eliminated whole (below).  A block
+that raises NotIsolated or ResourceLimit ends f with its error, over a
+field and over W_3 alike: a block that is not isolated makes the tensor
+product infinite, and f's own presentation would start at a degree at
+least the block's D0, in more variables.  A product is bounded by what it builds, not by
+the cap: its D may pass the cap, and its basis, its monomials and N are
+each held to MAX_RELATION_CELLS, their sizes read off the blocks, before
+any of them is enumerated.
 
 The Witt lift of a separable characteristic-2 input splits the same way,
 once its reduction's algebra is a product: it is then the tensor product
@@ -116,8 +112,8 @@ argument shows that D = sum D_i - (k - 1) is a certified truncation degree
 over W_3: m^{D_i} lies in J_i for each block, so m^D lies in J.  It need
 not be least, as a W_3 D never was.  A lift whose blocks are not
 those of a split reduction (a lift perturbation may couple variables), or
-one with a block that raises, is eliminated whole, so its errors and
-their messages are its own.
+one with a block that raises NotFlat or OddProduct, is eliminated whole,
+so those errors and their messages are its own.
 
 A W_3 algebra is checked against its reduction once, where a lift is
 eliminated whole: standard monomials that differ from the residue field's
@@ -148,8 +144,7 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateFiber, NotFlat, NotIsolated, OddProduct, ResformError,
-                     ResourceLimit)
+from .errors import DegenerateFiber, NotFlat, NotIsolated, OddProduct, ResourceLimit
 from .linalg import coded, unit_det
 from .mpoly import MultiPoly, partials, variable_blocks
 from . import unipoly
@@ -310,36 +305,32 @@ def _scan(f: MultiPoly, orders, cap: int):
     """Smallest D0 with every degree-D0 monomial in J + m^{D0+1}, over a field.
 
     By graded Nakayama this certifies m^{D0} inside the Jacobian ideal of
-    the complete local ring at the origin.  The certifying elimination also
-    presents the algebra (_certified).  Returns D0 and the (columns, reduced
-    digit rows, pivots) of that presentation.
+    the complete local ring at the origin.  Returns D0 and the (columns,
+    reduced digit rows, pivots) of the presentation below D0.
 
-    The search starts at a lower bound.  Let k_i be the order of the i-th
-    partial and s = 1 + sum(k_i - 1).  When every k_i >= 1 and
-    s >= min k_i + 2, one elimination in degree s alone tests whether the
-    initial forms of the partials reach every degree-s monomial.  If they
-    do, they cut out only the origin, so they are a regular sequence and
-    generate the initial ideal of J (Valla; equivalently mu = prod k_i,
-    Fulton, Intersection Theory, Cor. 12.4).  The quotient then has the Hilbert
-    function of a complete intersection, nonzero in degree s - 1 and zero
-    in degree s, so m^{s-1} is not in J and m^s is: D0 = s, and the scan
-    starts there.  Otherwise it starts at max(1, min k_i), which is a lower
-    bound because J lies in m^{min k_i}; when every k_i = 1 it starts at 2,
-    as milnor_algebra scans such an f only once its Hessian is singular
-    (_morse), which proves D0 >= 2.  The certificate is still checked
-    at the start, so a wrong start could only skip a smaller D0, never
-    certify a wrong one.  A constant partial (k_i = 0, a smooth point)
-    makes J the unit ideal; s means nothing there and the scan starts at 1.
-    At s = min k_i + 1 the test would at best replace the one elimination
-    at min k_i, and it has more pivots than that one, so it is skipped.
+    The search starts at Wiebe's bound.  Let k_i be the order of the i-th
+    partial and s = 1 + sum(k_i - 1).  At an isolated point with every
+    k_i >= 1 the partials d_i f = sum_j A_ij x_j, A_ij in m^{k_i - 1}, are
+    a regular sequence, and det A, which lies in m^{s-1}, generates the
+    socle of k[[x]]/J (H. Wiebe, Math. Ann. 179, 1969): m^{s-1} is not in
+    J, so D0 >= s.  An f with every k_i = 1 is scanned only once its
+    Hessian is singular (_morse), which proves D0 >= 2; at a smooth point
+    (some k_i = 0) J is the unit ideal and the scan starts at 1.  An f that
+    is not isolated fails at every degree, wherever the scan starts.
 
-    A degree d whose relation matrix has fewer rows than degree-d columns,
-    both counted by _count, cannot make every one of them a pivot, so it is
-    skipped unbuilt: the degree-2 step of a binary cubic is one.
-
-    If the test fails and every partial is homogeneous, J is its own
-    initial ideal and misses a degree-s monomial, so it is not m-primary:
-    f is not isolated, every degree would fail, and the scan is skipped.
+    When s >= min k_i + 2, one elimination in degree s alone tests whether
+    the partials' initial forms reach every degree-s monomial.  If they do,
+    they are a regular sequence generating J's initial ideal (Valla;
+    Fulton, Intersection Theory, Cor. 12.4), whose Hilbert function is
+    nonzero in degree s - 1 and zero in degree s: D0 = s is proven, and one
+    elimination at s - 1 presents the algebra.  That is the presentation
+    _certified would read off an elimination at s, as the shifts of degree
+    s - k_i vanish below s and a reduced echelon form over a field is
+    unique.  At s <= min k_i + 1 every shift in degree s has degree at most
+    1, so the test would nearly repeat the elimination at s, and it is
+    skipped: a binary cubic eliminates once.  If the test fails and every
+    partial is homogeneous, J is its own initial ideal and misses a
+    degree-s monomial: f is not isolated, and the scan is skipped.
 
     The search stops at the product of the partials' degrees: for an
     isolated singularity D0 <= mu, and mu is at most that product by the
@@ -350,20 +341,18 @@ def _scan(f: MultiPoly, orders, cap: int):
     """
     grads = partials(f)
     bezout = math.prod(max(g.total_degree(), 1) for g in grads)
-    n = f.n_vars
-    start = 2 if min(orders) == max(orders) == 1 else max(1, min(orders))
+    n, last = f.n_vars, min(cap, bezout)
     s = 1 + sum(k - 1 for k in orders)
+    start = max(2, s) if min(orders) >= 1 else 1
     cone = False  # a cone that is not isolated: no degree certifies
-    if min(orders) >= 1 and s > start + 1:
+    if min(orders) >= 1 and s > min(orders) + 1:
         cols, _, pivots, _, _ = _eliminate(grads, f.ring, n, s, lo=s)
-        if len(pivots) == len(cols):
-            start = s
-        else:
+        if len(pivots) < len(cols):
             cone = all(g.total_degree() == k for g, k in zip(grads, orders))
+        elif s <= last:
+            return s, _eliminate(grads, f.ring, n, s - 1)[:3]
     if not cone:
-        for d0 in range(start, min(cap, bezout) + 1):
-            if sum(_count(n, d0 - k, 0) for k in orders) < _count(n, d0, d0):
-                continue
+        for d0 in range(start, last + 1):
             cols, red, pivots, _, _ = _eliminate(grads, f.ring, n, d0)
             certified = _certified(cols, red, pivots, d0)
             if certified is not None:
@@ -579,26 +568,21 @@ def _product(f: MultiPoly, cap: int):
     at cap.
 
     Returns the ProductAlgebra, or None when f is a single block or a block
-    raises another error; the caller then presents f whole, so those errors
-    and their messages are its own.  Over a field a block's NotIsolated or
-    ResourceLimit ends f: a block that is not isolated makes the tensor
-    product infinite, and f's own scan would need a degree at least the
-    block's.  A block's OddProduct says nothing of f's parity, and a W_3
-    lift is eliminated whole on any block error.  Every variable lies in
-    some block, as no partial of f vanishes.  The product's own D is not
+    raises NotFlat or OddProduct; the caller then presents f whole, so
+    those errors and their messages are its own, as a block's OddProduct
+    says nothing of f's parity.  A block's NotIsolated or ResourceLimit
+    ends f, over a field and over W_3: a block that is not isolated makes
+    the tensor product infinite, and f's own presentation would start at a
+    degree at least the block's D0, in more variables.  Every variable lies
+    in some block, as no partial of f vanishes.  The product's own D is not
     held to the cap; what it builds is held to the cell bound.
     """
     split = variable_blocks(f)
     if len(split) < 2:
         return None
-    field = f.ring.b == f.ring.residue
     try:
         blocks = [(vs, block, milnor_algebra(block, cap)) for vs, block in split]
-    except (NotIsolated, ResourceLimit):
-        if field:
-            raise
-        return None
-    except ResformError:
+    except (NotFlat, OddProduct):
         return None
     return ProductAlgebra(f.ring, f.n_vars, sum(alg.D - 1 for _, _, alg in blocks) + 1, blocks)
 
@@ -623,18 +607,23 @@ def milnor_algebra(f: MultiPoly, cap: int = DEGREE_CAP) -> MilnorAlgebra:
     reduction.  A Morse point, every partial of order 1 over a field or the
     lift of one without a linear term over W_3, is presented by one
     unit_det of its Hessian and builds no partials; over a field a singular
-    Hessian sends f to the scan from degree 2.  A sum of blocks in disjoint
-    variables gets the tensor product of the blocks' algebras, composed
-    from theirs and kept on f alone: over a field except at a Morse or a
-    smooth point, and over W_3 when the residue field's algebra is such a
-    product.  A W_3 lift eliminated whole has the truncation degree D of
-    the residue field's D0 when one elimination at D0 certifies it, and the
-    3*D0 - 2k that elimination proves otherwise, and raises NotFlat unless
-    its basis is the residue field's; a split lift has that check from its
-    blocks.  A W_3 lift that misses the cache reads its reduction's algebra
-    first, at the same cap.  NotIsolated means a proof that f is not
-    isolated; a scan past the cap, unproved, raises ResourceLimit.  No
-    error is kept: each read raises it anew.
+    Hessian sends f to the scan from degree 2.  Any other field scan starts
+    at Wiebe's bound s = 1 + sum(k_i - 1) on D0, and once it has proven
+    D0 = s presents the algebra by one elimination below it (_scan).  A sum
+    of blocks in disjoint variables gets the tensor product of the blocks'
+    algebras, composed from theirs and kept on f alone: over a field
+    except at a Morse or a smooth point, and over W_3 when the residue
+    field's algebra is such a product.  In either ring a block's
+    NotIsolated or ResourceLimit ends the sum, and its NotFlat or
+    OddProduct sends the sum to its own presentation (_product).  A W_3
+    lift eliminated whole has the truncation degree D of the residue
+    field's D0 when one elimination at D0 certifies it, and the 3*D0 - 2k
+    that elimination proves otherwise, and raises NotFlat unless its basis
+    is the residue field's; a split lift has that check from its blocks.  A
+    W_3 lift that misses the cache reads its reduction's algebra first, at
+    the same cap.  NotIsolated means a proof that f is not isolated; a scan
+    past the cap, unproved, raises ResourceLimit.  No error is kept: each
+    read raises it anew.
     """
     if f._algebra is not None:
         return f._algebra

@@ -14,8 +14,10 @@ milnor._ALGEBRAS first, so it pays for the elimination or the Hessian and
 for the Bezoutian; the best of K ops is printed, with the share of that op
 spent in residue.bezoutian, inside it in the determinant expansion
 (linalg.det_expand), in the rest of the Bezoutian (the divided differences
-and C built from the determinant), and in the Hessian's unit_det.  Pytest
-does not collect this file.
+and C built from the determinant), and in the Hessian's unit_det, and the
+number of relation-matrix eliminations (milnor._eliminate) the op ran, so
+a scan that eliminates more than it needs shows in every run.  Pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -52,13 +54,15 @@ def fermat_change(rng, p, n, d):
 
 
 class _Timer:
-    """Total seconds spent in one module function while installed."""
+    """Total seconds spent in, and calls of, one module function while
+    installed."""
 
     def __init__(self, module, name):
         self.module, self.name, self.real = module, name, getattr(module, name)
-        self.seconds = 0.0
+        self.seconds, self.calls = 0.0, 0
 
     def __call__(self, *args, **kwargs):
+        self.calls += 1
         start = time.perf_counter()
         try:
             return self.real(*args, **kwargs)
@@ -75,21 +79,21 @@ class _Timer:
 
 def cold_op(field, names, text):
     """(op seconds, Bezoutian seconds, det_expand seconds, Hessian unit_det
-    seconds, mu) of one cold verify."""
+    seconds, mu, eliminations) of one cold verify."""
     milnor._ALGEBRAS.clear()
     f = parse_poly(text, field, names, {"g": field.gen()} if field.m > 1 else None)
     with (_Timer(residue, "bezoutian") as bez, _Timer(residue, "det_expand") as det,
-          _Timer(milnor, "unit_det") as hess):
+          _Timer(milnor, "unit_det") as hess, _Timer(milnor, "_eliminate") as elim):
         start = time.perf_counter()
         report = verify_identity(f)
         op = time.perf_counter() - start
-    return op, bez.seconds, det.seconds, hess.seconds, report["mu"]
+    return op, bez.seconds, det.seconds, hess.seconds, report["mu"], elim.calls
 
 
 def _row(label, field, names, text, repeat):
-    op, bez, det, hess, mu = min(cold_op(field, names, text) for _ in range(repeat))
+    op, bez, det, hess, mu, elims = min(cold_op(field, names, text) for _ in range(repeat))
     print(f"{label:<44} {mu:>4} {op:>8.4f} {bez / op:>10.1%} {det / op:>11.1%} "
-          f"{(bez - det) / op:>6.1%} {hess / op:>9.1%}")
+          f"{(bez - det) / op:>6.1%} {hess / op:>9.1%} {elims:>6}")
 
 
 def main(argv=None):
@@ -99,7 +103,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
     print(f"{'input':<44} {'mu':>4} {'op s':>8} {'bezoutian':>10} {'det_expand':>11} "
-          f"{'rest':>6} {'unit_det':>9}")
+          f"{'rest':>6} {'unit_det':>9} {'elims':>6}")
     for p, n, d in LADDER:
         text = fermat_change(rng, p, n, d)
         label = f"{'+'.join(f'{v}^{d}' for v in NAMES[:n])} o A over F_{p}"

@@ -383,6 +383,24 @@ def test_a_missed_block_is_named_in_fs_variable_positions():
         arithmetic_sides(f, [1, 2], ["u", "v"])
 
 
+def test_a_verify_renders_no_missed_block(monkeypatch):
+    """verify_identity discards the catalog's miss, so its message is
+    never rendered: a verify of x^3+y^3 over F_7, whose cubic blocks miss
+    the catalog, renders f once, for the report's input."""
+    calls = []
+    real = MultiPoly.render
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "render", counting)
+    f = parse_poly("x^3+y^3", gf_create(7, 1), ["x", "y"])
+    report = verify_identity(f, var_names=["x", "y"])
+    assert (report["verdict"], report["input"]) == ("GEOMETRIC_ONLY", "x^3 + y^3")
+    assert calls == [f]
+
+
 def test_conventions_differ_on_twisted_quadratic():
     """The literal convention drops a legendre(2) factor whenever n*mu is odd."""
     f5 = gf_create(5, 1)

@@ -215,9 +215,11 @@ def test_generic_divided_disc_term_counts():
     assert [len(generic_divided_disc(d).terms) for d in range(2, 7)] == [2, 5, 16, 59, 246]
 
 
-def test_verify_homog_char2_takes_one_sylvester_determinant(monkeypatch):
-    """A nonsingular form takes one Sylvester determinant, on the Frobenius
-    side; a singular one ends at the Arf side's NotIsolated and takes none."""
+def test_verify_homog_char2_takes_no_sylvester_determinant(monkeypatch):
+    """The Arf side proves a form squarefree, so a nonsingular form takes no
+    Sylvester determinant on the Frobenius side; a singular one ends at the
+    Arf side's NotIsolated and takes none either.  frobenius_sign_binary,
+    called directly, still checks with one."""
     calls = []
     real = homog.det_ring
 
@@ -228,11 +230,12 @@ def test_verify_homog_char2_takes_one_sylvester_determinant(monkeypatch):
     monkeypatch.setattr(homog, "det_ring", counting)
     f4 = gf_create(2, 2)
     assert verify_homog_char2(BinaryForm(f4, 3, [1, 0, 1, 1]))["verdict"] == "PASS"
-    assert calls == [4]
-    calls.clear()
+    assert calls == []
     with pytest.raises(SingularForm, match="^form has a repeated root$"):
         verify_homog_char2(BinaryForm(f4, 3, [1, 0, 0, 0]))
     assert calls == []
+    assert frobenius_sign_binary(BinaryForm(f4, 3, [1, 0, 1, 1])) == 1
+    assert calls == [4]
 
 
 def test_verify_homog_char2_refuses_a_large_degree_before_the_frobenius_side():

@@ -495,9 +495,9 @@ def test_a_relation_matrix_past_the_cell_bound_is_refused_before_it_is_listed():
 def test_a_relation_matrix_past_the_bound_is_refused(monkeypatch):
     """With the bound below a scan's first matrix the scan raises
     ResourceLimit, naming the shape, the degree and the bound; a matrix of
-    exactly the bound is built.  x^3+y^4+x*y^2 starts its scan at degree 2,
-    whose 2 rows cannot pivot its 3 degree-2 columns, so no matrix is built
-    there, and certifies D0 = 3 on a 6 x 10 x 1 matrix."""
+    exactly the bound is built.  The partials of x^3+y^4+x*y^2 have order
+    2, so its scan starts at Wiebe's bound s = 3, and certifies D0 = 3 on
+    its first matrix, 6 x 10 x 1."""
     f = parse_poly("x^3+y^4+x*y^2", gf_create(7, 1), ["x", "y"])
     for bound in (5, 59):
         monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", bound)
@@ -603,12 +603,12 @@ def test_verify_runs_only_the_scan(monkeypatch):
     f7 = gf_create(7, 1)
     report = verify_identity(parse_poly("x^3+y^3+x^2*y", f7, ["x", "y"]))
     assert report["mu"] == 4
-    # the scan starts at the partials' order 2, where 2 rows cannot pivot
-    # 3 columns, so it builds no matrix there: the one elimination is the
-    # certificate at D0 = 3, none after the scan
+    # both partials have order 2, so the scan starts at Wiebe's bound
+    # s = 3: the one elimination is the certificate at D0 = 3, none after
+    # the scan
     assert len(seen) == 1
     # x^3 + y^3 is the tensor square of the algebra of x^3, whose scan
-    # certifies at its order 2; y^3 is the same one-variable block
+    # certifies at its bound s = 2; y^3 is the same one-variable block
     seen.clear()
     report = verify_identity(parse_poly("x^3+y^3", f7, ["x", "y"]))
     assert report["mu"] == 4
@@ -630,14 +630,40 @@ def _count_degrees(monkeypatch):
 
 def test_a_coupled_binary_cubic_eliminates_only_at_degree_3(monkeypatch):
     """x^3+x*y^2+g*y^3 over F_4 has partials x^2+y^2 and g*y^2 of order 2:
-    the scan starts at degree 2, where its 2 rows cannot pivot the 3
-    degree-2 columns, so it builds no matrix there, and certifies D0 = 3."""
+    the scan starts at Wiebe's bound s = 3 and certifies D0 = 3 there; as
+    s = min k_i + 1, the initial forms are not tested in degree s first."""
     field = gf_create(2, 2)
     f = parse_poly("x^3+x*y^2+g*y^3", field, ["x", "y"], {"g": field.gen()})
     seen = _count_degrees(monkeypatch)
     alg = milnor_algebra(f)
     assert (alg.blocks, alg.mu, alg.D) == (None, 4, 3)
     assert seen == [(field, 3)]
+
+
+@pytest.mark.parametrize("names, text, D, eliminations", [
+    # a chain with orders (3, 3, 4) and s = 8, and one with orders 2 and
+    # s = 5: the initial forms miss degree s, and the scan runs on from s
+    ("x,y,z", "x^3*y+y^4*z+z^5", 9, [(8, 8), (8, 0), (9, 0)]),
+    ("x,y,z,w", "x^2*y+y^3*z+z^2*w+w^4", 8, [(5, 5), (5, 0), (6, 0), (7, 0), (8, 0)]),
+    # a loop with orders 3: the initial forms span degree s = 7, which
+    # proves D0 = 7, and one elimination below it presents the algebra
+    ("x,y,z", "x^3*y+y^3*z+z^3*x", 7, [(7, 7), (6, 0)]),
+])
+def test_the_scan_starts_at_the_socle_bound(monkeypatch, names, text, D, eliminations):
+    """Over F_13 the scan tests the initial forms in degree
+    s = 1 + sum(k_i - 1) alone, then eliminates from s up, as Wiebe's bound
+    D0 >= s holds at every isolated point, or once below a D0 = s that the
+    test proved: (upto, lo) of every elimination."""
+    seen = []
+    eliminate = milnor._eliminate
+
+    def counting(grads, ring, n_vars, upto, lo=0):
+        seen.append((upto, lo))
+        return eliminate(grads, ring, n_vars, upto, lo)
+
+    monkeypatch.setattr(milnor, "_eliminate", counting)
+    alg = milnor_algebra(parse_poly(text, gf_create(13, 1), names.split(",")))
+    assert (alg.D, seen) == (D, eliminations)
 
 
 @pytest.mark.parametrize("p, m, names, text, constant", [
@@ -941,9 +967,9 @@ def test_smooth_points_have_D_one_and_mu_zero(names, text):
     (2, 2, "x,y", "x^3+x*y^3+y^5", 5, 7),
     (7, 1, "x,y,z", "x^3+y^3+z^3+x*y*z+z^4", 5, 11),
 ])
-def test_initial_forms_off_a_regular_sequence_start_at_the_least_order(p, m, names, text, D, mu):
+def test_initial_forms_off_a_regular_sequence_scan_on_from_s(p, m, names, text, D, mu):
     """The initial forms miss a degree-s monomial, so D0 > s; the scan starts
-    at the least order of a partial and still finds the least D0."""
+    at Wiebe's bound s and still finds the least D0."""
     f = parse_poly(text, gf_create(p, m), names.split(","))
     alg = milnor_algebra(f)
     assert (alg.D, alg.mu) == (D, mu)
@@ -983,6 +1009,34 @@ def test_a_separable_input_that_fails_ends_at_its_block(
         milnor_algebra(f)
     assert str(err.value) == message
     assert set(seen) == n_vars_scanned
+
+
+def test_a_split_lift_ends_at_its_blocks_resource_limit(monkeypatch):
+    """The lift of x^3+y^3+x*y^2+z^3 over F_2 perturbed by 2x splits into
+    the lifts of its reduction's blocks.  The (x, y) block fails at its
+    D0 = 3 on a 13 x 10 x 1 matrix, which proves D = 7, and its fallback
+    at degree 6 would hold 43 x 28 x 1 digits.  With the bound between
+    the two, the block's ResourceLimit ends the lift, as it would over a
+    field, and no W_3 matrix in f's three variables is built."""
+    field = gf_create(2, 1)
+    ring = gr_create(field)
+    names = ["x", "y", "z"]
+    f_w = (witt_lift(parse_poly("x^3+y^3+x*y^2+z^3", field, names))
+           + parse_poly("x", field, names).map_coeffs(ring, ring).scale(2))
+    seen = []
+    eliminate = milnor._eliminate
+
+    def counting(grads, over, n_vars, upto, lo=0):
+        seen.append((over, n_vars, upto))
+        return eliminate(grads, over, n_vars, upto, lo)
+
+    monkeypatch.setattr(milnor, "_eliminate", counting)
+    monkeypatch.setattr(milnor, "MAX_RELATION_CELLS", 1000)
+    with pytest.raises(ResourceLimit) as err:
+        milnor_algebra(f_w)
+    assert str(err.value) == ("the relation matrix in degree 6 would hold 43 x 28 x 1 digits, "
+                              "more than MAX_RELATION_CELLS = 1000")
+    assert [(n, upto) for r, n, upto in seen if r == ring] == [(2, 3), (2, 6)]
 
 
 def test_a_product_past_the_cap_is_composed(monkeypatch):
@@ -1043,8 +1097,9 @@ def _random_poly(rng, field, n):
 
 @pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1), (3, 2)])
 def test_the_scan_finds_the_least_degree(p, m):
-    """Wherever the scan starts, the certificate fails one degree below the
-    D it returns, and the presentation is the fresh D-1 elimination's."""
+    """The scan returns a D at least Wiebe's bound s = 1 + sum(k_i - 1),
+    the certificate fails one degree below it, and the presentation is the
+    fresh D-1 elimination's."""
     field = gf_create(p, m)
     rng = random.Random(1000 * p + m)
     isolated = at_s = 0
@@ -1057,6 +1112,7 @@ def test_the_scan_finds_the_least_degree(p, m):
         isolated += 1
         orders = [g.low_degree() for g in partials(f)]
         s = 1 + sum(k - 1 for k in orders)
+        assert alg.D >= s, f
         at_s += min(orders) >= 1 and s >= min(orders) + 2 and alg.D == s
         if alg.D > 1:
             cols, red, pivots, _, _ = milnor._eliminate(partials(f), field, f.n_vars, alg.D - 1)
