@@ -34,6 +34,13 @@ ODD = [
     (7, 1, "x,y,z", "x^2*y+y^4+z^2"),
     (7, 1, "x,y,z", "x^3+y^3+z^3"),
     (11, 1, "x,y,z,w", "x^5+y^5+z^5+w^5"),
+    # diagonal quadratics as the benchmark's pool writes them, one for each
+    # of its costliest shapes; q = 3 mod 4 over F_11 and F_27
+    (11, 1, "x,y,z,w", "5*x^2+6*y^2+5*z^2+10*w^2"),
+    (13, 1, "x,y,z,w", "5*x^2+4*y^2+2*z^2+1*w^2"),
+    (3, 3, "x,y,z,w", "(2*g+1*g^2)*x^2+(1*g+2*g^2)*y^2+(1*g+1*g^2)*z^2+(2*g+1*g^2)*w^2"),
+    (3, 6, "x,y,z", "(1+1*g+2*g^3+2*g^4)*x^2+(1+1*g+2*g^2+2*g^3+1*g^4+2*g^5)*y^2"
+                    "+(1*g+1*g^2+1*g^3+2*g^4)*z^2"),
 ]
 ODD_COMMANDS = [
     ["milnor"], ["gram", "--scale", "3"], ["disc", "--scale", "2"], ["epsilon"],
