@@ -5,9 +5,14 @@ the field, kept symbolic so equality is decidable.  The catalog covers the
 quadratic blocks in each characteristic, and additive convolution composes
 them over the variable-disjoint blocks of a polynomial.  A polynomial is
 split into its blocks once, and every block is classified afresh for each
-twist of the additive character.  This is the second
-route of verify_identity, so it imports no residue code: a block's Milnor
-number is read off its derivative, never from the Milnor engine.
+twist of the additive character: a*t^2's entry is read off the twisted
+coefficient -c*a.  The entries are folded on EpsilonValue's integers
+(sign, tau_exp, q2), and each twist's result is built as one EpsilonValue;
+_absorb_tau_square, the one home of tau^2 = (-1|F_q)*q, normalizes every
+value.  eps_quad_odd, eps_ordquad_char2, eps_wildquad_char2 and
+eps_convolve state the same rules on EpsilonValue objects.  This is the
+second route of verify_identity, so it imports no residue code: a block's
+Milnor number is read off its derivative, never from the Milnor engine.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 
 from .errors import (CatalogMiss, CheckFailed, EvenCharacteristic, FieldMismatch,
                      NotIsolated, OddCharacteristic, RingMismatch, ZeroCoefficient)
-from .gfield import CycloInt, Field, gauss_sum, legendre, trace_bit
+from .gfield import CycloInt, Field, FieldElem, gauss_sum, legendre, trace_bit
 from .mpoly import MultiPoly, variable_blocks
 
 
@@ -44,6 +49,19 @@ def printable_product(*powers):
     return None
 
 
+def _absorb_tau_square(q: int, sign: int, tau_exp: int, q2: int):
+    """sign * tau^tau_exp * q^(q2/2) over F_q as (sign, t, q2) with t = 0 or 1.
+
+    tau^2 = (-1 | F_q) * q, and (-1 | F_q) = -1 exactly when q = 3 mod 4, so
+    tau^tau_exp = tau^t * (-1 | F_q)^k * q^k with tau_exp = t + 2k.
+    """
+    t = tau_exp % 2
+    k = (tau_exp - t) // 2
+    if k % 2 and q % 4 == 3:
+        sign = -sign
+    return sign, t, q2 + 2 * k
+
+
 class EpsilonValue:
     """sign * tau^tau_exp * q^q_exp, normalized so tau_exp is 0 or 1.
 
@@ -64,17 +82,10 @@ class EpsilonValue:
         """Hold sign * tau^tau_exp * q^(q2/2), with tau^2 absorbed into q."""
         if sign not in (1, -1):
             raise ValueError("sign must be +-1")
-        t = tau_exp % 2
-        k = (tau_exp - t) // 2
-        if field.p == 2 and (t or k):
+        if field.p == 2 and tau_exp:
             raise EvenCharacteristic("no Gauss sum factor in characteristic 2")
-        # tau^2 = (-1 | F_q) * q, and (-1 | F_q) = -1 exactly when q = 3 mod 4
-        if k % 2 and field.q % 4 == 3:
-            sign = -sign
         self.field = field
-        self.sign = sign
-        self.tau_exp = t
-        self.q2 = q2 + 2 * k
+        self.sign, self.tau_exp, self.q2 = _absorb_tau_square(field.q, sign, tau_exp, q2)
 
     @property
     def q_exp(self) -> Fraction:
@@ -97,13 +108,17 @@ class EpsilonValue:
     def negate(self) -> "EpsilonValue":
         return _epsilon(self.field, -self.sign, self.tau_exp, self.q2)
 
-    def twist(self, c: int) -> "EpsilonValue":
-        """The same value for the character psi^c in place of psi."""
+    def twist_sign(self, c: int) -> int:
+        """The sign of the same value for the character psi^c in place of
+        psi: tau_q(c) = eta(c) * tau_q, and tau_exp and q2 stay."""
         if c % self.field.p == 0:
             raise ZeroCoefficient("twist must be prime to the characteristic")
-        if not self.tau_exp:
-            return self
-        return _epsilon(self.field, self.sign * legendre(self.field(c)), self.tau_exp, self.q2)
+        return self.sign * legendre(self.field(c)) if self.tau_exp else self.sign
+
+    def twist(self, c: int) -> "EpsilonValue":
+        """The same value for the character psi^c in place of psi."""
+        sign = self.twist_sign(c)
+        return _epsilon(self.field, sign, self.tau_exp, self.q2) if self.tau_exp else self
 
     def witness(self):
         """The value as an exact cyclotomic integer, when it is one and every
@@ -184,6 +199,27 @@ def _check_twist_law(field, c: int):
     _TWIST_CHECKED.add((field, c))
 
 
+def _quad_odd_entry(field, a, twist: int):
+    """(sign, tau_exp, q2) of the entry for a*t^2 under psi^twist, a a unit
+    of field: psi(c*x) turns a*t^2 into (c*a)*t^2, so the entry is
+    -eta(-c*a) * tau.  c lies in F_p, so -c*a is a's digits times -c."""
+    p = field.p
+    if twist % p == 0:
+        raise ZeroCoefficient("twist must be prime to the characteristic")
+    _check_twist_law(field, twist)
+    c = -twist % p
+    return -legendre(FieldElem(field, [c * x % p for x in a.coeffs])), 1, 0
+
+
+def _ordquad_char2_entry(a):
+    """(sign, tau_exp, q2) of the entry for x^2 + x*y + a*y^2: -q^-1 when
+    a has trace 0, q^-1 otherwise."""
+    return (-1 if trace_bit(a) == 0 else 1), 0, -2
+
+
+_WILDQUAD_CHAR2_ENTRY = (1, 0, 2)  # q, for a univariate block with mu = 2
+
+
 def eps_quad_odd(a, field, twist: int = 1) -> EpsilonValue:
     """Catalog entry for a*t^2 in odd characteristic; psi(c*x) turns a*t^2
     into (c*a)*t^2, so the twist enters the block's one quadratic character."""
@@ -192,30 +228,29 @@ def eps_quad_odd(a, field, twist: int = 1) -> EpsilonValue:
     a = field(a)
     if a.is_zero():
         raise ZeroCoefficient("quadratic coefficient must be a unit")
-    if twist % field.p == 0:
-        raise ZeroCoefficient("twist must be prime to the characteristic")
-    _check_twist_law(field, twist)
-    return _epsilon(field, -legendre(-a * twist), 1, 0)
+    return _epsilon(field, *_quad_odd_entry(field, a, twist))
 
 
 def eps_ordquad_char2(a, field) -> EpsilonValue:
     """Catalog entry for x^2 + x*y + a*y^2 in characteristic 2."""
     if field.p != 2:
         raise OddCharacteristic("this entry is for characteristic 2")
-    a = field(a)
-    sign = -1 if trace_bit(a) == 0 else 1
-    return _epsilon(field, sign, 0, -2)
+    return _epsilon(field, *_ordquad_char2_entry(field(a)))
 
 
 def eps_wildquad_char2(field) -> EpsilonValue:
     """Catalog entry for a univariate mu=2 singularity in characteristic 2."""
     if field.p != 2:
         raise OddCharacteristic("this entry is for characteristic 2")
-    return _epsilon(field, 1, 0, 2)
+    return _epsilon(field, *_WILDQUAD_CHAR2_ENTRY)
 
 
 def eps_convolve(e1: EpsilonValue, d1: int, e2: EpsilonValue, d2: int) -> EpsilonValue:
-    """Epsilon of an additive convolution from the factors and their dimtots."""
+    """Epsilon of an additive convolution from the factors and their dimtots.
+
+    arithmetic_sides applies the same rule to the integers of its entries;
+    this form, on values, is the reference a test holds it to.
+    """
     return (e1 ** d2 * e2 ** d1).inverse()
 
 
@@ -244,24 +279,24 @@ def _mu_univariate_char2(bp: MultiPoly) -> int:
 
 
 def _classify_block(field, bp: MultiPoly, twist: int, names):
-    """Catalog lookup for one block: (epsilon_0, dimtot).  A miss's
-    message renders the block with names, the names of its variables in f,
-    when it is read."""
+    """Catalog lookup for one block: ((sign, tau_exp, q2), dimtot), the
+    entry's epsilon as EpsilonValue's integers.  A miss's message renders
+    the block with names, the names of its variables in f, when it is read."""
     terms = bp.terms
-    one = field(1)
     if field.p != 2:
-        if bp.n_vars == 1 and set(terms) == {(2,)}:
-            return eps_quad_odd(terms[(2,)], field, twist), 1
+        if bp.n_vars == 1 and terms.keys() == {(2,)}:
+            return _quad_odd_entry(field, terms[(2,)], twist), 1
     elif bp.n_vars == 2:
-        if set(terms) <= {(2, 0), (1, 1), (0, 2)} and terms.get((1, 1)) == one:
-            c20 = terms.get((2, 0), field(0))
-            c02 = terms.get((0, 2), field(0))
+        one = field.one
+        if terms.keys() <= {(2, 0), (1, 1), (0, 2)} and terms.get((1, 1)) == one:
+            c20 = terms.get((2, 0), field.zero)
+            c02 = terms.get((0, 2), field.zero)
             if c20 == one:
-                return eps_ordquad_char2(c02, field), -1
+                return _ordquad_char2_entry(c02), -1
             if c02 == one:
-                return eps_ordquad_char2(c20, field), -1
+                return _ordquad_char2_entry(c20), -1
     elif bp.n_vars == 1 and _mu_univariate_char2(bp) == 2:
-        return eps_wildquad_char2(field), 2
+        return _WILDQUAD_CHAR2_ENTRY, 2
     raise CatalogMiss(lambda: f"no catalog entry for block {bp.render(names)}")
 
 
@@ -269,7 +304,12 @@ def arithmetic_sides(f: MultiPoly, twists, var_names=None):
     """Catalog-and-convolution epsilons: one (EpsilonValue, dimtot) per twist.
 
     f is split into its variable-disjoint blocks once; each block's catalog
-    entry is then derived afresh for every twist and the entries convolved.
+    entry is then derived afresh for every twist, from the twisted
+    coefficient, and the entries convolved.  The fold runs on EpsilonValue's
+    integers (sign, tau_exp, q2), with tau_exp left unreduced: a block of odd
+    dimtot enters negated (ebar), and eps_convolve's rule
+    (e1^d2 * e2^d1)^-1 adds and negates the exponents.  Each twist's result
+    becomes one EpsilonValue, whose constructor absorbs tau^2 into q.
     Falls over with CatalogMiss whenever any block of f is not in the
     explicit catalog; no attempt is made to diagonalize.  Its message names
     the block's variables by var_names (x0, x1, ... by default), as f's
@@ -287,15 +327,19 @@ def arithmetic_sides(f: MultiPoly, twists, var_names=None):
         raise CatalogMiss("empty polynomial")
     out = []
     for twist in twists:
-        acc = None
+        dimtot = None
         for bp, names in blocks:
-            eps0, db = _classify_block(field, bp, twist, names)
-            ebar = eps0.negate() if db % 2 else eps0
-            if acc is None:
-                acc = (ebar, db)
-            else:
-                acc = (eps_convolve(*acc, ebar, db), -acc[1] * db)
-        out.append(acc)
+            (s, t, e), d = _classify_block(field, bp, twist, names)
+            if d % 2:  # ebar
+                s = -s
+            if dimtot is None:
+                sign, tau_exp, q2, dimtot = s, t, e, d
+            else:  # eps_convolve
+                sign = (sign if d % 2 else 1) * (s if dimtot % 2 else 1)
+                tau_exp = -(tau_exp * d + t * dimtot)
+                q2 = -(q2 * d + e * dimtot)
+                dimtot = -dimtot * d
+        out.append((_epsilon(field, sign, tau_exp, q2), dimtot))
     return out
 
 

@@ -45,13 +45,14 @@ def _field(args):
 
 def _read(args, field, text=None):
     """text, --poly by default, read over field, and the --vars names it is
-    written in."""
+    written in.  --vars must name at least one variable: a list of only
+    separators and spaces is refused as a missing one is."""
     text = text if text is not None else args.poly
     if not text:
         raise PolySyntaxError("no polynomial given; use --poly")
-    if not args.vars:
+    names = [v.strip() for v in (args.vars or "").split(",") if v.strip()]
+    if not names:
         raise PolySyntaxError("variable names are required; use --vars")
-    names = [v.strip() for v in args.vars.split(",") if v.strip()]
     constants = {field.gen_symbol: field.gen()} if field.m > 1 else None
     return parse_poly(text, field, names, constants=constants), names
 

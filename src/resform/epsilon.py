@@ -79,7 +79,9 @@ def verify_identity(f: MultiPoly, convention: str = "calibrated", var_names=None
     side come from the one Milnor algebra kept on f.  The catalog side uses
     the same split of f into blocks, then classifies every block afresh for
     each twist, so the loop genuinely re-tests the identity rather than
-    multiplying both sides by the same character value.
+    multiplying both sides by the same character value.  The two sides are
+    compared on EpsilonValue's integers, the geometric side's sign taken
+    under psi^c (EpsilonValue.twist_sign), with no value built per twist.
     """
     field = f.ring
     mu = milnor_algebra(f).mu
@@ -95,7 +97,8 @@ def verify_identity(f: MultiPoly, convention: str = "calibrated", var_names=None
     else:
         arith1 = arith[0][0]
         checked = len(arith)
-        agree = all(geo1.twist(c) == ar_c and d_c == dimtot
+        agree = all(d_c == dimtot and (ar_c.sign, ar_c.tau_exp, ar_c.q2)
+                    == (geo1.twist_sign(c), geo1.tau_exp, geo1.q2)
                     for c, (ar_c, d_c) in zip(twists, arith))
         verdict = "PASS" if agree else "FAIL"
     return {

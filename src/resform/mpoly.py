@@ -332,23 +332,25 @@ def divided_difference(g: MultiPoly, j: int) -> MultiPoly:
 MAX_NESTING = 100  # levels of parentheses; each costs the descent four frames
 MAX_EXPANSION = 100_000  # term pairs one product of the expansion may multiply
 
-# One token per match, after optional white space: an integer, a name, an
-# operator (with ** spelled ^), or any other character, which is an error.
-_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|(\*\*|[-+*^()])|(\S))")
+# One token per match, white space skipped: an integer, a name, ** (which
+# is ^), or any other single character: an operator, or an error.
+_TOKEN = re.compile(r"\d+|[^\W\d]\w*|\*\*|\S")
+_OPERATORS = {"+": "+", "-": "-", "*": "*", "^": "^", "**": "^", "(": "(", ")": ")"}
 
 
 def _tokenize(text: str):
+    """The tokens of text: ints, names, and operators as their characters."""
     tokens = []
-    for m in _TOKEN.finditer(text):
-        digits, name, op, _ = m.groups()
-        if digits is not None:
-            tokens.append(("int", int(digits)))
-        elif name is not None and (name[0].isalpha() or name[0] == "_"):
-            tokens.append(("name", name))
-        elif op is not None:
-            tokens.append(("op", "^" if op == "**" else op))
+    for tok in _TOKEN.findall(text):
+        op = _OPERATORS.get(tok)
+        if op is not None:
+            tokens.append(op)
+        elif tok.isdecimal():
+            tokens.append(int(tok))
+        elif tok[0].isalpha() or tok[0] == "_":
+            tokens.append(tok)
         else:  # a stray character, or a non-decimal numeral that starts no name
-            i = m.start(2) if name is not None else m.start(4)
+            i = list(_TOKEN.finditer(text))[len(tokens)].start()
             raise PolySyntaxError(f"unexpected character {text[i]!r} at position {i}")
     return tokens
 
@@ -366,23 +368,20 @@ def _add_into(acc: dict, other: dict, subtract: bool):
         acc[e] = c
 
 
-def _product(a: dict, b: dict) -> dict:
-    """_mul_terms, refused past MAX_EXPANSION term pairs."""
-    if len(a) * len(b) > MAX_EXPANSION:
-        raise PolySyntaxError(f"expanding the input multiplies {len(a)} by {len(b)} terms, "
-                              f"more than {MAX_EXPANSION} term pairs")
-    return _mul_terms(a, b)
-
-
-_END = (None, None)
+def _size(node) -> int:
+    """The terms of a parsed node: a dict's, or one for a nonzero constant."""
+    if isinstance(node, dict):
+        return len(node)
+    return 0 if _czero(node) else 1
 
 
 class _Parser:
-    """Recursive descent over the tokens into {exponent tuple: coefficient}
-    dicts, so that only the finished polynomial is built as a MultiPoly."""
+    """Recursive descent over the tokens.  A node is a constant, held as a
+    ring element, or a dict {exponent tuple: coefficient} once a variable
+    enters; only the finished polynomial is built as a MultiPoly."""
 
     def __init__(self, tokens, ring, var_names, constants):
-        self.tokens = tokens + [_END]
+        self.tokens = tokens + [None]
         self.pos = 0
         self.ring = ring
         self.n = len(var_names)
@@ -395,80 +394,110 @@ class _Parser:
         self.constants = constants or {}
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def as_terms(self, node) -> dict:
+        """node as a term dict: itself, or a constant's one term."""
+        if isinstance(node, dict):
+            return node
+        return {} if _czero(node) else {(0,) * self.n: node}
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def product(self, a, b):
+        """a * b, refused past MAX_EXPANSION term pairs; a constant counts
+        as one term, or none when it is zero."""
+        if _size(a) * _size(b) > MAX_EXPANSION:
+            raise PolySyntaxError(f"expanding the input multiplies {_size(a)} by {_size(b)} "
+                                  f"terms, more than {MAX_EXPANSION} term pairs")
+        if not isinstance(a, dict):
+            if not isinstance(b, dict):
+                return a * b
+            a, b = b, a
+        elif isinstance(b, dict):
+            return _mul_terms(a, b)
+        out = {}
+        for e, c in a.items():
+            c = b if c is self.one else c * b
+            if not _czero(c):
+                out[e] = c
+        return out
 
     def expr(self):
         node = self.term()
         while True:
-            kind, val = self.tokens[self.pos]
-            if kind == "op" and val in "+-":
-                self.pos += 1
-                _add_into(node, self.term(), val == "-")
-            else:
+            op = self.tokens[self.pos]
+            if op != "+" and op != "-":
                 return node
+            self.pos += 1
+            other = self.term()
+            if isinstance(node, dict) or isinstance(other, dict):
+                node = self.as_terms(node)
+                _add_into(node, self.as_terms(other), op == "-")
+            else:
+                node = node - other if op == "-" else node + other
 
     def term(self):
         node = self.factor()
-        while self.tokens[self.pos] == ("op", "*"):
+        while self.tokens[self.pos] == "*":
             self.pos += 1
-            node = _product(node, self.factor())
+            node = self.product(node, self.factor())
         return node
 
     def factor(self):
-        kind, val = self.peek()
+        tok = self.tokens[self.pos]
         neg = False
-        while kind == "op" and val in "+-":
+        while tok == "+" or tok == "-":
             self.pos += 1
-            if val == "-":
+            if tok == "-":
                 neg = not neg
-            kind, val = self.peek()
+            tok = self.tokens[self.pos]
         node = self.atom()
-        if self.tokens[self.pos] == ("op", "^"):
-            self.pos += 1
-            kind, val = self.take()
-            if kind != "int":
+        if self.tokens[self.pos] == "^":
+            k = self.tokens[self.pos + 1]
+            self.pos += 2
+            if type(k) is not int:
                 raise PolySyntaxError("exponent must be an integer literal")
-            node = _pow_terms(node, val, self.one, _product) if val else {(0,) * self.n: self.one}
-        return {e: -c for e, c in node.items()} if neg else node
-
-    def _const(self, value):
-        c = self.ring(value)
-        return {} if _czero(c) else {(0,) * self.n: c}
+            if not k:
+                node = self.one
+            elif isinstance(node, dict):
+                node = _pow_terms(node, k, self.one, self.product)
+            else:
+                node = node ** k
+        if not neg:
+            return node
+        return {e: -c for e, c in node.items()} if isinstance(node, dict) else -node
 
     def atom(self):
-        kind, val = self.take()
-        if kind == "int":
-            return self._const(val)
-        if kind == "name":
-            e = self.monomials.get(val)
-            if e is not None:
-                return {e: self.one}
-            if val in self.constants:
-                return self._const(self.constants[val])
-            raise UnknownVariable(f"unknown name {val!r}")
-        if kind == "op" and val == "(":
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if type(tok) is int:
+            return self.ring(tok)
+        if tok == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise PolySyntaxError(f"parentheses nested deeper than {MAX_NESTING}")
             node = self.expr()
-            if self.take() != ("op", ")"):
+            if self.tokens[self.pos] != ")":
                 raise PolySyntaxError("expected closing parenthesis")
+            self.pos += 1
             self.depth -= 1
             return node
-        raise PolySyntaxError(f"unexpected token {val!r}")
+        if tok is not None and tok not in _OPERATORS:
+            e = self.monomials.get(tok)
+            if e is not None:
+                return {e: self.one}
+            if tok in self.constants:
+                return self.ring(self.constants[tok])
+            raise UnknownVariable(f"unknown name {tok!r}")
+        raise PolySyntaxError(f"unexpected token {tok!r}")
 
 
 def parse_poly(text: str, ring, var_names, constants=None) -> MultiPoly:
     """Parse an expression with +, -, *, ^, parentheses, ints, and names.
 
-    No product of the expansion may multiply more than MAX_EXPANSION pairs
-    of terms, so every input is read in bounded time.
+    The text is tokenized in one pass.  Constants such as (1+2*g+g^3) or
+    2*g^5 are folded as ring elements, and a product with a constant scales
+    the other factor's terms; only a subexpression holding a variable is
+    kept as a dict of terms.  No product of the expansion may multiply more
+    than MAX_EXPANSION pairs of terms, so every input is read in bounded
+    time.
     """
     repeated = [v for i, v in enumerate(var_names) if v in var_names[:i]]
     if repeated:
@@ -477,7 +506,7 @@ def parse_poly(text: str, ring, var_names, constants=None) -> MultiPoly:
     if not tokens:
         raise PolySyntaxError("empty expression")
     parser = _Parser(tokens, ring, var_names, constants)
-    terms = parser.expr()
+    node = parser.expr()
     if parser.pos != len(tokens):
         raise PolySyntaxError(f"trailing input near token {parser.pos}")
-    return MultiPoly(ring, len(var_names), terms)
+    return MultiPoly(ring, len(var_names), parser.as_terms(node))

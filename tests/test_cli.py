@@ -185,6 +185,17 @@ def test_error_records(capsys):
         assert payload["message"]
 
 
+@pytest.mark.parametrize("extra", [[], ["--vars", ""], ["--vars", ","], ["--vars", " "],
+                                   ["--vars", " , ,"]])
+def test_a_variable_list_without_a_name_is_refused(capsys, extra):
+    """--vars of only separators or spaces is refused as a missing --vars,
+    not read as an empty variable list."""
+    code, payload = run_json(capsys, "verify", "--p", "7", *extra, "--poly", "x^2")
+    assert code == 2
+    assert payload == {"error": "PolySyntaxError",
+                       "message": "variable names are required; use --vars"}
+
+
 def test_a_given_modulus_is_used_and_checked(capsys):
     """--modulus builds the field the report names; one of the wrong degree
     is refused with exit code 2."""

@@ -29,7 +29,7 @@ from resform.catalog import (
 from resform.epsilon import calibrate, geometric_side, verify_identity
 from resform.gfield import SUPPORTED_PRIMES, CycloInt, gf_create, legendre
 from resform.milnor import milnor_algebra
-from resform.mpoly import MultiPoly, parse_poly
+from resform.mpoly import MultiPoly, parse_poly, variable_blocks
 
 
 def test_tau_square_absorption():
@@ -349,6 +349,60 @@ def test_arithmetic_sides_is_the_one_twist_answer_for_each_twist():
         arithmetic_sides(parse_poly("x^2+x^3+1", f2, ["x"]), [1, 2])
     with pytest.raises(CatalogMiss, match="nonzero constant term"):
         arithmetic_side(parse_poly("x^2+1", f7, ["x"]), twist=7)
+
+
+def _entry_fold(f, twist):
+    """The catalog answer for f under psi^twist, built from EpsilonValue
+    objects: each block's entry, negated for an odd dimtot, the blocks
+    combined by eps_convolve."""
+    field, acc = f.ring, None
+    for _, bp in variable_blocks(f):
+        if field.p != 2:
+            eps, d = eps_quad_odd(bp.terms[(2,)], field, twist), 1
+        elif bp.n_vars == 2:
+            c20, c02 = (bp.terms.get(e, field.zero) for e in ((2, 0), (0, 2)))
+            eps, d = eps_ordquad_char2(c02 if c20 == 1 else c20, field), -1
+        else:
+            eps, d = eps_wildquad_char2(field), 2
+        ebar = eps.negate() if d % 2 else eps
+        acc = (ebar, d) if acc is None else (eps_convolve(*acc, ebar, d), -acc[1] * d)
+    return acc
+
+
+def _char2_block(rng, field, x, y):
+    """(text, variables) of a catalogued characteristic-2 block:
+    x^2+x*y+a*y^2 or a*x^2+x*y+y^2, or a univariate block in x with mu = 2."""
+    a = f"({field.decode(rng.randrange(field.q))!r})"
+    return rng.choice([(f"{x}^2+{x}*{y}+{a}*{y}^2", [x, y]), (f"{a}*{x}^2+{x}*{y}+{y}^2", [x, y]),
+                       (f"{x}^2+{x}^3", [x]), (f"{x}^3+{x}^4", [x]), (f"{x}^2+{x}^3+{x}^5", [x])])
+
+
+def test_the_integer_fold_is_the_fold_of_entries():
+    """arithmetic_sides equals the fold of EpsilonValue entries on every
+    twist: 1 to 4 quadratic blocks over fields with q = 1 and q = 3 mod 4,
+    and characteristic-2 sums of ordinary and univariate blocks."""
+    rng = random.Random(36)
+    odd = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 6)]
+    assert {p ** m % 4 for p, m in odd} == {1, 3}
+    cases = []
+    for p, m in odd:
+        field = gf_create(p, m)
+        for k in range(1, 5):
+            for _ in range(2):
+                cases.append(MultiPoly(field, k, {
+                    tuple(2 * (j == i) for j in range(k)): field.decode(rng.randrange(1, field.q))
+                    for i in range(k)}))
+    for m in (1, 2, 3, 4):
+        field = gf_create(2, m)
+        for k in range(1, 5):
+            for _ in range(2):
+                blocks = [_char2_block(rng, field, f"x{i}", f"y{i}") for i in range(k)]
+                cases.append(parse_poly("+".join(text for text, _ in blocks), field,
+                                        [v for _, names in blocks for v in names],
+                                        constants={"g": field.gen()}))
+    for f in cases:
+        twists = list(range(1, f.ring.p)) if f.ring.p != 2 else [1]
+        assert arithmetic_sides(f, twists) == [_entry_fold(f, c) for c in twists], f.render()
 
 
 def test_catalog_miss_reports_geometric_only():

@@ -13,18 +13,20 @@ from resform.gfield import gf_create
 from resform.mpoly import MultiPoly, parse_poly
 
 NAMES = ["x", "y", "z"]
-FIELDS = [(7, 1), (3, 2), (2, 2)]
+FIELDS = [(7, 1), (3, 2), (2, 2), (3, 3), (3, 6)]
 
 # Binding strength of each node when written out: a node is put in
 # parentheses wherever its context asks for a stronger one.
 SUM, TERM, FACTOR, POWER, ATOM = range(5)
 PREC = {"add": SUM, "sub": SUM, "mul": TERM, "sign": FACTOR, "pow": POWER,
-        "paren": ATOM, "int": ATOM, "var": ATOM, "gen": ATOM}
+        "paren": ATOM, "int": ATOM, "var": ATOM, "gen": ATOM, "gen_pow": POWER}
 
 leaves = st.one_of(
     st.tuples(st.just("int"), st.integers(0, 20)),
     st.tuples(st.just("var"), st.sampled_from(NAMES)),
     st.tuples(st.just("gen")),
+    # g^k past the modulus's degree, which the field reduces
+    st.tuples(st.just("gen_pow"), st.integers(2, 13)),
 )
 
 
@@ -55,6 +57,8 @@ def _write(tree, need, space, has_gen):
         text = tree[1]
     elif kind == "gen":
         text = "g" if has_gen else "1"
+    elif kind == "gen_pow":
+        text = f"g^{tree[1]}" if has_gen else "1"
     elif kind == "paren":
         text = "(" + _write(tree[1], SUM, space, has_gen) + ")"
     elif kind == "sign":
@@ -78,6 +82,11 @@ def _evaluate(tree, field):
         return MultiPoly.var(field, n, NAMES.index(tree[1]))
     if kind == "gen":
         return MultiPoly.const(field, n, field.gen() if field.m > 1 else field(1))
+    if kind == "gen_pow":
+        if field.m == 1:
+            return MultiPoly.const(field, n, 1)
+        g = MultiPoly.const(field, n, field.gen())
+        return math.prod([g] * tree[1], start=MultiPoly.const(field, n, 1))
     if kind == "paren":
         return _evaluate(tree[1], field)
     if kind == "sign":
